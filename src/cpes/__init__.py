@@ -10,11 +10,10 @@ from .harness import (
     SweepReport,
     evaluate,
     export_masks,
-    sweep_distance,
-    sweep_m,
+    sweep,
     train,
 )
-from .numerics import Rng64, cosine, cross_entropy, rng_split, softmax
+from .numerics import Rng64, cross_entropy, rng_split, softmax
 from .scoring import (
     Gradients,
     MlpHead,
@@ -22,7 +21,6 @@ from .scoring import (
     ScheduleKind,
     episode_loss_and_grads,
     load_head,
-    mlp_forward,
     optimizer_step,
     save_head,
     score_matrix,
@@ -63,7 +61,6 @@ __all__ = [
     "SweepReport",
     "SyntheticConfig",
     "build_prototype",
-    "cosine",
     "cross_entropy",
     "episode_loss_and_grads",
     "evaluate",
@@ -71,7 +68,6 @@ __all__ = [
     "fuse",
     "generate_synthetic",
     "load_head",
-    "mlp_forward",
     "optimizer_step",
     "read_store",
     "rng_split",
@@ -81,8 +77,7 @@ __all__ = [
     "select_top",
     "similarity_sequence",
     "softmax",
-    "sweep_distance",
-    "sweep_m",
+    "sweep",
     "train",
     "write_store",
 ]

@@ -14,14 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import CpesError, StoreFormatError
-from .harness import (
-    RunConfig,
-    evaluate,
-    export_masks,
-    sweep_distance,
-    sweep_m,
-    train,
-)
+from .harness import RunConfig, evaluate, export_masks, sweep, train
 from .scoring import OptimizerConfig, ScheduleKind, load_head, save_head
 from .selection import DistanceKind
 from .store import SyntheticConfig, generate_synthetic, read_store, write_store
@@ -71,14 +64,14 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="cpes", description="Class-relevant patch embedding selection toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="generate a planted-signal store")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--classes", type=int, default=20)
     p.add_argument("--records-per-class", type=int, default=30)
     p.add_argument("--dim", type=int, default=32)
@@ -91,21 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("train", help="train the MLP head on a store")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--out", type=str, required=True, help="checkpoint path")
     p.add_argument("--log", type=str, default=None, help="training log path")
     _add_run_flags(p)
 
     p = sub.add_parser("eval", help="episodic evaluation of a trained head")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--out", type=str, default=None, help="report JSON path")
     _add_run_flags(p)
 
     p = sub.add_parser("sweep-m", help="train+eval across selection sizes")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--eval-store", type=str, default=None)
     p.add_argument("--values", type=_int_list, required=True, help="e.g. 0,2,4,8,16")
@@ -113,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
 
     p = sub.add_parser("sweep-distance", help="train+eval across ranking functions")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--eval-store", type=str, default=None)
     p.add_argument("--kinds", type=str, default="cos,dot,abs,sqr")
@@ -121,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
 
     p = sub.add_parser("export-masks", help="write selection masks for records")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--records", type=_int_list, required=True)
     p.add_argument("--m", type=int, default=None)
@@ -129,31 +117,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True, help="output directory")
 
     p = sub.add_parser("inspect-store", help="print store header and class counts")
-    p.add_argument("--config", type=str, default=None)
     p.add_argument("--store", type=str, required=True)
-    return parser
+    for p in sub.choices.values():
+        p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config JSON (if any) as subcommand defaults; flags override."""
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
-    values = json.loads(Path(path).read_text())
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config JSON file supplies subcommand defaults, so
+    explicit flags override it."""
+    parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    values = json.loads(Path(args.config).read_text())
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    # find the subparser for the requested command and install defaults
-    command = argv[0]
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        sub = action.choices.get(command)
-        if sub is None:
-            continue
-        known = {a.dest for a in sub._actions}  # noqa: SLF001
-        unknown = set(values) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        sub.set_defaults(**values)
-    return argv
+    # "command" is the subcommand itself, not a flag a default could fill
+    unknown = set(values) - (set(vars(args)) - {"command"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    subparsers[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -206,25 +191,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_stores(args):
+def _cmd_sweep(args) -> int:
     train_store = read_store(args.store)
     eval_store = read_store(args.eval_store) if args.eval_store else train_store
-    return train_store, eval_store
-
-
-def _cmd_sweep_m(args) -> int:
-    train_store, eval_store = _sweep_stores(args)
-    report = sweep_m(train_store, eval_store, _run_config(args), args.values)
-    print(report.table())
-    if args.out:
-        Path(args.out).write_text(report.to_json())
-    return 0
-
-
-def _cmd_sweep_distance(args) -> int:
-    train_store, eval_store = _sweep_stores(args)
-    kinds = [DistanceKind(tok) for tok in args.kinds.split(",") if tok]
-    report = sweep_distance(train_store, eval_store, _run_config(args), kinds)
+    if args.command == "sweep-m":
+        axis, values = "m", args.values
+    else:
+        axis, values = "distance", [DistanceKind(tok) for tok in args.kinds.split(",") if tok]
+    report = sweep(train_store, eval_store, _run_config(args), axis, values)
     print(report.table())
     if args.out:
         Path(args.out).write_text(report.to_json())
@@ -252,8 +226,8 @@ _COMMANDS = {
     "gen-synthetic": _cmd_gen_synthetic,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "sweep-m": _cmd_sweep_m,
-    "sweep-distance": _cmd_sweep_distance,
+    "sweep-m": _cmd_sweep,
+    "sweep-distance": _cmd_sweep,
     "export-masks": _cmd_export_masks,
     "inspect-store": _cmd_inspect_store,
 }
@@ -261,10 +235,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
     except (StoreFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Training loop, episodic evaluation with confidence intervals, ablation
-sweeps over the selection size and the ranking function, and mask export.
+sweeps over one RunConfig field (e.g. the selection size or the ranking
+function), and mask export.
 
 Everything here is deterministic given (store bytes, RunConfig): training
 episodes, head initialization, and evaluation tasks each draw from their
@@ -9,6 +10,7 @@ change a result.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import time
@@ -22,6 +24,7 @@ from .numerics import derive_seed, rng_split
 from .scoring import (
     MlpHead,
     OptimizerConfig,
+    class_probabilities,
     episode_loss_and_grads,
     optimizer_step,
 )
@@ -220,7 +223,7 @@ def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport
         protos, queries = _episode_representations(episode, m, cfg.distance)
         correct = 0
         for query, label in zip(queries, episode.query_labels):
-            _, _, probs = episode_loss_and_grads(head, query, protos, label)
+            probs = class_probabilities(head, query, protos)
             correct += int(np.argmax(probs)) == label
         per_task.append(correct / len(queries))
     mean, ci95 = mean_and_ci95(per_task)
@@ -237,33 +240,22 @@ def mean_and_ci95(per_task: list[float]) -> tuple[float, float]:
     return mean, ci
 
 
-def sweep_m(
+def sweep(
     train_store: EmbeddingStore,
     eval_store: EmbeddingStore,
     cfg: RunConfig,
-    values: list[int],
+    axis: str,
+    values: list,
 ) -> SweepReport:
-    """Full train+evaluate per selection size, shared base seed."""
+    """Full train+evaluate per value of the RunConfig field ``axis``, shared
+    base seed. Enum values are labelled by their ``.value``."""
     points = []
-    for m in values:
-        point_cfg = replace(cfg, m=m)
+    for value in values:
+        point_cfg = replace(cfg, **{axis: value})
         head, _ = train(train_store, point_cfg)
-        points.append((m, evaluate(head, eval_store, point_cfg)))
-    return SweepReport("m", points)
-
-
-def sweep_distance(
-    train_store: EmbeddingStore,
-    eval_store: EmbeddingStore,
-    cfg: RunConfig,
-    kinds: list[DistanceKind],
-) -> SweepReport:
-    points = []
-    for kind in kinds:
-        point_cfg = replace(cfg, distance=kind)
-        head, _ = train(train_store, point_cfg)
-        points.append((kind.value, evaluate(head, eval_store, point_cfg)))
-    return SweepReport("distance", points)
+        label = value.value if isinstance(value, enum.Enum) else value
+        points.append((label, evaluate(head, eval_store, point_cfg)))
+    return SweepReport(axis, points)
 
 
 def export_masks(

@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels: cosine, softmax, cross-entropy, and a
+"""Deterministic numeric kernels: unit rows, softmax, cross-entropy, and a
 counter-based 64-bit RNG whose streams are identical on every platform.
 
 All math runs in float64 regardless of how embeddings are stored on disk,
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, IndexOutOfRange
+from .errors import EmptyInput, IndexOutOfRange
 
 DEGENERATE_NORM = 1e-12
 
@@ -105,21 +105,16 @@ def derive_seed(seed: int, index: int) -> int:
     return rng_split(seed, index).state
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 for near-zero-norm inputs.
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit norm; a row whose norm is below
+    DEGENERATE_NORM becomes zero.
 
-    The degenerate-vector policy ranks an (unrealistic) zero patch as
-    uninformative instead of erroring.
+    The degenerate-vector policy makes an (unrealistic) zero patch or class
+    embedding have cosine 0 with everything, ranking it as uninformative
+    instead of erroring.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"cosine: shapes {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros(rows.shape), where=norms >= DEGENERATE_NORM)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

@@ -16,24 +16,13 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    NonFiniteGradient,
-    TruncatedFile,
-    UnsupportedVersion,
-)
-from .numerics import DEGENERATE_NORM, Rng64, cross_entropy, softmax
+from .errors import BadMagic, DimensionMismatch, NonFiniteGradient, UnsupportedVersion
+from .numerics import Rng64, cross_entropy, softmax, unit_rows
 from .selection import FusedRepresentation
+from .store import _read_exact
 
 CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    safe = norms >= DEGENERATE_NORM
-    return np.where(safe, rows / np.where(safe, norms, 1.0), 0.0)
 
 
 def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.ndarray:
@@ -42,7 +31,7 @@ def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.n
         raise DimensionMismatch(
             f"fused dims differ: {query.rows.shape[1]} vs {proto.rows.shape[1]}"
         )
-    s = (_unit_rows(query.rows) @ _unit_rows(proto.rows).T) ** 2
+    s = (unit_rows(query.rows) @ unit_rows(proto.rows).T) ** 2
     # rounding can push a squared cosine a few ulp past 1
     return np.minimum(s, 1.0)
 
@@ -126,13 +115,31 @@ class MlpHead:
         return cls(input_dim, hidden_dim, w1, b1, w2, b2)
 
 
-def mlp_forward(head: MlpHead, score: np.ndarray) -> float:
-    """Scalar similarity score for one flattened score matrix."""
-    x = np.asarray(score, dtype=np.float64).reshape(-1)
-    if x.size != head.input_dim:
-        raise DimensionMismatch(f"score size {x.size}, head expects {head.input_dim}")
-    hidden = np.maximum(head.w1 @ x + head.b1, 0.0)
-    return float(head.w2 @ hidden + head.b2)
+def head_forward(
+    head: MlpHead, scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """W1 -> ReLU -> w2 over N score matrices, one per prototype.
+
+    Returns (x, pre, hidden, out): the flattened scores (N, input_dim), the
+    hidden layer before and after the rectifier (N, H), and the N class
+    scores.
+    """
+    x = np.asarray(scores, dtype=np.float64)
+    x = x.reshape(x.shape[0], -1)
+    if x.shape[1] != head.input_dim:
+        raise DimensionMismatch(f"score size {x.shape[1]}, head expects {head.input_dim}")
+    pre = x @ head.w1.T + head.b1
+    hidden = np.maximum(pre, 0.0)
+    return x, pre, hidden, hidden @ head.w2 + head.b2
+
+
+def class_probabilities(
+    head: MlpHead, query: FusedRepresentation, protos: list[FusedRepresentation]
+) -> np.ndarray:
+    """Class probabilities of one query against N prototypes, forward only:
+    no loss and no gradients."""
+    scores = np.stack([score_matrix(query, p) for p in protos])
+    return softmax(head_forward(head, scores)[3])
 
 
 def episode_loss_and_grads(
@@ -146,15 +153,9 @@ def episode_loss_and_grads(
 
     The rectifier subgradient at exactly 0 is taken as 0.
     """
-    xs = np.stack(
-        [score_matrix(query, p).reshape(-1) for p in protos]
-    )  # (N, input_dim)
-    if xs.shape[1] != head.input_dim:
-        raise DimensionMismatch(f"score size {xs.shape[1]}, head expects {head.input_dim}")
-    pre = xs @ head.w1.T + head.b1  # (N, H)
-    hidden = np.maximum(pre, 0.0)
-    scores = hidden @ head.w2 + head.b2  # (N,)
-    probs = softmax(scores)
+    scores = np.stack([score_matrix(query, p) for p in protos])
+    xs, pre, hidden, out = head_forward(head, scores)
+    probs = softmax(out)
     loss = cross_entropy(probs, target)
 
     dscores = probs.copy()
@@ -222,13 +223,6 @@ def save_head(head: MlpHead, destination) -> None:
         for arr in group:
             _write_f64(buf, arr)
     buf.write(struct.pack("<Q", head.step))
-
-
-def _read_exact(buf: BinaryIO, n: int, what: str) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise TruncatedFile(f"unexpected end of file while reading {what}")
-    return data
 
 
 def load_head(source) -> MlpHead:

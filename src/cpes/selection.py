@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, SelectionOutOfRange
-from .numerics import DEGENERATE_NORM
+from .numerics import unit_rows
 from .store import EmbeddingRecord
 
 FUSION_CLASS_WEIGHT = 2.0  # fused patch = patch + 2 * class embedding
@@ -49,13 +49,7 @@ def similarity_sequence(record: EmbeddingRecord, kind: DistanceKind) -> np.ndarr
     c = record.class_embedding
     patches = record.patch_embeddings
     if kind is DistanceKind.COS:
-        norms = np.linalg.norm(patches, axis=1)
-        cnorm = np.linalg.norm(c)
-        denom = norms * cnorm
-        sims = patches @ c
-        # same degenerate policy as numerics.cosine: 0 when either norm tiny
-        safe = (norms >= DEGENERATE_NORM) & (cnorm >= DEGENERATE_NORM)
-        return np.where(safe, sims / np.where(safe, denom, 1.0), 0.0)
+        return unit_rows(patches) @ unit_rows(c[np.newaxis])[0]
     if kind is DistanceKind.DOT:
         return patches @ c
     diff = patches - c

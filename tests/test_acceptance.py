@@ -19,7 +19,7 @@ import pytest
 from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG
 from cpes.cli import main as cli_main
 from cpes.errors import BadMagic, NonFiniteValue, TruncatedFile, UnsupportedVersion
-from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep_distance, sweep_m
+from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep
 from cpes.numerics import Rng64, rng_split
 from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head, score_matrix
 from cpes.selection import (
@@ -143,10 +143,11 @@ def test_qualitative_selection_size_sweep(sweep_train_store, sweep_eval_store):
         start = time.perf_counter()
         pooled: dict[int, list[float]] = {m: [] for m in SWEEP_VALUES}
         for seed in SWEEP_SEEDS:
-            report = sweep_m(
+            report = sweep(
                 sweep_train_store,
                 sweep_eval_store,
                 sweep_run_config(seed),
+                "m",
                 list(SWEEP_VALUES),
             )
             for m, point in report.points:
@@ -195,8 +196,8 @@ def test_distance_ablation_parity(easy_train_store, easy_eval_store):
             eval_tasks=20,
             hidden_dim=16,
         )
-        report = sweep_distance(
-            easy_train_store, easy_eval_store, cfg, list(DistanceKind)
+        report = sweep(
+            easy_train_store, easy_eval_store, cfg, "distance", list(DistanceKind)
         )
         assert [k for k, _ in report.points] == ["cos", "dot", "abs", "sqr"]
         for _, point in report.points:

@@ -112,6 +112,11 @@ class TestExitCodes:
         bad.write_bytes(b"NOPE" + b"\x00" * 40)
         assert main(["inspect-store", "--store", str(bad)]) == 3
 
+    def test_config_flag_without_value_is_argparse_error(self, store_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--store", str(store_path), "--out", str(tmp_path / "h"), "--config"])
+        assert exc.value.code == 2
+
     def test_argparse_rejects_unknown_flag(self, store_path):
         with pytest.raises(SystemExit) as exc:
             main(["inspect-store", "--store", str(store_path), "--bogus"])

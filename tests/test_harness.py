@@ -12,8 +12,7 @@ from cpes.harness import (
     init_head,
     mean_and_ci95,
     resolve_m,
-    sweep_distance,
-    sweep_m,
+    sweep,
     train,
 )
 from cpes.scoring import save_head
@@ -115,27 +114,27 @@ class TestEvaluate:
 class TestSweeps:
     def test_sweep_m_matches_plain_run(self, easy_train_store, easy_eval_store):
         cfg = quick_cfg(eval_tasks=10)
-        sweep = sweep_m(easy_train_store, easy_eval_store, cfg, [4])
+        result = sweep(easy_train_store, easy_eval_store, cfg, "m", [4])
         head, _ = train(easy_train_store, cfg)
         plain = evaluate(head, easy_eval_store, cfg)
-        assert sweep.points[0][1].per_task_accuracy == plain.per_task_accuracy
+        assert result.points[0][1].per_task_accuracy == plain.per_task_accuracy
 
     def test_sweep_m_zero_and_full(self, easy_train_store, easy_eval_store):
         cfg = quick_cfg(eval_tasks=5, episodes_per_epoch=3)
-        sweep = sweep_m(easy_train_store, easy_eval_store, cfg, [0, 16])
-        assert [p[0] for p in sweep.points] == [0, 16]
-        for _, report in sweep.points:
+        result = sweep(easy_train_store, easy_eval_store, cfg, "m", [0, 16])
+        assert [p[0] for p in result.points] == [0, 16]
+        for _, report in result.points:
             assert 0.0 <= report.mean_accuracy <= 1.0
 
     def test_sweep_distance_all_kinds(self, easy_train_store, easy_eval_store):
         cfg = quick_cfg(eval_tasks=5, episodes_per_epoch=3)
-        sweep = sweep_distance(
-            easy_train_store, easy_eval_store, cfg, list(DistanceKind)
+        result = sweep(
+            easy_train_store, easy_eval_store, cfg, "distance", list(DistanceKind)
         )
-        assert [p[0] for p in sweep.points] == ["cos", "dot", "abs", "sqr"]
-        parsed = json.loads(sweep.to_json())
+        assert [p[0] for p in result.points] == ["cos", "dot", "abs", "sqr"]
+        parsed = json.loads(result.to_json())
         assert len(parsed["points"]) == 4
-        assert sweep.table().count("\n") == 4
+        assert result.table().count("\n") == 4
 
     def test_cos_vs_dot_disagree_on_nonuniform_norms(self, small_store):
         # scale patches unevenly so norm matters for DOT but not COS
@@ -204,7 +203,7 @@ class TestExportMasks:
 class TestEndToEndOrderInvariance:
     def test_query_score_invariant_to_patch_storage_order(self, small_store):
         from cpes.harness import _fused
-        from cpes.scoring import mlp_forward, score_matrix
+        from cpes.scoring import head_forward, score_matrix
         from cpes.store import EmbeddingRecord
 
         cfg = quick_cfg()
@@ -218,6 +217,6 @@ class TestEndToEndOrderInvariance:
             query_rec.class_embedding,
             query_rec.patch_embeddings[perm],
         )
-        a = mlp_forward(head, score_matrix(_fused(query_rec, 4, DistanceKind.COS), proto))
-        b = mlp_forward(head, score_matrix(_fused(permuted, 4, DistanceKind.COS), proto))
+        a = head_forward(head, [score_matrix(_fused(query_rec, 4, DistanceKind.COS), proto)])[3][0]
+        b = head_forward(head, [score_matrix(_fused(permuted, 4, DistanceKind.COS), proto)])[3][0]
         assert a == pytest.approx(b, abs=1e-12)

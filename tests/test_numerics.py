@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpes.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
-from cpes.numerics import Rng64, cosine, cross_entropy, rng_split, softmax
+from cpes.numerics import Rng64, cross_entropy, rng_split, softmax
+from cpes.scoring import score_matrix
+from cpes.selection import DistanceKind, FusedRepresentation, similarity_sequence
+from cpes.store import EmbeddingRecord
+from oracles import cosine
 
 # First ten outputs of rng_split(20260826, 0), recorded at first
 # implementation; any change here is a cross-platform reproducibility break.
@@ -55,6 +59,33 @@ class TestCosine:
             u = rng.normals(6)
             v = rng.normals(6)
             assert abs(cosine(u, v)) <= 1 + 1e-12
+
+
+# exactly zero, and nonzero but below DEGENERATE_NORM
+@pytest.mark.parametrize("scale", [0.0, 1e-13])
+@pytest.mark.parametrize("target", ["patch", "class embedding", "query row", "prototype row"])
+def test_zero_norm_policy_on_package_path(target, scale):
+    """A degenerate vector has cosine 0 with everything: a COS similarity of
+    0, and a zero row or column in the score matrix."""
+    rng = rng_split(3, 0)
+    rows = rng.normals(12).reshape(3, 4)
+    others = rng.normals(8).reshape(2, 4)
+    if target in ("patch", "query row"):
+        rows[1] *= scale
+    else:
+        others[0] *= scale
+    if target in ("patch", "class embedding"):
+        sims = similarity_sequence(EmbeddingRecord(0, 0, others[0], rows), DistanceKind.COS)
+        expected_zero = [False, True, False] if target == "patch" else [True] * 3
+        np.testing.assert_array_equal(sims == 0.0, expected_zero)
+    else:
+        s = score_matrix(FusedRepresentation(rows, [0, 1, 2]), FusedRepresentation(others, [0, 1]))
+        expected_zero = np.zeros((3, 2), dtype=bool)
+        if target == "query row":
+            expected_zero[1, :] = True
+        else:
+            expected_zero[:, 0] = True
+        np.testing.assert_array_equal(s == 0.0, expected_zero)
 
 
 class TestSoftmax:

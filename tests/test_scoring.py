@@ -6,21 +6,22 @@ import pytest
 
 from cpes.episodes import EpisodeSpec, sample_episode
 from cpes.errors import DimensionMismatch, NonFiniteGradient
-from cpes.harness import RunConfig, _episode_representations
+from cpes.harness import RunConfig, _episode_representations, head_input_dim
 from cpes.numerics import rng_split
 from cpes.scoring import (
     Gradients,
     MlpHead,
     OptimizerConfig,
     ScheduleKind,
+    class_probabilities,
     episode_loss_and_grads,
+    head_forward,
     load_head,
-    mlp_forward,
     optimizer_step,
     save_head,
     score_matrix,
 )
-from cpes.selection import FusedRepresentation
+from cpes.selection import DistanceKind, FusedRepresentation
 
 
 def rep(rows) -> FusedRepresentation:
@@ -73,21 +74,21 @@ class TestScoreMatrix:
 class TestMlpForward:
     def test_bias_passthrough(self):
         head = MlpHead(4, 2, np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.7)
-        assert mlp_forward(head, np.eye(2)) == pytest.approx(0.7)
+        assert head_forward(head, [np.eye(2)])[3][0] == pytest.approx(0.7)
 
     def test_hand_computed_forward(self):
         # oracle: relu(0.5*1 + 0.5*0 + 0.5*0 + 0.5*1) * 1 + 0 = 1.0
         head = MlpHead(4, 1, np.full((1, 4), 0.5), np.zeros(1), np.ones(1), 0.0)
-        assert mlp_forward(head, np.eye(2)) == pytest.approx(1.0)
+        assert head_forward(head, [np.eye(2)])[3][0] == pytest.approx(1.0)
 
     def test_dead_rectifier_returns_output_bias(self):
         head = MlpHead(4, 3, np.ones((3, 4)), np.full(3, -100.0), np.ones(3), 0.25)
-        assert mlp_forward(head, np.eye(2) * 0.5) == pytest.approx(0.25)
+        assert head_forward(head, [np.eye(2) * 0.5])[3][0] == pytest.approx(0.25)
 
     def test_shape_check(self):
         head = random_head(9, 4)
         with pytest.raises(DimensionMismatch):
-            mlp_forward(head, np.eye(2))
+            head_forward(head, [np.eye(2)])
 
 
 def finite_difference_grads(head, query, protos, target, step=1e-6):
@@ -170,6 +171,21 @@ class TestEpisodeLossAndGrads:
             _, analytic, _ = episode_loss_and_grads(head, query, protos, target)
             numeric = finite_difference_grads(head, query, protos, target)
             assert_grads_close(analytic, numeric)
+
+
+class TestClassProbabilities:
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_bit_equal_to_episode_loss_and_grads(self, small_store, m, k_shot):
+        """The forward-only path must give exactly the probabilities of the
+        training path, so evaluation results cannot depend on which runs."""
+        head = random_head(head_input_dim(m), 8, seed=m + k_shot)
+        for task in range(4):
+            episode = sample_episode(small_store, EpisodeSpec(5, k_shot, 2, task, 17))
+            protos, queries = _episode_representations(episode, m, DistanceKind.COS)
+            for query, label in zip(queries, episode.query_labels):
+                _, _, probs = episode_loss_and_grads(head, query, protos, label)
+                assert np.array_equal(class_probabilities(head, query, protos), probs)
 
 
 class TestOptimizer:

@@ -53,7 +53,7 @@ class TestSimilaritySequence:
         )
 
     def test_cos_matches_scalar_kernel(self):
-        from cpes.numerics import cosine
+        from oracles import cosine
 
         rng = rng_split(6, 0)
         rec = make_record(rng.normals(8), rng.normals(40).reshape(5, 8))

@@ -11,7 +11,7 @@ from cpes.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from cpes.numerics import cosine, rng_split
+from cpes.numerics import rng_split
 from cpes.store import (
     EmbeddingRecord,
     EmbeddingStore,
@@ -21,6 +21,7 @@ from cpes.store import (
     read_store,
     write_store,
 )
+from oracles import cosine
 
 # Golden means recorded from the first run of the reference store
 # (small_store fixture); recomputed exhaustively in the test below.
