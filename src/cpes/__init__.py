@@ -23,14 +23,14 @@ from .scoring import (
     load_head,
     optimizer_step,
     save_head,
-    score_matrix,
+    score_tensor,
 )
 from .selection import (
     DistanceKind,
-    FusedRepresentation,
     SelectionResult,
-    fuse,
+    fuse_rows,
     select_top,
+    selection_table,
     similarity_sequence,
 )
 from .store import (
@@ -50,7 +50,6 @@ __all__ = [
     "Episode",
     "EpisodeSpec",
     "EvalReport",
-    "FusedRepresentation",
     "Gradients",
     "MlpHead",
     "OptimizerConfig",
@@ -65,7 +64,7 @@ __all__ = [
     "episode_loss_and_grads",
     "evaluate",
     "export_masks",
-    "fuse",
+    "fuse_rows",
     "generate_synthetic",
     "load_head",
     "optimizer_step",
@@ -73,8 +72,9 @@ __all__ = [
     "rng_split",
     "sample_episode",
     "save_head",
-    "score_matrix",
+    "score_tensor",
     "select_top",
+    "selection_table",
     "similarity_sequence",
     "softmax",
     "sweep",

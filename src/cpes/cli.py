@@ -155,7 +155,7 @@ def _cmd_gen_synthetic(args) -> int:
     )
     store = generate_synthetic(cfg)
     n = write_store(store, args.out)
-    print(f"wrote {len(store.records)} records ({n} bytes) to {args.out}")
+    print(f"wrote {len(store)} records ({n} bytes) to {args.out}")
     return 0
 
 
@@ -216,7 +216,7 @@ def _cmd_export_masks(args) -> int:
 def _cmd_inspect_store(args) -> int:
     store = read_store(args.store)
     print(f"dim={store.dim_d} patches={store.patches_m} classes={store.class_count}")
-    print(f"records={len(store.records)} ground_truth={store.ground_truth is not None}")
+    print(f"records={len(store)} ground_truth={store.ground_truth is not None}")
     for label, idx in sorted(store.records_by_label().items()):
         print(f"  class {label}: {len(idx)} records")
     return 0

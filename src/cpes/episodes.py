@@ -22,16 +22,17 @@ class EpisodeSpec:
 
 @dataclass
 class Episode:
-    """One sampled task: per-class prototypes plus labeled query records.
+    """One sampled task as store row indices.
 
-    ``class_map[i]`` is the store label behind episode-local class i;
-    queries carry local labels in [0, n_way).
+    ``class_map[i]`` is the store label behind episode-local class i, whose
+    K supports are ``support_rows[i]``; queries carry local labels in
+    [0, n_way).
     """
 
     class_map: list[int]
-    prototypes: list[EmbeddingRecord]
-    queries: list[EmbeddingRecord]
-    query_labels: list[int]
+    support_rows: np.ndarray  # (N, K)
+    query_rows: np.ndarray  # (Q,)
+    query_labels: np.ndarray  # (Q,)
 
 
 def build_prototype(supports: list[EmbeddingRecord]) -> EmbeddingRecord:
@@ -66,19 +67,15 @@ def sample_episode(store: EmbeddingStore, spec: EpisodeSpec) -> Episode:
     chosen = rng.sample_without_replacement(len(labels), spec.n_way)
     class_map = [labels[i] for i in chosen]
 
-    prototypes = []
-    queries = []
-    query_labels = []
+    picked = np.empty((spec.n_way, need), dtype=np.intp)
     for local, label in enumerate(class_map):
         pool = by_label[label]
         if len(pool) < need:
             raise InsufficientRecords(
                 f"class {label} has {len(pool)} records, need {need}"
             )
-        picks = rng.sample_without_replacement(len(pool), need)
-        records = [store.records[pool[i]] for i in picks]
-        prototypes.append(build_prototype(records[: spec.k_shot]))
-        for rec in records[spec.k_shot :]:
-            queries.append(rec)
-            query_labels.append(local)
-    return Episode(class_map, prototypes, queries, query_labels)
+        picked[local] = [pool[i] for i in rng.sample_without_replacement(len(pool), need)]
+    query_labels = np.repeat(np.arange(spec.n_way), spec.queries_per_class)
+    return Episode(
+        class_map, picked[:, : spec.k_shot], picked[:, spec.k_shot :].reshape(-1), query_labels
+    )

@@ -59,3 +59,12 @@ class TruncatedFile(StoreFormatError):
 
 class NonFiniteValue(StoreFormatError):
     pass
+
+
+class TrailingBytes(StoreFormatError):
+    pass
+
+
+class InvalidRecord(StoreFormatError):
+    """A record over 2 GiB, a label >= class_count, a ground-truth index >= M
+    or a repeated record id."""

@@ -1,6 +1,6 @@
-"""Training loop, episodic evaluation with confidence intervals, ablation
-sweeps over one RunConfig field (e.g. the selection size or the ranking
-function), and mask export.
+"""The episode engine, training loop, episodic evaluation with confidence
+intervals, ablation sweeps over one RunConfig field (e.g. the selection
+size or the ranking function), and mask export.
 
 Everything here is deterministic given (store bytes, RunConfig): training
 episodes, head initialization, and evaluation tasks each draw from their
@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .episodes import Episode, EpisodeSpec, sample_episode
-from .errors import UnknownRecord
+from .episodes import Episode, EpisodeSpec, build_prototype, sample_episode
+from .errors import InfeasibleConfig, UnknownRecord
 from .numerics import derive_seed, rng_split
 from .scoring import (
     MlpHead,
@@ -27,17 +27,18 @@ from .scoring import (
     class_probabilities,
     episode_loss_and_grads,
     optimizer_step,
+    score_tensor,
 )
 from .selection import (
     DistanceKind,
-    FusedRepresentation,
-    fuse,
+    fuse_rows,
     mask_json,
     mask_pgm,
     select_top,
+    selection_table,
     similarity_sequence,
 )
-from .store import EmbeddingRecord, EmbeddingStore
+from .store import EmbeddingStore
 
 # stream tags for namespacing the base seed (evaluation uses it directly)
 _TRAIN_STREAM = 1
@@ -57,6 +58,12 @@ class RunConfig:
     base_seed: int = 0
     hidden_dim: int = 64
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def validate(self) -> None:
+        """Reject the sizes the episode engine cannot shape its arrays from."""
+        for name in ("n_way", "k_shot", "queries_per_class", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise InfeasibleConfig(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -128,17 +135,25 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
     return min(96, store.patches_m)
 
 
-def _fused(record: EmbeddingRecord, m: int, kind: DistanceKind) -> FusedRepresentation:
-    sims = similarity_sequence(record, kind)
-    return fuse(record, select_top(sims, m))
+def episode_scores(
+    store: EmbeddingStore, table: np.ndarray, episode: Episode, kind: DistanceKind
+) -> np.ndarray:
+    """The episode's (Q, N, r, r) score tensor, r = max(m, 1), from the
+    store's (R, m) selection table. A prototype of K > 1 supports is their
+    mean, not a store record, so it is selected here."""
 
+    def fused(rows):
+        return fuse_rows(*store.embeddings(rows, table[rows]))
 
-def _episode_representations(
-    episode: Episode, m: int, kind: DistanceKind
-) -> tuple[list[FusedRepresentation], list[FusedRepresentation]]:
-    protos = [_fused(p, m, kind) for p in episode.prototypes]
-    queries = [_fused(q, m, kind) for q in episode.queries]
-    return protos, queries
+    if episode.support_rows.shape[1] == 1:
+        protos = fused(episode.support_rows[:, 0])
+    else:
+        protos = []
+        for rows in episode.support_rows:
+            proto = build_prototype([store.record(row) for row in rows])
+            picks = select_top(similarity_sequence(proto, kind), table.shape[1]).indices
+            protos.append(fuse_rows(proto.class_embedding, proto.patch_embeddings[picks]))
+    return score_tensor(fused(episode.query_rows), np.stack(protos))
 
 
 def head_input_dim(m: int) -> int:
@@ -158,11 +173,13 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
 
     Returns the head and a per-epoch log of mean loss and accuracy.
     """
+    cfg.validate()
     m = resolve_m(store, cfg)
     head = init_head(cfg, m)
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
     train_seed = derive_seed(cfg.base_seed, _TRAIN_STREAM)
+    table = selection_table(store, m, cfg.distance)
 
     log: list[dict] = []
     episode_index = 0
@@ -174,22 +191,11 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
                 cfg.n_way, cfg.k_shot, cfg.queries_per_class, episode_index, train_seed
             )
             episode = sample_episode(store, spec)
-            protos, queries = _episode_representations(episode, m, cfg.distance)
-            grad_sum = None
-            loss_sum = 0.0
-            correct = 0
-            for query, label in zip(queries, episode.query_labels):
-                loss, grads, probs = episode_loss_and_grads(head, query, protos, label)
-                loss_sum += loss
-                correct += int(np.argmax(probs)) == label
-                if grad_sum is None:
-                    grad_sum = grads
-                else:
-                    grad_sum.add_(grads)
-            n_queries = len(queries)
-            head = optimizer_step(head, grad_sum.scaled(1.0 / n_queries), opt)
-            losses.append(loss_sum / n_queries)
-            accuracies.append(correct / n_queries)
+            scores = episode_scores(store, table, episode, cfg.distance)
+            loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+            head = optimizer_step(head, grads, opt)
+            losses.append(float(np.mean(loss)))
+            accuracies.append(float(np.mean(probs.argmax(axis=1) == episode.query_labels)))
             episode_index += 1
         log.append(
             {
@@ -207,6 +213,7 @@ def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport
     Per task: fraction of queries whose argmax class probability matches
     the episode-local label; argmax ties go to the lowest class index.
     """
+    cfg.validate()
     m = resolve_m(store, cfg)
     if head.input_dim != head_input_dim(m):
         raise ValueError(
@@ -214,18 +221,15 @@ def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport
             f"(expected {head_input_dim(m)})"
         )
     start = time.perf_counter()
+    table = selection_table(store, m, cfg.distance)
     per_task: list[float] = []
     for task_index in range(cfg.eval_tasks):
         spec = EpisodeSpec(
             cfg.n_way, cfg.k_shot, cfg.queries_per_class, task_index, cfg.base_seed
         )
         episode = sample_episode(store, spec)
-        protos, queries = _episode_representations(episode, m, cfg.distance)
-        correct = 0
-        for query, label in zip(queries, episode.query_labels):
-            probs = class_probabilities(head, query, protos)
-            correct += int(np.argmax(probs)) == label
-        per_task.append(correct / len(queries))
+        probs = class_probabilities(head, episode_scores(store, table, episode, cfg.distance))
+        per_task.append(float(np.mean(probs.argmax(axis=1) == episode.query_labels)))
     mean, ci95 = mean_and_ci95(per_task)
     return EvalReport(per_task, mean, ci95, cfg.echo(), time.perf_counter() - start)
 
@@ -267,13 +271,13 @@ def export_masks(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    by_id = {rec.record_id: rec for rec in store.records}
+    by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     m = resolve_m(store, cfg)
     written: list[str] = []
     for record_id in record_ids:
         if record_id not in by_id:
             raise UnknownRecord(f"record_id {record_id} not in store")
-        record = by_id[record_id]
+        record = store.record(by_id[record_id])
         selection = select_top(similarity_sequence(record, cfg.distance), m)
         json_path = out / f"mask_{record_id}.json"
         json_path.write_text(mask_json(record_id, selection))

@@ -106,29 +106,33 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row scaled to unit norm; a row whose norm is below
-    DEGENERATE_NORM becomes zero.
+    """Each row (along the last axis) scaled to unit norm; a row whose norm
+    is below DEGENERATE_NORM becomes zero.
 
     The degenerate-vector policy makes an (unrealistic) zero patch or class
     embedding have cosine 0 with everything, ranking it as uninformative
     instead of erroring.
     """
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     return np.divide(rows, norms, out=np.zeros(rows.shape), where=norms >= DEGENERATE_NORM)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax; entries positive and summing to 1."""
+    """Max-subtracted softmax along the last axis; entries positive and
+    summing to 1."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyInput("softmax of empty score vector")
-    e = np.exp(scores - np.max(scores))
-    return e / np.sum(e)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, target: int) -> float:
-    """-ln(probs[target]) with the argument clamped at 1e-300."""
+def cross_entropy(probs: np.ndarray, targets) -> np.ndarray:
+    """-ln(probs[..., target]) per row of class probabilities, with the
+    argument clamped at 1e-300."""
     probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= target < probs.size:
-        raise IndexOutOfRange(f"target {target} for {probs.size} classes")
-    return -math.log(max(float(probs[target]), 1e-300))
+    targets = np.asarray(targets)
+    if np.any((targets < 0) | (targets >= probs.shape[-1])):
+        raise IndexOutOfRange(f"targets {targets} for {probs.shape[-1]} classes")
+    picked = np.take_along_axis(probs, targets[..., np.newaxis], axis=-1)[..., 0]
+    return -np.log(np.maximum(picked, 1e-300))

@@ -16,24 +16,29 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import BadMagic, DimensionMismatch, NonFiniteGradient, UnsupportedVersion
+from .errors import (
+    BadMagic,
+    DimensionMismatch,
+    NonFiniteGradient,
+    NonFiniteValue,
+    UnsupportedVersion,
+)
 from .numerics import Rng64, cross_entropy, softmax, unit_rows
-from .selection import FusedRepresentation
-from .store import _read_exact
+from .store import _read_all, _reject_trailing, _require
 
 CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
 
 
-def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.ndarray:
-    """Squared cosine between every (query row, proto row) pair."""
-    if query.rows.shape[1] != proto.rows.shape[1]:
-        raise DimensionMismatch(
-            f"fused dims differ: {query.rows.shape[1]} vs {proto.rows.shape[1]}"
-        )
-    s = (unit_rows(query.rows) @ unit_rows(proto.rows).T) ** 2
+def score_tensor(queries: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """Squared cosine between every row of every query (Q, r, D) and every
+    row of every prototype (N, r', D): the (Q, N, r, r') score tensor."""
+    if queries.shape[-1] != protos.shape[-1]:
+        raise DimensionMismatch(f"fused dims differ: {queries.shape[-1]} vs {protos.shape[-1]}")
+    s = np.matmul(unit_rows(queries)[:, np.newaxis], unit_rows(protos).transpose(0, 2, 1))
+    np.square(s, out=s)
     # rounding can push a squared cosine a few ulp past 1
-    return np.minimum(s, 1.0)
+    return np.minimum(s, 1.0, out=s)
 
 
 class ScheduleKind(enum.Enum):
@@ -67,15 +72,6 @@ class Gradients:
     b1: np.ndarray
     w2: np.ndarray
     b2: float
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(self.w1 * factor, self.b1 * factor, self.w2 * factor, self.b2 * factor)
-
-    def add_(self, other: "Gradients") -> None:
-        self.w1 += other.w1
-        self.b1 += other.b1
-        self.w2 += other.w2
-        self.b2 += other.b2
 
 
 @dataclass
@@ -118,54 +114,45 @@ class MlpHead:
 def head_forward(
     head: MlpHead, scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """W1 -> ReLU -> w2 over N score matrices, one per prototype.
+    """W1 -> ReLU -> w2 over score matrices (..., r, r).
 
-    Returns (x, pre, hidden, out): the flattened scores (N, input_dim), the
-    hidden layer before and after the rectifier (N, H), and the N class
-    scores.
+    Returns (x, pre, hidden, out): the flattened scores (n, input_dim), the
+    hidden layer before and after the rectifier (n, H), and the class
+    scores, shaped like the leading axes of ``scores``.
     """
     x = np.asarray(scores, dtype=np.float64)
-    x = x.reshape(x.shape[0], -1)
-    if x.shape[1] != head.input_dim:
-        raise DimensionMismatch(f"score size {x.shape[1]}, head expects {head.input_dim}")
+    lead, size = x.shape[:-2], x.shape[-2] * x.shape[-1]
+    if size != head.input_dim:
+        raise DimensionMismatch(f"score size {size}, head expects {head.input_dim}")
+    x = x.reshape(-1, size)
     pre = x @ head.w1.T + head.b1
     hidden = np.maximum(pre, 0.0)
-    return x, pre, hidden, hidden @ head.w2 + head.b2
+    return x, pre, hidden, (hidden @ head.w2 + head.b2).reshape(lead)
 
 
-def class_probabilities(
-    head: MlpHead, query: FusedRepresentation, protos: list[FusedRepresentation]
-) -> np.ndarray:
-    """Class probabilities of one query against N prototypes, forward only:
-    no loss and no gradients."""
-    scores = np.stack([score_matrix(query, p) for p in protos])
+def class_probabilities(head: MlpHead, scores: np.ndarray) -> np.ndarray:
+    """(Q, N) class probabilities of an episode's score tensor (Q, N, r, r),
+    forward only: no loss and no gradients."""
     return softmax(head_forward(head, scores)[3])
 
 
 def episode_loss_and_grads(
-    head: MlpHead,
-    query: FusedRepresentation,
-    protos: list[FusedRepresentation],
-    target: int,
-) -> tuple[float, Gradients, np.ndarray]:
-    """Cross-entropy loss of one query against N prototypes, with analytic
-    parameter gradients. Returns (loss, grads, class probabilities).
+    head: MlpHead, scores: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, Gradients, np.ndarray]:
+    """Cross-entropy of each query of an episode's score tensor (Q, N, r, r)
+    against its target class, with analytic parameter gradients of the mean
+    loss over the queries. Returns (losses (Q,), grads, probabilities (Q, N)).
 
     The rectifier subgradient at exactly 0 is taken as 0.
     """
-    scores = np.stack([score_matrix(query, p) for p in protos])
     xs, pre, hidden, out = head_forward(head, scores)
     probs = softmax(out)
-    loss = cross_entropy(probs, target)
-
     dscores = probs.copy()
-    dscores[target] -= 1.0  # d loss / d scores
-    dw2 = dscores @ hidden
-    db2 = float(np.sum(dscores))
+    dscores[np.arange(len(targets)), targets] -= 1.0  # d loss / d scores, per query
+    dscores = dscores.reshape(-1) / len(targets)  # of the mean over queries
     dhidden = np.outer(dscores, head.w2) * (pre > 0.0)
-    dw1 = dhidden.T @ xs
-    db1 = dhidden.sum(axis=0)
-    return loss, Gradients(dw1, db1, dw2, db2), probs
+    grads = Gradients(dhidden.T @ xs, dhidden.sum(axis=0), dscores @ hidden, float(np.sum(dscores)))
+    return cross_entropy(probs, targets), grads, probs
 
 
 def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> MlpHead:
@@ -202,10 +189,6 @@ def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> Mlp
     return head
 
 
-def _write_f64(buf: BinaryIO, a) -> None:
-    buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
 def save_head(head: MlpHead, destination) -> None:
     """Write a CPEH checkpoint (exact float64 round trip)."""
     if isinstance(destination, (str, Path)):
@@ -215,39 +198,39 @@ def save_head(head: MlpHead, destination) -> None:
     buf: BinaryIO = destination
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<HII", CHECKPOINT_VERSION, head.input_dim, head.hidden_dim))
-    for group in (
-        (head.w1, head.b1, head.w2, [head.b2]),
-        (head.moment1.w1, head.moment1.b1, head.moment1.w2, [head.moment1.b2]),
-        (head.moment2.w1, head.moment2.b1, head.moment2.w2, [head.moment2.b2]),
-    ):
-        for arr in group:
-            _write_f64(buf, arr)
+    # parameters, then both moments: each group is W1, b1, W2, b2
+    for group in (head, head.moment1, head.moment2):
+        for arr in (group.w1, group.b1, group.w2, [group.b2]):
+            buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     buf.write(struct.pack("<Q", head.step))
 
 
 def load_head(source) -> MlpHead:
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return load_head(fh)
-    buf: BinaryIO = source
-    magic = _read_exact(buf, 4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
-    version, input_dim, hidden = struct.unpack("<HII", _read_exact(buf, 10, "header"))
+    """Parse a CPEH path or binary source in one read, rejecting trailing
+    bytes and non-finite parameters or moments."""
+    data = _read_all(source)
+    _require(data, 4, "magic")
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {data[:4]!r}")
+    _require(data, 14, "header")
+    version, input_dim, hidden = struct.unpack_from("<HII", data, 4)
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersion(f"checkpoint version {version}")
-
-    def read_group():
-        w1 = np.frombuffer(
-            _read_exact(buf, 8 * hidden * input_dim, "W1"), dtype="<f8"
-        ).reshape(hidden, input_dim).copy()
-        b1 = np.frombuffer(_read_exact(buf, 8 * hidden, "b1"), dtype="<f8").copy()
-        w2 = np.frombuffer(_read_exact(buf, 8 * hidden, "W2"), dtype="<f8").copy()
-        (b2,) = struct.unpack("<d", _read_exact(buf, 8, "b2"))
-        return w1, b1, w2, b2
-
-    params = read_group()
-    m1 = Gradients(*read_group())
-    m2 = Gradients(*read_group())
-    (step,) = struct.unpack("<Q", _read_exact(buf, 8, "step"))
-    return MlpHead(input_dim, hidden, *params, moment1=m1, moment2=m2, step=step)
+    sizes = (hidden * input_dim, hidden, hidden, 1)  # W1, b1, W2, b2 of a group
+    count = 3 * sum(sizes)
+    end = 14 + 8 * count + 8  # the float groups, then the step counter
+    _require(data, end, "parameters")
+    _reject_trailing(data, end)
+    # one aligned, writable copy; the head's arrays are views into it
+    floats = np.frombuffer(data, dtype="<f8", count=count, offset=14).astype(np.float64)
+    if not np.all(np.isfinite(floats)):
+        raise NonFiniteValue("checkpoint contains NaN/Inf parameters or moments")
+    (step,) = struct.unpack_from("<Q", data, end - 8)
+    parts = np.split(floats, np.cumsum(sizes * 3)[:-1])
+    params, m1, m2 = (
+        (w1.reshape(hidden, input_dim), b1, w2, float(b2[0]))
+        for w1, b1, w2, b2 in (parts[0:4], parts[4:8], parts[8:12])
+    )
+    return MlpHead(
+        input_dim, hidden, *params, moment1=Gradients(*m1), moment2=Gradients(*m2), step=step
+    )

@@ -1,6 +1,6 @@
 """Class-relevant patch selection: similarity sequences against the class
-embedding, deterministic top-m ranking, and fusion of the survivors with
-the class embedding.
+embedding, deterministic top-m ranking, a per-store selection table, and
+fusion of the survivors with the class embedding.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SelectionOutOfRange
+from .errors import SelectionOutOfRange
 from .numerics import unit_rows
-from .store import EmbeddingRecord
+from .store import EmbeddingRecord, EmbeddingStore
 
 FUSION_CLASS_WEIGHT = 2.0  # fused patch = patch + 2 * class embedding
 
@@ -36,12 +36,6 @@ class DistanceKind(enum.Enum):
 class SelectionResult:
     indices: list[int]  # top-m patch indices, descending similarity
     similarities: np.ndarray  # full length-M sequence
-
-
-@dataclass
-class FusedRepresentation:
-    rows: np.ndarray  # (m, D), or (1, D) class-only fallback when m=0
-    source_indices: list[int]
 
 
 def similarity_sequence(record: EmbeddingRecord, kind: DistanceKind) -> np.ndarray:
@@ -69,24 +63,24 @@ def select_top(similarities: np.ndarray, m: int) -> SelectionResult:
     return SelectionResult(indices=[int(i) for i in order[:m]], similarities=similarities)
 
 
-def fuse(record: EmbeddingRecord, selection: SelectionResult) -> FusedRepresentation:
-    """Add twice the class embedding to each selected patch.
+def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
+    """(R, m) top-m patch indices of every store record, in rank order."""
+    rows = range(len(store))
+    picks = [select_top(similarity_sequence(store.record(r), kind), m).indices for r in rows]
+    return np.array(picks, dtype=np.intp).reshape(len(store), m)
+
+
+def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
+    """Add twice the class embedding (..., D) to each of its selected patches
+    (..., m, D).
 
     An empty selection (m=0) falls back to the bare class embedding as the
-    single-row image representation.
+    single-row image representation, (..., 1, D).
     """
-    if not selection.indices:
-        return FusedRepresentation(
-            rows=record.class_embedding[np.newaxis, :].copy(), source_indices=[]
-        )
-    for i in selection.indices:
-        if not 0 <= i < record.patch_embeddings.shape[0]:
-            raise IndexOutOfRange(f"patch index {i}")
-    rows = (
-        record.patch_embeddings[selection.indices]
-        + FUSION_CLASS_WEIGHT * record.class_embedding
-    )
-    return FusedRepresentation(rows=rows, source_indices=list(selection.indices))
+    rows = class_embeddings[..., np.newaxis, :]
+    if patches.shape[-2] == 0:
+        return rows
+    return patches + FUSION_CLASS_WEIGHT * rows
 
 
 def mask_json(record_id: int, selection: SelectionResult) -> str:

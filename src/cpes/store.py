@@ -8,15 +8,15 @@ CPEM layout (little-endian):
     patch_embeddings f32 x (M*D)
   | optional ground-truth section: per record, s u16 then s x u16 indices.
 
-Values are stored at 32-bit precision; in memory everything is float64
-that has been rounded through float32, so write/read round trips exactly.
+Embeddings stay float32, as CPEM stores them (a read store holds views of
+the file bytes); consumers take exact float64 copies, so all math runs in
+float64 and write/read round trips exactly.
 """
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -25,7 +25,9 @@ import numpy as np
 from .errors import (
     BadMagic,
     InfeasibleConfig,
+    InvalidRecord,
     NonFiniteValue,
+    TrailingBytes,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -37,10 +39,15 @@ VERSION = 1
 CONFUSER_WEIGHT = 0.7
 _FLAG_GROUND_TRUTH = 1
 HEADER_BYTES = 4 + 2 + 2 + 4 + 4 + 4 + 8  # magic, version, flags, D, M, C, count
+# numpy cannot shape arrays of larger records: sub-array dimensions must fit a C int
+_MAX_RECORD_BYTES = 2**31
 
 
-def _f32_round(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float32).astype(np.float64)
+def _record_dtype(dim_d: int, patches_m: int) -> np.dtype:
+    """One packed CPEM record, so a body parses as a single array; its field
+    names and order are those of the EmbeddingStore arrays."""
+    fields = [("record_ids", "<u8"), ("labels", "<u4"), ("class_embeddings", "<f4", (dim_d,))]
+    return np.dtype(fields + [("patch_embeddings", "<f4", (patches_m, dim_d))])
 
 
 @dataclass
@@ -53,22 +60,47 @@ class EmbeddingRecord:
     patch_embeddings: np.ndarray  # (M, D) float64
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingStore:
-    """Immutable-by-convention container for a set of embedding records."""
+    """Immutable-by-convention arrays of R embedding records."""
 
     dim_d: int
     patches_m: int
     class_count: int
-    records: list[EmbeddingRecord] = field(default_factory=list)
+    record_ids: np.ndarray  # (R,) unsigned
+    labels: np.ndarray  # (R,) in [0, class_count)
+    class_embeddings: np.ndarray  # (R, D) float32
+    patch_embeddings: np.ndarray  # (R, M, D) float32
     # per-record planted signal patch indices; synthetic stores only
     ground_truth: list[tuple[int, ...]] | None = None
 
+    def __post_init__(self):
+        self._by_label: dict[int, list[int]] = {}
+        for row, label in enumerate(self.labels.tolist()):
+            self._by_label.setdefault(label, []).append(row)
+
+    def __len__(self) -> int:
+        return self.record_ids.shape[0]
+
     def records_by_label(self) -> dict[int, list[int]]:
-        by_label: dict[int, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            by_label.setdefault(rec.label, []).append(i)
-        return by_label
+        """Row indices of each label's records, in store order."""
+        return self._by_label
+
+    def embeddings(self, rows, patches) -> tuple[np.ndarray, np.ndarray]:
+        """float64 copies of the class embeddings at ``rows`` and of their
+        patch embeddings at ``patches``, an index array of shape
+        ``rows.shape + (m,)``.
+
+        The one place the stored float32 values are upcast; the upcast is
+        exact.
+        """
+        rows = np.asarray(rows)
+        picked = self.patch_embeddings[rows[..., np.newaxis], patches]
+        return self.class_embeddings[rows].astype(np.float64), picked.astype(np.float64)
+
+    def record(self, row: int) -> EmbeddingRecord:
+        embeddings = self.embeddings(row, np.arange(self.patches_m))
+        return EmbeddingRecord(int(self.record_ids[row]), int(self.labels[row]), *embeddings)
 
 
 @dataclass
@@ -110,71 +142,82 @@ def write_store(store: EmbeddingStore, destination) -> int:
             return write_store(store, fh)
     buf: BinaryIO = destination
     flags = _FLAG_GROUND_TRUTH if store.ground_truth is not None else 0
-    n = 0
-    n += buf.write(MAGIC)
-    n += buf.write(
-        struct.pack(
-            "<HHIIIQ",
-            VERSION,
-            flags,
-            store.dim_d,
-            store.patches_m,
-            store.class_count,
-            len(store.records),
-        )
-    )
-    for rec in store.records:
-        n += buf.write(struct.pack("<QI", rec.record_id, rec.label))
-        n += buf.write(np.ascontiguousarray(rec.class_embedding, dtype="<f4").tobytes())
-        n += buf.write(np.ascontiguousarray(rec.patch_embeddings, dtype="<f4").tobytes())
+    body = np.empty(len(store), dtype=_record_dtype(store.dim_d, store.patches_m))
+    for name in body.dtype.names:
+        body[name] = getattr(store, name)
+    header = (VERSION, flags, store.dim_d, store.patches_m, store.class_count, len(store))
+    n = buf.write(MAGIC) + buf.write(struct.pack("<HHIIIQ", *header))
+    n += buf.write(body.tobytes())
     if store.ground_truth is not None:
         for indices in store.ground_truth:
-            n += buf.write(struct.pack("<H", len(indices)))
-            n += buf.write(struct.pack(f"<{len(indices)}H", *indices))
+            n += buf.write(struct.pack(f"<H{len(indices)}H", len(indices), *indices))
     return n
 
 
-def _read_exact(buf: BinaryIO, n: int, what: str) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
+def _read_all(source) -> bytes:
+    """Every byte of a path or binary source, in one read."""
+    if isinstance(source, (str, Path)):
+        return Path(source).read_bytes()
+    return source.read()
+
+
+def _require(data: bytes, end: int, what: str) -> None:
+    if len(data) < end:
         raise TruncatedFile(f"unexpected end of file while reading {what}")
-    return data
+
+
+def _reject_trailing(data: bytes, end: int) -> None:
+    if len(data) > end:
+        raise TrailingBytes(f"{len(data) - end} bytes after the end of the file's body")
 
 
 def read_store(source) -> EmbeddingStore:
-    """Parse a CPEM file, validating magic, version, and byte counts."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return read_store(fh)
-    buf: BinaryIO = source
-    magic = _read_exact(buf, 4, "magic")
-    if magic != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, found {magic!r}")
-    version, flags, dim_d, patches_m, class_count, record_count = struct.unpack(
-        "<HHIIIQ", _read_exact(buf, 24, "header")
+    """Parse a CPEM path or binary source in one read, into float32 views
+    of the bytes. Rejects a bad magic or version, a size other than the
+    header gives, non-finite embeddings and invalid records."""
+    data = _read_all(source)
+    _require(data, 4, "magic")
+    if data[:4] != MAGIC:
+        raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
+    _require(data, HEADER_BYTES, "header")
+    version, flags, dim_d, patches_m, class_count, record_count = struct.unpack_from(
+        "<HHIIIQ", data, 4
     )
     if version != VERSION:
         raise UnsupportedVersion(f"version {version}")
-    records = []
-    for _ in range(record_count):
-        record_id, label = struct.unpack("<QI", _read_exact(buf, 12, "record header"))
-        cls = np.frombuffer(
-            _read_exact(buf, 4 * dim_d, "class embedding"), dtype="<f4"
-        ).astype(np.float64)
-        patches = np.frombuffer(
-            _read_exact(buf, 4 * patches_m * dim_d, "patch embeddings"), dtype="<f4"
-        ).astype(np.float64).reshape(patches_m, dim_d)
-        if not (np.all(np.isfinite(cls)) and np.all(np.isfinite(patches))):
-            raise NonFiniteValue(f"record {record_id} contains NaN/Inf")
-        records.append(EmbeddingRecord(record_id, label, cls, patches))
-    ground_truth = None
+    itemsize = 12 + 4 * dim_d * (1 + patches_m)
+    if itemsize >= _MAX_RECORD_BYTES:
+        raise InvalidRecord(f"records of {itemsize} bytes (D={dim_d}, M={patches_m}) exceed 2 GiB")
+    end = HEADER_BYTES + record_count * itemsize
+    _require(data, end, f"the {record_count} records the header gives")
+    dtype = _record_dtype(dim_d, patches_m)
+    body = np.frombuffer(data, dtype=dtype, count=record_count, offset=HEADER_BYTES)
+    store = EmbeddingStore(dim_d, patches_m, class_count, *(body[name] for name in dtype.names))
+
+    def reject(error, bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise error(f"record {int(store.record_ids[np.argmax(bad)])} {what}")
+
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every term is
+    sums = store.class_embeddings.sum(1, np.float64)
+    sums += store.patch_embeddings.sum((1, 2), np.float64)
+    reject(NonFiniteValue, ~np.isfinite(sums), "contains NaN/Inf")
+    reject(InvalidRecord, store.labels >= class_count, f"has a label >= {class_count} classes")
+    if np.unique(store.record_ids).size != record_count:
+        raise InvalidRecord("record ids are not unique")
     if flags & _FLAG_GROUND_TRUTH:
-        ground_truth = []
+        store.ground_truth = []
         for _ in range(record_count):
-            (s,) = struct.unpack("<H", _read_exact(buf, 2, "ground-truth count"))
-            indices = struct.unpack(f"<{s}H", _read_exact(buf, 2 * s, "ground-truth indices"))
-            ground_truth.append(tuple(indices))
-    return EmbeddingStore(dim_d, patches_m, class_count, records, ground_truth)
+            _require(data, end + 2, "ground-truth count")
+            (s,) = struct.unpack_from("<H", data, end)
+            _require(data, end + 2 + 2 * s, "ground-truth indices")
+            store.ground_truth.append(struct.unpack_from(f"<{s}H", data, end + 2))
+            end += 2 + 2 * s
+        bad = [max(gt, default=-1) >= patches_m for gt in store.ground_truth]
+        reject(InvalidRecord, np.array(bad), f"has a ground-truth index >= {patches_m} patches")
+    _reject_trailing(data, end)
+    return store
 
 
 def _unit_normal(rng: Rng64, dim: int) -> np.ndarray:
@@ -205,33 +248,30 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
         v = v / norm + CONFUSER_WEIGHT * flavor
         distractors.append(v / np.linalg.norm(v))
 
-    records = []
-    ground_truth = []
-    record_id = 0
-    for label in range(cfg.class_count):
+    rows = cfg.class_count * cfg.records_per_class
+    store = EmbeddingStore(
+        cfg.dim,
+        cfg.patches,
+        cfg.class_count,
+        np.arange(rows, dtype=np.uint64),
+        np.repeat(np.arange(cfg.class_count, dtype=np.uint32), cfg.records_per_class),
+        np.empty((rows, cfg.dim), dtype=np.float32),
+        np.empty((rows, cfg.patches, cfg.dim), dtype=np.float32),
+        ground_truth=[],
+    )
+    for row, label in enumerate(store.labels.tolist()):
         g = signals[label]
-        for _ in range(cfg.records_per_class):
-            signal_pos = sorted(
-                rng.sample_without_replacement(cfg.patches, cfg.signal_patches)
-            )
-            patches = np.empty((cfg.patches, cfg.dim))
-            signal_set = set(signal_pos)
-            for j in range(cfg.patches):
-                if j in signal_set:
-                    v = g + cfg.signal_noise * rng.normals(cfg.dim)
-                else:
-                    b = distractors[rng.randint(cfg.distractor_pool_size)]
-                    v = b + cfg.distractor_noise * rng.normals(cfg.dim)
-                patches[j] = v / np.linalg.norm(v)
-            class_embedding = patches.mean(axis=0)
-            records.append(
-                EmbeddingRecord(
-                    record_id,
-                    label,
-                    _f32_round(class_embedding),
-                    _f32_round(patches),
-                )
-            )
-            ground_truth.append(tuple(signal_pos))
-            record_id += 1
-    return EmbeddingStore(cfg.dim, cfg.patches, cfg.class_count, records, ground_truth)
+        signal_pos = sorted(rng.sample_without_replacement(cfg.patches, cfg.signal_patches))
+        patches = np.empty((cfg.patches, cfg.dim))
+        signal_set = set(signal_pos)
+        for j in range(cfg.patches):
+            if j in signal_set:
+                v = g + cfg.signal_noise * rng.normals(cfg.dim)
+            else:
+                b = distractors[rng.randint(cfg.distractor_pool_size)]
+                v = b + cfg.distractor_noise * rng.normals(cfg.dim)
+            patches[j] = v / np.linalg.norm(v)
+        store.class_embeddings[row] = patches.mean(axis=0)
+        store.patch_embeddings[row] = patches
+        store.ground_truth.append(tuple(signal_pos))
+    return store

@@ -21,13 +21,8 @@ from cpes.cli import main as cli_main
 from cpes.errors import BadMagic, NonFiniteValue, TruncatedFile, UnsupportedVersion
 from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep
 from cpes.numerics import Rng64, rng_split
-from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head, score_matrix
-from cpes.selection import (
-    DistanceKind,
-    FusedRepresentation,
-    select_top,
-    similarity_sequence,
-)
+from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head
+from cpes.selection import DistanceKind, select_top, similarity_sequence
 from cpes.store import (
     EmbeddingRecord,
     EmbeddingStore,
@@ -35,7 +30,14 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from test_scoring import assert_grads_close, episode_fixture, finite_difference_grads, random_head
+from oracles import records, store_from_records
+from test_scoring import (
+    assert_grads_close,
+    episode_fixture,
+    finite_difference_grads,
+    random_head,
+    score_matrix,
+)
 from test_selection import brute_force_top
 
 # Frozen calibration (recorded per the one-time tuning license):
@@ -104,12 +106,12 @@ def test_gradient_correctness(small_store):
         start = time.perf_counter()
         for trial in range(20):
             m = (1, 2, 4)[trial % 3]
-            query, protos, target = episode_fixture(
+            scores, targets = episode_fixture(
                 small_store, m, seed=100 + trial, task=trial
             )
             head = random_head(max(m, 1) ** 2, 6, seed=trial)
-            _, analytic, _ = episode_loss_and_grads(head, query, protos, target)
-            numeric = finite_difference_grads(head, query, protos, target)
+            _, analytic, _ = episode_loss_and_grads(head, scores, targets)
+            numeric = finite_difference_grads(head, scores, targets)
             assert_grads_close(analytic, numeric)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
@@ -123,17 +125,12 @@ def test_score_matrix_properties():
             rows_a = 1 + rng.randint(5)
             rows_b = 1 + rng.randint(5)
             d = 2 + rng.randint(6)
-            a = FusedRepresentation(
-                rng.normals(rows_a * d).reshape(rows_a, d), list(range(rows_a))
-            )
-            b = FusedRepresentation(
-                rng.normals(rows_b * d).reshape(rows_b, d), list(range(rows_b))
-            )
+            a = rng.normals(rows_a * d).reshape(rows_a, d)
+            b = rng.normals(rows_b * d).reshape(rows_b, d)
             s = score_matrix(a, b)
             assert np.all(s >= 0.0) and np.all(s <= 1.0)
             np.testing.assert_array_equal(s, score_matrix(b, a).T)
-            flipped = FusedRepresentation(-a.rows, a.source_indices)
-            np.testing.assert_array_equal(s, score_matrix(flipped, b))
+            np.testing.assert_array_equal(s, score_matrix(-a, b))
 
 
 def test_qualitative_selection_size_sweep(sweep_train_store, sweep_eval_store):
@@ -170,7 +167,7 @@ def test_selection_recall():
         store = generate_synthetic(replace(SWEEP_TRAIN_CFG, signal_noise=0.1))
         s = SWEEP_TRAIN_CFG.signal_patches
         hits = total = 0
-        for rec, gt in zip(store.records, store.ground_truth):
+        for rec, gt in zip(records(store), store.ground_truth):
             sel = select_top(similarity_sequence(rec, DistanceKind.COS), s)
             hits += len(set(sel.indices) & set(gt))
             total += s
@@ -246,7 +243,7 @@ def _random_store(rng: Rng64) -> EmbeddingStore:
     d = 1 + rng.randint(8)
     m = 1 + rng.randint(6)
     n = rng.randint(5)
-    records = [
+    recs = [
         EmbeddingRecord(
             record_id=i,
             label=rng.randint(4),
@@ -259,7 +256,7 @@ def _random_store(rng: Rng64) -> EmbeddingStore:
     if rng.randint(2):
         s = 1 + rng.randint(m)
         gt = [tuple(sorted(rng.sample_without_replacement(m, s))) for _ in range(n)]
-    return EmbeddingStore(d, m, 4, records, gt)
+    return store_from_records(d, m, 4, recs, gt)
 
 
 def test_format_round_trips(tmp_path):
@@ -298,11 +295,10 @@ def test_format_round_trips(tmp_path):
 
         seed = 3
         store = _random_store(Rng64(seed))
-        while not store.records:
+        while not len(store):
             seed += 1
             store = _random_store(Rng64(seed))
-        store.records[0].class_embedding = store.records[0].class_embedding.copy()
-        store.records[0].class_embedding[0] = np.nan
+        store.class_embeddings[0, 0] = np.nan
         buf = io.BytesIO()
         write_store(store, buf)
         with pytest.raises(NonFiniteValue):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -102,6 +103,52 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--n-way", "--k-shot", "--queries", "--hidden"])
+    def test_nonpositive_size_is_2(self, store_path, tmp_path, capsys, flag):
+        rc = main(
+            ["train", "--store", str(store_path), "--out", str(tmp_path / "h")]
+            + RUN + [flag, "0"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_eval_nonpositive_queries_is_2(self, store_path, tmp_path, capsys):
+        ckpt = tmp_path / "h.cpeh"
+        assert main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN) == 0
+        capsys.readouterr()
+        rc = main(
+            ["eval", "--store", str(store_path), "--checkpoint", str(ckpt)]
+            + RUN + ["--queries", "0"]
+        )
+        assert rc == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("damage", ["nan weight", "trailing byte"])
+    def test_bad_checkpoint_is_3(self, store_path, tmp_path, capsys, damage):
+        ckpt = tmp_path / "h.cpeh"
+        assert main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN) == 0
+        data = bytearray(ckpt.read_bytes())
+        if damage == "nan weight":
+            data[14:22] = struct.pack("<d", float("nan"))  # first W1 entry
+        else:
+            data += b"\x00"
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        rc = main(
+            ["eval", "--store", str(store_path), "--checkpoint", str(ckpt), "--tasks", "2"] + RUN
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_out_of_range_label_is_3(self, store_path, tmp_path):
+        data = bytearray(store_path.read_bytes())
+        data[28 + 8 : 28 + 12] = struct.pack("<I", 6)  # first record's label; 6 classes
+        bad = tmp_path / "bad_label.cpem"
+        bad.write_bytes(bytes(data))
+        assert main(["inspect-store", "--store", str(bad)]) == 3
 
     def test_missing_file_is_3(self, tmp_path, capsys):
         rc = main(["inspect-store", "--store", str(tmp_path / "nope.cpem")])

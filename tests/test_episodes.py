@@ -5,15 +5,16 @@ from cpes.episodes import EpisodeSpec, build_prototype, sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
 from cpes.numerics import rng_split
 from cpes.store import EmbeddingRecord, EmbeddingStore
+from oracles import records, sample_episode_records, store_from_records
 
 
 def tiny_store(n_classes: int, per_class: int, dim=4, patches=3) -> EmbeddingStore:
     rng = rng_split(123, 0)
-    records = []
+    recs = []
     rid = 0
     for label in range(n_classes):
         for _ in range(per_class):
-            records.append(
+            recs.append(
                 EmbeddingRecord(
                     rid,
                     label,
@@ -22,7 +23,7 @@ def tiny_store(n_classes: int, per_class: int, dim=4, patches=3) -> EmbeddingSto
                 )
             )
             rid += 1
-    return EmbeddingStore(dim, patches, n_classes, records)
+    return store_from_records(dim, patches, n_classes, recs)
 
 
 class TestSampleEpisode:
@@ -30,8 +31,8 @@ class TestSampleEpisode:
         n, k, q = 3, 2, 2
         store = tiny_store(n, k + q)
         ep = sample_episode(store, EpisodeSpec(n, k, q, task_index=0, base_seed=1))
-        query_ids = {r.record_id for r in ep.queries}
-        assert len(ep.queries) == n * q
+        query_ids = set(store.record_ids[ep.query_rows].tolist())
+        assert len(ep.query_rows) == n * q
         assert len(query_ids) == n * q
         # supports are everything else; disjointness is structural
         assert len(query_ids | set()) == n * q
@@ -42,9 +43,8 @@ class TestSampleEpisode:
         a = sample_episode(store, spec)
         b = sample_episode(store, spec)
         assert a.class_map == b.class_map
-        assert [r.record_id for r in a.queries] == [r.record_id for r in b.queries]
-        for pa, pb in zip(a.prototypes, b.prototypes):
-            np.testing.assert_array_equal(pa.class_embedding, pb.class_embedding)
+        np.testing.assert_array_equal(a.query_rows, b.query_rows)
+        np.testing.assert_array_equal(a.support_rows, b.support_rows)
 
     def test_insufficient_classes(self):
         store = tiny_store(3, 10)
@@ -61,27 +61,41 @@ class TestSampleEpisode:
         for task in range(20):
             ep = sample_episode(store, EpisodeSpec(4, 3, 2, task, base_seed=9))
             for local in range(4):
-                assert ep.query_labels.count(local) == 2
+                assert list(ep.query_labels).count(local) == 2
             # episode-local labels map bijectively onto sampled store labels
             assert len(set(ep.class_map)) == 4
-            for rec, local in zip(ep.queries, ep.query_labels):
-                assert rec.label == ep.class_map[local]
+            for row, local in zip(ep.query_rows, ep.query_labels):
+                assert store.labels[row] == ep.class_map[local]
 
     def test_distinct_task_indices_differ(self):
         store = tiny_store(10, 20)
         seen = set()
         for task in range(100):
             ep = sample_episode(store, EpisodeSpec(5, 1, 2, task, base_seed=3))
-            seen.add((tuple(ep.class_map), tuple(r.record_id for r in ep.queries)))
+            seen.add((tuple(ep.class_map), tuple(ep.query_rows.tolist())))
         # at least most of 100 episodes must differ; identical pairs would
         # indicate broken stream splitting
         assert len(seen) == 100
+
+    def test_same_draws_as_record_sampler(self):
+        """Index episodes pick the records, in the order, that the
+        record-at-a-time sampler picks from the same RNG stream."""
+        store = tiny_store(6, 10)
+        for task in range(20):
+            spec = EpisodeSpec(4, 3, 2, task, base_seed=9)
+            ep = sample_episode(store, spec)
+            protos, queries, labels = sample_episode_records(store, spec)
+            assert [q.record_id for q in queries] == store.record_ids[ep.query_rows].tolist()
+            assert labels == ep.query_labels.tolist()
+            for proto, rows in zip(protos, ep.support_rows):
+                expected = build_prototype([store.record(r) for r in rows])
+                np.testing.assert_array_equal(proto.patch_embeddings, expected.patch_embeddings)
 
 
 class TestBuildPrototype:
     def test_single_record_identity(self):
         store = tiny_store(1, 1)
-        rec = store.records[0]
+        rec = store.record(0)
         proto = build_prototype([rec])
         np.testing.assert_array_equal(proto.class_embedding, rec.class_embedding)
         np.testing.assert_array_equal(proto.patch_embeddings, rec.patch_embeddings)
@@ -95,13 +109,13 @@ class TestBuildPrototype:
 
     def test_identical_records(self):
         store = tiny_store(1, 1)
-        rec = store.records[0]
+        rec = store.record(0)
         proto = build_prototype([rec, rec, rec])
         np.testing.assert_allclose(proto.class_embedding, rec.class_embedding)
 
     def test_permutation_invariance(self):
         store = tiny_store(1, 5)
-        recs = store.records
+        recs = records(store)
         a = build_prototype(recs)
         b = build_prototype(list(reversed(recs)))
         np.testing.assert_allclose(a.class_embedding, b.class_embedding, atol=1e-12)

@@ -17,7 +17,7 @@ from cpes.harness import (
 )
 from cpes.scoring import save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
-from cpes.store import EmbeddingStore
+from oracles import fused, records, score_matrix, store_from_records
 
 
 def quick_cfg(**kw) -> RunConfig:
@@ -68,12 +68,12 @@ class TestEvaluate:
         # can beat 1-in-5 chance
         from cpes.store import EmbeddingRecord
 
-        records = [
+        recs = [
             EmbeddingRecord(r.record_id, i % 5, r.class_embedding, r.patch_embeddings)
-            for i, r in enumerate(easy_eval_store.records)
+            for i, r in enumerate(records(easy_eval_store))
         ]
-        scrambled = EmbeddingStore(
-            easy_eval_store.dim_d, easy_eval_store.patches_m, 5, records
+        scrambled = store_from_records(
+            easy_eval_store.dim_d, easy_eval_store.patches_m, 5, recs
         )
         cfg = quick_cfg(eval_tasks=200, queries_per_class=5)
         report = evaluate(init_head(cfg, 4), scrambled, cfg)
@@ -139,7 +139,7 @@ class TestSweeps:
     def test_cos_vs_dot_disagree_on_nonuniform_norms(self, small_store):
         # scale patches unevenly so norm matters for DOT but not COS
         disagreements = 0
-        for rec in small_store.records:
+        for rec in records(small_store):
             scaled = rec.patch_embeddings * np.linspace(
                 0.2, 3.0, small_store.patches_m
             ).reshape(-1, 1)
@@ -157,9 +157,9 @@ class TestResolveM:
         assert resolve_m(small_store, quick_cfg(m=None)) == 4
 
     def test_plain_store_default_caps_at_96(self):
-        store = EmbeddingStore(4, 196, 0, [])
+        store = store_from_records(4, 196, 0, [])
         assert resolve_m(store, quick_cfg(m=None)) == 96
-        small = EmbeddingStore(4, 10, 0, [])
+        small = store_from_records(4, 10, 0, [])
         assert resolve_m(small, quick_cfg(m=None)) == 10
 
     def test_m_too_large_rejected(self, small_store):
@@ -182,7 +182,7 @@ class TestExportMasks:
     def test_mask_overlaps_ground_truth(self, small_store, tmp_path):
         # sigma_s = 0.1: selection should mostly hit planted signal cells
         paths = export_masks(
-            small_store, quick_cfg(m=4), [r.record_id for r in small_store.records[:20]],
+            small_store, quick_cfg(m=4), small_store.record_ids[:20].tolist(),
             tmp_path / "gt",
         )
         hits = total = 0
@@ -202,14 +202,13 @@ class TestExportMasks:
 
 class TestEndToEndOrderInvariance:
     def test_query_score_invariant_to_patch_storage_order(self, small_store):
-        from cpes.harness import _fused
-        from cpes.scoring import head_forward, score_matrix
+        from cpes.scoring import head_forward
         from cpes.store import EmbeddingRecord
 
         cfg = quick_cfg()
         head = init_head(cfg, 4)
-        proto = _fused(small_store.records[0], 4, DistanceKind.COS)
-        query_rec = small_store.records[7]
+        proto = fused(small_store.record(0), 4, DistanceKind.COS)
+        query_rec = small_store.record(7)
         perm = list(reversed(range(small_store.patches_m)))
         permuted = EmbeddingRecord(
             query_rec.record_id,
@@ -217,6 +216,6 @@ class TestEndToEndOrderInvariance:
             query_rec.class_embedding,
             query_rec.patch_embeddings[perm],
         )
-        a = head_forward(head, [score_matrix(_fused(query_rec, 4, DistanceKind.COS), proto)])[3][0]
-        b = head_forward(head, [score_matrix(_fused(permuted, 4, DistanceKind.COS), proto)])[3][0]
+        a = head_forward(head, [score_matrix(fused(query_rec, 4, DistanceKind.COS), proto)])[3][0]
+        b = head_forward(head, [score_matrix(fused(permuted, 4, DistanceKind.COS), proto)])[3][0]
         assert a == pytest.approx(b, abs=1e-12)

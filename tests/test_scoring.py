@@ -6,7 +6,7 @@ import pytest
 
 from cpes.episodes import EpisodeSpec, sample_episode
 from cpes.errors import DimensionMismatch, NonFiniteGradient
-from cpes.harness import RunConfig, _episode_representations, head_input_dim
+from cpes.harness import RunConfig, episode_scores, head_input_dim
 from cpes.numerics import rng_split
 from cpes.scoring import (
     Gradients,
@@ -19,14 +19,19 @@ from cpes.scoring import (
     load_head,
     optimizer_step,
     save_head,
-    score_matrix,
+    score_tensor,
 )
-from cpes.selection import DistanceKind, FusedRepresentation
+from cpes.selection import DistanceKind, selection_table
+from oracles import add_grads, scale_grads
 
 
-def rep(rows) -> FusedRepresentation:
-    rows = np.asarray(rows, dtype=np.float64)
-    return FusedRepresentation(rows=rows, source_indices=list(range(rows.shape[0])))
+def rep(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=np.float64)
+
+
+def score_matrix(query: np.ndarray, proto: np.ndarray) -> np.ndarray:
+    """The package's score tensor of one query against one prototype."""
+    return score_tensor(query[np.newaxis], proto[np.newaxis])[0, 0]
 
 
 def random_head(input_dim, hidden, seed=0) -> MlpHead:
@@ -49,7 +54,7 @@ class TestScoreMatrix:
         q = rep(rng.normals(8).reshape(2, 4))
         p = rep(rng.normals(12).reshape(3, 4))
         np.testing.assert_array_equal(
-            score_matrix(q, p), score_matrix(rep(-q.rows), p)
+            score_matrix(q, p), score_matrix(-q, p)
         )
 
     def test_transpose_symmetry(self):
@@ -91,12 +96,13 @@ class TestMlpForward:
             head_forward(head, [np.eye(2)])
 
 
-def finite_difference_grads(head, query, protos, target, step=1e-6):
-    """Central-difference oracle over every head parameter."""
+def finite_difference_grads(head, scores, targets, step=1e-6):
+    """Central-difference oracle over every head parameter, of the mean
+    loss over an episode's queries."""
 
     def loss_at():
-        loss, _, _ = episode_loss_and_grads(head, query, protos, target)
-        return loss
+        losses, _, _ = episode_loss_and_grads(head, scores, targets)
+        return float(np.mean(losses))
 
     out = Gradients(
         np.zeros_like(head.w1), np.zeros_like(head.b1), np.zeros_like(head.w2), 0.0
@@ -140,36 +146,41 @@ def assert_grads_close(analytic: Gradients, numeric: Gradients, rel=1e-5, tiny=1
 
 
 def episode_fixture(store, m, seed, task):
+    """Score tensor and target of the first query of a 3-way 1-shot episode."""
     cfg = RunConfig(n_way=3, k_shot=1, queries_per_class=1, m=m, base_seed=seed)
     spec = EpisodeSpec(3, 1, 1, task, seed)
     episode = sample_episode(store, spec)
-    protos, queries = _episode_representations(episode, m, cfg.distance)
-    return queries[0], protos, episode.query_labels[0]
+    table = selection_table(store, m, cfg.distance)
+    scores = episode_scores(store, table, episode, cfg.distance)
+    return scores[:1], episode.query_labels[:1]
 
 
 class TestEpisodeLossAndGrads:
     def test_uniform_scores_give_ln_n(self):
         head = MlpHead(4, 2, np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.0)
-        protos = [rep(np.eye(2) * (i + 1)) for i in range(5)]
-        loss, grads, probs = episode_loss_and_grads(head, rep(np.eye(2)), protos, 2)
-        assert loss == pytest.approx(math.log(5))
-        np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-12)
+        protos = np.stack([np.eye(2) * (i + 1) for i in range(5)])
+        losses, grads, probs = episode_loss_and_grads(
+            head, score_tensor(np.eye(2)[np.newaxis], protos), np.array([2])
+        )
+        assert losses[0] == pytest.approx(math.log(5))
+        np.testing.assert_allclose(probs[0], np.full(5, 0.2), atol=1e-12)
 
     def test_zero_w2_zero_w1_grad(self):
         head = random_head(4, 3, seed=5)
         head.w2 = np.zeros(3)
-        protos = [rep([[1.0, 0.0], [0.0, 1.0]]) for _ in range(3)]
-        _, grads, _ = episode_loss_and_grads(head, rep([[1.0, 1.0], [1.0, -1.0]]), protos, 0)
+        protos = np.stack([[[1.0, 0.0], [0.0, 1.0]] for _ in range(3)])
+        query = np.array([[[1.0, 1.0], [1.0, -1.0]]])
+        _, grads, _ = episode_loss_and_grads(head, score_tensor(query, protos), np.array([0]))
         np.testing.assert_array_equal(grads.w1, np.zeros_like(grads.w1))
         np.testing.assert_array_equal(grads.b1, np.zeros_like(grads.b1))
 
     def test_finite_difference_agreement(self, small_store):
         for trial in range(5):
             m = (2, 4)[trial % 2]
-            query, protos, target = episode_fixture(small_store, m, seed=trial, task=trial)
+            scores, targets = episode_fixture(small_store, m, seed=trial, task=trial)
             head = random_head(m * m, 8, seed=trial)
-            _, analytic, _ = episode_loss_and_grads(head, query, protos, target)
-            numeric = finite_difference_grads(head, query, protos, target)
+            _, analytic, _ = episode_loss_and_grads(head, scores, targets)
+            numeric = finite_difference_grads(head, scores, targets)
             assert_grads_close(analytic, numeric)
 
 
@@ -180,12 +191,12 @@ class TestClassProbabilities:
         """The forward-only path must give exactly the probabilities of the
         training path, so evaluation results cannot depend on which runs."""
         head = random_head(head_input_dim(m), 8, seed=m + k_shot)
+        table = selection_table(small_store, m, DistanceKind.COS)
         for task in range(4):
             episode = sample_episode(small_store, EpisodeSpec(5, k_shot, 2, task, 17))
-            protos, queries = _episode_representations(episode, m, DistanceKind.COS)
-            for query, label in zip(queries, episode.query_labels):
-                _, _, probs = episode_loss_and_grads(head, query, protos, label)
-                assert np.array_equal(class_probabilities(head, query, protos), probs)
+            scores = episode_scores(small_store, table, episode, DistanceKind.COS)
+            _, _, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+            assert np.array_equal(class_probabilities(head, scores), probs)
 
 
 class TestOptimizer:
@@ -241,12 +252,12 @@ class TestOptimizer:
         for _ in range(50):
             total = head._zeros()
             loss_sum = 0.0
-            for query, protos, target in batch:
-                loss, grads, _ = episode_loss_and_grads(head, query, protos, target)
-                loss_sum += loss
-                total.add_(grads)
+            for scores, targets in batch:
+                loss, grads, _ = episode_loss_and_grads(head, scores, targets)
+                loss_sum += loss[0]
+                add_grads(total, grads)
             losses.append(loss_sum / len(batch))
-            optimizer_step(head, total.scaled(1 / len(batch)), cfg)
+            optimizer_step(head, scale_grads(total, 1 / len(batch)), cfg)
         increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
         assert increases <= 5
         assert losses[-1] < losses[0]
@@ -292,6 +303,31 @@ class TestCheckpoint:
 
         with pytest.raises(BadMagic):
             load_head(io.BytesIO(b"NOPE" + b"\x00" * 32))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["W1", "b2", "moment2 W2"])
+    def test_non_finite_value_rejected(self, value, where):
+        from cpes.errors import NonFiniteValue
+
+        head = random_head(4, 2, seed=1)
+        if where == "W1":
+            head.w1[1, 3] = value
+        elif where == "b2":
+            head.b2 = value
+        else:
+            head.moment2.w2[0] = value
+        buf = io.BytesIO()
+        save_head(head, buf)
+        with pytest.raises(NonFiniteValue):
+            load_head(io.BytesIO(buf.getvalue()))
+
+    def test_trailing_bytes_rejected(self):
+        from cpes.errors import TrailingBytes
+
+        buf = io.BytesIO()
+        save_head(random_head(4, 2, seed=1), buf)
+        with pytest.raises(TrailingBytes):
+            load_head(io.BytesIO(buf.getvalue() + b"\x00"))
 
     def test_truncated(self):
         from cpes.errors import TruncatedFile

@@ -6,13 +6,13 @@ from cpes.errors import SelectionOutOfRange
 from cpes.numerics import rng_split
 from cpes.selection import (
     DistanceKind,
-    fuse,
     mask_json,
     mask_pgm,
     select_top,
     similarity_sequence,
 )
 from cpes.store import EmbeddingRecord
+from oracles import fuse, records
 
 
 def make_record(class_emb, patches) -> EmbeddingRecord:
@@ -158,7 +158,7 @@ class TestFuse:
     def test_selection_recall_on_low_noise_store(self, small_store):
         s = 4
         hits = total = 0
-        for rec, gt in zip(small_store.records, small_store.ground_truth):
+        for rec, gt in zip(records(small_store), small_store.ground_truth):
             sel = select_top(similarity_sequence(rec, DistanceKind.COS), s)
             hits += len(set(sel.indices) & set(gt))
             total += s

@@ -3,15 +3,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpes.errors import (
     BadMagic,
     InfeasibleConfig,
+    InvalidRecord,
     NonFiniteValue,
+    StoreFormatError,
+    TrailingBytes,
     TruncatedFile,
     UnsupportedVersion,
 )
 from cpes.numerics import rng_split
+from cpes.scoring import MlpHead, load_head, save_head
 from cpes.store import (
     EmbeddingRecord,
     EmbeddingStore,
@@ -21,7 +26,7 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from oracles import cosine
+from oracles import cosine, records, store_from_records
 
 # Golden means recorded from the first run of the reference store
 # (small_store fixture); recomputed exhaustively in the test below.
@@ -35,12 +40,12 @@ def random_store(seed: int) -> EmbeddingStore:
     patches = 1 + rng.randint(5)
     classes = 1 + rng.randint(4)
     with_gt = rng.randint(2) == 0
-    records, gt = [], []
+    recs, gt = [], []
     for i in range(classes * (1 + rng.randint(3))):
         label = i % classes
         cls = rng.normals(dim)
         pat = rng.normals(patches * dim).reshape(patches, dim)
-        records.append(
+        recs.append(
             EmbeddingRecord(
                 i, label, cls.astype(np.float32).astype(np.float64),
                 pat.astype(np.float32).astype(np.float64),
@@ -48,7 +53,7 @@ def random_store(seed: int) -> EmbeddingStore:
         )
         s = 1 + rng.randint(patches)
         gt.append(tuple(sorted(rng.sample_without_replacement(patches, s))))
-    return EmbeddingStore(dim, patches, classes, records, gt if with_gt else None)
+    return store_from_records(dim, patches, classes, recs, gt if with_gt else None)
 
 
 class TestSerialization:
@@ -56,7 +61,7 @@ class TestSerialization:
         # oracle: sum of the header field widths
         widths = [4, 2, 2, 4, 4, 4, 8]
         buf = io.BytesIO()
-        n = write_store(EmbeddingStore(4, 2, 0, []), buf)
+        n = write_store(store_from_records(4, 2, 0, []), buf)
         assert n == sum(widths) == HEADER_BYTES == 28
         assert len(buf.getvalue()) == n
 
@@ -69,8 +74,8 @@ class TestSerialization:
         assert back.patches_m == small_store.patches_m
         assert back.class_count == small_store.class_count
         assert back.ground_truth == small_store.ground_truth
-        assert len(back.records) == len(small_store.records)
-        for a, b in zip(back.records, small_store.records):
+        assert len(back) == len(small_store)
+        for a, b in zip(records(back), records(small_store)):
             assert a.record_id == b.record_id
             assert a.label == b.label
             np.testing.assert_array_equal(a.class_embedding, b.class_embedding)
@@ -114,23 +119,102 @@ class TestSerialization:
             0, 0, np.array([np.nan, 0.0]), np.zeros((1, 2))
         )
         buf = io.BytesIO()
-        write_store(EmbeddingStore(2, 1, 1, [rec]), buf)
+        write_store(store_from_records(2, 1, 1, [rec]), buf)
         buf.seek(0)
         with pytest.raises(NonFiniteValue):
             read_store(buf)
+
+    def test_non_finite_patch_names_record(self):
+        recs = [
+            EmbeddingRecord(i, 0, np.ones(2), np.ones((3, 2))) for i in (4, 9)
+        ]
+        recs[1].patch_embeddings[2, 1] = np.inf
+        buf = io.BytesIO()
+        write_store(store_from_records(2, 3, 1, recs), buf)
+        with pytest.raises(NonFiniteValue, match="record 9"):
+            read_store(io.BytesIO(buf.getvalue()))
 
     def test_path_round_trip(self, tmp_path, small_store):
         path = tmp_path / "store.cpem"
         write_store(small_store, path)
         back = read_store(path)
-        assert len(back.records) == len(small_store.records)
+        assert len(back) == len(small_store)
+
+
+def store_bytes(recs, class_count=2, ground_truth=None, dim=2, patches=3) -> bytes:
+    buf = io.BytesIO()
+    write_store(store_from_records(dim, patches, class_count, recs, ground_truth), buf)
+    return buf.getvalue()
+
+
+def plain_record(record_id, label=0) -> EmbeddingRecord:
+    return EmbeddingRecord(record_id, label, np.ones(2), np.ones((3, 2)))
+
+
+class TestBoundaryValidation:
+    """Each input here was accepted silently before the reader checked it."""
+
+    def test_record_count_checked_against_size(self):
+        data = store_bytes([plain_record(0)])
+        header = struct.pack("<HHIIIQ", 1, 0, 2, 3, 2, 1 << 40)
+        with pytest.raises(TruncatedFile, match="records the header gives"):
+            read_store(io.BytesIO(b"CPEM" + header + data[HEADER_BYTES:]))
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_record_too_large_to_shape_rejected(self, count):
+        header = struct.pack("<HHIIIQ", 1, 0, 2**31, 3, 2, count)
+        with pytest.raises(InvalidRecord, match="exceed 2 GiB"):
+            read_store(io.BytesIO(b"CPEM" + header))
+
+    @pytest.mark.parametrize("with_gt", [False, True])
+    def test_trailing_bytes_rejected(self, with_gt):
+        data = store_bytes([plain_record(0)], ground_truth=[(1,)] if with_gt else None)
+        read_store(io.BytesIO(data))
+        with pytest.raises(TrailingBytes):
+            read_store(io.BytesIO(data + b"\x00"))
+
+    def test_label_at_class_count_rejected(self):
+        data = store_bytes([plain_record(0), plain_record(1, label=2)], class_count=2)
+        with pytest.raises(InvalidRecord, match="record 1"):
+            read_store(io.BytesIO(data))
+
+    def test_ground_truth_index_at_m_rejected(self):
+        data = store_bytes([plain_record(0), plain_record(1)], ground_truth=[(0, 2), (3,)])
+        with pytest.raises(InvalidRecord, match="record 1"):
+            read_store(io.BytesIO(data))
+
+    def test_duplicate_record_ids_rejected(self):
+        data = store_bytes([plain_record(5), plain_record(6), plain_record(5)])
+        with pytest.raises(InvalidRecord, match="not unique"):
+            read_store(io.BytesIO(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["CPEM", "CPEH"]), data=st.data())
+    def test_mutated_bytes_fail_only_as_format_errors(self, kind, data):
+        """One byte overwritten, then cut short or extended: reading either
+        succeeds or raises a StoreFormatError, never anything else."""
+        if kind == "CPEM":
+            blob = store_bytes([plain_record(0), plain_record(1, 1)], ground_truth=[(0, 2), (1,)])
+            read = read_store
+        else:
+            buf = io.BytesIO()
+            save_head(MlpHead.initialize(4, 2, rng_split(3, 3)), buf)
+            blob, read = buf.getvalue(), load_head
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        mutated = blob[:pos] + bytes([data.draw(st.integers(0, 255))]) + blob[pos + 1 :]
+        mutated = mutated[: data.draw(st.integers(0, len(mutated)))]
+        mutated += data.draw(st.binary(max_size=3))
+        try:
+            read(io.BytesIO(mutated))
+        except StoreFormatError:
+            pass
 
 
 class TestSyntheticGenerator:
     def test_noise_free_full_signal(self):
         cfg = SyntheticConfig(3, 4, 16, 8, 8, 0.0, 4, 0.0, seed=5)
         store = generate_synthetic(cfg)
-        for rec in store.records:
+        for rec in records(store):
             for j in range(store.patches_m):
                 assert cosine(rec.class_embedding, rec.patch_embeddings[j]) == (
                     pytest.approx(1.0, abs=1e-6)
@@ -146,14 +230,14 @@ class TestSyntheticGenerator:
         cfg = SyntheticConfig(4, 3, 16, 6, 2, 0.1, 4, 0.2, seed=9)
         a = generate_synthetic(cfg)
         b = generate_synthetic(cfg)
-        for ra, rb in zip(a.records, b.records):
+        for ra, rb in zip(records(a), records(b)):
             np.testing.assert_array_equal(ra.class_embedding, rb.class_embedding)
             np.testing.assert_array_equal(ra.patch_embeddings, rb.patch_embeddings)
         assert a.ground_truth == b.ground_truth
 
     def test_signal_vs_distractor_separation_goldens(self, small_store):
         sig, dis = [], []
-        for rec, gt in zip(small_store.records, small_store.ground_truth):
+        for rec, gt in zip(records(small_store), small_store.ground_truth):
             for j in range(small_store.patches_m):
                 c = cosine(rec.class_embedding, rec.patch_embeddings[j])
                 (sig if j in gt else dis).append(c)
