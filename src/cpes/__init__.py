@@ -2,7 +2,7 @@
 head operating on precomputed (or synthetic) embedding stores.
 """
 
-from .episodes import Episode, EpisodeSpec, build_prototype, sample_episode
+from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import CpesError
 from .harness import (
     EvalReport,
@@ -27,14 +27,12 @@ from .scoring import (
 )
 from .selection import (
     DistanceKind,
-    SelectionResult,
     fuse_rows,
     select_top,
     selection_table,
     similarity_sequence,
 )
 from .store import (
-    EmbeddingRecord,
     EmbeddingStore,
     SyntheticConfig,
     generate_synthetic,
@@ -45,7 +43,6 @@ from .store import (
 __all__ = [
     "CpesError",
     "DistanceKind",
-    "EmbeddingRecord",
     "EmbeddingStore",
     "Episode",
     "EpisodeSpec",
@@ -56,10 +53,8 @@ __all__ = [
     "Rng64",
     "RunConfig",
     "ScheduleKind",
-    "SelectionResult",
     "SweepReport",
     "SyntheticConfig",
-    "build_prototype",
     "cross_entropy",
     "episode_loss_and_grads",
     "evaluate",

@@ -1,4 +1,4 @@
-"""N-way K-shot episode sampling and support-prototype averaging."""
+"""N-way K-shot episode sampling."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientClasses, InsufficientRecords
+from .errors import InsufficientClasses, InsufficientRecords
 from .numerics import rng_split
-from .store import EmbeddingRecord, EmbeddingStore
+from .store import EmbeddingStore
 
 
 @dataclass
@@ -33,20 +33,6 @@ class Episode:
     support_rows: np.ndarray  # (N, K)
     query_rows: np.ndarray  # (Q,)
     query_labels: np.ndarray  # (Q,)
-
-
-def build_prototype(supports: list[EmbeddingRecord]) -> EmbeddingRecord:
-    """Position-wise mean of K support records of one class."""
-    first = supports[0]
-    for rec in supports[1:]:
-        if (
-            rec.class_embedding.shape != first.class_embedding.shape
-            or rec.patch_embeddings.shape != first.patch_embeddings.shape
-        ):
-            raise DimensionMismatch("support records disagree on D or M")
-    class_embedding = np.mean([r.class_embedding for r in supports], axis=0)
-    patch_embeddings = np.mean([r.patch_embeddings for r in supports], axis=0)
-    return EmbeddingRecord(first.record_id, first.label, class_embedding, patch_embeddings)
 
 
 def sample_episode(store: EmbeddingStore, spec: EpisodeSpec) -> Episode:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .episodes import Episode, EpisodeSpec, build_prototype, sample_episode
+from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord
 from .numerics import derive_seed, rng_split
 from .scoring import (
@@ -43,6 +43,11 @@ from .store import EmbeddingStore
 # stream tags for namespacing the base seed (evaluation uses it directly)
 _TRAIN_STREAM = 1
 _HEAD_INIT_STREAM = 2
+# smallest valid value of each RunConfig count; epochs=0 returns the initial head
+_MIN_SIZES = dict(
+    n_way=1, k_shot=1, queries_per_class=1, hidden_dim=1, epochs=0, episodes_per_epoch=1,
+    eval_tasks=1,
+)
 
 
 @dataclass
@@ -60,10 +65,16 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def validate(self) -> None:
-        """Reject the sizes the episode engine cannot shape its arrays from."""
-        for name in ("n_way", "k_shot", "queries_per_class", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise InfeasibleConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        """Reject the sizes the episode engine cannot shape its arrays from,
+        run lengths that would train or evaluate nothing, and optimizer
+        settings that would make every step non-finite."""
+        for name, least in _MIN_SIZES.items():
+            if getattr(self, name) < least:
+                raise InfeasibleConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("learning_rate", "lr_floor", "weight_decay"):
+            value = getattr(self.optimizer, name)
+            if not math.isfinite(value):
+                raise InfeasibleConfig(f"{name} must be finite, got {value}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -148,12 +159,29 @@ def episode_scores(
     if episode.support_rows.shape[1] == 1:
         protos = fused(episode.support_rows[:, 0])
     else:
-        protos = []
-        for rows in episode.support_rows:
-            proto = build_prototype([store.record(row) for row in rows])
-            picks = select_top(similarity_sequence(proto, kind), table.shape[1]).indices
-            protos.append(fuse_rows(proto.class_embedding, proto.patch_embeddings[picks]))
-    return score_tensor(fused(episode.query_rows), np.stack(protos))
+        protos = _mean_prototypes(store, episode.support_rows, table.shape[1], kind)
+    return score_tensor(fused(episode.query_rows), protos)
+
+
+def _mean_prototypes(
+    store: EmbeddingStore, support_rows: np.ndarray, m: int, kind: DistanceKind
+) -> np.ndarray:
+    """The fused (N, r, D) prototypes of supports (N, K): each the mean of
+    its K supports, all N selected in one call. The mean is summed shot by
+    shot, in the order np.mean sums a K axis (so bit-identical to it), not
+    gathered as (N, K, M, D), and its sums are freed on return, before the
+    queries are fused: both keep the episode's peak memory down."""
+    every_patch = np.arange(store.patches_m)
+    shots = support_rows.T
+    classes, patches = store.embeddings(shots[0], every_patch)
+    for rows in shots[1:]:
+        shot_classes, shot_patches = store.embeddings(rows, every_patch)
+        classes += shot_classes
+        patches += shot_patches
+    classes /= len(shots)
+    patches /= len(shots)
+    picks = select_top(similarity_sequence(classes, patches, kind), m)
+    return fuse_rows(classes, np.take_along_axis(patches, picks[..., np.newaxis], axis=1))
 
 
 def head_input_dim(m: int) -> int:
@@ -200,8 +228,8 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
         log.append(
             {
                 "epoch": epoch,
-                "mean_loss": float(np.mean(losses)) if losses else None,
-                "mean_accuracy": float(np.mean(accuracies)) if accuracies else None,
+                "mean_loss": float(np.mean(losses)),
+                "mean_accuracy": float(np.mean(accuracies)),
             }
         )
     return head, log
@@ -273,16 +301,18 @@ def export_masks(
     out.mkdir(parents=True, exist_ok=True)
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     m = resolve_m(store, cfg)
+    every_patch = np.arange(store.patches_m)
     written: list[str] = []
     for record_id in record_ids:
         if record_id not in by_id:
             raise UnknownRecord(f"record_id {record_id} not in store")
-        record = store.record(by_id[record_id])
-        selection = select_top(similarity_sequence(record, cfg.distance), m)
+        embeddings = store.embeddings(by_id[record_id], every_patch)
+        similarities = similarity_sequence(*embeddings, cfg.distance)
+        indices = select_top(similarities, m)
         json_path = out / f"mask_{record_id}.json"
-        json_path.write_text(mask_json(record_id, selection))
+        json_path.write_text(mask_json(record_id, indices, similarities))
         written.append(str(json_path))
-        pgm = mask_pgm(selection)
+        pgm = mask_pgm(indices, similarities)
         if pgm is not None:
             pgm_path = out / f"mask_{record_id}.pgm"
             pgm_path.write_text(pgm)

@@ -8,13 +8,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SelectionOutOfRange
 from .numerics import unit_rows
-from .store import EmbeddingRecord, EmbeddingStore
+from .store import EmbeddingStore
 
 FUSION_CLASS_WEIGHT = 2.0  # fused patch = patch + 2 * class embedding
 
@@ -32,42 +31,42 @@ class DistanceKind(enum.Enum):
     SQR = "sqr"
 
 
-@dataclass
-class SelectionResult:
-    indices: list[int]  # top-m patch indices, descending similarity
-    similarities: np.ndarray  # full length-M sequence
-
-
-def similarity_sequence(record: EmbeddingRecord, kind: DistanceKind) -> np.ndarray:
-    """Per-patch similarity of the record's patches to its class embedding."""
-    c = record.class_embedding
-    patches = record.patch_embeddings
+def similarity_sequence(
+    class_embeddings: np.ndarray, patch_embeddings: np.ndarray, kind: DistanceKind
+) -> np.ndarray:
+    """Similarity of each patch (..., M, D) to its class embedding (..., D):
+    the (..., M) similarity sequences."""
+    c = class_embeddings[..., np.newaxis, :]
     if kind is DistanceKind.COS:
-        return unit_rows(patches) @ unit_rows(c[np.newaxis])[0]
+        return np.matmul(unit_rows(patch_embeddings), unit_rows(c).swapaxes(-1, -2))[..., 0]
     if kind is DistanceKind.DOT:
-        return patches @ c
-    diff = patches - c
+        return np.matmul(patch_embeddings, c.swapaxes(-1, -2))[..., 0]
+    diff = patch_embeddings - c
     if kind is DistanceKind.ABS:
-        return -np.sum(np.abs(diff), axis=1)
-    return -np.sum(diff * diff, axis=1)  # SQR
+        return -np.sum(np.abs(diff), axis=-1)
+    return -np.sum(diff * diff, axis=-1)  # SQR
 
 
-def select_top(similarities: np.ndarray, m: int) -> SelectionResult:
-    """Indices of the m largest similarities, ties broken by lower index."""
+def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
+    """(..., m) indices of the m largest of each similarity sequence (..., M),
+    in descending order; ties go to the lower index."""
     similarities = np.asarray(similarities, dtype=np.float64)
-    big = similarities.size
+    big = similarities.shape[-1]
     if not 0 <= m <= big:
         raise SelectionOutOfRange(f"m={m} with M={big}")
-    # lexsort: primary key last -> sort by -sim, then by index ascending
-    order = np.lexsort((np.arange(big), -similarities))
-    return SelectionResult(indices=[int(i) for i in order[:m]], similarities=similarities)
+    return np.argsort(-similarities, axis=-1, kind="stable")[..., :m]
 
 
 def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
-    """(R, m) top-m patch indices of every store record, in rank order."""
-    rows = range(len(store))
-    picks = [select_top(similarity_sequence(store.record(r), kind), m).indices for r in rows]
-    return np.array(picks, dtype=np.intp).reshape(len(store), m)
+    """(R, m) top-m patch indices of every store record, in rank order.
+
+    Selected one record at a time, so no more than one record's float64
+    embeddings are held at once."""
+    table = np.empty((len(store), m), dtype=np.intp)
+    every_patch = np.arange(store.patches_m)
+    for row in range(len(store)):
+        table[row] = select_top(similarity_sequence(*store.embeddings(row, every_patch), kind), m)
+    return table
 
 
 def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
@@ -83,30 +82,31 @@ def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
     return patches + FUSION_CLASS_WEIGHT * rows
 
 
-def mask_json(record_id: int, selection: SelectionResult) -> str:
-    """JSON artifact describing which patches a selection kept."""
+def mask_json(record_id: int, indices: np.ndarray, similarities: np.ndarray) -> str:
+    """JSON artifact describing which patches (``indices``, from
+    ``select_top``) a record's similarity sequence selected."""
     return json.dumps(
         {
             "record_id": record_id,
-            "m": len(selection.indices),
-            "indices": selection.indices,
-            "similarities": [float(s) for s in selection.similarities],
+            "m": len(indices),
+            "indices": indices.tolist(),
+            "similarities": similarities.tolist(),
         },
         indent=2,
     )
 
 
-def mask_pgm(selection: SelectionResult) -> str | None:
+def mask_pgm(indices: np.ndarray, similarities: np.ndarray) -> str | None:
     """ASCII PGM mask (selected cells 255, others 0), row-major patch order.
 
     Only defined when the patch count is a perfect square; returns None
     otherwise.
     """
-    total = int(selection.similarities.size)
+    total = similarities.size
     side = math.isqrt(total)
     if side * side != total:
         return None
-    selected = set(selection.indices)
+    selected = set(indices.tolist())
     lines = ["P2", f"{side} {side}", "255"]
     for r in range(side):
         lines.append(" ".join("255" if r * side + c in selected else "0" for c in range(side)))

@@ -50,16 +50,6 @@ def _record_dtype(dim_d: int, patches_m: int) -> np.dtype:
     return np.dtype(fields + [("patch_embeddings", "<f4", (patches_m, dim_d))])
 
 
-@dataclass
-class EmbeddingRecord:
-    """One image's encoder output: a class embedding plus M patch embeddings."""
-
-    record_id: int
-    label: int
-    class_embedding: np.ndarray  # (D,) float64
-    patch_embeddings: np.ndarray  # (M, D) float64
-
-
 @dataclass(eq=False)
 class EmbeddingStore:
     """Immutable-by-convention arrays of R embedding records."""
@@ -97,10 +87,6 @@ class EmbeddingStore:
         rows = np.asarray(rows)
         picked = self.patch_embeddings[rows[..., np.newaxis], patches]
         return self.class_embeddings[rows].astype(np.float64), picked.astype(np.float64)
-
-    def record(self, row: int) -> EmbeddingRecord:
-        embeddings = self.embeddings(row, np.arange(self.patches_m))
-        return EmbeddingRecord(int(self.record_ids[row]), int(self.labels[row]), *embeddings)
 
 
 @dataclass

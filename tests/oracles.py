@@ -1,11 +1,13 @@
 """Reference implementations the tests compare the package against.
 
 The per-record, per-query path here is the one the package ran before its
-episode engine was batched: records as float64 objects, one fused
-representation per record, one score matrix per (query, prototype) pair
-and one loss and gradient per query. Tests require the batched engine to
-match it. ``records`` and ``store_from_records`` convert between array
-stores and lists of records.
+episode engine and selection were batched: records as float64 objects, a
+K-shot prototype built as a record, one similarity sequence and one
+lexsort ranking per record, one fused representation per record, one
+score matrix per (query, prototype) pair and one loss and gradient per
+query. Tests require the batched engine to match it. ``record``,
+``records`` and ``store_from_records`` convert between array stores and
+records.
 """
 
 import math
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cpes.episodes import EpisodeSpec, build_prototype
-from cpes.errors import DimensionMismatch, IndexOutOfRange
+from cpes.episodes import EpisodeSpec
+from cpes.errors import DimensionMismatch, IndexOutOfRange, SelectionOutOfRange
 from cpes.harness import resolve_m
 from cpes.numerics import DEGENERATE_NORM, rng_split, softmax, unit_rows
 from cpes.scoring import Gradients, head_forward
-from cpes.selection import FUSION_CLASS_WEIGHT, SelectionResult, select_top, similarity_sequence
-from cpes.store import EmbeddingRecord, EmbeddingStore
+from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind
+from cpes.store import EmbeddingStore
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -43,8 +45,28 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 # -- stores as lists of records ---------------------------------------------
 
 
+@dataclass
+class EmbeddingRecord:
+    """One image's encoder output: a class embedding plus M patch embeddings."""
+
+    record_id: int
+    label: int
+    class_embedding: np.ndarray  # (D,) float64
+    patch_embeddings: np.ndarray  # (M, D) float64
+
+
+def record(store: EmbeddingStore, row: int) -> EmbeddingRecord:
+    """The store's record at ``row``, upcast to float64."""
+    return EmbeddingRecord(
+        int(store.record_ids[row]),
+        int(store.labels[row]),
+        store.class_embeddings[row].astype(np.float64),
+        store.patch_embeddings[row].astype(np.float64),
+    )
+
+
 def records(store: EmbeddingStore) -> list[EmbeddingRecord]:
-    return [store.record(row) for row in range(len(store))]
+    return [record(store, row) for row in range(len(store))]
 
 
 def store_from_records(dim_d, patches_m, class_count, recs, ground_truth=None) -> EmbeddingStore:
@@ -79,7 +101,46 @@ def read_records(data: bytes) -> list[EmbeddingRecord]:
     return out
 
 
+def build_prototype(supports: list[EmbeddingRecord]) -> EmbeddingRecord:
+    """Position-wise mean of K support records of one class."""
+    first = supports[0]
+    for rec in supports[1:]:
+        if (
+            rec.class_embedding.shape != first.class_embedding.shape
+            or rec.patch_embeddings.shape != first.patch_embeddings.shape
+        ):
+            raise DimensionMismatch("support records disagree on D or M")
+    class_embedding = np.mean([r.class_embedding for r in supports], axis=0)
+    patch_embeddings = np.mean([r.patch_embeddings for r in supports], axis=0)
+    return EmbeddingRecord(first.record_id, first.label, class_embedding, patch_embeddings)
+
+
 # -- per-record selection and per-pair scoring -------------------------------
+
+
+def similarity_sequence(rec: EmbeddingRecord, kind: DistanceKind) -> np.ndarray:
+    """Per-patch similarity of the record's patches to its class embedding."""
+    c = rec.class_embedding
+    patches = rec.patch_embeddings
+    if kind is DistanceKind.COS:
+        return unit_rows(patches) @ unit_rows(c[np.newaxis])[0]
+    if kind is DistanceKind.DOT:
+        return patches @ c
+    diff = patches - c
+    if kind is DistanceKind.ABS:
+        return -np.sum(np.abs(diff), axis=1)
+    return -np.sum(diff * diff, axis=1)  # SQR
+
+
+def select_top(similarities, m: int) -> list[int]:
+    """Indices of the m largest similarities, ties broken by lower index."""
+    similarities = np.asarray(similarities, dtype=np.float64)
+    big = similarities.size
+    if not 0 <= m <= big:
+        raise SelectionOutOfRange(f"m={m} with M={big}")
+    # lexsort: primary key last -> sort by -sim, then by index ascending
+    order = np.lexsort((np.arange(big), -similarities))
+    return [int(i) for i in order[:m]]
 
 
 @dataclass
@@ -88,25 +149,23 @@ class FusedRepresentation:
     source_indices: list[int]
 
 
-def fuse(record: EmbeddingRecord, selection: SelectionResult) -> FusedRepresentation:
+def fuse(rec: EmbeddingRecord, indices) -> FusedRepresentation:
     """Add twice the class embedding to each selected patch; m=0 falls back
     to the bare class embedding as the single row."""
-    if not selection.indices:
+    indices = [int(i) for i in indices]
+    if not indices:
         return FusedRepresentation(
-            rows=record.class_embedding[np.newaxis, :].copy(), source_indices=[]
+            rows=rec.class_embedding[np.newaxis, :].copy(), source_indices=[]
         )
-    for i in selection.indices:
-        if not 0 <= i < record.patch_embeddings.shape[0]:
+    for i in indices:
+        if not 0 <= i < rec.patch_embeddings.shape[0]:
             raise IndexOutOfRange(f"patch index {i}")
-    rows = (
-        record.patch_embeddings[selection.indices]
-        + FUSION_CLASS_WEIGHT * record.class_embedding
-    )
-    return FusedRepresentation(rows=rows, source_indices=list(selection.indices))
+    rows = rec.patch_embeddings[indices] + FUSION_CLASS_WEIGHT * rec.class_embedding
+    return FusedRepresentation(rows=rows, source_indices=indices)
 
 
-def fused(record: EmbeddingRecord, m: int, kind) -> FusedRepresentation:
-    return fuse(record, select_top(similarity_sequence(record, kind), m))
+def fused(rec: EmbeddingRecord, m: int, kind) -> FusedRepresentation:
+    return fuse(rec, select_top(similarity_sequence(rec, kind), m))
 
 
 def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.ndarray:
@@ -135,7 +194,7 @@ def sample_episode_records(store: EmbeddingStore, spec: EpisodeSpec):
     protos, queries, query_labels = [], [], []
     for local, label in enumerate(labels[i] for i in chosen):
         pool = by_label[label]
-        picks = [store.record(pool[i]) for i in rng.sample_without_replacement(len(pool), need)]
+        picks = [record(store, pool[i]) for i in rng.sample_without_replacement(len(pool), need)]
         protos.append(build_prototype(picks[: spec.k_shot]))
         queries.extend(picks[spec.k_shot :])
         query_labels.extend([local] * spec.queries_per_class)
@@ -160,8 +219,8 @@ def evaluate_per_query(head, store: EmbeddingStore, cfg) -> list[float]:
 
 def episode_representations(store: EmbeddingStore, episode, m: int, kind):
     """Fused (prototypes, queries) of an index episode, one record at a time."""
-    protos = [build_prototype([store.record(r) for r in rows]) for rows in episode.support_rows]
-    queries = [store.record(r) for r in episode.query_rows]
+    protos = [build_prototype([record(store, r) for r in rows]) for rows in episode.support_rows]
+    queries = [record(store, r) for r in episode.query_rows]
     return [fused(p, m, kind) for p in protos], [fused(q, m, kind) for q in queries]
 
 

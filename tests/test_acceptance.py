@@ -24,13 +24,12 @@ from cpes.numerics import Rng64, rng_split
 from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
 from cpes.store import (
-    EmbeddingRecord,
     EmbeddingStore,
     generate_synthetic,
     read_store,
     write_store,
 )
-from oracles import records, store_from_records
+from oracles import EmbeddingRecord, records, store_from_records
 from test_scoring import (
     assert_grads_close,
     episode_fixture,
@@ -94,7 +93,7 @@ def test_selection_oracle_equivalence():
             n = 1 + rng.randint(32)
             sims = np.round(rng.normals(n), 1)  # coarse grid forces ties
             m = rng.randint(n + 1)
-            got = select_top(sims, m).indices
+            got = select_top(sims, m).tolist()
             assert got == brute_force_top(sims, m)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -168,8 +167,9 @@ def test_selection_recall():
         s = SWEEP_TRAIN_CFG.signal_patches
         hits = total = 0
         for rec, gt in zip(records(store), store.ground_truth):
-            sel = select_top(similarity_sequence(rec, DistanceKind.COS), s)
-            hits += len(set(sel.indices) & set(gt))
+            sims = similarity_sequence(rec.class_embedding, rec.patch_embeddings, DistanceKind.COS)
+            sel = select_top(sims, s)
+            hits += len(set(sel.tolist()) & set(gt))
             total += s
         recall = hits / total
         factor = recall / (s / store.patches_m)

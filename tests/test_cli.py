@@ -125,6 +125,40 @@ class TestExitCodes:
         assert rc == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--epochs", "-2", "epochs"),
+            ("--episodes-per-epoch", "0", "episodes_per_epoch"),
+            ("--lr", "nan", "learning_rate"),
+            ("--lr-floor", "nan", "lr_floor"),
+            ("--weight-decay", "inf", "weight_decay"),
+        ],
+    )
+    def test_bad_train_setting_is_2(self, store_path, tmp_path, capsys, flag, value, field):
+        ckpt = tmp_path / "h.cpeh"
+        rc = main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN + [flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert field in err
+        assert not ckpt.exists()
+
+    def test_eval_zero_tasks_is_2(self, store_path, tmp_path, capsys):
+        ckpt = tmp_path / "h.cpeh"
+        assert main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        rc = main(
+            ["eval", "--store", str(store_path), "--checkpoint", str(ckpt), "--out", str(report)]
+            + RUN + ["--tasks", "0"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "eval_tasks" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("damage", ["nan weight", "trailing byte"])
     def test_bad_checkpoint_is_3(self, store_path, tmp_path, capsys, damage):
         ckpt = tmp_path / "h.cpeh"

@@ -20,12 +20,13 @@ from oracles import (
     mean_query_grads,
     query_class_probabilities,
     read_records,
+    record,
     score_matrix,
 )
 from test_store import random_store
 
 TOLERANCE = 1e-12
-GRID = [(m, k, kind) for m in (0, 1, 4, 16) for k in (1, 3) for kind in DistanceKind]
+GRID = [(m, k, kind) for m in (0, 1, 4, 16) for k in (1, 3, 5) for kind in DistanceKind]
 
 
 def grid_id(point) -> str:
@@ -85,6 +86,6 @@ def test_upcast_arrays_equal_per_record_read(small_store, seed):
     for row, rec in enumerate(expected):
         assert np.array_equal(class_embeddings[row], rec.class_embedding)
         assert np.array_equal(patch_embeddings[row], rec.patch_embeddings)
-        got = back.record(row)
+        got = record(back, row)
         assert (got.record_id, got.label) == (rec.record_id, rec.label)
         assert np.array_equal(got.patch_embeddings, rec.patch_embeddings)

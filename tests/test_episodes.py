@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from cpes.episodes import EpisodeSpec, build_prototype, sample_episode
+from cpes.episodes import EpisodeSpec, sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
 from cpes.numerics import rng_split
-from cpes.store import EmbeddingRecord, EmbeddingStore
-from oracles import records, sample_episode_records, store_from_records
+from cpes.store import EmbeddingStore
+from oracles import (
+    EmbeddingRecord,
+    build_prototype,
+    record,
+    records,
+    sample_episode_records,
+    store_from_records,
+)
 
 
 def tiny_store(n_classes: int, per_class: int, dim=4, patches=3) -> EmbeddingStore:
@@ -88,14 +95,14 @@ class TestSampleEpisode:
             assert [q.record_id for q in queries] == store.record_ids[ep.query_rows].tolist()
             assert labels == ep.query_labels.tolist()
             for proto, rows in zip(protos, ep.support_rows):
-                expected = build_prototype([store.record(r) for r in rows])
+                expected = build_prototype([record(store, r) for r in rows])
                 np.testing.assert_array_equal(proto.patch_embeddings, expected.patch_embeddings)
 
 
 class TestBuildPrototype:
     def test_single_record_identity(self):
         store = tiny_store(1, 1)
-        rec = store.record(0)
+        rec = record(store, 0)
         proto = build_prototype([rec])
         np.testing.assert_array_equal(proto.class_embedding, rec.class_embedding)
         np.testing.assert_array_equal(proto.patch_embeddings, rec.patch_embeddings)
@@ -109,7 +116,7 @@ class TestBuildPrototype:
 
     def test_identical_records(self):
         store = tiny_store(1, 1)
-        rec = store.record(0)
+        rec = record(store, 0)
         proto = build_prototype([rec, rec, rec])
         np.testing.assert_allclose(proto.class_embedding, rec.class_embedding)
 

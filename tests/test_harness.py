@@ -17,7 +17,7 @@ from cpes.harness import (
 )
 from cpes.scoring import save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
-from oracles import fused, records, score_matrix, store_from_records
+from oracles import EmbeddingRecord, fused, record, records, score_matrix, store_from_records
 
 
 def quick_cfg(**kw) -> RunConfig:
@@ -66,8 +66,6 @@ class TestEvaluate:
     def test_uninformative_labels_give_chance(self, easy_eval_store):
         # round-robin relabeling decouples labels from content, so no head
         # can beat 1-in-5 chance
-        from cpes.store import EmbeddingRecord
-
         recs = [
             EmbeddingRecord(r.record_id, i % 5, r.class_embedding, r.patch_embeddings)
             for i, r in enumerate(records(easy_eval_store))
@@ -143,11 +141,10 @@ class TestSweeps:
             scaled = rec.patch_embeddings * np.linspace(
                 0.2, 3.0, small_store.patches_m
             ).reshape(-1, 1)
-            from cpes.store import EmbeddingRecord
-
             mod = EmbeddingRecord(rec.record_id, rec.label, rec.class_embedding, scaled)
-            cos_idx = select_top(similarity_sequence(mod, DistanceKind.COS), 4).indices
-            dot_idx = select_top(similarity_sequence(mod, DistanceKind.DOT), 4).indices
+            embeddings = mod.class_embedding, mod.patch_embeddings
+            cos_idx = select_top(similarity_sequence(*embeddings, DistanceKind.COS), 4).tolist()
+            dot_idx = select_top(similarity_sequence(*embeddings, DistanceKind.DOT), 4).tolist()
             disagreements += cos_idx != dot_idx
         assert disagreements > 0
 
@@ -203,12 +200,11 @@ class TestExportMasks:
 class TestEndToEndOrderInvariance:
     def test_query_score_invariant_to_patch_storage_order(self, small_store):
         from cpes.scoring import head_forward
-        from cpes.store import EmbeddingRecord
 
         cfg = quick_cfg()
         head = init_head(cfg, 4)
-        proto = fused(small_store.record(0), 4, DistanceKind.COS)
-        query_rec = small_store.record(7)
+        proto = fused(record(small_store, 0), 4, DistanceKind.COS)
+        query_rec = record(small_store, 7)
         perm = list(reversed(range(small_store.patches_m)))
         permuted = EmbeddingRecord(
             query_rec.record_id,

@@ -8,7 +8,6 @@ from cpes.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
 from cpes.numerics import Rng64, cross_entropy, rng_split, softmax
 from cpes.scoring import score_tensor
 from cpes.selection import DistanceKind, similarity_sequence
-from cpes.store import EmbeddingRecord
 from oracles import cosine
 
 # First ten outputs of rng_split(20260826, 0), recorded at first
@@ -75,7 +74,7 @@ def test_zero_norm_policy_on_package_path(target, scale):
     else:
         others[0] *= scale
     if target in ("patch", "class embedding"):
-        sims = similarity_sequence(EmbeddingRecord(0, 0, others[0], rows), DistanceKind.COS)
+        sims = similarity_sequence(others[0], rows, DistanceKind.COS)
         expected_zero = [False, True, False] if target == "patch" else [True] * 3
         np.testing.assert_array_equal(sims == 0.0, expected_zero)
     else:

@@ -4,21 +4,27 @@ from hypothesis import given, strategies as st
 
 from cpes.errors import SelectionOutOfRange
 from cpes.numerics import rng_split
+import oracles
 from cpes.selection import (
     DistanceKind,
     mask_json,
     mask_pgm,
     select_top,
+    selection_table,
     similarity_sequence,
 )
-from cpes.store import EmbeddingRecord
-from oracles import fuse, records
+from oracles import EmbeddingRecord, fuse, records, store_from_records
 
 
 def make_record(class_emb, patches) -> EmbeddingRecord:
     return EmbeddingRecord(
         0, 0, np.asarray(class_emb, dtype=np.float64), np.asarray(patches, dtype=np.float64)
     )
+
+
+def sims_of(rec: EmbeddingRecord, kind: DistanceKind) -> np.ndarray:
+    """The package's similarity sequence of one record."""
+    return similarity_sequence(rec.class_embedding, rec.patch_embeddings, kind)
 
 
 def brute_force_top(similarities, m):
@@ -31,25 +37,25 @@ class TestSimilaritySequence:
     def test_cos_all_equal(self):
         rec = make_record([1.0, 2.0], [[1.0, 2.0]] * 4)
         np.testing.assert_allclose(
-            similarity_sequence(rec, DistanceKind.COS), np.ones(4), atol=1e-12
+            sims_of(rec, DistanceKind.COS), np.ones(4), atol=1e-12
         )
 
     def test_dot(self):
         rec = make_record([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(
-            similarity_sequence(rec, DistanceKind.DOT), [1.0, 0.0]
+            sims_of(rec, DistanceKind.DOT), [1.0, 0.0]
         )
 
     def test_abs_negated_manhattan(self):
         rec = make_record([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(
-            similarity_sequence(rec, DistanceKind.ABS), [0.0, -2.0]
+            sims_of(rec, DistanceKind.ABS), [0.0, -2.0]
         )
 
     def test_sqr_negated_euclidean_squared(self):
         rec = make_record([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(
-            similarity_sequence(rec, DistanceKind.SQR), [0.0, -2.0]
+            sims_of(rec, DistanceKind.SQR), [0.0, -2.0]
         )
 
     def test_cos_matches_scalar_kernel(self):
@@ -57,7 +63,7 @@ class TestSimilaritySequence:
 
         rng = rng_split(6, 0)
         rec = make_record(rng.normals(8), rng.normals(40).reshape(5, 8))
-        sims = similarity_sequence(rec, DistanceKind.COS)
+        sims = sims_of(rec, DistanceKind.COS)
         for j in range(5):
             assert sims[j] == pytest.approx(
                 cosine(rec.class_embedding, rec.patch_embeddings[j]), abs=1e-12
@@ -66,19 +72,19 @@ class TestSimilaritySequence:
 
 class TestSelectTop:
     def test_basic(self):
-        assert select_top(np.array([0.1, 0.9, 0.5]), 2).indices == [1, 2]
+        assert select_top(np.array([0.1, 0.9, 0.5]), 2).tolist() == [1, 2]
 
     def test_tie_break_ascending_index(self):
-        assert select_top(np.array([0.5, 0.5, 0.1]), 1).indices == [0]
+        assert select_top(np.array([0.5, 0.5, 0.1]), 1).tolist() == [0]
 
     def test_m_equals_big_is_permutation(self):
         sims = np.array([0.3, 0.7, 0.7, 0.1])
-        sel = select_top(sims, 4)
-        assert sorted(sel.indices) == [0, 1, 2, 3]
-        assert sel.indices == [1, 2, 0, 3]
+        sel = select_top(sims, 4).tolist()
+        assert sorted(sel) == [0, 1, 2, 3]
+        assert sel == [1, 2, 0, 3]
 
     def test_m_zero(self):
-        assert select_top(np.array([1.0, 2.0]), 0).indices == []
+        assert select_top(np.array([1.0, 2.0]), 0).tolist() == []
 
     def test_out_of_range(self):
         with pytest.raises(SelectionOutOfRange):
@@ -93,26 +99,26 @@ class TestSelectTop:
                 # inject ties
                 sims[rng.randint(big)] = sims[rng.randint(big)]
             m = rng.randint(big + 1)
-            assert select_top(sims, m).indices == brute_force_top(list(sims), m)
+            assert select_top(sims, m).tolist() == brute_force_top(list(sims), m)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=16), st.data())
     def test_oracle_equivalence_property(self, sims, data):
         m = data.draw(st.integers(0, len(sims)))
-        assert select_top(np.array(sims), m).indices == brute_force_top(sims, m)
+        assert select_top(np.array(sims), m).tolist() == brute_force_top(sims, m)
 
     def test_selected_dominate_unselected(self):
         rng = rng_split(9, 0)
         for _ in range(200):
             sims = rng.normals(12)
-            sel = select_top(sims, 5)
-            rest = [i for i in range(12) if i not in sel.indices]
-            assert min(sims[i] for i in sel.indices) >= max(sims[i] for i in rest)
+            sel = select_top(sims, 5).tolist()
+            rest = [i for i in range(12) if i not in sel]
+            assert min(sims[i] for i in sel) >= max(sims[i] for i in rest)
 
 
 class TestFuse:
     def test_linear_addition_with_coefficient_two(self):
         rec = make_record([3.0, 4.0], [[1.0, 2.0]])
-        fused = fuse(rec, select_top(similarity_sequence(rec, DistanceKind.COS), 1))
+        fused = fuse(rec, select_top(sims_of(rec, DistanceKind.COS), 1))
         np.testing.assert_allclose(fused.rows, [[7.0, 10.0]])
 
     def test_zero_patch_gives_twice_class(self):
@@ -131,11 +137,11 @@ class TestFuse:
         rng = rng_split(10, 0)
         for _ in range(50):
             rec = make_record(rng.normals(8), rng.normals(6 * 8).reshape(6, 8))
-            base = select_top(similarity_sequence(rec, DistanceKind.COS), 3).indices
+            base = select_top(sims_of(rec, DistanceKind.COS), 3).tolist()
             for alpha in (0.5, 3.0):
                 scaled = make_record(alpha * rec.class_embedding, rec.patch_embeddings)
                 assert (
-                    select_top(similarity_sequence(scaled, DistanceKind.COS), 3).indices
+                    select_top(sims_of(scaled, DistanceKind.COS), 3).tolist()
                     == base
                 )
 
@@ -145,10 +151,10 @@ class TestFuse:
             rec = make_record(rng.normals(8), rng.normals(6 * 8).reshape(6, 8))
             perm = rng.sample_without_replacement(6, 6)
             permuted = make_record(rec.class_embedding, rec.patch_embeddings[perm])
-            a = fuse(rec, select_top(similarity_sequence(rec, DistanceKind.COS), 3))
+            a = fuse(rec, select_top(sims_of(rec, DistanceKind.COS), 3))
             b = fuse(
                 permuted,
-                select_top(similarity_sequence(permuted, DistanceKind.COS), 3),
+                select_top(sims_of(permuted, DistanceKind.COS), 3),
             )
             # distinct similarities almost surely: fused rows agree in order
             np.testing.assert_allclose(a.rows, b.rows, atol=1e-12)
@@ -159,8 +165,8 @@ class TestFuse:
         s = 4
         hits = total = 0
         for rec, gt in zip(records(small_store), small_store.ground_truth):
-            sel = select_top(similarity_sequence(rec, DistanceKind.COS), s)
-            hits += len(set(sel.indices) & set(gt))
+            sel = select_top(sims_of(rec, DistanceKind.COS), s)
+            hits += len(set(sel.tolist()) & set(gt))
             total += s
         recall = hits / total
         chance = s / small_store.patches_m
@@ -169,10 +175,11 @@ class TestFuse:
 
 class TestMaskExport:
     def test_json_fields(self):
-        sel = select_top(np.array([0.5, 0.9, 0.1, 0.2]), 2)
+        sims = np.array([0.5, 0.9, 0.1, 0.2])
+        sel = select_top(sims, 2)
         import json
 
-        data = json.loads(mask_json(7, sel))
+        data = json.loads(mask_json(7, sel, sims))
         assert data["record_id"] == 7
         assert data["m"] == 2
         assert data["indices"] == [1, 0]
@@ -180,8 +187,8 @@ class TestMaskExport:
 
     def test_pgm_full_and_empty(self):
         sims = np.arange(16.0)
-        full = mask_pgm(select_top(sims, 16))
-        empty = mask_pgm(select_top(sims, 0))
+        full = mask_pgm(select_top(sims, 16), sims)
+        empty = mask_pgm(select_top(sims, 0), sims)
         assert full.splitlines()[0] == "P2"
         assert full.splitlines()[1] == "4 4"
         assert set(full.split("\n")[3:7][0].split()) == {"255"}
@@ -189,4 +196,50 @@ class TestMaskExport:
         assert all(tok == "0" for line in empty.splitlines()[3:] for tok in line.split())
 
     def test_pgm_none_for_non_square(self):
-        assert mask_pgm(select_top(np.arange(6.0), 2)) is None
+        sims = np.arange(6.0)
+        assert mask_pgm(select_top(sims, 2), sims) is None
+
+
+class TestSelectionMatchesRecordPath:
+    """The package's array selection against the oracle's per-record
+    similarity sequence and lexsort ranking: equal indices, ties included."""
+
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("m", [0, 1, 4, "M"])
+    def test_table_and_batched_select_equal_record_path(self, small_store, m, kind):
+        m = small_store.patches_m if m == "M" else m
+        expected = [
+            oracles.select_top(oracles.similarity_sequence(rec, kind), m)
+            for rec in records(small_store)
+        ]
+        expected = np.array(expected, dtype=np.intp).reshape(len(small_store), m)
+        assert np.array_equal(selection_table(small_store, m, kind), expected)
+        every_patch = np.arange(small_store.patches_m)
+        embeddings = small_store.embeddings(np.arange(len(small_store)), every_patch)
+        assert np.array_equal(select_top(similarity_sequence(*embeddings, kind), m), expected)
+
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    def test_repeated_patches_tie_like_record_path(self, kind):
+        # each record repeats 3 distinct patches over 9 positions, so every
+        # similarity sequence holds exact ties
+        rng = rng_split(12, 0)
+        recs = []
+        for i in range(6):
+            distinct = rng.normals(3 * 4).reshape(3, 4)
+            patches = distinct[[0, 1, 0, 2, 1, 0, 2, 2, 1]]
+            recs.append(EmbeddingRecord(i, i % 2, rng.normals(4), patches))
+        store = store_from_records(4, 9, 2, recs)
+        for m in range(10):
+            expected = [
+                oracles.select_top(oracles.similarity_sequence(rec, kind), m)
+                for rec in records(store)
+            ]
+            expected = np.array(expected, dtype=np.intp).reshape(len(store), m)
+            assert np.array_equal(selection_table(store, m, kind), expected)
+
+    def test_batched_select_on_tied_grid(self):
+        rng = rng_split(13, 0)
+        sims = np.round(rng.normals(40 * 12), 1).reshape(40, 12)  # coarse grid forces ties
+        for m in range(13):
+            expected = np.array([oracles.select_top(row, m) for row in sims], dtype=np.intp)
+            assert np.array_equal(select_top(sims, m), expected.reshape(40, m))

@@ -18,7 +18,6 @@ from cpes.errors import (
 from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, load_head, save_head
 from cpes.store import (
-    EmbeddingRecord,
     EmbeddingStore,
     HEADER_BYTES,
     SyntheticConfig,
@@ -26,7 +25,7 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from oracles import cosine, records, store_from_records
+from oracles import EmbeddingRecord, cosine, records, store_from_records
 
 # Golden means recorded from the first run of the reference store
 # (small_store fixture); recomputed exhaustively in the test below.
