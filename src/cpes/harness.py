@@ -281,6 +281,8 @@ def sweep(
 ) -> SweepReport:
     """Full train+evaluate per value of the RunConfig field ``axis``, shared
     base seed. Enum values are labelled by their ``.value``."""
+    if not values:
+        raise InfeasibleConfig(f"no {axis} values to sweep")
     points = []
     for value in values:
         point_cfg = replace(cfg, **{axis: value})

@@ -10,21 +10,15 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    NonFiniteGradient,
-    NonFiniteValue,
-    UnsupportedVersion,
-)
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue, StoreFormatError
 from .numerics import Rng64, cross_entropy, softmax, unit_rows
-from .store import _read_all, _reject_trailing, _require
+from .store import _read_header, _reject_trailing, _require
 
 CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
@@ -66,49 +60,70 @@ class OptimizerConfig:
         )
 
 
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
+def group_size(input_dim: int, hidden_dim: int) -> int:
+    """P, the floats in one CPEH group: W1 (H, I), b1 (H,), W2 (H,) and b2."""
+    return hidden_dim * (input_dim + 2) + 1
+
+
+class _Group:
+    """W1, b1, W2 and the float b2 as named views of one flat (P,) vector,
+    laid out in that order as one CPEH group."""
+
+    hidden_dim: int
+    flat: np.ndarray
+
+    @property
+    def w1(self) -> np.ndarray:
+        return self.flat[: -2 * self.hidden_dim - 1].reshape(self.hidden_dim, -1)
+
+    @property
+    def b1(self) -> np.ndarray:
+        return self.flat[-2 * self.hidden_dim - 1 : -self.hidden_dim - 1]
+
+    @property
+    def w2(self) -> np.ndarray:
+        return self.flat[-self.hidden_dim - 1 : -1]
+
+    @property
+    def b2(self) -> float:
+        return float(self.flat[-1])
+
+    @b2.setter
+    def b2(self, value: float) -> None:
+        self.flat[-1] = value
 
 
 @dataclass
-class MlpHead:
-    """score = w2 . relu(W1 @ flat(S) + b1) + b2, plus optimizer state."""
+class Gradients(_Group):
+    hidden_dim: int
+    flat: np.ndarray
+
+
+@dataclass
+class MlpHead(_Group):
+    """score = w2 . relu(W1 @ flat(S) + b1) + b2. ``state`` (3, P) is the
+    CPEH body: the parameters, then the two optimizer moments, each a group."""
 
     input_dim: int
     hidden_dim: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-    moment1: Gradients = field(default=None)  # type: ignore[assignment]
-    moment2: Gradients = field(default=None)  # type: ignore[assignment]
+    state: np.ndarray
     step: int = 0
 
-    def __post_init__(self):
-        if self.moment1 is None:
-            self.moment1 = self._zeros()
-        if self.moment2 is None:
-            self.moment2 = self._zeros()
-
-    def _zeros(self) -> Gradients:
-        return Gradients(
-            np.zeros_like(self.w1), np.zeros_like(self.b1), np.zeros_like(self.w2), 0.0
-        )
+    @property
+    def flat(self) -> np.ndarray:
+        return self.state[0]
 
     @classmethod
     def initialize(cls, input_dim: int, hidden_dim: int, rng: Rng64) -> "MlpHead":
-        """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
+        """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer; zero moments."""
         bound1 = 1.0 / math.sqrt(input_dim)
         bound2 = 1.0 / math.sqrt(hidden_dim)
-        w1 = (rng.uniforms(hidden_dim * input_dim) * 2 - 1).reshape(hidden_dim, input_dim) * bound1
-        b1 = (rng.uniforms(hidden_dim) * 2 - 1) * bound1
-        w2 = (rng.uniforms(hidden_dim) * 2 - 1) * bound2
-        b2 = (rng.uniform() * 2 - 1) * bound2
-        return cls(input_dim, hidden_dim, w1, b1, w2, b2)
+        head = cls(input_dim, hidden_dim, np.zeros((3, group_size(input_dim, hidden_dim))))
+        head.w1[:] = (rng.uniforms(head.w1.size) * 2 - 1).reshape(head.w1.shape) * bound1
+        head.b1[:] = (rng.uniforms(hidden_dim) * 2 - 1) * bound1
+        head.w2[:] = (rng.uniforms(hidden_dim) * 2 - 1) * bound2
+        head.b2 = (rng.uniform() * 2 - 1) * bound2
+        return head
 
 
 def head_forward(
@@ -151,41 +166,32 @@ def episode_loss_and_grads(
     dscores[np.arange(len(targets)), targets] -= 1.0  # d loss / d scores, per query
     dscores = dscores.reshape(-1) / len(targets)  # of the mean over queries
     dhidden = np.outer(dscores, head.w2) * (pre > 0.0)
-    grads = Gradients(dhidden.T @ xs, dhidden.sum(axis=0), dscores @ hidden, float(np.sum(dscores)))
+    grads = Gradients(head.hidden_dim, np.empty_like(head.flat))
+    np.matmul(dhidden.T, xs, out=grads.w1)
+    np.sum(dhidden, axis=0, out=grads.b1)
+    np.matmul(dscores, hidden, out=grads.w2)
+    grads.b2 = np.sum(dscores)
     return cross_entropy(probs, targets), grads, probs
 
 
 def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> MlpHead:
-    """One decoupled-weight-decay adaptive-moment update, in place."""
-    for g in (grads.w1, grads.b1, grads.w2):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("NaN/Inf in gradients")
-    if not math.isfinite(grads.b2):
+    """One decoupled-weight-decay adaptive-moment update of the state, in place."""
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("NaN/Inf in gradients")
 
     lr = cfg.lr_at(head.step)
     head.step += 1
     bc1 = 1.0 - cfg.beta1**head.step
     bc2 = 1.0 - cfg.beta2**head.step
-
-    def update(param, g, m, v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        # decay is decoupled: both terms reference the pre-update parameter
-        param *= 1.0 - lr * cfg.weight_decay
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-
-    update(head.w1, grads.w1, head.moment1.w1, head.moment2.w1)
-    update(head.b1, grads.b1, head.moment1.b1, head.moment2.b1)
-    update(head.w2, grads.w2, head.moment1.w2, head.moment2.w2)
-    # scalar bias: same update, no numpy views to mutate
-    m = head.moment1.b2 = cfg.beta1 * head.moment1.b2 + (1.0 - cfg.beta1) * grads.b2
-    v = head.moment2.b2 = cfg.beta2 * head.moment2.b2 + (1.0 - cfg.beta2) * grads.b2**2
-    head.b2 = head.b2 * (1.0 - lr * cfg.weight_decay) - lr * (m / bc1) / (
-        math.sqrt(v / bc2) + cfg.eps
-    )
+    param, m, v = head.state
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    # decay is decoupled: both terms reference the pre-update parameter
+    param *= 1.0 - lr * cfg.weight_decay
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
     return head
 
 
@@ -198,39 +204,25 @@ def save_head(head: MlpHead, destination) -> None:
     buf: BinaryIO = destination
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<HII", CHECKPOINT_VERSION, head.input_dim, head.hidden_dim))
-    # parameters, then both moments: each group is W1, b1, W2, b2
-    for group in (head, head.moment1, head.moment2):
-        for arr in (group.w1, group.b1, group.w2, [group.b2]):
-            buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    # through the buffer protocol: tobytes() would copy the whole state first
+    buf.write(memoryview(np.ascontiguousarray(head.state, "<f8")))
     buf.write(struct.pack("<Q", head.step))
 
 
 def load_head(source) -> MlpHead:
-    """Parse a CPEH path or binary source in one read, rejecting trailing
-    bytes and non-finite parameters or moments."""
-    data = _read_all(source)
-    _require(data, 4, "magic")
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {data[:4]!r}")
-    _require(data, 14, "header")
-    version, input_dim, hidden = struct.unpack_from("<HII", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersion(f"checkpoint version {version}")
-    sizes = (hidden * input_dim, hidden, hidden, 1)  # W1, b1, W2, b2 of a group
-    count = 3 * sum(sizes)
-    end = 14 + 8 * count + 8  # the float groups, then the step counter
+    """Parse a CPEH path or binary source in one read, rejecting a head
+    without inputs or hidden units, trailing bytes and non-finite
+    parameters or moments."""
+    data, (input_dim, hidden) = _read_header(source, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "II")
+    if input_dim == 0 or hidden == 0:
+        raise StoreFormatError(f"empty checkpoint head: input_dim {input_dim}, hidden_dim {hidden}")
+    size = group_size(input_dim, hidden)
+    end = 14 + 8 * 3 * size + 8  # the state, then the step counter
     _require(data, end, "parameters")
     _reject_trailing(data, end)
-    # one aligned, writable copy; the head's arrays are views into it
-    floats = np.frombuffer(data, dtype="<f8", count=count, offset=14).astype(np.float64)
-    if not np.all(np.isfinite(floats)):
+    # one aligned, writable copy
+    state = np.frombuffer(data, "<f8", 3 * size, 14).astype(np.float64).reshape(3, size)
+    if not np.all(np.isfinite(state)):
         raise NonFiniteValue("checkpoint contains NaN/Inf parameters or moments")
     (step,) = struct.unpack_from("<Q", data, end - 8)
-    parts = np.split(floats, np.cumsum(sizes * 3)[:-1])
-    params, m1, m2 = (
-        (w1.reshape(hidden, input_dim), b1, w2, float(b2[0]))
-        for w1, b1, w2, b2 in (parts[0:4], parts[4:8], parts[8:12])
-    )
-    return MlpHead(
-        input_dim, hidden, *params, moment1=Gradients(*m1), moment2=Gradients(*m2), step=step
-    )
+    return MlpHead(input_dim, hidden, state, step)

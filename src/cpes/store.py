@@ -15,6 +15,7 @@ float64 and write/read round trips exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,10 +111,14 @@ class SyntheticConfig:
     seed: int
 
     def validate(self) -> None:
+        for name in ("class_count", "records_per_class", "dim", "patches"):
+            if getattr(self, name) < 1:
+                raise InfeasibleConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("signal_noise", "distractor_noise"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InfeasibleConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 1 <= self.signal_patches <= self.patches:
             raise InfeasibleConfig("signal_patches must be in [1, patches]")
-        if self.signal_noise < 0 or self.distractor_noise < 0:
-            raise InfeasibleConfig("noise scales must be >= 0")
         if self.distractor_pool_size + self.class_count > self.dim:
             raise InfeasibleConfig(
                 f"cannot orthogonalize {self.distractor_pool_size} distractors "
@@ -140,11 +145,18 @@ def write_store(store: EmbeddingStore, destination) -> int:
     return n
 
 
-def _read_all(source) -> bytes:
-    """Every byte of a path or binary source, in one read."""
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
+def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, list]:
+    """Every byte of a path or binary source, in one read, and the ``fmt``
+    header fields after its magic and u16 version, both checked."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    _require(data, 4, "magic")
+    if data[:4] != magic:
+        raise BadMagic(f"expected {magic!r}, found {data[:4]!r}")
+    _require(data, 4 + struct.calcsize("<H" + fmt), "header")
+    found, *fields = struct.unpack_from("<H" + fmt, data, 4)
+    if found != version:
+        raise UnsupportedVersion(f"{magic.decode()} version {found}")
+    return data, fields
 
 
 def _require(data: bytes, end: int, what: str) -> None:
@@ -161,16 +173,9 @@ def read_store(source) -> EmbeddingStore:
     """Parse a CPEM path or binary source in one read, into float32 views
     of the bytes. Rejects a bad magic or version, a size other than the
     header gives, non-finite embeddings and invalid records."""
-    data = _read_all(source)
-    _require(data, 4, "magic")
-    if data[:4] != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
-    _require(data, HEADER_BYTES, "header")
-    version, flags, dim_d, patches_m, class_count, record_count = struct.unpack_from(
-        "<HHIIIQ", data, 4
+    data, (flags, dim_d, patches_m, class_count, record_count) = _read_header(
+        source, MAGIC, VERSION, "HIIIQ"
     )
-    if version != VERSION:
-        raise UnsupportedVersion(f"version {version}")
     itemsize = 12 + 4 * dim_d * (1 + patches_m)
     if itemsize >= _MAX_RECORD_BYTES:
         raise InvalidRecord(f"records of {itemsize} bytes (D={dim_d}, M={patches_m}) exceed 2 GiB")

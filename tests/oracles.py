@@ -8,19 +8,30 @@ score matrix per (query, prototype) pair and one loss and gradient per
 query. Tests require the batched engine to match it. ``record``,
 ``records`` and ``store_from_records`` convert between array stores and
 records.
+
+The head here is the one the package kept before its state became one flat
+array: parameters and moments as separate tensors, b2 a Python float, and
+an optimizer step per tensor. ``head_of`` and ``grads_of`` build the flat
+state from separate tensors; ``moment`` and ``per_tensor_head`` read it back.
 """
 
 import math
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from cpes.episodes import EpisodeSpec
-from cpes.errors import DimensionMismatch, IndexOutOfRange, SelectionOutOfRange
+from cpes.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NonFiniteGradient,
+    SelectionOutOfRange,
+)
 from cpes.harness import resolve_m
 from cpes.numerics import DEGENERATE_NORM, rng_split, softmax, unit_rows
-from cpes.scoring import Gradients, head_forward
+from cpes.scoring import Gradients, MlpHead, head_forward
 from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind
 from cpes.store import EmbeddingStore
 
@@ -247,18 +258,15 @@ def query_loss_and_grads(head, query, protos, target):
     dhidden = np.outer(dscores, head.w2) * (pre > 0.0)
     dw1 = dhidden.T @ xs
     db1 = dhidden.sum(axis=0)
-    return loss, Gradients(dw1, db1, dw2, db2), probs
+    return loss, grads_of(dw1, db1, dw2, db2), probs
 
 
 def add_grads(total: Gradients, other: Gradients) -> None:
-    total.w1 += other.w1
-    total.b1 += other.b1
-    total.w2 += other.w2
-    total.b2 += other.b2
+    total.flat += other.flat
 
 
 def scale_grads(g: Gradients, factor: float) -> Gradients:
-    return Gradients(g.w1 * factor, g.b1 * factor, g.w2 * factor, g.b2 * factor)
+    return Gradients(g.hidden_dim, g.flat * factor)
 
 
 def mean_query_grads(head, queries, protos, labels) -> Gradients:
@@ -271,3 +279,73 @@ def mean_query_grads(head, queries, protos, labels) -> Gradients:
         else:
             add_grads(total, grads)
     return scale_grads(total, 1.0 / len(queries))
+
+
+# -- per-tensor head state and optimizer ------------------------------------
+
+
+def grads_of(w1, b1, w2, b2: float) -> Gradients:
+    """Gradients (or one group of a head's state) from its four tensors."""
+    return Gradients(len(b1), np.concatenate([np.ravel(w1), b1, w2, [b2]]))
+
+
+def head_of(w1, b1, w2, b2: float) -> MlpHead:
+    """A head with the given parameters and zero moments."""
+    params = grads_of(w1, b1, w2, b2).flat
+    return MlpHead(np.shape(w1)[1], len(b1), np.stack([params, 0 * params, 0 * params]))
+
+
+def zero_grads(head: MlpHead) -> Gradients:
+    return Gradients(head.hidden_dim, np.zeros_like(head.flat))
+
+
+def moment(head: MlpHead, k: int) -> Gradients:
+    """The head's first (k=1) or second (k=2) optimizer moment."""
+    return Gradients(head.hidden_dim, head.state[k])
+
+
+def per_tensor_head(head: MlpHead) -> SimpleNamespace:
+    """Separate copies of a head's parameters and moments, b2 a Python float."""
+
+    def group(g):
+        return SimpleNamespace(w1=g.w1.copy(), b1=g.b1.copy(), w2=g.w2.copy(), b2=g.b2)
+
+    return SimpleNamespace(
+        **vars(group(head)), moment1=group(moment(head, 1)), moment2=group(moment(head, 2)),
+        step=head.step,
+    )
+
+
+def per_tensor_optimizer_step(head, grads, cfg):
+    """One decoupled-weight-decay adaptive-moment update, in place: a
+    closure per tensor, and a scalar copy of it for b2."""
+    for g in (grads.w1, grads.b1, grads.w2):
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient("NaN/Inf in gradients")
+    if not math.isfinite(grads.b2):
+        raise NonFiniteGradient("NaN/Inf in gradients")
+
+    lr = cfg.lr_at(head.step)
+    head.step += 1
+    bc1 = 1.0 - cfg.beta1**head.step
+    bc2 = 1.0 - cfg.beta2**head.step
+
+    def update(param, g, m, v):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        # decay is decoupled: both terms reference the pre-update parameter
+        param *= 1.0 - lr * cfg.weight_decay
+        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+    update(head.w1, grads.w1, head.moment1.w1, head.moment2.w1)
+    update(head.b1, grads.b1, head.moment1.b1, head.moment2.b1)
+    update(head.w2, grads.w2, head.moment1.w2, head.moment2.w2)
+    # scalar bias: same update, no numpy views to mutate
+    m = head.moment1.b2 = cfg.beta1 * head.moment1.b2 + (1.0 - cfg.beta1) * grads.b2
+    v = head.moment2.b2 = cfg.beta2 * head.moment2.b2 + (1.0 - cfg.beta2) * grads.b2**2
+    head.b2 = head.b2 * (1.0 - lr * cfg.weight_decay) - lr * (m / bc1) / (
+        math.sqrt(v / bc2) + cfg.eps
+    )
+    return head

@@ -177,6 +177,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--signal-noise", "nan", "signal_noise must be finite and >= 0"),
+            ("--distractor-noise", "nan", "distractor_noise must be finite and >= 0"),
+            ("--signal-noise", "inf", "signal_noise must be finite and >= 0"),
+            ("--classes", "0", "class_count must be >= 1"),
+            ("--records-per-class", "0", "records_per_class must be >= 1"),
+            ("--dim", "0", "dim must be >= 1"),
+            ("--patches", "0", "patches must be >= 1"),
+        ],
+    )
+    def test_bad_synthetic_setting_is_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "s.cpem"
+        assert main(GEN + ["--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value,axis",
+        [("sweep-m", "--values", "", "m"), ("sweep-distance", "--kinds", ",", "distance")],
+    )
+    def test_empty_sweep_is_2(self, store_path, capsys, command, flag, value, axis):
+        assert main([command, "--store", str(store_path), flag, value] + RUN) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"no {axis} values" in err
+
+    @pytest.mark.parametrize("input_dim,hidden", [(9, 0), (0, 8)])
+    def test_zero_sized_checkpoint_is_3(self, store_path, tmp_path, capsys, input_dim, hidden):
+        floats = 3 * (hidden * (input_dim + 2) + 1)  # three groups: W1, b1, W2, b2
+        ckpt = tmp_path / "h.cpeh"
+        header = b"CPEH" + struct.pack("<HII", 1, input_dim, hidden)
+        ckpt.write_bytes(header + bytes(8 * floats) + struct.pack("<Q", 0))
+        rc = main(
+            ["eval", "--store", str(store_path), "--checkpoint", str(ckpt), "--tasks", "2"] + RUN
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_out_of_range_label_is_3(self, store_path, tmp_path):
         data = bytearray(store_path.read_bytes())
         data[28 + 8 : 28 + 12] = struct.pack("<I", 6)  # first record's label; 6 classes

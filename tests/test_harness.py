@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ class TestTrain:
         np.testing.assert_array_equal(head.w1, fresh.w1)
         assert head.step == 0
         assert log == []
+
+    def test_trained_head_exposes_parameter_views(self, easy_train_store):
+        """w1, b1 and w2 are arrays and b2 a float, all read from the state."""
+        head, _ = train(easy_train_store, quick_cfg())
+        assert [a.shape for a in (head.w1, head.b1, head.w2)] == [(16, 16), (16,), (16,)]
+        assert all(np.shares_memory(a, head.state) for a in (head.w1, head.b1, head.w2))
+        assert type(head.b2) is float and head.b2 == head.state[0, -1]
 
     def test_deterministic_checkpoints_and_logs(self, easy_train_store):
         cfg = quick_cfg()
@@ -168,12 +176,12 @@ class TestExportMasks:
     def test_full_and_empty_masks(self, small_store, tmp_path):
         paths = export_masks(small_store, quick_cfg(m=16), [0], tmp_path / "full")
         pgm = [p for p in paths if p.endswith(".pgm")][0]
-        body = open(pgm).read().splitlines()[3:]
+        body = Path(pgm).read_text().splitlines()[3:]
         assert all(tok == "255" for line in body for tok in line.split())
 
         paths = export_masks(small_store, quick_cfg(m=0), [0], tmp_path / "empty")
         pgm = [p for p in paths if p.endswith(".pgm")][0]
-        body = open(pgm).read().splitlines()[3:]
+        body = Path(pgm).read_text().splitlines()[3:]
         assert all(tok == "0" for line in body for tok in line.split())
 
     def test_mask_overlaps_ground_truth(self, small_store, tmp_path):
@@ -186,7 +194,7 @@ class TestExportMasks:
         for p in paths:
             if not p.endswith(".json"):
                 continue
-            data = json.loads(open(p).read())
+            data = json.loads(Path(p).read_text())
             gt = set(small_store.ground_truth[data["record_id"]])
             hits += len(set(data["indices"]) & gt)
             total += len(gt)

@@ -22,7 +22,16 @@ from cpes.scoring import (
     score_tensor,
 )
 from cpes.selection import DistanceKind, selection_table
-from oracles import add_grads, scale_grads
+from oracles import (
+    add_grads,
+    grads_of,
+    head_of,
+    moment,
+    per_tensor_head,
+    per_tensor_optimizer_step,
+    scale_grads,
+    zero_grads,
+)
 
 
 def rep(rows) -> np.ndarray:
@@ -78,16 +87,16 @@ class TestScoreMatrix:
 
 class TestMlpForward:
     def test_bias_passthrough(self):
-        head = MlpHead(4, 2, np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.7)
+        head = head_of(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.7)
         assert head_forward(head, [np.eye(2)])[3][0] == pytest.approx(0.7)
 
     def test_hand_computed_forward(self):
         # oracle: relu(0.5*1 + 0.5*0 + 0.5*0 + 0.5*1) * 1 + 0 = 1.0
-        head = MlpHead(4, 1, np.full((1, 4), 0.5), np.zeros(1), np.ones(1), 0.0)
+        head = head_of(np.full((1, 4), 0.5), np.zeros(1), np.ones(1), 0.0)
         assert head_forward(head, [np.eye(2)])[3][0] == pytest.approx(1.0)
 
     def test_dead_rectifier_returns_output_bias(self):
-        head = MlpHead(4, 3, np.ones((3, 4)), np.full(3, -100.0), np.ones(3), 0.25)
+        head = head_of(np.ones((3, 4)), np.full(3, -100.0), np.ones(3), 0.25)
         assert head_forward(head, [np.eye(2) * 0.5])[3][0] == pytest.approx(0.25)
 
     def test_shape_check(self):
@@ -104,9 +113,7 @@ def finite_difference_grads(head, scores, targets, step=1e-6):
         losses, _, _ = episode_loss_and_grads(head, scores, targets)
         return float(np.mean(losses))
 
-    out = Gradients(
-        np.zeros_like(head.w1), np.zeros_like(head.b1), np.zeros_like(head.w2), 0.0
-    )
+    out = zero_grads(head)
     for arr, grad in ((head.w1, out.w1), (head.b1, out.b1), (head.w2, out.w2)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -157,7 +164,7 @@ def episode_fixture(store, m, seed, task):
 
 class TestEpisodeLossAndGrads:
     def test_uniform_scores_give_ln_n(self):
-        head = MlpHead(4, 2, np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.0)
+        head = head_of(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.0)
         protos = np.stack([np.eye(2) * (i + 1) for i in range(5)])
         losses, grads, probs = episode_loss_and_grads(
             head, score_tensor(np.eye(2)[np.newaxis], protos), np.array([2])
@@ -167,7 +174,7 @@ class TestEpisodeLossAndGrads:
 
     def test_zero_w2_zero_w1_grad(self):
         head = random_head(4, 3, seed=5)
-        head.w2 = np.zeros(3)
+        head.w2[:] = 0.0
         protos = np.stack([[[1.0, 0.0], [0.0, 1.0]] for _ in range(3)])
         query = np.array([[[1.0, 1.0], [1.0, -1.0]]])
         _, grads, _ = episode_loss_and_grads(head, score_tensor(query, protos), np.array([0]))
@@ -202,8 +209,8 @@ class TestClassProbabilities:
 class TestOptimizer:
     def test_first_step_closed_form(self):
         # m_hat = v_hat = 1 after one step => param moves by ~lr
-        head = MlpHead(1, 1, np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
-        grads = Gradients(np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
+        head = head_of(np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
+        grads = grads_of(np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
         cfg = OptimizerConfig(
             learning_rate=0.1, weight_decay=0.0, schedule=ScheduleKind.CONSTANT
         )
@@ -216,9 +223,31 @@ class TestOptimizer:
         w1 = head.w1.copy()
         b2 = head.b2
         cfg = OptimizerConfig(weight_decay=0.0, schedule=ScheduleKind.CONSTANT)
-        optimizer_step(head, head._zeros(), cfg)
+        optimizer_step(head, zero_grads(head), cfg)
         np.testing.assert_array_equal(head.w1, w1)
         assert head.b2 == b2
+
+    @pytest.mark.parametrize("schedule", list(ScheduleKind))
+    def test_flat_update_equals_per_tensor_oracle(self, schedule):
+        """One update over the whole state gives the per-tensor update's
+        parameters and moments bit for bit, over 20 steps of random
+        gradients. The oracle's scalar b2 copy takes (1 - beta2) * g**2 where
+        the array update takes (1 - beta2) * g * g, which can round one ulp
+        apart, so b2's second moment and b2 itself get a float64 tolerance."""
+        head = random_head(9, 5, seed=21)
+        ref = per_tensor_head(head)
+        cfg = OptimizerConfig(weight_decay=0.1, schedule=schedule, total_steps=20)
+        rng = rng_split(21, 7)
+        for _ in range(20):
+            grads = Gradients(head.hidden_dim, rng.normals(head.flat.size))
+            optimizer_step(head, grads, cfg)
+            per_tensor_optimizer_step(ref, grads, cfg)
+            assert head.step == ref.step
+            for flat, group in zip(head.state, (ref, ref.moment1, ref.moment2)):
+                expected = grads_of(group.w1, group.b1, group.w2, group.b2).flat
+                np.testing.assert_array_equal(flat[:-1], expected[:-1])
+                assert flat[-1] == pytest.approx(expected[-1], rel=64 * np.finfo(float).eps)
+            assert moment(head, 1).b2 == ref.moment1.b2
 
     def test_cosine_schedule_endpoints(self):
         cfg = OptimizerConfig(
@@ -230,17 +259,17 @@ class TestOptimizer:
 
     def test_non_finite_gradient_rejected(self):
         head = random_head(4, 3, seed=9)
-        grads = head._zeros()
+        grads = zero_grads(head)
         grads.w1[0, 0] = np.nan
         with pytest.raises(NonFiniteGradient):
             optimizer_step(head, grads, OptimizerConfig())
 
     def test_weight_decay_shrinks_params(self):
-        head = MlpHead(1, 1, np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
+        head = head_of(np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
         cfg = OptimizerConfig(
             learning_rate=0.1, weight_decay=0.5, schedule=ScheduleKind.CONSTANT
         )
-        optimizer_step(head, head._zeros(), cfg)
+        optimizer_step(head, zero_grads(head), cfg)
         assert head.w1[0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_loss_decreases_on_fixed_batch(self, easy_train_store):
@@ -250,7 +279,7 @@ class TestOptimizer:
         cfg = OptimizerConfig(schedule=ScheduleKind.CONSTANT, weight_decay=0.0)
         losses = []
         for _ in range(50):
-            total = head._zeros()
+            total = zero_grads(head)
             loss_sum = 0.0
             for scores, targets in batch:
                 loss, grads, _ = episode_loss_and_grads(head, scores, targets)
@@ -267,7 +296,7 @@ class TestCheckpoint:
     def test_round_trip_exact(self):
         head = random_head(9, 5, seed=13)
         # give the moments some content
-        grads = Gradients(
+        grads = grads_of(
             np.ones_like(head.w1) * 0.3,
             np.ones_like(head.b1) * -0.2,
             np.ones_like(head.w2) * 0.1,
@@ -285,9 +314,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.b1, head.b1)
         np.testing.assert_array_equal(back.w2, head.w2)
         assert back.b2 == head.b2
-        np.testing.assert_array_equal(back.moment1.w1, head.moment1.w1)
-        np.testing.assert_array_equal(back.moment2.w1, head.moment2.w1)
-        assert back.moment1.b2 == head.moment1.b2
+        np.testing.assert_array_equal(moment(back, 1).w1, moment(head, 1).w1)
+        np.testing.assert_array_equal(moment(back, 2).w1, moment(head, 2).w1)
+        assert moment(back, 1).b2 == moment(head, 1).b2
 
     def test_round_trip_fuzz(self):
         for seed in range(30):
@@ -315,7 +344,7 @@ class TestCheckpoint:
         elif where == "b2":
             head.b2 = value
         else:
-            head.moment2.w2[0] = value
+            moment(head, 2).w2[0] = value
         buf = io.BytesIO()
         save_head(head, buf)
         with pytest.raises(NonFiniteValue):
