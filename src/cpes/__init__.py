@@ -2,7 +2,7 @@
 head operating on precomputed (or synthetic) embedding stores.
 """
 
-from .episodes import Episode, EpisodeSpec, sample_episode
+from .episodes import Episode, sample_episode
 from .errors import CpesError
 from .harness import (
     EvalReport,
@@ -45,7 +45,6 @@ __all__ = [
     "DistanceKind",
     "EmbeddingStore",
     "Episode",
-    "EpisodeSpec",
     "EvalReport",
     "Gradients",
     "MlpHead",

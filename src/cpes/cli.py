@@ -3,7 +3,7 @@
 Subcommands: gen-synthetic, train, eval, sweep-m, sweep-distance,
 export-masks, inspect-store. Any flag may also come from a JSON config
 file (--config); explicit flags win. Exit codes: 0 success, 2 validation
-error, 3 I/O or file-format error.
+error or a size too large to allocate, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .errors import CpesError, StoreFormatError
@@ -180,10 +181,11 @@ def _cmd_eval(args) -> int:
     store = read_store(args.store)
     cfg = _run_config(args)
     head = load_head(args.checkpoint)
+    start = time.perf_counter()
     report = evaluate(head, store, cfg)
     print(
         f"accuracy {report.mean_accuracy:.4f} +/- {report.ci95_half_width:.4f} "
-        f"over {len(report.per_task_accuracy)} tasks ({report.wall_time:.1f}s)"
+        f"over {len(report.per_task_accuracy)} tasks ({time.perf_counter() - start:.1f}s)"
     )
     if args.out:
         Path(args.out).write_text(report.to_json())
@@ -241,8 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except (StoreFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CpesError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CpesError, ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the size; a bare one has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

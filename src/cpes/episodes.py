@@ -12,15 +12,6 @@ from .store import EmbeddingStore
 
 
 @dataclass
-class EpisodeSpec:
-    n_way: int
-    k_shot: int
-    queries_per_class: int
-    task_index: int
-    base_seed: int
-
-
-@dataclass
 class Episode:
     """One sampled task as store row indices.
 
@@ -35,33 +26,35 @@ class Episode:
     query_labels: np.ndarray  # (Q,)
 
 
-def sample_episode(store: EmbeddingStore, spec: EpisodeSpec) -> Episode:
-    """Sample an episode, deterministic in (store, spec).
+def sample_episode(
+    store: EmbeddingStore,
+    n_way: int,
+    k_shot: int,
+    queries_per_class: int,
+    task_index: int,
+    base_seed: int,
+) -> Episode:
+    """Sample an episode, deterministic in its arguments.
 
     Classes are drawn uniformly without replacement, then K+Q records per
     class without replacement: first K become the prototype, the rest
     queries. All randomness comes from rng_split(base_seed, task_index).
+    Class sizes are checked before anything of size K+Q is allocated.
     """
     by_label = store.records_by_label()
     labels = sorted(by_label)
-    if len(labels) < spec.n_way:
-        raise InsufficientClasses(
-            f"need {spec.n_way} classes, store has {len(labels)}"
-        )
-    need = spec.k_shot + spec.queries_per_class
-    rng = rng_split(spec.base_seed, spec.task_index)
-    chosen = rng.sample_without_replacement(len(labels), spec.n_way)
-    class_map = [labels[i] for i in chosen]
-
-    picked = np.empty((spec.n_way, need), dtype=np.intp)
-    for local, label in enumerate(class_map):
-        pool = by_label[label]
+    if len(labels) < n_way:
+        raise InsufficientClasses(f"need {n_way} classes, store has {len(labels)}")
+    need = k_shot + queries_per_class
+    rng = rng_split(base_seed, task_index)
+    class_map = [labels[i] for i in rng.sample_without_replacement(len(labels), n_way)]
+    pools = [by_label[label] for label in class_map]
+    for label, pool in zip(class_map, pools):
         if len(pool) < need:
-            raise InsufficientRecords(
-                f"class {label} has {len(pool)} records, need {need}"
-            )
-        picked[local] = [pool[i] for i in rng.sample_without_replacement(len(pool), need)]
-    query_labels = np.repeat(np.arange(spec.n_way), spec.queries_per_class)
-    return Episode(
-        class_map, picked[:, : spec.k_shot], picked[:, spec.k_shot :].reshape(-1), query_labels
-    )
+            raise InsufficientRecords(f"class {label} has {len(pool)} records, need {need}")
+    picked = np.array(
+        [[pool[i] for i in rng.sample_without_replacement(len(pool), need)] for pool in pools],
+        dtype=np.intp,
+    ).reshape(n_way, need)
+    query_labels = np.repeat(np.arange(n_way), queries_per_class)
+    return Episode(class_map, picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)

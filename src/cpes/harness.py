@@ -11,14 +11,14 @@ change a result.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .episodes import Episode, EpisodeSpec, sample_episode
+from .episodes import Episode, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord
 from .numerics import derive_seed, rng_split
 from .scoring import (
@@ -67,14 +67,14 @@ class RunConfig:
     def validate(self) -> None:
         """Reject the sizes the episode engine cannot shape its arrays from,
         run lengths that would train or evaluate nothing, and optimizer
-        settings that would make every step non-finite."""
+        settings that would make every step non-finite or climb the loss."""
         for name, least in _MIN_SIZES.items():
             if getattr(self, name) < least:
                 raise InfeasibleConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("learning_rate", "lr_floor", "weight_decay"):
             value = getattr(self.optimizer, name)
-            if not math.isfinite(value):
-                raise InfeasibleConfig(f"{name} must be finite, got {value}")
+            if not 0 <= value < math.inf:
+                raise InfeasibleConfig(f"{name} must be finite and >= 0, got {value}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -89,11 +89,8 @@ class EvalReport:
     mean_accuracy: float
     ci95_half_width: float
     config: dict
-    wall_time: float
 
     def to_json(self) -> str:
-        # wall_time deliberately excluded: report files must be byte-identical
-        # across reruns of the same configuration
         return json.dumps(
             {
                 "mean_accuracy": self.mean_accuracy,
@@ -135,11 +132,12 @@ class SweepReport:
 
 
 def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
-    """The selection-size default: the planted signal count on synthetic
-    stores, 96 (capped at M) otherwise."""
+    """Validate cfg; then the selection size cfg.m, or by default the planted
+    signal count on synthetic stores and 96 (capped at M) otherwise."""
+    cfg.validate()
     if cfg.m is not None:
         if not 0 <= cfg.m <= store.patches_m:
-            raise ValueError(f"m={cfg.m} exceeds store patch count {store.patches_m}")
+            raise ValueError(f"m must be in [0, {store.patches_m}], got {cfg.m}")
         return cfg.m
     if store.ground_truth:
         return len(store.ground_truth[0])
@@ -195,36 +193,43 @@ def init_head(cfg: RunConfig, m: int) -> MlpHead:
     )
 
 
+def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: int):
+    """(episode, score tensor) for tasks 0..count-1 of ``seed``, all
+    selected from one selection table of the store."""
+    table = selection_table(store, m, cfg.distance)
+    for task_index in range(count):
+        episode = sample_episode(
+            store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, task_index, seed
+        )
+        yield episode, episode_scores(store, table, episode, cfg.distance)
+
+
+def _accuracy(probs: np.ndarray, episode: Episode) -> float:
+    """The fraction of the episode's queries whose argmax class probability
+    is their label; argmax ties go to the lowest class index."""
+    return float(np.mean(probs.argmax(axis=1) == episode.query_labels))
+
+
 def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     """Train the head episodically; one optimizer step per episode with
     gradients averaged over the episode's queries.
 
     Returns the head and a per-epoch log of mean loss and accuracy.
     """
-    cfg.validate()
     m = resolve_m(store, cfg)
     head = init_head(cfg, m)
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
-    train_seed = derive_seed(cfg.base_seed, _TRAIN_STREAM)
-    table = selection_table(store, m, cfg.distance)
-
+    episodes = _episodes(store, cfg, m, derive_seed(cfg.base_seed, _TRAIN_STREAM), total_steps)
     log: list[dict] = []
-    episode_index = 0
     for epoch in range(cfg.epochs):
         losses: list[float] = []
         accuracies: list[float] = []
-        for _ in range(cfg.episodes_per_epoch):
-            spec = EpisodeSpec(
-                cfg.n_way, cfg.k_shot, cfg.queries_per_class, episode_index, train_seed
-            )
-            episode = sample_episode(store, spec)
-            scores = episode_scores(store, table, episode, cfg.distance)
+        for episode, scores in itertools.islice(episodes, cfg.episodes_per_epoch):
             loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
             head = optimizer_step(head, grads, opt)
             losses.append(float(np.mean(loss)))
-            accuracies.append(float(np.mean(probs.argmax(axis=1) == episode.query_labels)))
-            episode_index += 1
+            accuracies.append(_accuracy(probs, episode))
         log.append(
             {
                 "epoch": epoch,
@@ -236,30 +241,19 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
 
 
 def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport:
-    """Accuracy over cfg.eval_tasks episodes with task_index 0..T-1.
-
-    Per task: fraction of queries whose argmax class probability matches
-    the episode-local label; argmax ties go to the lowest class index.
-    """
-    cfg.validate()
+    """Accuracy over cfg.eval_tasks episodes with task_index 0..T-1."""
     m = resolve_m(store, cfg)
     if head.input_dim != head_input_dim(m):
         raise ValueError(
             f"head input dim {head.input_dim} does not match m={m} "
             f"(expected {head_input_dim(m)})"
         )
-    start = time.perf_counter()
-    table = selection_table(store, m, cfg.distance)
-    per_task: list[float] = []
-    for task_index in range(cfg.eval_tasks):
-        spec = EpisodeSpec(
-            cfg.n_way, cfg.k_shot, cfg.queries_per_class, task_index, cfg.base_seed
-        )
-        episode = sample_episode(store, spec)
-        probs = class_probabilities(head, episode_scores(store, table, episode, cfg.distance))
-        per_task.append(float(np.mean(probs.argmax(axis=1) == episode.query_labels)))
-    mean, ci95 = mean_and_ci95(per_task)
-    return EvalReport(per_task, mean, ci95, cfg.echo(), time.perf_counter() - start)
+    # starmap holds no score tensor while the next one is built, as a loop variable would
+    per_task = list(itertools.starmap(
+        lambda episode, scores: _accuracy(class_probabilities(head, scores), episode),
+        _episodes(store, cfg, m, cfg.base_seed, cfg.eval_tasks),
+    ))
+    return EvalReport(per_task, *mean_and_ci95(per_task), cfg.echo())
 
 
 def mean_and_ci95(per_task: list[float]) -> tuple[float, float]:
@@ -296,18 +290,20 @@ def export_masks(
     store: EmbeddingStore, cfg: RunConfig, record_ids: list[int], out_dir
 ) -> list[str]:
     """Write the selection JSON (and PGM mask when M is a perfect square)
-    for each requested record. Returns the written paths."""
+    for each requested record, once every id and cfg are checked. Returns
+    the written paths."""
     from pathlib import Path
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
-    m = resolve_m(store, cfg)
-    every_patch = np.arange(store.patches_m)
-    written: list[str] = []
     for record_id in record_ids:
         if record_id not in by_id:
             raise UnknownRecord(f"record_id {record_id} not in store")
+    m = resolve_m(store, cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    every_patch = np.arange(store.patches_m)
+    written: list[str] = []
+    for record_id in record_ids:
         embeddings = store.embeddings(by_id[record_id], every_patch)
         similarities = similarity_sequence(*embeddings, cfg.distance)
         indices = select_top(similarities, m)

@@ -111,9 +111,12 @@ class SyntheticConfig:
     seed: int
 
     def validate(self) -> None:
-        for name in ("class_count", "records_per_class", "dim", "patches"):
-            if getattr(self, name) < 1:
-                raise InfeasibleConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        # each of a record's M - s distractor patches is drawn from the pool
+        least = dict(class_count=1, records_per_class=1, dim=1, patches=1)
+        least["distractor_pool_size"] = int(self.signal_patches < self.patches)
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise InfeasibleConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("signal_noise", "distractor_noise"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InfeasibleConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")

@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from cpes.episodes import EpisodeSpec
 from cpes.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -192,23 +191,25 @@ def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.n
 # -- episodes of records -----------------------------------------------------
 
 
-def sample_episode_records(store: EmbeddingStore, spec: EpisodeSpec):
+def sample_episode_records(
+    store: EmbeddingStore, n_way, k_shot, queries_per_class, task_index, base_seed
+):
     """(prototypes, queries, query labels) as records, drawing from the RNG
-    in the order ``cpes.sample_episode`` must keep."""
+    in the order ``cpes.sample_episode`` must keep, for the same arguments."""
     by_label: dict[int, list[int]] = {}
     for row, label in enumerate(store.labels.tolist()):
         by_label.setdefault(label, []).append(row)
     labels = sorted(by_label)
-    need = spec.k_shot + spec.queries_per_class
-    rng = rng_split(spec.base_seed, spec.task_index)
-    chosen = rng.sample_without_replacement(len(labels), spec.n_way)
+    need = k_shot + queries_per_class
+    rng = rng_split(base_seed, task_index)
+    chosen = rng.sample_without_replacement(len(labels), n_way)
     protos, queries, query_labels = [], [], []
     for local, label in enumerate(labels[i] for i in chosen):
         pool = by_label[label]
         picks = [record(store, pool[i]) for i in rng.sample_without_replacement(len(pool), need)]
-        protos.append(build_prototype(picks[: spec.k_shot]))
-        queries.extend(picks[spec.k_shot :])
-        query_labels.extend([local] * spec.queries_per_class)
+        protos.append(build_prototype(picks[:k_shot]))
+        queries.extend(picks[k_shot:])
+        query_labels.extend([local] * queries_per_class)
     return protos, queries, query_labels
 
 
@@ -217,8 +218,9 @@ def evaluate_per_query(head, store: EmbeddingStore, cfg) -> list[float]:
     m = resolve_m(store, cfg)
     per_task = []
     for task in range(cfg.eval_tasks):
-        spec = EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.queries_per_class, task, cfg.base_seed)
-        protos, queries, labels = sample_episode_records(store, spec)
+        protos, queries, labels = sample_episode_records(
+            store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, task, cfg.base_seed
+        )
         protos = [fused(p, m, cfg.distance) for p in protos]
         correct = 0
         for query, label in zip(queries, labels):

@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from cpes.cli import main
+from cpes.cli import _build_parser, _int_list, main
 from cpes.store import read_store
 
 GEN = [
@@ -133,6 +133,9 @@ class TestExitCodes:
             ("--lr", "nan", "learning_rate"),
             ("--lr-floor", "nan", "lr_floor"),
             ("--weight-decay", "inf", "weight_decay"),
+            ("--lr", "-0.01", "learning_rate"),
+            ("--lr-floor", "-0.000001", "lr_floor"),
+            ("--weight-decay", "-0.01", "weight_decay"),
         ],
     )
     def test_bad_train_setting_is_2(self, store_path, tmp_path, capsys, flag, value, field):
@@ -187,6 +190,7 @@ class TestExitCodes:
             ("--records-per-class", "0", "records_per_class must be >= 1"),
             ("--dim", "0", "dim must be >= 1"),
             ("--patches", "0", "patches must be >= 1"),
+            ("--distractors", "0", "distractor_pool_size must be >= 1, got 0"),
         ],
     )
     def test_bad_synthetic_setting_is_2(self, tmp_path, capsys, flag, value, message):
@@ -195,6 +199,66 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert message in err
+        assert not out.exists()
+
+    def test_negative_distractor_pool_is_2(self, tmp_path, capsys):
+        """All 9 patches are signal, so no distractor is drawn, but a
+        negative pool is still rejected."""
+        out = tmp_path / "s.cpem"
+        argv = GEN + ["--out", str(out), "--signal-patches", "9", "--distractors", "-3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: distractor_pool_size must be >= 0, got -3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--k-shot", "--queries"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_oversized_episode_is_2(self, store_path, tmp_path, capsys, command, flag):
+        ckpt = tmp_path / "h.cpeh"
+        assert main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        target = ["--checkpoint", str(ckpt), "--tasks", "2"] if command == "eval" else []
+        argv = [command, "--store", str(store_path), "--out", str(out)] + target + RUN
+        assert main(argv + [flag, "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "records, need 1000000000" in err
+        assert not out.exists()
+
+    def test_unallocatable_head_is_2(self, store_path, tmp_path, capsys):
+        ckpt = tmp_path / "h.cpeh"
+        argv = ["train", "--store", str(store_path), "--out", str(ckpt)] + RUN
+        assert main(argv + ["--hidden", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not ckpt.exists()
+
+    def test_unallocatable_store_is_2(self, tmp_path, capsys):
+        out = tmp_path / "s.cpem"
+        assert main(GEN + ["--out", str(out), "--records-per-class", "10000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_negative_m_is_2(self, store_path, tmp_path, capsys):
+        ckpt = tmp_path / "h.cpeh"
+        rc = main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN + ["--m", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: m must be in [0, 9], got -1\n"
+        assert not ckpt.exists()
+
+    def test_unknown_record_writes_no_mask(self, store_path, tmp_path, capsys):
+        out = tmp_path / "masks"
+        rc = main(
+            ["export-masks", "--store", str(store_path), "--records", "0,99999",
+             "--m", "3", "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "99999" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -284,3 +348,66 @@ class TestConfigFile:
                    "--config", str(cfg)])
         assert rc == 2
         assert "warp_factor" in capsys.readouterr().err
+
+
+# every numeric flag of every subcommand is set, one at a time, to each of these
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "1000000000000", "", "x"]
+# counts that only make a loop longer: valid at any size, so never set huge
+LOOP_COUNTS = {"--tasks", "--epochs", "--episodes-per-epoch"}
+
+
+def fuzz_base(command, store, checkpoint, out):
+    """Small valid argv for ``command``, writing whatever it writes to ``out``."""
+    run = ["--store", str(store), "--out", str(out)]
+    return {
+        "gen-synthetic": GEN + ["--out", str(out)],
+        "train": ["train"] + run + RUN,
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--tasks", "4"] + run + RUN,
+        "sweep-m": ["sweep-m", "--values", "0,3", "--tasks", "2"] + run + RUN,
+        "sweep-distance": ["sweep-distance", "--kinds", "cos,sqr", "--tasks", "2"] + run + RUN,
+        "export-masks": ["export-masks", "--records", "0,1", "--m", "3"] + run,
+        "inspect-store": ["inspect-store", "--store", str(store)],
+    }[command]
+
+
+def numeric_flags(command):
+    _, subparsers = _build_parser()
+    return [
+        action.option_strings[0]
+        for action in subparsers[command]._actions
+        if action.type in (int, float, _int_list)
+    ]
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(_build_parser()[1]))
+    def test_every_numeric_flag(self, store_path, tmp_path, capsys, command):
+        """Exit 0, 2 or 3; a cpes failure prints one ``error:`` line and no
+        traceback, and leaves no output behind."""
+        checkpoint = tmp_path / "h.cpeh"
+        assert main(fuzz_base("train", store_path, None, checkpoint)) == 0
+        cases = [[]] + [
+            [flag, value]
+            for flag in numeric_flags(command)
+            for value in FUZZ_VALUES
+            if not (flag in LOOP_COUNTS and value == "1000000000000")
+        ]
+        findings = []
+        for n, case in enumerate(cases):
+            work = tmp_path / f"case{n}"
+            work.mkdir()
+            capsys.readouterr()
+            try:
+                rc = main(fuzz_base(command, store_path, checkpoint, work / "out") + case)
+                parsed = True
+            except SystemExit as exc:  # argparse's own rejection
+                rc, parsed = exc.code, False
+            err = capsys.readouterr().err
+            one_line = err.startswith("error:") and len(err.splitlines()) == 1
+            if rc not in (0, 2, 3) or (not case and rc != 0):
+                findings.append(f"{case}: exit {rc}")
+            elif rc != 0 and parsed and not one_line:
+                findings.append(f"{case}: stderr {err!r}")
+            elif rc != 0 and any(work.iterdir()):
+                findings.append(f"{case}: left {sorted(p.name for p in work.iterdir())}")
+        assert not findings

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpes.episodes import EpisodeSpec, sample_episode
+from cpes.episodes import sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
 from cpes.numerics import rng_split
 from cpes.store import EmbeddingStore
@@ -37,7 +37,7 @@ class TestSampleEpisode:
     def test_forced_partition_uses_every_record_once(self):
         n, k, q = 3, 2, 2
         store = tiny_store(n, k + q)
-        ep = sample_episode(store, EpisodeSpec(n, k, q, task_index=0, base_seed=1))
+        ep = sample_episode(store, n, k, q, task_index=0, base_seed=1)
         query_ids = set(store.record_ids[ep.query_rows].tolist())
         assert len(ep.query_rows) == n * q
         assert len(query_ids) == n * q
@@ -46,9 +46,8 @@ class TestSampleEpisode:
 
     def test_deterministic(self):
         store = tiny_store(6, 8)
-        spec = EpisodeSpec(4, 2, 3, task_index=11, base_seed=5)
-        a = sample_episode(store, spec)
-        b = sample_episode(store, spec)
+        a = sample_episode(store, 4, 2, 3, task_index=11, base_seed=5)
+        b = sample_episode(store, 4, 2, 3, task_index=11, base_seed=5)
         assert a.class_map == b.class_map
         np.testing.assert_array_equal(a.query_rows, b.query_rows)
         np.testing.assert_array_equal(a.support_rows, b.support_rows)
@@ -56,17 +55,17 @@ class TestSampleEpisode:
     def test_insufficient_classes(self):
         store = tiny_store(3, 10)
         with pytest.raises(InsufficientClasses):
-            sample_episode(store, EpisodeSpec(4, 1, 1, 0, 0))
+            sample_episode(store, 4, 1, 1, 0, 0)
 
     def test_insufficient_records(self):
         store = tiny_store(5, 3)
         with pytest.raises(InsufficientRecords):
-            sample_episode(store, EpisodeSpec(5, 2, 2, 0, 0))
+            sample_episode(store, 5, 2, 2, 0, 0)
 
     def test_support_query_disjoint_and_label_counts(self):
         store = tiny_store(6, 10)
         for task in range(20):
-            ep = sample_episode(store, EpisodeSpec(4, 3, 2, task, base_seed=9))
+            ep = sample_episode(store, 4, 3, 2, task, base_seed=9)
             for local in range(4):
                 assert list(ep.query_labels).count(local) == 2
             # episode-local labels map bijectively onto sampled store labels
@@ -78,7 +77,7 @@ class TestSampleEpisode:
         store = tiny_store(10, 20)
         seen = set()
         for task in range(100):
-            ep = sample_episode(store, EpisodeSpec(5, 1, 2, task, base_seed=3))
+            ep = sample_episode(store, 5, 1, 2, task, base_seed=3)
             seen.add((tuple(ep.class_map), tuple(ep.query_rows.tolist())))
         # at least most of 100 episodes must differ; identical pairs would
         # indicate broken stream splitting
@@ -89,9 +88,8 @@ class TestSampleEpisode:
         record-at-a-time sampler picks from the same RNG stream."""
         store = tiny_store(6, 10)
         for task in range(20):
-            spec = EpisodeSpec(4, 3, 2, task, base_seed=9)
-            ep = sample_episode(store, spec)
-            protos, queries, labels = sample_episode_records(store, spec)
+            ep = sample_episode(store, 4, 3, 2, task, base_seed=9)
+            protos, queries, labels = sample_episode_records(store, 4, 3, 2, task, base_seed=9)
             assert [q.record_id for q in queries] == store.record_ids[ep.query_rows].tolist()
             assert labels == ep.query_labels.tolist()
             for proto, rows in zip(protos, ep.support_rows):

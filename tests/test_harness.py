@@ -168,8 +168,9 @@ class TestResolveM:
         assert resolve_m(small, quick_cfg(m=None)) == 10
 
     def test_m_too_large_rejected(self, small_store):
-        with pytest.raises(ValueError):
-            resolve_m(small_store, quick_cfg(m=17))
+        for m in (17, -1):
+            with pytest.raises(ValueError):
+                resolve_m(small_store, quick_cfg(m=m))
 
 
 class TestExportMasks:

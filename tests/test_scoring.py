@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cpes.episodes import EpisodeSpec, sample_episode
+from cpes.episodes import sample_episode
 from cpes.errors import DimensionMismatch, NonFiniteGradient
 from cpes.harness import RunConfig, episode_scores, head_input_dim
 from cpes.numerics import rng_split
@@ -155,8 +155,7 @@ def assert_grads_close(analytic: Gradients, numeric: Gradients, rel=1e-5, tiny=1
 def episode_fixture(store, m, seed, task):
     """Score tensor and target of the first query of a 3-way 1-shot episode."""
     cfg = RunConfig(n_way=3, k_shot=1, queries_per_class=1, m=m, base_seed=seed)
-    spec = EpisodeSpec(3, 1, 1, task, seed)
-    episode = sample_episode(store, spec)
+    episode = sample_episode(store, 3, 1, 1, task, seed)
     table = selection_table(store, m, cfg.distance)
     scores = episode_scores(store, table, episode, cfg.distance)
     return scores[:1], episode.query_labels[:1]
@@ -200,7 +199,7 @@ class TestClassProbabilities:
         head = random_head(head_input_dim(m), 8, seed=m + k_shot)
         table = selection_table(small_store, m, DistanceKind.COS)
         for task in range(4):
-            episode = sample_episode(small_store, EpisodeSpec(5, k_shot, 2, task, 17))
+            episode = sample_episode(small_store, 5, k_shot, 2, task, 17)
             scores = episode_scores(small_store, table, episode, DistanceKind.COS)
             _, _, probs = episode_loss_and_grads(head, scores, episode.query_labels)
             assert np.array_equal(class_probabilities(head, scores), probs)

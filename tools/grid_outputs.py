@@ -1,0 +1,76 @@
+"""Write every output file of the 24-config grid, to compare two checkouts.
+
+Generates the two frozen sweep stores of ``tests/conftest.py`` with
+``cpes gen-synthetic``, then runs ``cpes train`` and ``cpes eval`` at their
+default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
+keeping every store, checkpoint, training log and report under OUT_DIR.
+Everything goes through ``cpes.cli.main``, so the cpes imported is the one
+on PYTHONPATH. To check that a change moves no result:
+
+    PYTHONPATH=/path/to/parent/src python3 tools/grid_outputs.py out-parent
+    PYTHONPATH=src python3 tools/grid_outputs.py out-change
+    diff -r out-parent out-change
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG  # noqa: E402
+
+from cpes.cli import main  # noqa: E402
+
+M_VALUES = (0, 4, 16)
+DISTANCES = ("cos", "dot", "abs", "sqr")
+K_SHOTS = (1, 3)
+
+
+def run(argv: list[str]) -> None:
+    if main(argv) != 0:
+        raise SystemExit(f"failed: cpes {' '.join(argv)}")
+
+
+def gen_synthetic(cfg, out: Path) -> None:
+    run(
+        [
+            "gen-synthetic",
+            "--classes", str(cfg.class_count),
+            "--records-per-class", str(cfg.records_per_class),
+            "--dim", str(cfg.dim),
+            "--patches", str(cfg.patches),
+            "--signal-patches", str(cfg.signal_patches),
+            "--signal-noise", repr(cfg.signal_noise),
+            "--distractors", str(cfg.distractor_pool_size),
+            "--distractor-noise", repr(cfg.distractor_noise),
+            "--seed", str(cfg.seed),
+            "--out", str(out),
+        ]
+    )
+
+
+def main_grid(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train_store, eval_store = out_dir / "train.cpem", out_dir / "eval.cpem"
+    gen_synthetic(SWEEP_TRAIN_CFG, train_store)
+    gen_synthetic(SWEEP_EVAL_CFG, eval_store)
+    for m in M_VALUES:
+        for distance in DISTANCES:
+            for k_shot in K_SHOTS:
+                name = out_dir / f"m{m}_{distance}_k{k_shot}"
+                flags = ["--m", str(m), "--distance", distance, "--k-shot", str(k_shot)]
+                run(
+                    ["train", "--store", str(train_store), "--out", f"{name}.cpeh",
+                     "--log", f"{name}.log.json"] + flags
+                )
+                run(
+                    ["eval", "--store", str(eval_store), "--checkpoint", f"{name}.cpeh",
+                     "--out", f"{name}.report.json"] + flags
+                )
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="directory for the grid's files")
+    main_grid(parser.parse_args().out_dir)
