@@ -1,64 +1,63 @@
 """Command-line surface.
 
 Subcommands: gen-synthetic, train, eval, sweep-m, sweep-distance,
-export-masks, inspect-store. Any flag may also come from a JSON config
-file (--config); explicit flags win. Exit codes: 0 success, 2 validation
-error or a size too large to allocate, 3 I/O or file-format error.
+export-masks, inspect-store. Any optional flag may also come from a JSON
+config file (--config); explicit flags win. Exit codes: 0 success, 2
+validation error or a size too large to allocate, 3 I/O or file-format
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import sys
 import time
+import typing
 from pathlib import Path
 
 from .errors import CpesError, StoreFormatError
 from .harness import RunConfig, evaluate, export_masks, sweep, train
-from .scoring import OptimizerConfig, ScheduleKind, load_head, save_head
+from .scoring import load_head, save_head
 from .selection import DistanceKind
 from .store import SyntheticConfig, generate_synthetic, read_store, write_store
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-way", type=int, default=5)
-    p.add_argument("--k-shot", type=int, default=1)
-    p.add_argument("--queries", type=int, default=15, help="queries per class")
-    p.add_argument("--m", type=int, default=None, help="selected patches per image")
-    p.add_argument("--distance", choices=[k.value for k in DistanceKind], default="cos")
-    p.add_argument("--tasks", type=int, default=1000, help="evaluation task count")
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--episodes-per-epoch", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lr-floor", type=float, default=1e-6)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument(
-        "--schedule", choices=[k.value for k in ScheduleKind], default="cosine"
-    )
+def _fields(cls):
+    """(field, type) of each field of a config dataclass; m's int | None is int."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        yield f, next((k for k in typing.get_args(kind) if k is not type(None)), kind)
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        n_way=args.n_way,
-        k_shot=args.k_shot,
-        queries_per_class=args.queries,
-        m=args.m,
-        distance=DistanceKind(args.distance),
-        epochs=args.epochs,
-        episodes_per_epoch=args.episodes_per_epoch,
-        eval_tasks=args.tasks,
-        base_seed=args.seed,
-        hidden_dim=args.hidden,
-        optimizer=OptimizerConfig(
-            learning_rate=args.lr,
-            lr_floor=args.lr_floor,
-            weight_decay=args.weight_decay,
-            schedule=ScheduleKind(args.schedule),
-        ),
-    )
+def _add_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
+    """The flag and default each field of ``cls`` (or each in ``names``) declares,
+    nested configs' included; an enum field's flag takes the enum's values."""
+    for f, kind in _fields(cls):
+        if dataclasses.is_dataclass(kind):
+            _add_flags(p, kind, names)
+        elif "flag" in f.metadata and (names is None or f.name in names):
+            if issubclass(kind, enum.Enum):
+                parse = dict(choices=[k.value for k in kind], default=f.default.value)
+            else:
+                parse = dict(type=kind, default=f.default)
+            p.add_argument(f.metadata["flag"], help=f.metadata["help"], **parse)
+
+
+def _config(cls, args: argparse.Namespace):
+    """``cls`` from the parsed flags of its fields, read by argparse dest; a
+    field whose flag the subcommand lacks keeps its default."""
+    values = {}
+    for f, kind in _fields(cls):
+        if dataclasses.is_dataclass(kind):
+            values[f.name] = _config(kind, args)
+        elif "flag" in f.metadata:
+            value = getattr(args, f.metadata["flag"][2:].replace("-", "_"), f.default)
+            values[f.name] = kind(value) if issubclass(kind, enum.Enum) else value
+    return cls(**values)
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,48 +72,39 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="generate a planted-signal store")
-    p.add_argument("--classes", type=int, default=20)
-    p.add_argument("--records-per-class", type=int, default=30)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--patches", type=int, default=16)
-    p.add_argument("--signal-patches", type=int, default=4)
-    p.add_argument("--signal-noise", type=float, default=0.3)
-    p.add_argument("--distractors", type=int, default=8)
-    p.add_argument("--distractor-noise", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, SyntheticConfig)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("train", help="train the MLP head on a store")
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--out", type=str, required=True, help="checkpoint path")
     p.add_argument("--log", type=str, default=None, help="training log path")
-    _add_run_flags(p)
+    _add_flags(p, RunConfig)
 
     p = sub.add_parser("eval", help="episodic evaluation of a trained head")
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--out", type=str, default=None, help="report JSON path")
-    _add_run_flags(p)
+    _add_flags(p, RunConfig)
 
     p = sub.add_parser("sweep-m", help="train+eval across selection sizes")
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--eval-store", type=str, default=None)
     p.add_argument("--values", type=_int_list, required=True, help="e.g. 0,2,4,8,16")
     p.add_argument("--out", type=str, default=None)
-    _add_run_flags(p)
+    _add_flags(p, RunConfig)
 
     p = sub.add_parser("sweep-distance", help="train+eval across ranking functions")
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--eval-store", type=str, default=None)
     p.add_argument("--kinds", type=str, default="cos,dot,abs,sqr")
     p.add_argument("--out", type=str, default=None)
-    _add_run_flags(p)
+    _add_flags(p, RunConfig)
 
     p = sub.add_parser("export-masks", help="write selection masks for records")
     p.add_argument("--store", type=str, required=True)
     p.add_argument("--records", type=_int_list, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--distance", choices=[k.value for k in DistanceKind], default="cos")
+    _add_flags(p, RunConfig, names=("m", "distance"))
     p.add_argument("--out", type=str, required=True, help="output directory")
 
     p = sub.add_parser("inspect-store", help="print store header and class counts")
@@ -125,8 +115,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a --config JSON file supplies subcommand defaults, so
-    explicit flags override it."""
+    """Parse argv; a --config JSON object's entries enter as flags ahead of
+    argv, so each gets its flag's type and choices checks and argv wins."""
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
@@ -134,27 +124,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     values = json.loads(Path(args.config).read_text())
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    # "command" is the subcommand itself, not a flag a default could fill
-    unknown = set(values) - (set(vars(args)) - {"command"})
+    actions = {a.dest: a for a in subparsers[args.command]._actions if a.dest in vars(args)}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    subparsers[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
+    tokens = [
+        f"{actions[key].option_strings[0]}={v if isinstance(v, str) else json.dumps(v)}"
+        for key, v in values.items()
+        if not (v is None and actions[key].default is None)  # null keeps a null default
+    ]
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _cmd_gen_synthetic(args) -> int:
-    cfg = SyntheticConfig(
-        class_count=args.classes,
-        records_per_class=args.records_per_class,
-        dim=args.dim,
-        patches=args.patches,
-        signal_patches=args.signal_patches,
-        signal_noise=args.signal_noise,
-        distractor_pool_size=args.distractors,
-        distractor_noise=args.distractor_noise,
-        seed=args.seed,
-    )
-    store = generate_synthetic(cfg)
+    store = generate_synthetic(_config(SyntheticConfig, args))
     n = write_store(store, args.out)
     print(f"wrote {len(store)} records ({n} bytes) to {args.out}")
     return 0
@@ -162,7 +145,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_train(args) -> int:
     store = read_store(args.store)
-    cfg = _run_config(args)
+    cfg = _config(RunConfig, args)
     head, log = train(store, cfg)
     save_head(head, args.out)
     log_path = args.log or args.out + ".log.json"
@@ -179,7 +162,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     store = read_store(args.store)
-    cfg = _run_config(args)
+    cfg = _config(RunConfig, args)
     head = load_head(args.checkpoint)
     start = time.perf_counter()
     report = evaluate(head, store, cfg)
@@ -200,7 +183,7 @@ def _cmd_sweep(args) -> int:
         axis, values = "m", args.values
     else:
         axis, values = "distance", [DistanceKind(tok) for tok in args.kinds.split(",") if tok]
-    report = sweep(train_store, eval_store, _run_config(args), axis, values)
+    report = sweep(train_store, eval_store, _config(RunConfig, args), axis, values)
     print(report.table())
     if args.out:
         Path(args.out).write_text(report.to_json())
@@ -209,8 +192,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_masks(args) -> int:
     store = read_store(args.store)
-    cfg = RunConfig(m=args.m, distance=DistanceKind(args.distance))
-    for path in export_masks(store, cfg, args.records, args.out):
+    for path in export_masks(store, _config(RunConfig, args), args.records, args.out):
         print(path)
     return 0
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy for the cpes package."""
+"""Exception hierarchy for the cpes package, and the config field table."""
+
+import dataclasses
+import math
 
 
 class CpesError(Exception):
@@ -23,6 +26,24 @@ class SelectionOutOfRange(CpesError):
 
 class InfeasibleConfig(CpesError):
     pass
+
+
+def setting(default, flag: str, least=None, help: str | None = None):
+    """A config field with its default, its CLI flag (whose argparse dest is
+    also its --config key) and its least valid value, declared once."""
+    return dataclasses.field(default=default, metadata=dict(flag=flag, least=least, help=help))
+
+
+def check_settings(config) -> None:
+    """Raise InfeasibleConfig for the first field of a config, nested configs
+    included, below its declared least value; a float must also be finite."""
+    for f in dataclasses.fields(config):
+        value, least = getattr(config, f.name), f.metadata.get("least")
+        if dataclasses.is_dataclass(value):
+            check_settings(value)
+        elif least is not None and not least <= value < math.inf:
+            finite = "finite and " if isinstance(value, float) else ""
+            raise InfeasibleConfig(f"{f.name} must be {finite}>= {least}, got {value}")
 
 
 class InsufficientClasses(CpesError):
@@ -67,4 +88,4 @@ class TrailingBytes(StoreFormatError):
 
 class InvalidRecord(StoreFormatError):
     """A record over 2 GiB, a label >= class_count, a ground-truth index >= M
-    or a repeated record id."""
+    or repeated within a record, or a repeated record id."""

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .episodes import Episode, sample_episode
-from .errors import InfeasibleConfig, UnknownRecord
+from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
 from .numerics import derive_seed, rng_split
 from .scoring import (
     MlpHead,
@@ -43,38 +43,21 @@ from .store import EmbeddingStore
 # stream tags for namespacing the base seed (evaluation uses it directly)
 _TRAIN_STREAM = 1
 _HEAD_INIT_STREAM = 2
-# smallest valid value of each RunConfig count; epochs=0 returns the initial head
-_MIN_SIZES = dict(
-    n_way=1, k_shot=1, queries_per_class=1, hidden_dim=1, epochs=0, episodes_per_epoch=1,
-    eval_tasks=1,
-)
 
 
 @dataclass
 class RunConfig:
-    n_way: int = 5
-    k_shot: int = 1
-    queries_per_class: int = 15
-    m: int | None = None  # None: resolved per store, see resolve_m
-    distance: DistanceKind = DistanceKind.COS
-    epochs: int = 3
-    episodes_per_epoch: int = 50
-    eval_tasks: int = 1000
-    base_seed: int = 0
-    hidden_dim: int = 64
+    n_way: int = setting(5, "--n-way", least=1)
+    k_shot: int = setting(1, "--k-shot", least=1)
+    queries_per_class: int = setting(15, "--queries", least=1, help="queries per class")
+    m: int | None = setting(None, "--m", help="selected patches per image")  # None: see resolve_m
+    distance: DistanceKind = setting(DistanceKind.COS, "--distance")
+    epochs: int = setting(3, "--epochs", least=0)  # 0 returns the initial head
+    episodes_per_epoch: int = setting(50, "--episodes-per-epoch", least=1)
+    eval_tasks: int = setting(1000, "--tasks", least=1, help="evaluation task count")
+    base_seed: int = setting(0, "--seed")
+    hidden_dim: int = setting(64, "--hidden", least=1)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-    def validate(self) -> None:
-        """Reject the sizes the episode engine cannot shape its arrays from,
-        run lengths that would train or evaluate nothing, and optimizer
-        settings that would make every step non-finite or climb the loss."""
-        for name, least in _MIN_SIZES.items():
-            if getattr(self, name) < least:
-                raise InfeasibleConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("learning_rate", "lr_floor", "weight_decay"):
-            value = getattr(self.optimizer, name)
-            if not 0 <= value < math.inf:
-                raise InfeasibleConfig(f"{name} must be finite and >= 0, got {value}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -132,15 +115,18 @@ class SweepReport:
 
 
 def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
-    """Validate cfg; then the selection size cfg.m, or by default the planted
-    signal count on synthetic stores and 96 (capped at M) otherwise."""
-    cfg.validate()
+    """Check cfg's settings; then the selection size cfg.m, or by default the
+    planted signal count every record shares and 96 (capped at M) otherwise."""
+    check_settings(cfg)
     if cfg.m is not None:
         if not 0 <= cfg.m <= store.patches_m:
             raise ValueError(f"m must be in [0, {store.patches_m}], got {cfg.m}")
         return cfg.m
     if store.ground_truth:
-        return len(store.ground_truth[0])
+        counts = sorted({len(planted) for planted in store.ground_truth})
+        if len(counts) > 1:
+            raise InfeasibleConfig(f"records plant {counts} signal patches; pass --m")
+        return counts[0]
     return min(96, store.patches_m)
 
 
@@ -226,8 +212,17 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
         losses: list[float] = []
         accuracies: list[float] = []
         for episode, scores in itertools.islice(episodes, cfg.episodes_per_epoch):
-            loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
-            head = optimizer_step(head, grads, opt)
+            try:
+                # settings that grow the head past float64 range stop here, not as NaN later
+                with np.errstate(over="raise", invalid="raise"):
+                    loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+                    head = optimizer_step(head, grads, opt)
+            except FloatingPointError:
+                step = epoch * cfg.episodes_per_epoch + len(losses) + 1
+                raise InfeasibleConfig(
+                    f"optimizer settings overflow the head at step {step}: learning_rate "
+                    f"{opt.learning_rate}, lr_floor {opt.lr_floor}, weight_decay {opt.weight_decay}"
+                ) from None
             losses.append(float(np.mean(loss)))
             accuracies.append(_accuracy(probs, episode))
         log.append(

@@ -16,7 +16,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue, StoreFormatError
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue, StoreFormatError, setting
 from .numerics import Rng64, cross_entropy, softmax, unit_rows
 from .store import _read_header, _reject_trailing, _require
 
@@ -42,13 +42,13 @@ class ScheduleKind(enum.Enum):
 
 @dataclass
 class OptimizerConfig:
-    learning_rate: float = 1e-3
+    learning_rate: float = setting(1e-3, "--lr", least=0)
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.01
-    schedule: ScheduleKind = ScheduleKind.COSINE
-    lr_floor: float = 1e-6
+    weight_decay: float = setting(0.01, "--weight-decay", least=0)
+    schedule: ScheduleKind = setting(ScheduleKind.COSINE, "--schedule")
+    lr_floor: float = setting(1e-6, "--lr-floor", least=0)
     total_steps: int = 1
 
     def lr_at(self, t: int) -> float:

@@ -15,7 +15,6 @@ float64 and write/read round trips exactly.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +30,8 @@ from .errors import (
     TrailingBytes,
     TruncatedFile,
     UnsupportedVersion,
+    check_settings,
+    setting,
 )
 from .numerics import Rng64, rng_split
 
@@ -100,26 +101,24 @@ class SyntheticConfig:
     of selection is controlled by the two noise scales.
     """
 
-    class_count: int
-    records_per_class: int
-    dim: int
-    patches: int
-    signal_patches: int
-    signal_noise: float
-    distractor_pool_size: int
-    distractor_noise: float
-    seed: int
+    class_count: int = setting(20, "--classes", least=1)
+    records_per_class: int = setting(30, "--records-per-class", least=1)
+    dim: int = setting(32, "--dim", least=1)
+    patches: int = setting(16, "--patches", least=1)
+    signal_patches: int = setting(4, "--signal-patches")
+    signal_noise: float = setting(0.3, "--signal-noise", least=0)
+    distractor_pool_size: int = setting(8, "--distractors", least=0)
+    distractor_noise: float = setting(0.3, "--distractor-noise", least=0)
+    seed: int = setting(0, "--seed")
 
     def validate(self) -> None:
+        """The declared bounds, then the rules that involve two fields."""
+        check_settings(self)
         # each of a record's M - s distractor patches is drawn from the pool
-        least = dict(class_count=1, records_per_class=1, dim=1, patches=1)
-        least["distractor_pool_size"] = int(self.signal_patches < self.patches)
-        for name, low in least.items():
-            if getattr(self, name) < low:
-                raise InfeasibleConfig(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("signal_noise", "distractor_noise"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InfeasibleConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.signal_patches < self.patches and self.distractor_pool_size < 1:
+            raise InfeasibleConfig(
+                f"distractor_pool_size must be >= 1, got {self.distractor_pool_size}"
+            )
         if not 1 <= self.signal_patches <= self.patches:
             raise InfeasibleConfig("signal_patches must be in [1, patches]")
         if self.distractor_pool_size + self.class_count > self.dim:
@@ -210,6 +209,8 @@ def read_store(source) -> EmbeddingStore:
             end += 2 + 2 * s
         bad = [max(gt, default=-1) >= patches_m for gt in store.ground_truth]
         reject(InvalidRecord, np.array(bad), f"has a ground-truth index >= {patches_m} patches")
+        repeats = [len(set(gt)) < len(gt) for gt in store.ground_truth]
+        reject(InvalidRecord, np.array(repeats), "repeats a ground-truth index")
     _reject_trailing(data, end)
     return store
 

@@ -1,10 +1,12 @@
+import argparse
 import json
 import struct
 
 import pytest
 
-from cpes.cli import _build_parser, _int_list, main
-from cpes.store import read_store
+from cpes.cli import _build_parser, _config, _int_list, main
+from cpes.harness import RunConfig
+from cpes.store import SyntheticConfig, read_store
 
 GEN = [
     "gen-synthetic",
@@ -145,6 +147,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert field in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lr", "1e12"],
+            ["--weight-decay", "1e12"],
+            ["--lr-floor", "1e12"],
+            ["--lr", "1e300", "--weight-decay", "0"],
+        ],
+    )
+    def test_overflowing_optimizer_settings_is_2(self, store_path, tmp_path, capsys, flags):
+        """Each overflows the head within 20 steps: one error line naming
+        the settings and the step, where numpy's warnings came first."""
+        ckpt = tmp_path / "h.cpeh"
+        argv = ["train", "--store", str(store_path), "--out", str(ckpt)] + RUN
+        assert main(argv + ["--episodes-per-epoch", "40"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimizer settings overflow the head at step ")
+        assert len(err.splitlines()) == 1
+        assert all(name in err for name in ("learning_rate", "lr_floor", "weight_decay"))
         assert not ckpt.exists()
 
     def test_eval_zero_tasks_is_2(self, store_path, tmp_path, capsys):
@@ -341,6 +364,43 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads((tmp_path / "r.json").read_text())["task_count"] == 4
 
+    @pytest.mark.parametrize(
+        "command,values,flag",
+        [
+            ("train", {"m": 2.5}, "--m"),
+            ("train", {"hidden": 8.0}, "--hidden"),
+            ("train", {"n_way": True}, "--n-way"),
+            ("train", {"seed": 1.5}, "--seed"),
+            ("train", {"lr": [1]}, "--lr"),
+            ("train", {"epochs": None}, "--epochs"),
+            ("gen-synthetic", {"classes": 3.0}, "--classes"),
+        ],
+    )
+    def test_wrong_json_type_fails_as_its_flag(
+        self, store_path, tmp_path, capsys, command, values, flag
+    ):
+        """A config value goes through its flag's own type check, so it
+        fails as the same value would on the command line."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        store = ["--store", str(store_path)] if command == "train" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out), "--config", str(cfg)] + store)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_keeps_a_null_default(self, store_path, tmp_path):
+        """null stands for a flag left out, where the flag's default is null."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"m": None, "log": None, "n_way": 3, "queries": 2,
+                                   "epochs": 1, "episodes_per_epoch": 2, "hidden": 8}))
+        ckpt = tmp_path / "h.cpeh"
+        argv = ["train", "--store", str(store_path), "--out", str(ckpt), "--config", str(cfg)]
+        assert main(argv) == 0
+        assert (tmp_path / "h.cpeh.log.json").exists()
+
     def test_unknown_config_key_is_2(self, store_path, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"warp_factor": 9}))
@@ -348,6 +408,113 @@ class TestConfigFile:
                    "--config", str(cfg)])
         assert rc == 2
         assert "warp_factor" in capsys.readouterr().err
+
+
+# per argparse dest, which is also the --config key: option strings, default,
+# type, choices and whether it is required
+COMMON_SURFACE = {
+    "help": (("-h", "--help"), argparse.SUPPRESS, None, None, False),
+    "config": (("--config",), None, str, None, False),
+}
+RUN_SURFACE = {
+    "n_way": (("--n-way",), 5, int, None, False),
+    "k_shot": (("--k-shot",), 1, int, None, False),
+    "queries": (("--queries",), 15, int, None, False),
+    "m": (("--m",), None, int, None, False),
+    "distance": (("--distance",), "cos", None, ["cos", "dot", "abs", "sqr"], False),
+    "tasks": (("--tasks",), 1000, int, None, False),
+    "epochs": (("--epochs",), 3, int, None, False),
+    "episodes_per_epoch": (("--episodes-per-epoch",), 50, int, None, False),
+    "seed": (("--seed",), 0, int, None, False),
+    "hidden": (("--hidden",), 64, int, None, False),
+    "lr": (("--lr",), 1e-3, float, None, False),
+    "lr_floor": (("--lr-floor",), 1e-6, float, None, False),
+    "weight_decay": (("--weight-decay",), 0.01, float, None, False),
+    "schedule": (("--schedule",), "cosine", None, ["constant", "cosine"], False),
+}
+STORE = {"store": (("--store",), None, str, None, True)}
+EVAL_STORE = {"eval_store": (("--eval-store",), None, str, None, False)}
+SURFACE = {
+    "gen-synthetic": {
+        "classes": (("--classes",), 20, int, None, False),
+        "records_per_class": (("--records-per-class",), 30, int, None, False),
+        "dim": (("--dim",), 32, int, None, False),
+        "patches": (("--patches",), 16, int, None, False),
+        "signal_patches": (("--signal-patches",), 4, int, None, False),
+        "signal_noise": (("--signal-noise",), 0.3, float, None, False),
+        "distractors": (("--distractors",), 8, int, None, False),
+        "distractor_noise": (("--distractor-noise",), 0.3, float, None, False),
+        "seed": (("--seed",), 0, int, None, False),
+        "out": (("--out",), None, str, None, True),
+    },
+    "train": {
+        **STORE,
+        "out": (("--out",), None, str, None, True),
+        "log": (("--log",), None, str, None, False),
+        **RUN_SURFACE,
+    },
+    "eval": {
+        **STORE,
+        "checkpoint": (("--checkpoint",), None, str, None, True),
+        "out": (("--out",), None, str, None, False),
+        **RUN_SURFACE,
+    },
+    "sweep-m": {
+        **STORE,
+        **EVAL_STORE,
+        "values": (("--values",), None, _int_list, None, True),
+        "out": (("--out",), None, str, None, False),
+        **RUN_SURFACE,
+    },
+    "sweep-distance": {
+        **STORE,
+        **EVAL_STORE,
+        "kinds": (("--kinds",), "cos,dot,abs,sqr", str, None, False),
+        "out": (("--out",), None, str, None, False),
+        **RUN_SURFACE,
+    },
+    "export-masks": {
+        **STORE,
+        "records": (("--records",), None, _int_list, None, True),
+        "m": RUN_SURFACE["m"],
+        "distance": RUN_SURFACE["distance"],
+        "out": (("--out",), None, str, None, True),
+    },
+    "inspect-store": STORE,
+}
+# the fewest flags each subcommand that builds a config parses
+MINIMAL_ARGV = {
+    "gen-synthetic": ["--out", "s.cpem"],
+    "train": ["--store", "s.cpem", "--out", "h.cpeh"],
+    "eval": ["--store", "s.cpem", "--checkpoint", "h.cpeh"],
+    "sweep-m": ["--store", "s.cpem", "--values", "0,4"],
+    "sweep-distance": ["--store", "s.cpem"],
+    "export-masks": ["--store", "s.cpem", "--records", "0", "--out", "masks"],
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_every_action_pinned(self, command):
+        """Renaming a flag's dest would silently rename a --config key."""
+        _, subparsers = _build_parser()
+        assert sorted(subparsers) == sorted(SURFACE)
+        actions = subparsers[command]._actions
+        got = {
+            a.dest: (tuple(a.option_strings), a.default, a.type, a.choices, a.required)
+            for a in actions
+        }
+        assert len(got) == len(actions)
+        assert got == {**COMMON_SURFACE, **SURFACE[command]}
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_parsed_defaults_build_default_configs(self, command):
+        parser, _ = _build_parser()
+        args = parser.parse_args([command] + MINIMAL_ARGV[command])
+        if command == "gen-synthetic":
+            assert _config(SyntheticConfig, args) == SyntheticConfig()
+        else:
+            assert _config(RunConfig, args) == RunConfig()
 
 
 # every numeric flag of every subcommand is set, one at a time, to each of these

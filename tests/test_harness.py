@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpes.errors import UnknownRecord
+from cpes.errors import InfeasibleConfig, UnknownRecord
 from cpes.harness import (
     RunConfig,
     evaluate,
@@ -166,6 +166,13 @@ class TestResolveM:
         assert resolve_m(store, quick_cfg(m=None)) == 96
         small = store_from_records(4, 10, 0, [])
         assert resolve_m(small, quick_cfg(m=None)) == 10
+
+    def test_unequal_planted_counts_need_m(self):
+        recs = [EmbeddingRecord(i, 0, np.ones(2), np.ones((3, 2))) for i in range(2)]
+        store = store_from_records(2, 3, 1, recs, [(0,), (0, 2)])
+        with pytest.raises(InfeasibleConfig, match=r"plant \[1, 2\] signal patches; pass --m"):
+            resolve_m(store, quick_cfg(m=None))
+        assert resolve_m(store, quick_cfg(m=2)) == 2
 
     def test_m_too_large_rejected(self, small_store):
         for m in (17, -1):

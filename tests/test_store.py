@@ -182,6 +182,11 @@ class TestBoundaryValidation:
         with pytest.raises(InvalidRecord, match="record 1"):
             read_store(io.BytesIO(data))
 
+    def test_repeated_ground_truth_index_rejected(self):
+        data = store_bytes([plain_record(0), plain_record(1)], ground_truth=[(0, 2), (2, 2, 2)])
+        with pytest.raises(InvalidRecord, match="record 1 repeats a ground-truth index"):
+            read_store(io.BytesIO(data))
+
     def test_duplicate_record_ids_rejected(self):
         data = store_bytes([plain_record(5), plain_record(6), plain_record(5)])
         with pytest.raises(InvalidRecord, match="not unique"):

@@ -4,8 +4,11 @@ Generates the two frozen sweep stores of ``tests/conftest.py`` with
 ``cpes gen-synthetic``, then runs ``cpes train`` and ``cpes eval`` at their
 default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
 keeping every store, checkpoint, training log and report under OUT_DIR.
-Everything goes through ``cpes.cli.main``, so the cpes imported is the one
-on PYTHONPATH. To check that a change moves no result:
+It also writes a store of every gen-synthetic default, the selection masks
+of records 0-5 of the train store (m=4, cos), and a checkpoint and log
+trained from a ``--config`` JSON file. Everything goes through
+``cpes.cli.main``, so the cpes imported is the one on PYTHONPATH. To check
+that a change moves no result:
 
     PYTHONPATH=/path/to/parent/src python3 tools/grid_outputs.py out-parent
     PYTHONPATH=src python3 tools/grid_outputs.py out-change
@@ -13,6 +16,7 @@ on PYTHONPATH. To check that a change moves no result:
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -25,6 +29,11 @@ from cpes.cli import main  # noqa: E402
 M_VALUES = (0, 4, 16)
 DISTANCES = ("cos", "dot", "abs", "sqr")
 K_SHOTS = (1, 3)
+# JSON config of the --config run: a value of every type its flags take
+CONFIG_RUN = {
+    "m": 4, "distance": "sqr", "k_shot": 3, "epochs": 2, "episodes_per_epoch": 20,
+    "seed": 3, "hidden": 32, "lr": 0.002, "weight_decay": 0.0, "schedule": "constant",
+}
 
 
 def run(argv: list[str]) -> None:
@@ -55,6 +64,13 @@ def main_grid(out_dir: Path) -> None:
     train_store, eval_store = out_dir / "train.cpem", out_dir / "eval.cpem"
     gen_synthetic(SWEEP_TRAIN_CFG, train_store)
     gen_synthetic(SWEEP_EVAL_CFG, eval_store)
+    run(["gen-synthetic", "--out", str(out_dir / "defaults.cpem")])
+    run(["export-masks", "--store", str(train_store), "--records", "0,1,2,3,4,5", "--m", "4",
+         "--distance", "cos", "--out", str(out_dir / "masks")])
+    config = out_dir / "config_run.json"
+    config.write_text(json.dumps(CONFIG_RUN))
+    run(["train", "--store", str(train_store), "--out", str(out_dir / "config_run.cpeh"),
+         "--config", str(config)])
     for m in M_VALUES:
         for distance in DISTANCES:
             for k_shot in K_SHOTS:
