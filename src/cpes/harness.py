@@ -248,7 +248,8 @@ def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport
         lambda episode, scores: _accuracy(class_probabilities(head, scores), episode),
         _episodes(store, cfg, m, cfg.base_seed, cfg.eval_tasks),
     ))
-    return EvalReport(per_task, *mean_and_ci95(per_task), cfg.echo())
+    echo = replace(cfg, hidden_dim=head.hidden_dim).echo()  # the checkpoint's, not the flag's
+    return EvalReport(per_task, *mean_and_ci95(per_task), echo)
 
 
 def mean_and_ci95(per_task: list[float]) -> tuple[float, float]:

@@ -45,19 +45,13 @@ class Rng64:
         return _mix64(self.state)
 
     def _raw_block(self, n: int) -> np.ndarray:
-        # Vectorized equivalent of n next_u64() calls.
-        counters = np.uint64(self.state) + np.uint64(_GOLDEN) * np.arange(
-            1, n + 1, dtype=np.uint64
-        )
+        # n next_u64() calls at once: _mix64 on uint64 words, whose wrapping
+        # stands in for its masks (np.uint64 constants: no Python-int operands)
+        z = np.uint64(self.state) + np.uint64(_GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
         self.state = (self.state + n * _GOLDEN) & _MASK64
-        z = counters
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-    def uniform(self) -> float:
-        # 53-bit mantissa in [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
         return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -65,8 +59,8 @@ class Rng64:
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) raw draws."""
         pairs = (n + 1) // 2
-        # shift into (0, 1] so log() is always finite
-        u = ((self._raw_block(2 * pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        # shifted into (0, 1] so log() is finite; exact, as each is k * 2**-53 with k < 2**53
+        u = self.uniforms(2 * pairs) + 2.0**-53
         r = np.sqrt(-2.0 * np.log(u[:pairs]))
         theta = 2.0 * math.pi * u[pairs:]
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])

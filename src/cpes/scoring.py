@@ -11,17 +11,16 @@ import enum
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue, StoreFormatError, setting
 from .numerics import Rng64, cross_entropy, softmax, unit_rows
-from .store import _read_header, _reject_trailing, _require
+from .store import _read_header, _reject_trailing, _require, _write
 
 CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
+_HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
 
 
 def score_tensor(queries: np.ndarray, protos: np.ndarray) -> np.ndarray:
@@ -116,13 +115,11 @@ class MlpHead(_Group):
     @classmethod
     def initialize(cls, input_dim: int, hidden_dim: int, rng: Rng64) -> "MlpHead":
         """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer; zero moments."""
-        bound1 = 1.0 / math.sqrt(input_dim)
-        bound2 = 1.0 / math.sqrt(hidden_dim)
         head = cls(input_dim, hidden_dim, np.zeros((3, group_size(input_dim, hidden_dim))))
-        head.w1[:] = (rng.uniforms(head.w1.size) * 2 - 1).reshape(head.w1.shape) * bound1
-        head.b1[:] = (rng.uniforms(hidden_dim) * 2 - 1) * bound1
-        head.w2[:] = (rng.uniforms(hidden_dim) * 2 - 1) * bound2
-        head.b2 = (rng.uniform() * 2 - 1) * bound2
+        # one block of draws in group order: W1 and b1 (fan-in I), then W2 and b2 (fan-in H)
+        head.flat[:] = rng.uniforms(head.flat.size) * 2 - 1
+        head.flat[: -hidden_dim - 1] *= 1.0 / math.sqrt(input_dim)
+        head.flat[-hidden_dim - 1 :] *= 1.0 / math.sqrt(hidden_dim)
         return head
 
 
@@ -195,33 +192,29 @@ def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> Mlp
     return head
 
 
-def save_head(head: MlpHead, destination) -> None:
-    """Write a CPEH checkpoint (exact float64 round trip)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            save_head(head, fh)
-        return
-    buf: BinaryIO = destination
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<HII", CHECKPOINT_VERSION, head.input_dim, head.hidden_dim))
-    # through the buffer protocol: tobytes() would copy the whole state first
-    buf.write(memoryview(np.ascontiguousarray(head.state, "<f8")))
-    buf.write(struct.pack("<Q", head.step))
+def save_head(head: MlpHead, destination) -> int:
+    """Write a CPEH checkpoint (exact float64 round trip) to a path or a
+    binary sink; returns bytes written."""
+    header = (head.input_dim, head.hidden_dim)
+    chunks = [memoryview(np.ascontiguousarray(head.state, "<f8")), struct.pack("<Q", head.step)]
+    return _write(destination, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, header, chunks)
 
 
 def load_head(source) -> MlpHead:
     """Parse a CPEH path or binary source in one read, rejecting a head
     without inputs or hidden units, trailing bytes and non-finite
     parameters or moments."""
-    data, (input_dim, hidden) = _read_header(source, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "II")
+    data, start, (input_dim, hidden) = _read_header(
+        source, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER
+    )
     if input_dim == 0 or hidden == 0:
         raise StoreFormatError(f"empty checkpoint head: input_dim {input_dim}, hidden_dim {hidden}")
     size = group_size(input_dim, hidden)
-    end = 14 + 8 * 3 * size + 8  # the state, then the step counter
+    end = start + 8 * 3 * size + 8  # the state, then the step counter
     _require(data, end, "parameters")
     _reject_trailing(data, end)
     # one aligned, writable copy
-    state = np.frombuffer(data, "<f8", 3 * size, 14).astype(np.float64).reshape(3, size)
+    state = np.frombuffer(data, "<f8", 3 * size, start).astype(np.float64).reshape(3, size)
     if not np.all(np.isfinite(state)):
         raise NonFiniteValue("checkpoint contains NaN/Inf parameters or moments")
     (step,) = struct.unpack_from("<Q", data, end - 8)

@@ -2,8 +2,8 @@
 generator that plants known signal patches for recall evaluation.
 
 CPEM layout (little-endian):
-  magic "CPEM" | version u16 | flags u16 (bit0: ground-truth section)
-  | dim_d u32 | patches_m u32 | class_count u32 | record_count u64
+  magic "CPEM" | version u16 | flags u16 (bit0: ground-truth section; no
+  other bit) | dim_d u32 (>= 1) | patches_m u32 | class_count u32 | record_count u64
   | per record: record_id u64, label u32, class_embedding f32 x D,
     patch_embeddings f32 x (M*D)
   | optional ground-truth section: per record, s u16 then s x u16 indices.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import (
     InfeasibleConfig,
     InvalidRecord,
     NonFiniteValue,
+    StoreFormatError,
     TrailingBytes,
     TruncatedFile,
     UnsupportedVersion,
@@ -40,7 +40,8 @@ VERSION = 1
 # how strongly each distractor pool item leans toward one class's signal
 CONFUSER_WEIGHT = 0.7
 _FLAG_GROUND_TRUTH = 1
-HEADER_BYTES = 4 + 2 + 2 + 4 + 4 + 4 + 8  # magic, version, flags, D, M, C, count
+_HEADER = "HIIIQ"  # after the magic and u16 version: flags, D, M, C, record count
+HEADER_BYTES = 4 + struct.calcsize("<H" + _HEADER)
 # numpy cannot shape arrays of larger records: sub-array dimensions must fit a C int
 _MAX_RECORD_BYTES = 2**31
 
@@ -130,35 +131,40 @@ class SyntheticConfig:
 
 def write_store(store: EmbeddingStore, destination) -> int:
     """Serialize to CPEM. destination is a path or a binary sink; returns bytes written."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            return write_store(store, fh)
-    buf: BinaryIO = destination
     flags = _FLAG_GROUND_TRUTH if store.ground_truth is not None else 0
     body = np.empty(len(store), dtype=_record_dtype(store.dim_d, store.patches_m))
     for name in body.dtype.names:
         body[name] = getattr(store, name)
-    header = (VERSION, flags, store.dim_d, store.patches_m, store.class_count, len(store))
-    n = buf.write(MAGIC) + buf.write(struct.pack("<HHIIIQ", *header))
-    n += buf.write(body.tobytes())
-    if store.ground_truth is not None:
-        for indices in store.ground_truth:
-            n += buf.write(struct.pack(f"<H{len(indices)}H", len(indices), *indices))
-    return n
+    header = (flags, store.dim_d, store.patches_m, store.class_count, len(store))
+    planted = [struct.pack(f"<H{len(gt)}H", len(gt), *gt) for gt in store.ground_truth or ()]
+    return _write(destination, MAGIC, VERSION, _HEADER, header, [memoryview(body), *planted])
 
 
-def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, list]:
-    """Every byte of a path or binary source, in one read, and the ``fmt``
-    header fields after its magic and u16 version, both checked."""
+def _write(destination, magic: bytes, version: int, fmt: str, fields, chunks) -> int:
+    """Write magic, u16 version, the ``fmt`` header fields and each body chunk
+    (a buffer, so no array is copied first) to a path or a binary sink;
+    returns the bytes written."""
+    if isinstance(destination, (str, Path)):
+        with open(destination, "wb") as fh:
+            return _write(fh, magic, version, fmt, fields, chunks)
+    header = struct.pack("<H" + fmt, version, *fields)
+    return sum(destination.write(chunk) for chunk in [magic, header, *chunks])
+
+
+def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, int, list]:
+    """Every byte of a path or binary source, in one read, the offset where
+    its body starts, and the ``fmt`` header fields after its magic and u16
+    version, both checked."""
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     _require(data, 4, "magic")
     if data[:4] != magic:
         raise BadMagic(f"expected {magic!r}, found {data[:4]!r}")
-    _require(data, 4 + struct.calcsize("<H" + fmt), "header")
+    start = 4 + struct.calcsize("<H" + fmt)
+    _require(data, start, "header")
     found, *fields = struct.unpack_from("<H" + fmt, data, 4)
     if found != version:
         raise UnsupportedVersion(f"{magic.decode()} version {found}")
-    return data, fields
+    return data, start, fields
 
 
 def _require(data: bytes, end: int, what: str) -> None:
@@ -173,18 +179,22 @@ def _reject_trailing(data: bytes, end: int) -> None:
 
 def read_store(source) -> EmbeddingStore:
     """Parse a CPEM path or binary source in one read, into float32 views
-    of the bytes. Rejects a bad magic or version, a size other than the
-    header gives, non-finite embeddings and invalid records."""
-    data, (flags, dim_d, patches_m, class_count, record_count) = _read_header(
-        source, MAGIC, VERSION, "HIIIQ"
+    of the bytes. Rejects a bad magic, version, dim_d or flag bit, a size
+    other than the header gives, non-finite embeddings and invalid records."""
+    data, start, (flags, dim_d, patches_m, class_count, record_count) = _read_header(
+        source, MAGIC, VERSION, _HEADER
     )
+    if dim_d == 0:
+        raise StoreFormatError("CPEM dim_d 0: records need at least one embedding dimension")
+    if flags & ~_FLAG_GROUND_TRUTH:
+        raise StoreFormatError(f"CPEM flags {flags:#x} set a bit other than bit 0")
     itemsize = 12 + 4 * dim_d * (1 + patches_m)
     if itemsize >= _MAX_RECORD_BYTES:
         raise InvalidRecord(f"records of {itemsize} bytes (D={dim_d}, M={patches_m}) exceed 2 GiB")
-    end = HEADER_BYTES + record_count * itemsize
+    end = start + record_count * itemsize
     _require(data, end, f"the {record_count} records the header gives")
     dtype = _record_dtype(dim_d, patches_m)
-    body = np.frombuffer(data, dtype=dtype, count=record_count, offset=HEADER_BYTES)
+    body = np.frombuffer(data, dtype=dtype, count=record_count, offset=start)
     store = EmbeddingStore(dim_d, patches_m, class_count, *(body[name] for name in dtype.names))
 
     def reject(error, bad: np.ndarray, what: str) -> None:

@@ -351,3 +351,59 @@ def per_tensor_optimizer_step(head, grads, cfg):
         math.sqrt(v / bc2) + cfg.eps
     )
     return head
+
+
+# -- the counter RNG as Python ints ------------------------------------------
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = (z ^ (z >> 30)) * _MULTIPLIERS[0] & MASK64
+    z = (z ^ (z >> 27)) * _MULTIPLIERS[1] & MASK64
+    return z ^ (z >> 31)
+
+
+def unmix64(z: int) -> int:
+    """The inverse of mix64, which is a bijection: each xor-shift undone,
+    each odd product undone by the multiplier's inverse mod 2**64."""
+    z = _unshift(z, 31) * pow(_MULTIPLIERS[1], -1, 1 << 64) & MASK64
+    z = _unshift(z, 27) * pow(_MULTIPLIERS[0], -1, 1 << 64) & MASK64
+    return _unshift(z, 30)
+
+
+def _unshift(y: int, s: int) -> int:
+    """x from y = x ^ (x >> s); each pass recovers s more of x's top bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def state_before(output: int) -> int:
+    """The Rng64 state whose next output is ``output``."""
+    return (unmix64(output) - GOLDEN) & MASK64
+
+
+def outputs(state: int):
+    """The Rng64 outputs after ``state``: its Weyl counter through mix64."""
+    while True:
+        state = (state + GOLDEN) & MASK64
+        yield mix64(state)
+
+
+def sample_without_replacement(state: int, n: int, k: int) -> list[int]:
+    """Rng64.sample_without_replacement from ``state``: a partial Fisher-Yates
+    whose draw for slot i rejects outputs at or above the largest multiple
+    of n - i below 2**64."""
+    draws = outputs(state)
+    idx = list(range(n))
+    for i in range(k):
+        bound = n - i
+        limit = (1 << 64) - (1 << 64) % bound
+        j = i + next(x for x in draws if x < limit) % bound
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]

@@ -64,6 +64,17 @@ class TestRoundTrip:
         assert report["task_count"] == 10
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_report_echoes_the_checkpoint_hidden_dim(self, store_path, tmp_path):
+        ckpt, report = tmp_path / "head.cpeh", tmp_path / "report.json"
+        assert main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN) == 0
+        assert RUN[-2:] == ["--hidden", "8"]
+        rc = main(
+            ["eval", "--store", str(store_path), "--checkpoint", str(ckpt),
+             "--tasks", "2", "--out", str(report)] + RUN[:-2]
+        )
+        assert rc == 0
+        assert json.loads(report.read_text())["config"]["hidden_dim"] == 8
+
     def test_sweep_m(self, store_path, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         rc = main(
@@ -313,6 +324,25 @@ class TestExitCodes:
         bad = tmp_path / "bad_label.cpem"
         bad.write_bytes(bytes(data))
         assert main(["inspect-store", "--store", str(bad)]) == 3
+
+    @pytest.mark.parametrize(
+        "flags,dim,named,valid", [(0, 0, "dim_d 0", "flags"), (5, 24, "flags 0x5", "dim_d")]
+    )
+    def test_undefined_store_header_is_3(self, tmp_path, capsys, flags, dim, named, valid):
+        """A store with no embedding dimension trained and evaluated to exactly
+        chance, and undefined flag bits were ignored."""
+        header = b"CPEM" + struct.pack("<HHIIIQ", 1, flags, dim, 9, 4, 40)
+        records = b"".join(struct.pack("<QI", i, i % 4) + bytes(4 * dim * 10) for i in range(40))
+        planted = struct.pack("<HH", 1, 0) * 40 if flags & 1 else b""
+        bad = tmp_path / "bad_header.cpem"
+        bad.write_bytes(header + records + planted)
+        rc = main(["train", "--store", str(bad), "--out", str(tmp_path / "h.cpeh")] + RUN)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        # the line names the field at fault, not the valid one
+        assert named in err and valid not in err
+        assert not (tmp_path / "h.cpeh").exists()
 
     def test_missing_file_is_3(self, tmp_path, capsys):
         rc = main(["inspect-store", "--store", str(tmp_path / "nope.cpem")])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,16 @@ from cpes.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
 from cpes.numerics import Rng64, cross_entropy, rng_split, softmax
 from cpes.scoring import score_tensor
 from cpes.selection import DistanceKind, similarity_sequence
-from oracles import cosine
+from oracles import (
+    GOLDEN,
+    MASK64,
+    cosine,
+    mix64,
+    outputs,
+    sample_without_replacement,
+    state_before,
+    unmix64,
+)
 
 # First ten outputs of rng_split(20260826, 0), recorded at first
 # implementation; any change here is a cross-platform reproducibility break.
@@ -165,6 +175,26 @@ class TestRng:
         b = Rng64(12345)
         block = a._raw_block(17)
         assert [int(x) for x in block] == [b.next_u64() for _ in range(17)]
+
+    def test_finalizer_inverse(self):
+        g = rng_split(6, 0)
+        for x in [0, 1, MASK64] + [g.next_u64() for _ in range(200)]:
+            assert unmix64(mix64(x)) == x == mix64(unmix64(x))
+        assert list(itertools.islice(outputs(rng_split(20260826, 0).state), 10)) == RNG_GOLDEN
+
+    @pytest.mark.parametrize("n", [3, 15, 30])
+    def test_rejected_draw_is_discarded(self, n):
+        """2**64 - 1 is at or above randint's limit for these n, so a draw
+        that meets it takes the next output instead: exactly two outputs."""
+        state = state_before(MASK64)
+        top, following = itertools.islice(outputs(state), 2)
+        assert top == MASK64 >= (1 << 64) - (1 << 64) % n
+        g = Rng64(state)
+        assert g.randint(n) == following % n
+        assert g.state == (state + 2 * GOLDEN) & MASK64
+        for k in (1, n):
+            expected = sample_without_replacement(state, n, k)
+            assert Rng64(state).sample_without_replacement(n, k) == expected
 
     def test_uniform_range(self):
         g = rng_split(4, 0)

@@ -187,6 +187,23 @@ class TestBoundaryValidation:
         with pytest.raises(InvalidRecord, match="record 1 repeats a ground-truth index"):
             read_store(io.BytesIO(data))
 
+    def test_header_without_embedding_dimension_rejected(self):
+        recs = [EmbeddingRecord(i, i % 4, np.ones(0), np.ones((3, 0))) for i in range(40)]
+        with pytest.raises(StoreFormatError, match="dim_d 0"):
+            read_store(io.BytesIO(store_bytes(recs, class_count=4, dim=0)))
+
+    @pytest.mark.parametrize("flags", [2, 5, 0x8001])
+    def test_undefined_flag_bit_rejected(self, flags):
+        data = bytearray(store_bytes([plain_record(0)], ground_truth=[(1,)] if flags & 1 else None))
+        data[6:8] = struct.pack("<H", flags)
+        with pytest.raises(StoreFormatError, match=f"flags {flags:#x}"):
+            read_store(io.BytesIO(bytes(data)))
+
+    def test_store_of_class_embeddings_only_accepted(self):
+        recs = [EmbeddingRecord(i, i % 2, np.ones(2), np.ones((0, 2))) for i in range(4)]
+        store = read_store(io.BytesIO(store_bytes(recs, patches=0)))
+        assert store.patch_embeddings.shape == (4, 0, 2)
+
     def test_duplicate_record_ids_rejected(self):
         data = store_bytes([plain_record(5), plain_record(6), plain_record(5)])
         with pytest.raises(InvalidRecord, match="not unique"):

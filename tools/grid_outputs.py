@@ -6,9 +6,10 @@ default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
 keeping every store, checkpoint, training log and report under OUT_DIR.
 It also writes a store of every gen-synthetic default, the selection masks
 of records 0-5 of the train store (m=4, cos), and a checkpoint and log
-trained from a ``--config`` JSON file. Everything goes through
-``cpes.cli.main``, so the cpes imported is the one on PYTHONPATH. To check
-that a change moves no result:
+trained from a ``--config`` JSON file, and the JSON reports of a short
+``sweep-m`` and ``sweep-distance`` over the two sweep stores. Everything
+goes through ``cpes.cli.main``, so the cpes imported is the one on
+PYTHONPATH. To check that a change moves no result:
 
     PYTHONPATH=/path/to/parent/src python3 tools/grid_outputs.py out-parent
     PYTHONPATH=src python3 tools/grid_outputs.py out-change
@@ -16,6 +17,7 @@ that a change moves no result:
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -34,6 +36,8 @@ CONFIG_RUN = {
     "m": 4, "distance": "sqr", "k_shot": 3, "epochs": 2, "episodes_per_epoch": 20,
     "seed": 3, "hidden": 32, "lr": 0.002, "weight_decay": 0.0, "schedule": "constant",
 }
+# run length of each sweep point: short, as a sweep trains once per value
+SWEEP_RUN = ["--epochs", "1", "--episodes-per-epoch", "20", "--tasks", "50"]
 
 
 def run(argv: list[str]) -> None:
@@ -42,21 +46,14 @@ def run(argv: list[str]) -> None:
 
 
 def gen_synthetic(cfg, out: Path) -> None:
-    run(
-        [
-            "gen-synthetic",
-            "--classes", str(cfg.class_count),
-            "--records-per-class", str(cfg.records_per_class),
-            "--dim", str(cfg.dim),
-            "--patches", str(cfg.patches),
-            "--signal-patches", str(cfg.signal_patches),
-            "--signal-noise", repr(cfg.signal_noise),
-            "--distractors", str(cfg.distractor_pool_size),
-            "--distractor-noise", repr(cfg.distractor_noise),
-            "--seed", str(cfg.seed),
-            "--out", str(out),
-        ]
-    )
+    """``cpes gen-synthetic`` with every field of the SyntheticConfig ``cfg``
+    passed as its flag."""
+    flags = [
+        token
+        for f in dataclasses.fields(cfg)
+        for token in (f.metadata["flag"], repr(getattr(cfg, f.name)))
+    ]
+    run(["gen-synthetic", *flags, "--out", str(out)])
 
 
 def main_grid(out_dir: Path) -> None:
@@ -71,6 +68,11 @@ def main_grid(out_dir: Path) -> None:
     config.write_text(json.dumps(CONFIG_RUN))
     run(["train", "--store", str(train_store), "--out", str(out_dir / "config_run.cpeh"),
          "--config", str(config)])
+    stores = ["--store", str(train_store), "--eval-store", str(eval_store)]
+    run(["sweep-m", *stores, "--values", "0,4,16", *SWEEP_RUN,
+         "--out", str(out_dir / "sweep_m.json")])
+    run(["sweep-distance", *stores, "--m", "4", *SWEEP_RUN,
+         "--out", str(out_dir / "sweep_distance.json")])
     for m in M_VALUES:
         for distance in DISTANCES:
             for k_shot in K_SHOTS:
