@@ -201,7 +201,7 @@ def _cmd_inspect_store(args) -> int:
     store = read_store(args.store)
     print(f"dim={store.dim_d} patches={store.patches_m} classes={store.class_count}")
     print(f"records={len(store)} ground_truth={store.ground_truth is not None}")
-    for label, idx in sorted(store.records_by_label().items()):
+    for label, idx in store.records_by_label().items():
         print(f"  class {label}: {len(idx)} records")
     return 0
 

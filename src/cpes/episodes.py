@@ -36,25 +36,21 @@ def sample_episode(
 ) -> Episode:
     """Sample an episode, deterministic in its arguments.
 
-    Classes are drawn uniformly without replacement, then K+Q records per
-    class without replacement: first K become the prototype, the rest
-    queries. All randomness comes from rng_split(base_seed, task_index).
+    One block of draws from rng_split(base_seed, task_index) picks N classes
+    uniformly without replacement, one more picks K+Q records per class
+    without replacement: first K become the prototype, the rest queries.
     Class sizes are checked before anything of size K+Q is allocated.
     """
-    by_label = store.records_by_label()
-    labels = sorted(by_label)
+    by_label, labels = store.records_by_label(), store.present_labels
     if len(labels) < n_way:
         raise InsufficientClasses(f"need {n_way} classes, store has {len(labels)}")
     need = k_shot + queries_per_class
     rng = rng_split(base_seed, task_index)
-    class_map = [labels[i] for i in rng.sample_without_replacement(len(labels), n_way)]
+    class_map = rng.samples_without_replacement([labels], n_way)[0]
     pools = [by_label[label] for label in class_map]
     for label, pool in zip(class_map, pools):
         if len(pool) < need:
             raise InsufficientRecords(f"class {label} has {len(pool)} records, need {need}")
-    picked = np.array(
-        [[pool[i] for i in rng.sample_without_replacement(len(pool), need)] for pool in pools],
-        dtype=np.intp,
-    ).reshape(n_way, need)
+    picked = np.array(rng.samples_without_replacement(pools, need), np.intp).reshape(n_way, need)
     query_labels = np.repeat(np.arange(n_way), queries_per_class)
     return Episode(class_map, picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)

@@ -155,11 +155,10 @@ def _mean_prototypes(
     shot, in the order np.mean sums a K axis (so bit-identical to it), not
     gathered as (N, K, M, D), and its sums are freed on return, before the
     queries are fused: both keep the episode's peak memory down."""
-    every_patch = np.arange(store.patches_m)
     shots = support_rows.T
-    classes, patches = store.embeddings(shots[0], every_patch)
+    classes, patches = store.embeddings(shots[0])
     for rows in shots[1:]:
-        shot_classes, shot_patches = store.embeddings(rows, every_patch)
+        shot_classes, shot_patches = store.embeddings(rows)
         classes += shot_classes
         patches += shot_patches
     classes /= len(shots)
@@ -297,11 +296,9 @@ def export_masks(
     m = resolve_m(store, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    every_patch = np.arange(store.patches_m)
     written: list[str] = []
     for record_id in record_ids:
-        embeddings = store.embeddings(by_id[record_id], every_patch)
-        similarities = similarity_sequence(*embeddings, cfg.distance)
+        similarities = similarity_sequence(*store.embeddings(by_id[record_id]), cfg.distance)
         indices = select_top(similarities, m)
         json_path = out / f"mask_{record_id}.json"
         json_path.write_text(mask_json(record_id, indices, similarities))

@@ -76,13 +76,30 @@ class Rng64:
             if x < limit:
                 return x % n
 
+    def randints(self, bounds) -> list[int]:
+        """randint(n) for each n of ``bounds`` in turn, drawn as one block:
+        the same values, and the same state after, as those calls."""
+        if min(bounds, default=1) > 0:
+            n = np.array(bounds, dtype=np.uint64)
+            words = self._raw_block(len(n))
+            # randint rejects a word at or above 2**64 - (-n % n): odds below n / 2**64
+            if not np.any(words > ~(-n % n)):
+                return (words % n).tolist()
+            self.state = (self.state - len(n) * _GOLDEN) & _MASK64  # rewind; call by call
+        return [self.randint(bound) for bound in bounds]
+
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from [0, n), partial Fisher-Yates order."""
-        idx = list(range(n))
-        for i in range(k):
-            j = i + self.randint(n - i)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k]
+        return self.samples_without_replacement([range(n)], k)[0]
+
+    def samples_without_replacement(self, pools, k: int) -> list[list]:
+        """k distinct items per pool, picked as sample_without_replacement does, in one block."""
+        draws = iter(self.randints([len(pool) - i for pool in pools for i in range(k)]))
+        samples = [list(pool) for pool in pools]
+        for items in samples:
+            for i, j in zip(range(k), draws):
+                items[i], items[i + j] = items[i + j], items[i]
+        return [items[:k] for items in samples]
 
 
 def rng_split(seed: int, index: int) -> Rng64:

@@ -207,8 +207,9 @@ def load_head(source) -> MlpHead:
     data, start, (input_dim, hidden) = _read_header(
         source, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER
     )
-    if input_dim == 0 or hidden == 0:
-        raise StoreFormatError(f"empty checkpoint head: input_dim {input_dim}, hidden_dim {hidden}")
+    empty = [f"{k} 0" for k, v in dict(input_dim=input_dim, hidden_dim=hidden).items() if v == 0]
+    if empty:
+        raise StoreFormatError(f"empty checkpoint head: {', '.join(empty)}")
     size = group_size(input_dim, hidden)
     end = start + 8 * 3 * size + 8  # the state, then the step counter
     _require(data, end, "parameters")

@@ -16,6 +16,7 @@ from .numerics import unit_rows
 from .store import EmbeddingStore
 
 FUSION_CLASS_WEIGHT = 2.0  # fused patch = patch + 2 * class embedding
+BLOCK_VALUES = 2**16  # float64 patch values selection_table holds at once: 512 KiB
 
 
 class DistanceKind(enum.Enum):
@@ -60,12 +61,13 @@ def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
 def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
     """(R, m) top-m patch indices of every store record, in rank order.
 
-    Selected one record at a time, so no more than one record's float64
-    embeddings are held at once."""
+    Selected in blocks of consecutive records, each of BLOCK_VALUES patch
+    values at most or of one record, so one block at a time is float64."""
     table = np.empty((len(store), m), dtype=np.intp)
-    every_patch = np.arange(store.patches_m)
-    for row in range(len(store)):
-        table[row] = select_top(similarity_sequence(*store.embeddings(row, every_patch), kind), m)
+    step = max(1, BLOCK_VALUES // max(1, store.patches_m * store.dim_d))
+    for start in range(0, len(store), step):
+        block = slice(start, start + step)
+        table[block] = select_top(similarity_sequence(*store.embeddings(block), kind), m)
     return table
 
 

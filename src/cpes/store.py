@@ -68,27 +68,29 @@ class EmbeddingStore:
     ground_truth: list[tuple[int, ...]] | None = None
 
     def __post_init__(self):
-        self._by_label: dict[int, list[int]] = {}
+        by_label: dict[int, list[int]] = {}
         for row, label in enumerate(self.labels.tolist()):
-            self._by_label.setdefault(label, []).append(row)
+            by_label.setdefault(label, []).append(row)
+        self._by_label = dict(sorted(by_label.items()))
+        self.present_labels = list(self._by_label)  # ascending, as episodes number classes
 
     def __len__(self) -> int:
         return self.record_ids.shape[0]
 
     def records_by_label(self) -> dict[int, list[int]]:
-        """Row indices of each label's records, in store order."""
+        """Row indices of each label's records, in store order, by ascending label."""
         return self._by_label
 
-    def embeddings(self, rows, patches) -> tuple[np.ndarray, np.ndarray]:
-        """float64 copies of the class embeddings at ``rows`` and of their
-        patch embeddings at ``patches``, an index array of shape
-        ``rows.shape + (m,)``.
+    def embeddings(self, rows, patches=None) -> tuple[np.ndarray, np.ndarray]:
+        """float64 copies of the class embeddings at ``rows`` (an index, an
+        index array or a slice) and of their patch embeddings: every patch,
+        or those at ``patches``, an index array of shape ``rows.shape + (m,)``.
 
         The one place the stored float32 values are upcast; the upcast is
         exact.
         """
-        rows = np.asarray(rows)
-        picked = self.patch_embeddings[rows[..., np.newaxis], patches]
+        at = rows if patches is None else (np.asarray(rows)[..., np.newaxis], patches)
+        picked = self.patch_embeddings[at]
         return self.class_embeddings[rows].astype(np.float64), picked.astype(np.float64)
 
 

@@ -195,18 +195,19 @@ def sample_episode_records(
     store: EmbeddingStore, n_way, k_shot, queries_per_class, task_index, base_seed
 ):
     """(prototypes, queries, query labels) as records, drawing from the RNG
-    in the order ``cpes.sample_episode`` must keep, for the same arguments."""
+    in the order ``cpes.sample_episode`` must keep, for the same arguments:
+    one Python-int output at a time, through ``fisher_yates``."""
     by_label: dict[int, list[int]] = {}
     for row, label in enumerate(store.labels.tolist()):
         by_label.setdefault(label, []).append(row)
     labels = sorted(by_label)
     need = k_shot + queries_per_class
-    rng = rng_split(base_seed, task_index)
-    chosen = rng.sample_without_replacement(len(labels), n_way)
+    draws = outputs(rng_split(base_seed, task_index).state)
+    chosen = fisher_yates(draws, len(labels), n_way)
     protos, queries, query_labels = [], [], []
     for local, label in enumerate(labels[i] for i in chosen):
         pool = by_label[label]
-        picks = [record(store, pool[i]) for i in rng.sample_without_replacement(len(pool), need)]
+        picks = [record(store, pool[i]) for i in fisher_yates(draws, len(pool), need)]
         protos.append(build_prototype(picks[:k_shot]))
         queries.extend(picks[k_shot:])
         query_labels.extend([local] * queries_per_class)
@@ -396,14 +397,22 @@ def outputs(state: int):
 
 
 def sample_without_replacement(state: int, n: int, k: int) -> list[int]:
-    """Rng64.sample_without_replacement from ``state``: a partial Fisher-Yates
-    whose draw for slot i rejects outputs at or above the largest multiple
-    of n - i below 2**64."""
-    draws = outputs(state)
+    """Rng64.sample_without_replacement from ``state``."""
+    return fisher_yates(outputs(state), n, k)
+
+
+def randint(draws, n: int) -> int:
+    """Rng64.randint(n) on the iterator of outputs ``draws``: the first
+    output below the largest multiple of n at most 2**64, mod n."""
+    limit = (1 << 64) - (1 << 64) % n
+    return next(x for x in draws if x < limit) % n
+
+
+def fisher_yates(draws, n: int, k: int) -> list[int]:
+    """A partial Fisher-Yates of [0, n) taking slot i's draw from the
+    iterator of outputs ``draws``: ``randint(draws, n - i)``."""
     idx = list(range(n))
     for i in range(k):
-        bound = n - i
-        limit = (1 << 64) - (1 << 64) % bound
-        j = i + next(x for x in draws if x < limit) % bound
+        j = i + randint(draws, n - i)
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:k]

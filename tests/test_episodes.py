@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+import cpes.episodes
+import oracles
 from cpes.episodes import sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
-from cpes.numerics import rng_split
+from cpes.numerics import Rng64, rng_split
 from cpes.store import EmbeddingStore
 from oracles import (
+    GOLDEN,
+    MASK64,
     EmbeddingRecord,
     build_prototype,
     record,
     records,
     sample_episode_records,
+    state_before,
     store_from_records,
 )
 
@@ -31,6 +36,33 @@ def tiny_store(n_classes: int, per_class: int, dim=4, patches=3) -> EmbeddingSto
             )
             rid += 1
     return store_from_records(dim, patches, n_classes, recs)
+
+
+def store_of_sizes(sizes, dim=4, patches=3) -> EmbeddingStore:
+    """A store whose label i has sizes[i] records, the records of all labels
+    shuffled together rather than grouped or ordered by label."""
+    rng = rng_split(321, 0)
+    labels = [label for label, size in enumerate(sizes) for _ in range(size)]
+    order = rng.sample_without_replacement(len(labels), len(labels))
+    recs = []
+    for rid, i in enumerate(order):
+        patch_embeddings = rng.normals(patches * dim).reshape(patches, dim)
+        recs.append(EmbeddingRecord(rid, labels[i], rng.normals(dim), patch_embeddings))
+    return store_from_records(dim, patches, len(sizes), recs)
+
+
+def assert_same_as_record_sampler(store, n_way, k_shot, q, task, seed):
+    """The index episode holds the classes and records, in the order, that
+    the record-at-a-time sampler draws; returns the episode."""
+    ep = sample_episode(store, n_way, k_shot, q, task, seed)
+    protos, queries, labels = sample_episode_records(store, n_way, k_shot, q, task, seed)
+    assert [p.label for p in protos] == ep.class_map
+    assert [r.record_id for r in queries] == store.record_ids[ep.query_rows].tolist()
+    assert labels == ep.query_labels.tolist()
+    for proto, rows in zip(protos, ep.support_rows):
+        expected = build_prototype([record(store, r) for r in rows])
+        np.testing.assert_array_equal(proto.patch_embeddings, expected.patch_embeddings)
+    return ep
 
 
 class TestSampleEpisode:
@@ -88,13 +120,26 @@ class TestSampleEpisode:
         record-at-a-time sampler picks from the same RNG stream."""
         store = tiny_store(6, 10)
         for task in range(20):
-            ep = sample_episode(store, 4, 3, 2, task, base_seed=9)
-            protos, queries, labels = sample_episode_records(store, 4, 3, 2, task, base_seed=9)
-            assert [q.record_id for q in queries] == store.record_ids[ep.query_rows].tolist()
-            assert labels == ep.query_labels.tolist()
-            for proto, rows in zip(protos, ep.support_rows):
-                expected = build_prototype([record(store, r) for r in rows])
-                np.testing.assert_array_equal(proto.patch_embeddings, expected.patch_embeddings)
+            assert_same_as_record_sampler(store, 4, 3, 2, task, 9)
+
+    def test_unequal_class_sizes_match_record_sampler(self):
+        store = store_of_sizes([5, 6, 7, 9, 10, 11, 12])
+        for task in range(40):
+            assert_same_as_record_sampler(store, 4, 2, 3, task, 9)
+
+    @pytest.mark.parametrize("word", [0, 2, 4, 6])
+    def test_rejected_word_matches_record_sampler(self, monkeypatch, word):
+        """The task's stream meets 2**64 - 1 as its draw number ``word``:
+        among the 4 class picks (0, 2) or among the first class's record
+        picks (4, 6). Both samplers discard it the same way."""
+        state = (state_before(MASK64) - word * GOLDEN) & MASK64
+        for module in (cpes.episodes, oracles):
+            monkeypatch.setattr(module, "rng_split", lambda seed, index: Rng64(state))
+        store = store_of_sizes([5, 6, 7, 9, 10, 11, 12])
+        ep = assert_same_as_record_sampler(store, 4, 2, 3, task=0, seed=0)
+        first_pool = len(store.records_by_label()[ep.class_map[0]])
+        bound = [7, 6, 5, 4, first_pool, first_pool - 1, first_pool - 2][word]
+        assert MASK64 >= (1 << 64) - (1 << 64) % bound  # the word is one randint rejects
 
 
 class TestBuildPrototype:

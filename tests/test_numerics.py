@@ -13,8 +13,10 @@ from oracles import (
     GOLDEN,
     MASK64,
     cosine,
+    fisher_yates,
     mix64,
     outputs,
+    randint,
     sample_without_replacement,
     state_before,
     unmix64,
@@ -195,6 +197,56 @@ class TestRng:
         for k in (1, n):
             expected = sample_without_replacement(state, n, k)
             assert Rng64(state).sample_without_replacement(n, k) == expected
+
+    def test_block_draw_equals_scalar_draws(self):
+        """randints(bounds) returns what successive randint calls return and
+        leaves the state where they leave it, with or without a rejected
+        word: above 2**62 a bound rejects words with odds up to about 1/3."""
+        g = rng_split(14, 0)
+        rejected = 0
+        for _ in range(300):
+            bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(g.randint(40))]
+            state = g.next_u64()
+            block, scalar = Rng64(state), Rng64(state)
+            assert block.randints(bounds) == [scalar.randint(n) for n in bounds]
+            assert block.state == scalar.state
+            rejected += block.state != (state + len(bounds) * GOLDEN) & MASK64
+        assert 0 < rejected < 300
+
+    @pytest.mark.parametrize("n", [3, 15, 30])
+    @pytest.mark.parametrize("before", [0, 1, 5])
+    def test_block_draw_discards_rejected_word(self, n, before):
+        """The block's word number ``before`` is 2**64 - 1, which randint(n)
+        rejects: the block takes the next word instead, like the scalar
+        calls and the Python-int oracle, and ends one word further on."""
+        state = (state_before(MASK64) - before * GOLDEN) & MASK64
+        block, scalar = Rng64(state), Rng64(state)
+        values = block.randints([n] * 8)
+        draws = outputs(state)
+        assert values == [scalar.randint(n) for _ in range(8)]
+        assert values == [randint(draws, n) for _ in range(8)]
+        assert block.state == scalar.state == (state + 9 * GOLDEN) & MASK64
+
+    def test_block_draw_rejects_empty_bound(self):
+        with pytest.raises(EmptyInput):
+            Rng64(1).randints([3, 0])
+        assert Rng64(1).randints([]) == []
+
+    def test_pool_samples_equal_oracle(self):
+        """samples_without_replacement maps one partial Fisher-Yates per pool
+        through the pool, the pools' draws following each other in one
+        stream, a rejected word included."""
+        g = rng_split(15, 0)
+        for trial in range(60):
+            sizes = [1 + g.randint(12) for _ in range(1 + g.randint(6))]
+            k = g.randint(min(sizes) + 1)
+            pools = [list(range(100 * p, 100 * p + size)) for p, size in enumerate(sizes)]
+            # odd trials meet 2**64 - 1 as one of their first seven words
+            state = (state_before(MASK64) - trial % 7 * GOLDEN) & MASK64
+            state = state if trial % 2 else g.next_u64()
+            draws = outputs(state)
+            expected = [[pool[i] for i in fisher_yates(draws, len(pool), k)] for pool in pools]
+            assert Rng64(state).samples_without_replacement(pools, k) == expected
 
     def test_uniform_range(self):
         g = rng_split(4, 0)

@@ -1,11 +1,12 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from cpes.episodes import sample_episode
-from cpes.errors import DimensionMismatch, NonFiniteGradient
+from cpes.errors import DimensionMismatch, NonFiniteGradient, StoreFormatError
 from cpes.harness import RunConfig, episode_scores, head_input_dim
 from cpes.numerics import rng_split
 from cpes.scoring import (
@@ -15,6 +16,7 @@ from cpes.scoring import (
     ScheduleKind,
     class_probabilities,
     episode_loss_and_grads,
+    group_size,
     head_forward,
     load_head,
     optimizer_step,
@@ -348,6 +350,18 @@ class TestCheckpoint:
         save_head(head, buf)
         with pytest.raises(NonFiniteValue):
             load_head(io.BytesIO(buf.getvalue()))
+
+    @pytest.mark.parametrize("input_dim,hidden", [(16, 0), (0, 8), (0, 0)])
+    def test_empty_head_names_only_its_zero_fields(self, input_dim, hidden):
+        """A header with no inputs or no hidden units is rejected by a message
+        that names each zero field, and no field that is valid."""
+        body = bytes(8 * 3 * group_size(input_dim, hidden) + 8)
+        data = b"CPEH" + struct.pack("<HII", 1, input_dim, hidden) + body
+        with pytest.raises(StoreFormatError) as info:
+            load_head(io.BytesIO(data))
+        for name, size in (("input_dim", input_dim), ("hidden_dim", hidden)):
+            assert (name in str(info.value)) == (size == 0)
+            assert (f"{name} 0" in str(info.value)) == (size == 0)
 
     def test_trailing_bytes_rejected(self):
         from cpes.errors import TrailingBytes

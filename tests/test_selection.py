@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from cpes.errors import SelectionOutOfRange
 from cpes.numerics import rng_split
 import oracles
 from cpes.selection import (
+    BLOCK_VALUES,
     DistanceKind,
     mask_json,
     mask_pgm,
@@ -13,6 +16,7 @@ from cpes.selection import (
     selection_table,
     similarity_sequence,
 )
+from cpes.store import EmbeddingStore
 from oracles import EmbeddingRecord, fuse, records, store_from_records
 
 
@@ -243,3 +247,70 @@ class TestSelectionMatchesRecordPath:
         for m in range(13):
             expected = np.array([oracles.select_top(row, m) for row in sims], dtype=np.intp)
             assert np.array_equal(select_top(sims, m), expected.reshape(40, m))
+
+
+def random_store(record_count: int, patches_m: int, dim_d: int, seed: int) -> EmbeddingStore:
+    """Records of normal class and patch embeddings, each record repeating
+    a third of its patches so that its similarity sequence holds exact ties."""
+    rng = rng_split(seed, 0)
+    distinct = rng.normals(record_count * patches_m * dim_d).reshape(record_count, patches_m, dim_d)
+    distinct[:, : patches_m // 3] = distinct[:, patches_m - patches_m // 3 :]
+    return EmbeddingStore(
+        dim_d,
+        patches_m,
+        2,
+        np.arange(record_count, dtype=np.uint64),
+        (np.arange(record_count) % 2).astype(np.uint32),
+        rng.normals(record_count * dim_d).reshape(record_count, dim_d).astype(np.float32),
+        distinct.astype(np.float32),
+    )
+
+
+# 16 x 32 = 512 patch values a record: blocks of 128 records, 300 = 128 + 128 + 44
+SHORT_LAST_BLOCK = (300, 16, 32)
+# 1040 x 64 = 66560 patch values a record, above the budget: every block one record
+OVER_BUDGET = (3, 1040, 64)
+
+
+class TestBlockedSelectionTable:
+    """selection_table selects a block of records at a time; each record's
+    row must equal the oracle's per-record similarity sequence and lexsort
+    ranking, in every block and at every block edge."""
+
+    def test_store_shapes_cover_both_block_cases(self):
+        record_count, patches_m, dim_d = SHORT_LAST_BLOCK
+        per_block = BLOCK_VALUES // (patches_m * dim_d)
+        assert record_count > per_block and record_count % per_block != 0
+        assert OVER_BUDGET[1] * OVER_BUDGET[2] > BLOCK_VALUES
+
+    @pytest.mark.parametrize("shape", [SHORT_LAST_BLOCK, OVER_BUDGET], ids=["short", "over"])
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("m", [0, 1, 4, "M"])
+    def test_table_equals_record_path(self, shape, kind, m):
+        store = random_store(*shape, seed=16)
+        m = store.patches_m if m == "M" else m
+        expected = [
+            oracles.select_top(oracles.similarity_sequence(rec, kind), m)
+            for rec in records(store)
+        ]
+        expected = np.array(expected, dtype=np.intp).reshape(len(store), m)
+        assert np.array_equal(selection_table(store, m, kind), expected)
+
+    @pytest.mark.parametrize("shape", [(1024, 16, 32), (6, 1040, 64)], ids=["blocks", "records"])
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    def test_peak_memory_is_one_block(self, shape, kind):
+        """Beyond the table itself, the traced peak stays under four float64
+        blocks: the upcast block and the two temporaries of its size that
+        ABS and SQR make. A block is BLOCK_VALUES patch values, or one record
+        where a record holds more. Both stores hold six blocks or more, so
+        selecting a whole store at once would exceed the bound."""
+        store = random_store(*shape, seed=17)
+        block_bytes = 8 * max(BLOCK_VALUES, store.patches_m * store.dim_d)
+        assert 8 * store.patch_embeddings.size >= 6 * block_bytes
+        tracemalloc.start()
+        try:
+            table = selection_table(store, 4, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes < 4 * block_bytes
