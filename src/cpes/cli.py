@@ -1,10 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen-synthetic, train, eval, sweep-m, sweep-distance,
-export-masks, inspect-store. Any optional flag may also come from a JSON
-config file (--config); explicit flags win. Exit codes: 0 success, 2
-validation error or a size too large to allocate, 3 I/O or file-format
-error.
+export-masks, inspect-store. Any flag may also come from a JSON config
+file (--config); explicit flags win. Exit codes: 0 success, 2 validation
+error or a size too large to allocate, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -115,16 +114,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a --config JSON object's entries enter as flags ahead of
-    argv, so each gets its flag's type and choices checks and argv wins."""
+    """Parse argv, with a --config JSON object's entries (found by a pre-parse)
+    spliced in as flags ahead of it: each gets its flag's checks, argv wins,
+    and a required flag may come from the config."""
     parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    values = json.loads(Path(args.config).read_text())
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    subparser = subparsers.get(argv[0]) if argv else None
+    if path is None or subparser is None:
+        return parser.parse_args(argv)
+    values = json.loads(Path(path).read_text())
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    actions = {a.dest: a for a in subparsers[args.command]._actions if a.dest in vars(args)}
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     unknown = set(values) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

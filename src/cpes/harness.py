@@ -20,7 +20,7 @@ import numpy as np
 
 from .episodes import Episode, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
-from .numerics import derive_seed, rng_split
+from .numerics import derive_seed, rng_split, unit_rows
 from .scoring import (
     MlpHead,
     OptimizerConfig,
@@ -34,8 +34,8 @@ from .selection import (
     fuse_rows,
     mask_json,
     mask_pgm,
+    representation_table,
     select_top,
-    selection_table,
     similarity_sequence,
 )
 from .store import EmbeddingStore
@@ -131,30 +131,26 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
 
 
 def episode_scores(
-    store: EmbeddingStore, table: np.ndarray, episode: Episode, kind: DistanceKind
+    store: EmbeddingStore, reps: np.ndarray, episode: Episode, m: int, kind: DistanceKind
 ) -> np.ndarray:
-    """The episode's (Q, N, r, r) score tensor, r = max(m, 1), from the
-    store's (R, m) selection table. A prototype of K > 1 supports is their
-    mean, not a store record, so it is selected here."""
-
-    def fused(rows):
-        return fuse_rows(*store.embeddings(rows, table[rows]))
-
+    """The episode's (Q, N, r, r) score tensor, r = max(m, 1), from the store's
+    (R, r, D) representation_table: queries and K = 1 prototypes are its rows;
+    a K > 1 prototype, the mean of its supports, is selected and fused here."""
     if episode.support_rows.shape[1] == 1:
-        protos = fused(episode.support_rows[:, 0])
+        protos = reps[episode.support_rows[:, 0]]
     else:
-        protos = _mean_prototypes(store, episode.support_rows, table.shape[1], kind)
-    return score_tensor(fused(episode.query_rows), protos)
+        protos = _mean_prototypes(store, episode.support_rows, m, kind)
+    return score_tensor(reps, episode.query_rows, protos)
 
 
 def _mean_prototypes(
     store: EmbeddingStore, support_rows: np.ndarray, m: int, kind: DistanceKind
 ) -> np.ndarray:
-    """The fused (N, r, D) prototypes of supports (N, K): each the mean of
-    its K supports, all N selected in one call. The mean is summed shot by
+    """The (N, r, D) unit fused prototypes of supports (N, K): each the mean
+    of its K supports, all N selected in one call. The mean is summed shot by
     shot, in the order np.mean sums a K axis (so bit-identical to it), not
     gathered as (N, K, M, D), and its sums are freed on return, before the
-    queries are fused: both keep the episode's peak memory down."""
+    score tensor is built: both keep the episode's peak memory down."""
     shots = support_rows.T
     classes, patches = store.embeddings(shots[0])
     for rows in shots[1:]:
@@ -164,7 +160,8 @@ def _mean_prototypes(
     classes /= len(shots)
     patches /= len(shots)
     picks = select_top(similarity_sequence(classes, patches, kind), m)
-    return fuse_rows(classes, np.take_along_axis(patches, picks[..., np.newaxis], axis=1))
+    kept = np.take_along_axis(patches, picks[..., np.newaxis], axis=1)
+    return unit_rows(fuse_rows(classes, kept))
 
 
 def head_input_dim(m: int) -> int:
@@ -179,14 +176,14 @@ def init_head(cfg: RunConfig, m: int) -> MlpHead:
 
 
 def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: int):
-    """(episode, score tensor) for tasks 0..count-1 of ``seed``, all
-    selected from one selection table of the store."""
-    table = selection_table(store, m, cfg.distance)
+    """(episode, score tensor) for tasks 0..count-1 of ``seed``, all gathered
+    from one representation table: each record is fused and normalised once."""
+    reps = representation_table(store, m, cfg.distance)
     for task_index in range(count):
         episode = sample_episode(
             store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, task_index, seed
         )
-        yield episode, episode_scores(store, table, episode, cfg.distance)
+        yield episode, episode_scores(store, reps, episode, m, cfg.distance)
 
 
 def _accuracy(probs: np.ndarray, episode: Episode) -> float:
@@ -206,24 +203,26 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
     episodes = _episodes(store, cfg, m, derive_seed(cfg.base_seed, _TRAIN_STREAM), total_steps)
+
+    def step(episode: Episode, scores: np.ndarray) -> tuple[float, float]:
+        number = head.step + 1
+        try:
+            # settings that grow the head past float64 range stop here, not as NaN later
+            with np.errstate(over="raise", invalid="raise"):
+                loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+                optimizer_step(head, grads, opt)
+        except FloatingPointError:
+            raise InfeasibleConfig(
+                f"optimizer settings overflow the head at step {number}: learning_rate "
+                f"{opt.learning_rate}, lr_floor {opt.lr_floor}, weight_decay {opt.weight_decay}"
+            ) from None
+        return float(np.mean(loss)), _accuracy(probs, episode)
+
     log: list[dict] = []
     for epoch in range(cfg.epochs):
-        losses: list[float] = []
-        accuracies: list[float] = []
-        for episode, scores in itertools.islice(episodes, cfg.episodes_per_epoch):
-            try:
-                # settings that grow the head past float64 range stop here, not as NaN later
-                with np.errstate(over="raise", invalid="raise"):
-                    loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
-                    head = optimizer_step(head, grads, opt)
-            except FloatingPointError:
-                step = epoch * cfg.episodes_per_epoch + len(losses) + 1
-                raise InfeasibleConfig(
-                    f"optimizer settings overflow the head at step {step}: learning_rate "
-                    f"{opt.learning_rate}, lr_floor {opt.lr_floor}, weight_decay {opt.weight_decay}"
-                ) from None
-            losses.append(float(np.mean(loss)))
-            accuracies.append(_accuracy(probs, episode))
+        # starmap holds no score tensor while the next one is built, as a loop variable would
+        steps = itertools.starmap(step, itertools.islice(episodes, cfg.episodes_per_epoch))
+        losses, accuracies = zip(*steps)
         log.append(
             {
                 "epoch": epoch,

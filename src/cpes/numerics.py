@@ -18,6 +18,9 @@ DEGENERATE_NORM = 1e-12
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLIT_SALT = 0x5851F42D4C957F2D
+# the uint64 operands of _raw_block and uniforms, built once: Weyl step, multipliers, shifts
+_GOLDEN_U64, _MUL1, _MUL2 = map(np.uint64, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_S30, _S27, _S31, _S11 = map(np.uint64, (30, 27, 31, 11))
 
 
 def _mix64(z: int) -> int:
@@ -47,14 +50,14 @@ class Rng64:
     def _raw_block(self, n: int) -> np.ndarray:
         # n next_u64() calls at once: _mix64 on uint64 words, whose wrapping
         # stands in for its masks (np.uint64 constants: no Python-int operands)
-        z = np.uint64(self.state) + np.uint64(_GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
         self.state = (self.state + n * _GOLDEN) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        z = (z ^ (z >> _S30)) * _MUL1
+        z = (z ^ (z >> _S27)) * _MUL2
+        return z ^ (z >> _S31)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (self._raw_block(n) >> _S11).astype(np.float64) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) raw draws."""

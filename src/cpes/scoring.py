@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue, StoreFormatError, setting
-from .numerics import Rng64, cross_entropy, softmax, unit_rows
+from .numerics import Rng64, cross_entropy, softmax
+from .selection import _blocks
 from .store import _read_header, _reject_trailing, _require, _write
 
 CHECKPOINT_MAGIC = b"CPEH"
@@ -23,12 +24,16 @@ CHECKPOINT_VERSION = 1
 _HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
 
 
-def score_tensor(queries: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Squared cosine between every row of every query (Q, r, D) and every
-    row of every prototype (N, r', D): the (Q, N, r, r') score tensor."""
-    if queries.shape[-1] != protos.shape[-1]:
-        raise DimensionMismatch(f"fused dims differ: {queries.shape[-1]} vs {protos.shape[-1]}")
-    s = np.matmul(unit_rows(queries)[:, np.newaxis], unit_rows(protos).transpose(0, 2, 1))
+def score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:
+    """Squared cosine between every unit row of every query table[rows]
+    (Q, r, D) and of every prototype (N, r', D): the (Q, N, r, r') score
+    tensor, written a block of queries at a time (BLOCK_VALUES values of
+    the table at most, or one query), so no (Q, r, D) copy is made."""
+    if table.shape[-1] != protos.shape[-1]:
+        raise DimensionMismatch(f"fused dims differ: {table.shape[-1]} vs {protos.shape[-1]}")
+    s = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
+    for block in _blocks(len(rows), table.shape[1] * table.shape[2]):
+        np.matmul(table[rows[block], np.newaxis], protos.transpose(0, 2, 1), out=s[block])
     np.square(s, out=s)
     # rounding can push a squared cosine a few ulp past 1
     return np.minimum(s, 1.0, out=s)

@@ -1,6 +1,6 @@
 """Class-relevant patch selection: similarity sequences against the class
-embedding, deterministic top-m ranking, a per-store selection table, and
-fusion of the survivors with the class embedding.
+embedding, deterministic top-m ranking, and per-store tables of the selected
+patches and of their unit rows fused with the class embedding.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .numerics import unit_rows
 from .store import EmbeddingStore
 
 FUSION_CLASS_WEIGHT = 2.0  # fused patch = patch + 2 * class embedding
-BLOCK_VALUES = 2**16  # float64 patch values selection_table holds at once: 512 KiB
+BLOCK_VALUES = 2**16  # float64 values a table or score-tensor block holds at once: 512 KiB
 
 
 class DistanceKind(enum.Enum):
@@ -58,15 +58,19 @@ def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(-similarities, axis=-1, kind="stable")[..., :m]
 
 
+def _blocks(count: int, size: int) -> list[slice]:
+    """Slices of [0, count) of BLOCK_VALUES values at most (items of ``size``), or one item."""
+    step = max(1, BLOCK_VALUES // max(1, size))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
     """(R, m) top-m patch indices of every store record, in rank order.
 
     Selected in blocks of consecutive records, each of BLOCK_VALUES patch
     values at most or of one record, so one block at a time is float64."""
     table = np.empty((len(store), m), dtype=np.intp)
-    step = max(1, BLOCK_VALUES // max(1, store.patches_m * store.dim_d))
-    for start in range(0, len(store), step):
-        block = slice(start, start + step)
+    for block in _blocks(len(store), store.patches_m * store.dim_d):
         table[block] = select_top(similarity_sequence(*store.embeddings(block), kind), m)
     return table
 
@@ -82,6 +86,16 @@ def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
     if patches.shape[-2] == 0:
         return rows
     return patches + FUSION_CLASS_WEIGHT * rows
+
+
+def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
+    """(R, max(m, 1), D): each record's top-m patches fused with its class
+    embedding, as unit rows; built BLOCK_VALUES values (or one record) at a time."""
+    top, rows = selection_table(store, m, kind), np.arange(len(store))
+    out = np.empty((len(store), max(m, 1), store.dim_d))
+    for block in _blocks(len(store), max(m, 1) * store.dim_d):
+        out[block] = unit_rows(fuse_rows(*store.embeddings(rows[block], top[block])))
+    return out
 
 
 def mask_json(record_id: int, indices: np.ndarray, similarities: np.ndarray) -> str:

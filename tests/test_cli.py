@@ -394,6 +394,28 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads((tmp_path / "r.json").read_text())["task_count"] == 4
 
+    def test_config_names_required_flags(self, store_path, tmp_path):
+        """A config may name the flags a subcommand requires; the run it
+        gives writes what the same flags on the command line write."""
+        run = {"n_way": 3, "queries": 2, "m": 3, "epochs": 1, "episodes_per_epoch": 5,
+               "hidden": 8, "tasks": 4}
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        for out in (flagged, configured):
+            out.mkdir()
+        argv = ["--store", str(store_path)] + RUN + ["--tasks", "4"]
+        assert main(["train", "--out", str(flagged / "h.cpeh")] + argv) == 0
+        assert main(["eval", "--checkpoint", str(flagged / "h.cpeh"),
+                     "--out", str(flagged / "r.json")] + argv) == 0
+        train_cfg, eval_cfg = tmp_path / "train.json", tmp_path / "eval.json"
+        ckpt = str(configured / "h.cpeh")
+        train_cfg.write_text(json.dumps({"store": str(store_path), "out": ckpt, **run}))
+        eval_cfg.write_text(json.dumps({"store": str(store_path), "checkpoint": ckpt,
+                                        "out": str(configured / "r.json"), **run}))
+        assert main(["train", "--config", str(train_cfg)]) == 0
+        assert main(["eval", "--config", str(eval_cfg)]) == 0
+        for name in ("h.cpeh", "h.cpeh.log.json", "r.json"):
+            assert (configured / name).read_bytes() == (flagged / name).read_bytes()
+
     @pytest.mark.parametrize(
         "command,values,flag",
         [

@@ -12,7 +12,7 @@ from cpes.episodes import sample_episode
 from cpes.harness import RunConfig, episode_scores, evaluate, head_input_dim, train
 from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, episode_loss_and_grads
-from cpes.selection import DistanceKind, selection_table
+from cpes.selection import DistanceKind, representation_table
 from cpes.store import read_store, write_store
 from oracles import (
     episode_representations,
@@ -47,10 +47,10 @@ class TestEngineMatchesPerQueryPath:
 
     def test_scores_probabilities_and_gradients(self, small_store, m, k_shot, kind):
         head = MlpHead.initialize(head_input_dim(m), 8, rng_split(m + k_shot, 31))
-        table = selection_table(small_store, m, kind)
+        reps = representation_table(small_store, m, kind)
         for task in range(3):
             episode = sample_episode(small_store, 5, k_shot, 3, task, 23)
-            scores = episode_scores(small_store, table, episode, kind)
+            scores = episode_scores(small_store, reps, episode, m, kind)
             _, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
 
             protos, queries = episode_representations(small_store, episode, m, kind)

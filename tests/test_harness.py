@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from cpes.harness import (
 from cpes.scoring import save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
 from oracles import EmbeddingRecord, fused, record, records, score_matrix, store_from_records
+from test_selection import random_store
 
 
 def quick_cfg(**kw) -> RunConfig:
@@ -62,6 +64,24 @@ class TestTrain:
         save_head(h2, b)
         assert a.getvalue() == b.getvalue()
         assert json.dumps(l1) == json.dumps(l2)
+
+    def test_one_score_tensor_alive_at_a_time(self):
+        """Training and evaluation each hold one episode's score tensor while
+        the next is built, not two: on a store whose 3.3 MB score tensors
+        outweigh everything else a run allocates, the traced peak stays under
+        one and a half of them."""
+        store = random_store(60, 64, 4, seed=20)  # two classes of 30 records
+        cfg = quick_cfg(n_way=2, queries_per_class=25, m=64, episodes_per_epoch=3,
+                        eval_tasks=3, hidden_dim=1)
+        tensor_bytes = 8 * 2 * 25 * 2 * 64 * 64
+        for run in (lambda: train(store, cfg), lambda: evaluate(init_head(cfg, 64), store, cfg)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * tensor_bytes
 
     def test_learning_signal_on_easy_store(self, easy_train_store):
         cfg = quick_cfg(epochs=3, episodes_per_epoch=20)

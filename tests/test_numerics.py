@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpes.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
-from cpes.numerics import Rng64, cross_entropy, rng_split, softmax
+from cpes.numerics import Rng64, cross_entropy, rng_split, softmax, unit_rows
 from cpes.scoring import score_tensor
 from cpes.selection import DistanceKind, similarity_sequence
 from oracles import (
@@ -90,7 +90,7 @@ def test_zero_norm_policy_on_package_path(target, scale):
         expected_zero = [False, True, False] if target == "patch" else [True] * 3
         np.testing.assert_array_equal(sims == 0.0, expected_zero)
     else:
-        s = score_tensor(rows[np.newaxis], others[np.newaxis])[0, 0]
+        s = score_tensor(unit_rows(rows)[np.newaxis], [0], unit_rows(others)[np.newaxis])[0, 0]
         expected_zero = np.zeros((3, 2), dtype=bool)
         if target == "query row":
             expected_zero[1, :] = True

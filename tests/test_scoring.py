@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from cpes.episodes import sample_episode
 from cpes.errors import DimensionMismatch, NonFiniteGradient, StoreFormatError
 from cpes.harness import RunConfig, episode_scores, head_input_dim
-from cpes.numerics import rng_split
+from cpes.numerics import rng_split, unit_rows
 from cpes.scoring import (
     Gradients,
     MlpHead,
@@ -23,9 +24,10 @@ from cpes.scoring import (
     save_head,
     score_tensor,
 )
-from cpes.selection import DistanceKind, selection_table
+from cpes.selection import BLOCK_VALUES, DistanceKind, representation_table
 from oracles import (
     add_grads,
+    episode_representations,
     grads_of,
     head_of,
     moment,
@@ -34,6 +36,7 @@ from oracles import (
     scale_grads,
     zero_grads,
 )
+from test_selection import SHORT_LAST_BLOCK, random_store
 
 
 def rep(rows) -> np.ndarray:
@@ -42,7 +45,7 @@ def rep(rows) -> np.ndarray:
 
 def score_matrix(query: np.ndarray, proto: np.ndarray) -> np.ndarray:
     """The package's score tensor of one query against one prototype."""
-    return score_tensor(query[np.newaxis], proto[np.newaxis])[0, 0]
+    return score_tensor(unit_rows(query)[np.newaxis], [0], unit_rows(proto)[np.newaxis])[0, 0]
 
 
 def random_head(input_dim, hidden, seed=0) -> MlpHead:
@@ -158,8 +161,8 @@ def episode_fixture(store, m, seed, task):
     """Score tensor and target of the first query of a 3-way 1-shot episode."""
     cfg = RunConfig(n_way=3, k_shot=1, queries_per_class=1, m=m, base_seed=seed)
     episode = sample_episode(store, 3, 1, 1, task, seed)
-    table = selection_table(store, m, cfg.distance)
-    scores = episode_scores(store, table, episode, cfg.distance)
+    reps = representation_table(store, m, cfg.distance)
+    scores = episode_scores(store, reps, episode, m, cfg.distance)
     return scores[:1], episode.query_labels[:1]
 
 
@@ -168,7 +171,7 @@ class TestEpisodeLossAndGrads:
         head = head_of(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.0)
         protos = np.stack([np.eye(2) * (i + 1) for i in range(5)])
         losses, grads, probs = episode_loss_and_grads(
-            head, score_tensor(np.eye(2)[np.newaxis], protos), np.array([2])
+            head, score_tensor(np.eye(2)[np.newaxis], [0], unit_rows(protos)), np.array([2])
         )
         assert losses[0] == pytest.approx(math.log(5))
         np.testing.assert_allclose(probs[0], np.full(5, 0.2), atol=1e-12)
@@ -178,7 +181,8 @@ class TestEpisodeLossAndGrads:
         head.w2[:] = 0.0
         protos = np.stack([[[1.0, 0.0], [0.0, 1.0]] for _ in range(3)])
         query = np.array([[[1.0, 1.0], [1.0, -1.0]]])
-        _, grads, _ = episode_loss_and_grads(head, score_tensor(query, protos), np.array([0]))
+        scores = score_tensor(unit_rows(query), [0], unit_rows(protos))
+        _, grads, _ = episode_loss_and_grads(head, scores, np.array([0]))
         np.testing.assert_array_equal(grads.w1, np.zeros_like(grads.w1))
         np.testing.assert_array_equal(grads.b1, np.zeros_like(grads.b1))
 
@@ -199,12 +203,48 @@ class TestClassProbabilities:
         """The forward-only path must give exactly the probabilities of the
         training path, so evaluation results cannot depend on which runs."""
         head = random_head(head_input_dim(m), 8, seed=m + k_shot)
-        table = selection_table(small_store, m, DistanceKind.COS)
+        reps = representation_table(small_store, m, DistanceKind.COS)
         for task in range(4):
             episode = sample_episode(small_store, 5, k_shot, 2, task, 17)
-            scores = episode_scores(small_store, table, episode, DistanceKind.COS)
+            scores = episode_scores(small_store, reps, episode, m, DistanceKind.COS)
             _, _, probs = episode_loss_and_grads(head, scores, episode.query_labels)
             assert np.array_equal(class_probabilities(head, scores), probs)
+
+
+class TestBlockedScoreTensor:
+    """score_tensor gathers a block of queries at a time from the table and
+    writes each block's squared cosines into one output array. Each query of
+    the short-last-block store at m = M is 16 x 32 values: 128 a block."""
+
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_equals_one_shot_matmul(self, k_shot):
+        store = random_store(*SHORT_LAST_BLOCK, seed=18)
+        m, kind = store.patches_m, DistanceKind.COS
+        reps = representation_table(store, m, kind)
+        episode = sample_episode(store, 2, k_shot, 140, 0, 19)
+        assert len(episode.query_rows) * m * store.dim_d > 2 * BLOCK_VALUES  # three blocks
+        if k_shot == 1:
+            protos = reps[episode.support_rows[:, 0]]
+        else:
+            oracle_protos, _ = episode_representations(store, episode, m, kind)
+            protos = unit_rows(np.stack([proto.rows for proto in oracle_protos]))
+        one_shot = np.matmul(reps[episode.query_rows][:, np.newaxis], protos.transpose(0, 2, 1))
+        expected = np.minimum(np.square(one_shot), 1.0)
+        assert np.array_equal(episode_scores(store, reps, episode, m, kind), expected)
+
+    def test_allocates_the_output_and_one_block(self):
+        """A gather of all 300 queries would be 1.2 MB; one block is 512 KiB."""
+        store = random_store(*SHORT_LAST_BLOCK, seed=18)
+        reps = representation_table(store, store.patches_m, DistanceKind.COS)
+        rows, protos = np.arange(len(store)), reps[:5]
+        tracemalloc.start()
+        try:
+            scores = score_tensor(reps, rows, protos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reps[rows].nbytes > 2 * 8 * BLOCK_VALUES
+        assert peak - scores.nbytes <= 8 * BLOCK_VALUES + 16 * 1024  # and bookkeeping
 
 
 class TestOptimizer:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpes.errors import SelectionOutOfRange
-from cpes.numerics import rng_split
+from cpes.numerics import rng_split, unit_rows
 import oracles
 from cpes.selection import (
     BLOCK_VALUES,
     DistanceKind,
     mask_json,
     mask_pgm,
+    representation_table,
     select_top,
     selection_table,
     similarity_sequence,
@@ -314,3 +315,25 @@ class TestBlockedSelectionTable:
         finally:
             tracemalloc.stop()
         assert peak - table.nbytes < 4 * block_bytes
+
+
+class TestRepresentationTable:
+    """representation_table fuses and normalises a block of records at a
+    time; each record's rows must equal the oracle's fusion of its oracle
+    selection, scaled by unit_rows, in every block and at every block edge.
+    At m = M a row holds M * D values, as a selection block's record does,
+    so the two stores give a short last block and over-budget records."""
+
+    @pytest.mark.parametrize("shape", [SHORT_LAST_BLOCK, OVER_BUDGET], ids=["short", "over"])
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("m", [0, 1, 4, "M"])
+    def test_rows_equal_record_path(self, shape, kind, m):
+        store = random_store(*shape, seed=16)
+        m = store.patches_m if m == "M" else m
+        expected = []
+        for rec in records(store):
+            top = oracles.select_top(oracles.similarity_sequence(rec, kind), m)
+            expected.append(unit_rows(fuse(rec, top).rows))
+        reps = representation_table(store, m, kind)
+        assert reps.shape == (len(store), max(m, 1), store.dim_d)
+        assert np.array_equal(reps, np.stack(expected))
