@@ -20,7 +20,7 @@ import numpy as np
 
 from .episodes import Episode, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
-from .numerics import derive_seed, rng_split, unit_rows
+from .numerics import rng_split, unit_rows
 from .scoring import (
     MlpHead,
     OptimizerConfig,
@@ -202,7 +202,8 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     head = init_head(cfg, m)
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
-    episodes = _episodes(store, cfg, m, derive_seed(cfg.base_seed, _TRAIN_STREAM), total_steps)
+    seed = rng_split(cfg.base_seed, _TRAIN_STREAM).state
+    episodes = _episodes(store, cfg, m, seed, total_steps)
 
     def step(episode: Episode, scores: np.ndarray) -> tuple[float, float]:
         number = head.step + 1

@@ -18,7 +18,7 @@ DEGENERATE_NORM = 1e-12
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLIT_SALT = 0x5851F42D4C957F2D
-# the uint64 operands of _raw_block and uniforms, built once: Weyl step, multipliers, shifts
+# the uint64 operands of _raw_block and _unit_interval, built once: Weyl step, multipliers, shifts
 _GOLDEN_U64, _MUL1, _MUL2 = map(np.uint64, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _S30, _S27, _S31, _S11 = map(np.uint64, (30, 27, 31, 11))
 
@@ -29,6 +29,22 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _unit_interval(words: np.ndarray) -> np.ndarray:
+    """Each word's top 53 bits k as the float k * 2**-53, in [0, 1)."""
+    return (words >> _S11).astype(np.float64) * 2.0**-53
+
+
+def box_muller(words: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals from each row (last axis) of 2*ceil(n/2) words:
+    the row's first half gives the radii, its second half the angles."""
+    pairs = (n + 1) // 2
+    # shifted into (0, 1] so log() is finite; exact, as each is k * 2**-53 with k < 2**53
+    u = _unit_interval(words) + 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
+    theta = 2.0 * math.pi * u[..., pairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
 
 
 class Rng64:
@@ -43,60 +59,46 @@ class Rng64:
     def __init__(self, state: int):
         self.state = state & _MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return _mix64(self.state)
-
     def _raw_block(self, n: int) -> np.ndarray:
-        # n next_u64() calls at once: _mix64 on uint64 words, whose wrapping
-        # stands in for its masks (np.uint64 constants: no Python-int operands)
+        # the next n outputs: _mix64 on uint64 words, whose wrapping stands
+        # in for its masks (np.uint64 constants: no Python-int operands)
         z = np.uint64(self.state) + _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
         self.state = (self.state + n * _GOLDEN) & _MASK64
         z = (z ^ (z >> _S30)) * _MUL1
         z = (z ^ (z >> _S27)) * _MUL2
         return z ^ (z >> _S31)
 
+    def _accepted(self, bounds: np.ndarray) -> np.ndarray:
+        """A word for each uint64 bound n in turn, at most 2**64 - 1 - 2**64 % n,
+        so that its residues mod n are equally likely (n = 1 takes any word):
+        a word above its limit is dropped, and that entry takes the next word."""
+        limits = ~(-bounds % bounds)
+        words = self._raw_block(len(limits))
+        start = 0
+        while (rejected := np.flatnonzero(words[start:] > limits[start:])).size:
+            start += int(rejected[0])
+            # rewind to just after the rejected word and redraw the tail
+            self.state = (self.state - (len(limits) - start - 1) * _GOLDEN) & _MASK64
+            words[start:] = self._raw_block(len(limits) - start)
+        return words
+
     def uniforms(self, n: int) -> np.ndarray:
-        return (self._raw_block(n) >> _S11).astype(np.float64) * 2.0**-53
+        return _unit_interval(self._raw_block(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) raw draws."""
-        pairs = (n + 1) // 2
-        # shifted into (0, 1] so log() is finite; exact, as each is k * 2**-53 with k < 2**53
-        u = self.uniforms(2 * pairs) + 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u[:pairs]))
-        theta = 2.0 * math.pi * u[pairs:]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:n]
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias (rejection sampling)."""
-        if n <= 0:
-            raise EmptyInput("randint needs n >= 1")
-        limit = _MASK64 + 1 - (_MASK64 + 1) % n
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
+        return box_muller(self._raw_block(2 * ((n + 1) // 2)), n)
 
     def randints(self, bounds) -> list[int]:
-        """randint(n) for each n of ``bounds`` in turn, drawn as one block:
-        the same values, and the same state after, as those calls."""
-        if min(bounds, default=1) > 0:
-            n = np.array(bounds, dtype=np.uint64)
-            words = self._raw_block(len(n))
-            # randint rejects a word at or above 2**64 - (-n % n): odds below n / 2**64
-            if not np.any(words > ~(-n % n)):
-                return (words % n).tolist()
-            self.state = (self.state - len(n) * _GOLDEN) & _MASK64  # rewind; call by call
-        return [self.randint(bound) for bound in bounds]
-
-    def sample_without_replacement(self, n: int, k: int) -> list[int]:
-        """k distinct indices from [0, n), partial Fisher-Yates order."""
-        return self.samples_without_replacement([range(n)], k)[0]
+        """A uniform integer in [0, n) for each n of ``bounds`` in turn."""
+        if min(bounds, default=1) <= 0:
+            raise EmptyInput(f"randints needs bounds >= 1, got {min(bounds)}")
+        n = np.array(bounds, dtype=np.uint64)
+        return (self._accepted(n) % n).tolist()
 
     def samples_without_replacement(self, pools, k: int) -> list[list]:
-        """k distinct items per pool, picked as sample_without_replacement does, in one block."""
+        """k distinct items per pool by a partial Fisher-Yates (slot i swaps
+        with slot i + j, j drawn from [0, len(pool) - i)), in one block."""
         draws = iter(self.randints([len(pool) - i for pool in pools for i in range(k)]))
         samples = [list(pool) for pool in pools]
         for items in samples:
@@ -112,11 +114,6 @@ def rng_split(seed: int, index: int) -> Rng64:
     creation order is irrelevant, so parallel consumers stay reproducible.
     """
     return Rng64(_mix64(_mix64(seed) ^ _mix64(index ^ _SPLIT_SALT)))
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """A plain 64-bit child seed, for namespacing independent RNG streams."""
-    return rng_split(seed, index).state
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
     check_settings,
     setting,
 )
-from .numerics import Rng64, rng_split
+from .numerics import box_muller, rng_split
 
 MAGIC = b"CPEM"
 VERSION = 1
@@ -41,6 +41,7 @@ VERSION = 1
 CONFUSER_WEIGHT = 0.7
 _FLAG_GROUND_TRUTH = 1
 _HEADER = "HIIIQ"  # after the magic and u16 version: flags, D, M, C, record count
+_PLANTED = "H"  # each ground-truth count and index: u16
 HEADER_BYTES = 4 + struct.calcsize("<H" + _HEADER)
 # numpy cannot shape arrays of larger records: sub-array dimensions must fit a C int
 _MAX_RECORD_BYTES = 2**31
@@ -117,6 +118,12 @@ class SyntheticConfig:
     def validate(self) -> None:
         """The declared bounds, then the rules that involve two fields."""
         check_settings(self)
+        # each record's planted count and indices must fit the CPEM ground-truth width
+        most = (1 << 8 * struct.calcsize(_PLANTED)) - 1
+        if self.patches > most + 1:
+            raise InfeasibleConfig(f"--patches must be <= {most + 1}, got {self.patches}")
+        if self.signal_patches > most:
+            raise InfeasibleConfig(f"--signal-patches must be <= {most}, got {self.signal_patches}")
         # each of a record's M - s distractor patches is drawn from the pool
         if self.signal_patches < self.patches and self.distractor_pool_size < 1:
             raise InfeasibleConfig(
@@ -138,7 +145,8 @@ def write_store(store: EmbeddingStore, destination) -> int:
     for name in body.dtype.names:
         body[name] = getattr(store, name)
     header = (flags, store.dim_d, store.patches_m, store.class_count, len(store))
-    planted = [struct.pack(f"<H{len(gt)}H", len(gt), *gt) for gt in store.ground_truth or ()]
+    gts = store.ground_truth or ()
+    planted = [struct.pack(f"<{1 + len(gt)}{_PLANTED}", len(gt), *gt) for gt in gts]
     return _write(destination, MAGIC, VERSION, _HEADER, header, [memoryview(body), *planted])
 
 
@@ -213,12 +221,14 @@ def read_store(source) -> EmbeddingStore:
         raise InvalidRecord("record ids are not unique")
     if flags & _FLAG_GROUND_TRUTH:
         store.ground_truth = []
+        count = struct.Struct("<" + _PLANTED)  # compiled once, not per record
+        width = count.size
         for _ in range(record_count):
-            _require(data, end + 2, "ground-truth count")
-            (s,) = struct.unpack_from("<H", data, end)
-            _require(data, end + 2 + 2 * s, "ground-truth indices")
-            store.ground_truth.append(struct.unpack_from(f"<{s}H", data, end + 2))
-            end += 2 + 2 * s
+            _require(data, end + width, "ground-truth count")
+            (s,) = count.unpack_from(data, end)
+            _require(data, end + width * (1 + s), "ground-truth indices")
+            store.ground_truth.append(struct.unpack_from(f"<{s}{_PLANTED}", data, end + width))
+            end += width * (1 + s)
         bad = [max(gt, default=-1) >= patches_m for gt in store.ground_truth]
         reject(InvalidRecord, np.array(bad), f"has a ground-truth index >= {patches_m} patches")
         repeats = [len(set(gt)) < len(gt) for gt in store.ground_truth]
@@ -227,33 +237,38 @@ def read_store(source) -> EmbeddingStore:
     return store
 
 
-def _unit_normal(rng: Rng64, dim: int) -> np.ndarray:
-    v = rng.normals(dim)
-    return v / np.linalg.norm(v)
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, as a column: one dot product per row, as it takes it."""
+    return np.sqrt(rows[:, np.newaxis, :] @ rows[:, :, np.newaxis])[:, 0]
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
-    """Generate a planted-signal store, fully determined by cfg.seed."""
+    """Generate a planted-signal store, fully determined by cfg.seed.
+
+    Stores stay reproducible while the stream keeps this order: 2*ceil(D/2)
+    normal words for each class signal and then each pool item; then per
+    record, its s signal-position draws, then for each patch in order an
+    optional pool pick and 2*ceil(D/2) normal words.
+    """
     cfg.validate()
     rng = rng_split(cfg.seed, 0)
-
-    signals = np.stack([_unit_normal(rng, cfg.dim) for _ in range(cfg.class_count)])
+    width = 2 * ((cfg.dim + 1) // 2)  # the words of one vector's normals
+    vectors = cfg.class_count + cfg.distractor_pool_size
+    normals = box_muller(rng._raw_block(vectors * width).reshape(vectors, width), cfg.dim)
+    signals = normals[: cfg.class_count] / _norms(normals[: cfg.class_count])
     # Orthonormal basis of the signal span, for projecting distractors out.
     basis, _ = np.linalg.qr(signals.T)
-    distractors = []
-    for j in range(cfg.distractor_pool_size):
-        v = rng.normals(cfg.dim)
-        v = v - basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            raise InfeasibleConfig("distractor collapsed onto the signal span")
-        # Background content is not pure noise: each pool item leans toward
-        # one class's signal, so a retained distractor patch can be mistaken
-        # for evidence of that class. Without this, discarded patches carry
-        # no misleading content and selection could never beat keeping all.
-        flavor = signals[j % cfg.class_count]
-        v = v / norm + CONFUSER_WEIGHT * flavor
-        distractors.append(v / np.linalg.norm(v))
+    v = normals[cfg.class_count :]
+    v = v - (basis @ (basis.T @ v[..., np.newaxis]))[..., 0]
+    norms = _norms(v)
+    if np.any(norms < 1e-9):
+        raise InfeasibleConfig("distractor collapsed onto the signal span")
+    # Background content is not pure noise: each pool item leans toward
+    # one class's signal, so a retained distractor patch can be mistaken
+    # for evidence of that class. Without this, discarded patches carry
+    # no misleading content and selection could never beat keeping all.
+    v = v / norms + CONFUSER_WEIGHT * signals[np.arange(len(v)) % cfg.class_count]
+    distractors = v / _norms(v)
 
     rows = cfg.class_count * cfg.records_per_class
     store = EmbeddingStore(
@@ -267,17 +282,21 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
         ground_truth=[],
     )
     for row, label in enumerate(store.labels.tolist()):
-        g = signals[label]
-        signal_pos = sorted(rng.sample_without_replacement(cfg.patches, cfg.signal_patches))
-        patches = np.empty((cfg.patches, cfg.dim))
-        signal_set = set(signal_pos)
-        for j in range(cfg.patches):
-            if j in signal_set:
-                v = g + cfg.signal_noise * rng.normals(cfg.dim)
-            else:
-                b = distractors[rng.randint(cfg.distractor_pool_size)]
-                v = b + cfg.distractor_noise * rng.normals(cfg.dim)
-            patches[j] = v / np.linalg.norm(v)
+        positions = range(cfg.patches)
+        signal_pos = sorted(rng.samples_without_replacement([positions], cfg.signal_patches)[0])
+        distractor = np.isin(np.arange(cfg.patches), signal_pos, invert=True)
+        # patch j's normals follow j patches' normals and every pick up to its own
+        starts = np.arange(cfg.patches) * width + np.cumsum(distractor)
+        picks = starts[distractor] - 1
+        bounds = np.ones(cfg.patches * width + len(picks), dtype=np.uint64)  # 1: any word
+        bounds[picks] = cfg.distractor_pool_size
+        words = rng._accepted(bounds)
+        noise = box_muller(words[starts[:, np.newaxis] + np.arange(width)], cfg.dim)
+        base = np.repeat(signals[label][np.newaxis], cfg.patches, axis=0)
+        base[distractor] = distractors[words[picks] % cfg.distractor_pool_size]
+        scale = np.where(distractor, cfg.distractor_noise, cfg.signal_noise)[:, np.newaxis]
+        v = base + scale * noise
+        patches = v / _norms(v)
         store.class_embeddings[row] = patches.mean(axis=0)
         store.patch_embeddings[row] = patches
         store.ground_truth.append(tuple(signal_pos))

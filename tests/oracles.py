@@ -13,6 +13,10 @@ The head here is the one the package kept before its state became one flat
 array: parameters and moments as separate tensors, b2 a Python float, and
 an optimizer step per tensor. ``head_of`` and ``grads_of`` build the flat
 state from separate tensors; ``moment`` and ``per_tensor_head`` read it back.
+
+The RNG here is the counter stream on Python ints. ``ScalarRng`` is its
+one-draw-at-a-time form, which tests make data with, and ``per_patch_store``
+is the generator the package ran before it drew each record as one block.
 """
 
 import math
@@ -29,10 +33,10 @@ from cpes.errors import (
     SelectionOutOfRange,
 )
 from cpes.harness import resolve_m
-from cpes.numerics import DEGENERATE_NORM, rng_split, softmax, unit_rows
+from cpes.numerics import DEGENERATE_NORM, Rng64, rng_split, softmax, unit_rows
 from cpes.scoring import Gradients, MlpHead, head_forward
 from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind
-from cpes.store import EmbeddingStore
+from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -396,14 +400,9 @@ def outputs(state: int):
         yield mix64(state)
 
 
-def sample_without_replacement(state: int, n: int, k: int) -> list[int]:
-    """Rng64.sample_without_replacement from ``state``."""
-    return fisher_yates(outputs(state), n, k)
-
-
 def randint(draws, n: int) -> int:
-    """Rng64.randint(n) on the iterator of outputs ``draws``: the first
-    output below the largest multiple of n at most 2**64, mod n."""
+    """One uniform draw from [0, n) on the iterator of outputs ``draws``: the
+    first output below the largest multiple of n at most 2**64, mod n."""
     limit = (1 << 64) - (1 << 64) % n
     return next(x for x in draws if x < limit) % n
 
@@ -416,3 +415,74 @@ def fisher_yates(draws, n: int, k: int) -> list[int]:
         j = i + randint(draws, n - i)
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:k]
+
+
+class ScalarRng(Rng64):
+    """Rng64 with one-draw-at-a-time methods on the Python-int oracles, for
+    tests that make data draw by draw: each takes the words the package's
+    blocks take, so values and state match theirs."""
+
+    __slots__ = ()
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GOLDEN) & MASK64
+        return mix64(self.state)
+
+    def randint(self, n: int) -> int:
+        return randint(iter(self.next_u64, None), n)
+
+    def sample_without_replacement(self, n: int, k: int) -> list[int]:
+        return fisher_yates(iter(self.next_u64, None), n, k)
+
+
+def scalar_rng(seed: int, index: int) -> ScalarRng:
+    """rng_split(seed, index) as a ScalarRng."""
+    return ScalarRng(rng_split(seed, index).state)
+
+
+# -- the planted-signal generator, patch by patch ----------------------------
+
+
+def per_patch_store(cfg: SyntheticConfig, rng: ScalarRng) -> EmbeddingStore:
+    """``cpes.generate_synthetic(cfg)`` with ``rng`` for rng_split(cfg.seed, 0),
+    drawing as the package once did: one normals(D) call per class signal and
+    pool item, then per record a Fisher-Yates of its signal positions and,
+    patch by patch, a randint pool pick for a distractor and normals(D)."""
+    cfg.validate()
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    signals = np.stack([unit(rng.normals(cfg.dim)) for _ in range(cfg.class_count)])
+    basis, _ = np.linalg.qr(signals.T)
+    distractors = []
+    for j in range(cfg.distractor_pool_size):
+        v = rng.normals(cfg.dim)
+        v = v - basis @ (basis.T @ v)
+        v = v / np.linalg.norm(v) + CONFUSER_WEIGHT * signals[j % cfg.class_count]
+        distractors.append(unit(v))
+    labels = np.repeat(np.arange(cfg.class_count, dtype=np.uint32), cfg.records_per_class)
+    class_embeddings, patch_embeddings, ground_truth = [], [], []
+    for label in labels.tolist():
+        signal_pos = sorted(rng.sample_without_replacement(cfg.patches, cfg.signal_patches))
+        patches = np.empty((cfg.patches, cfg.dim))
+        for j in range(cfg.patches):
+            if j in signal_pos:
+                v = signals[label] + cfg.signal_noise * rng.normals(cfg.dim)
+            else:
+                b = distractors[rng.randint(cfg.distractor_pool_size)]
+                v = b + cfg.distractor_noise * rng.normals(cfg.dim)
+            patches[j] = unit(v)
+        class_embeddings.append(patches.mean(axis=0))
+        patch_embeddings.append(patches)
+        ground_truth.append(tuple(signal_pos))
+    return EmbeddingStore(
+        cfg.dim,
+        cfg.patches,
+        cfg.class_count,
+        np.arange(len(labels), dtype=np.uint64),
+        labels,
+        np.array(class_embeddings, dtype=np.float32).reshape(len(labels), cfg.dim),
+        np.array(patch_embeddings, dtype=np.float32).reshape(len(labels), cfg.patches, cfg.dim),
+        ground_truth=ground_truth,
+    )

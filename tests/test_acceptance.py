@@ -20,7 +20,7 @@ from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG
 from cpes.cli import main as cli_main
 from cpes.errors import BadMagic, NonFiniteValue, TruncatedFile, UnsupportedVersion
 from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep
-from cpes.numerics import Rng64, rng_split
+from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
 from cpes.store import (
@@ -29,7 +29,7 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from oracles import EmbeddingRecord, records, store_from_records
+from oracles import EmbeddingRecord, ScalarRng, records, store_from_records
 from test_scoring import (
     assert_grads_close,
     episode_fixture,
@@ -87,7 +87,7 @@ def test_non_reproducibility_statement():
 def test_selection_oracle_equivalence():
     """1000 random sequences (M <= 32, ties injected) match brute force."""
     with criterion("selection equals brute-force oracle on 1000 sequences"):
-        rng = Rng64(20260826)
+        rng = ScalarRng(20260826)
         start = time.perf_counter()
         for _ in range(1000):
             n = 1 + rng.randint(32)
@@ -119,7 +119,7 @@ def test_gradient_correctness(small_store):
 def test_score_matrix_properties():
     """10^4 random fused pairs: range, transpose symmetry, sign-flip invariance."""
     with criterion("score-matrix range/symmetry/sign-flip over 10^4 pairs"):
-        rng = Rng64(7)
+        rng = ScalarRng(7)
         for _ in range(10_000):
             rows_a = 1 + rng.randint(5)
             rows_b = 1 + rng.randint(5)
@@ -239,7 +239,7 @@ def test_determinism(tmp_path):
         assert artifacts[0] == artifacts[1]
 
 
-def _random_store(rng: Rng64) -> EmbeddingStore:
+def _random_store(rng: ScalarRng) -> EmbeddingStore:
     d = 1 + rng.randint(8)
     m = 1 + rng.randint(6)
     n = rng.randint(5)
@@ -263,7 +263,7 @@ def test_format_round_trips(tmp_path):
     """100 fuzzed stores and checkpoints round-trip bit-exactly; corrupted
     files raise the designated errors."""
     with criterion("store/checkpoint round trips bit-exact; corruption detected"):
-        rng = Rng64(99)
+        rng = ScalarRng(99)
         for i in range(100):
             store = _random_store(rng)
             buf = io.BytesIO()
@@ -284,7 +284,7 @@ def test_format_round_trips(tmp_path):
             assert again.getvalue() == first
 
         good = io.BytesIO()
-        write_store(_random_store(Rng64(1)), good)
+        write_store(_random_store(ScalarRng(1)), good)
         blob = good.getvalue()
         with pytest.raises(BadMagic):
             read_store(io.BytesIO(b"XXXX" + blob[4:]))
@@ -294,10 +294,10 @@ def test_format_round_trips(tmp_path):
             read_store(io.BytesIO(blob[:-1]))
 
         seed = 3
-        store = _random_store(Rng64(seed))
+        store = _random_store(ScalarRng(seed))
         while not len(store):
             seed += 1
-            store = _random_store(Rng64(seed))
+            store = _random_store(ScalarRng(seed))
         store.class_embeddings[0, 0] = np.nan
         buf = io.BytesIO()
         write_store(store, buf)

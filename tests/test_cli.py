@@ -245,6 +245,33 @@ class TestExitCodes:
         assert err == "error: distractor_pool_size must be >= 0, got -3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "patches,signal,message",
+        [
+            ("70000", "70000", "--patches must be <= 65536, got 70000"),
+            ("70000", "1", "--patches must be <= 65536, got 70000"),
+            ("65537", "1", "--patches must be <= 65536, got 65537"),
+            ("65536", "65536", "--signal-patches must be <= 65535, got 65536"),
+        ],
+    )
+    def test_ground_truth_wider_than_u16_is_2(self, tmp_path, capsys, patches, signal, message):
+        """CPEM stores each record's planted count and indices as u16: a
+        store that cannot hold them is rejected before any draw."""
+        out = tmp_path / "s.cpem"
+        argv = ["gen-synthetic", "--classes", "1", "--records-per-class", "1", "--dim", "2",
+                "--distractors", "1", "--out", str(out)]
+        assert main(argv + ["--patches", patches, "--signal-patches", signal]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_ground_truth_at_u16_width_round_trips(self, tmp_path):
+        out = tmp_path / "s.cpem"
+        argv = ["gen-synthetic", "--classes", "1", "--records-per-class", "1", "--dim", "2",
+                "--distractors", "1", "--patches", "65536", "--signal-patches", "65535"]
+        assert main(argv + ["--out", str(out)]) == 0
+        (planted,) = read_store(out).ground_truth
+        assert len(planted) == 65535 and max(planted) <= 65535
+
     @pytest.mark.parametrize("flag", ["--k-shot", "--queries"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_oversized_episode_is_2(self, store_path, tmp_path, capsys, command, flag):

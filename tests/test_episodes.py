@@ -15,6 +15,7 @@ from oracles import (
     record,
     records,
     sample_episode_records,
+    scalar_rng,
     state_before,
     store_from_records,
 )
@@ -41,7 +42,7 @@ def tiny_store(n_classes: int, per_class: int, dim=4, patches=3) -> EmbeddingSto
 def store_of_sizes(sizes, dim=4, patches=3) -> EmbeddingStore:
     """A store whose label i has sizes[i] records, the records of all labels
     shuffled together rather than grouped or ordered by label."""
-    rng = rng_split(321, 0)
+    rng = scalar_rng(321, 0)
     labels = [label for label, size in enumerate(sizes) for _ in range(size)]
     order = rng.sample_without_replacement(len(labels), len(labels))
     recs = []

@@ -12,12 +12,13 @@ from cpes.selection import DistanceKind, similarity_sequence
 from oracles import (
     GOLDEN,
     MASK64,
+    ScalarRng,
     cosine,
     fisher_yates,
     mix64,
     outputs,
     randint,
-    sample_without_replacement,
+    scalar_rng,
     state_before,
     unmix64,
 )
@@ -143,7 +144,7 @@ class TestCrossEntropy:
             cross_entropy(np.array([0.5, 0.5]), 2)
 
     def test_nonnegative(self):
-        rng = rng_split(3, 0)
+        rng = scalar_rng(3, 0)
         for _ in range(200):
             p = softmax(rng.normals(6))
             assert cross_entropy(p, rng.randint(6)) >= 0.0
@@ -151,36 +152,35 @@ class TestCrossEntropy:
 
 class TestRng:
     def test_golden_vector(self):
-        g = rng_split(20260826, 0)
-        assert [g.next_u64() for _ in range(10)] == RNG_GOLDEN
+        state = rng_split(20260826, 0).state
+        assert Rng64(state)._raw_block(10).tolist() == RNG_GOLDEN
+        assert list(itertools.islice(outputs(state), 10)) == RNG_GOLDEN
 
     def test_same_split_same_stream(self):
         a = rng_split(99, 0)
         b = rng_split(99, 0)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+        assert a._raw_block(20).tolist() == b._raw_block(20).tolist()
 
     def test_distinct_indices_distinct_streams(self):
-        a = rng_split(99, 0)
-        b = rng_split(99, 1)
-        xs = [a.next_u64() for _ in range(64)]
-        ys = [b.next_u64() for _ in range(64)]
-        assert all(x != y for x, y in zip(xs, ys))
+        xs = rng_split(99, 0)._raw_block(64)
+        ys = rng_split(99, 1)._raw_block(64)
+        assert np.all(xs != ys)
 
     def test_creation_order_irrelevant(self):
         first = rng_split(7, 5)
         _ = rng_split(7, 6)
         again = rng_split(7, 5)
-        assert first.next_u64() == again.next_u64()
+        assert first._raw_block(1) == again._raw_block(1)
 
     def test_block_matches_scalar_path(self):
+        """Two blocks in a row are the Python-int outputs in a row."""
         a = Rng64(12345)
-        b = Rng64(12345)
-        block = a._raw_block(17)
-        assert [int(x) for x in block] == [b.next_u64() for _ in range(17)]
+        block = np.concatenate([a._raw_block(17), a._raw_block(5)])
+        assert block.tolist() == list(itertools.islice(outputs(12345), 22))
+        assert a.state == (12345 + 22 * GOLDEN) & MASK64
 
     def test_finalizer_inverse(self):
-        g = rng_split(6, 0)
-        for x in [0, 1, MASK64] + [g.next_u64() for _ in range(200)]:
+        for x in [0, 1, MASK64] + rng_split(6, 0)._raw_block(200).tolist():
             assert unmix64(mix64(x)) == x == mix64(unmix64(x))
         assert list(itertools.islice(outputs(rng_split(20260826, 0).state), 10)) == RNG_GOLDEN
 
@@ -192,22 +192,22 @@ class TestRng:
         top, following = itertools.islice(outputs(state), 2)
         assert top == MASK64 >= (1 << 64) - (1 << 64) % n
         g = Rng64(state)
-        assert g.randint(n) == following % n
+        assert g.randints([n]) == [following % n] == [randint(outputs(state), n)]
         assert g.state == (state + 2 * GOLDEN) & MASK64
         for k in (1, n):
-            expected = sample_without_replacement(state, n, k)
-            assert Rng64(state).sample_without_replacement(n, k) == expected
+            expected = fisher_yates(outputs(state), n, k)
+            assert Rng64(state).samples_without_replacement([range(n)], k) == [expected]
 
     def test_block_draw_equals_scalar_draws(self):
-        """randints(bounds) returns what successive randint calls return and
+        """randints(bounds) returns what successive oracle draws return and
         leaves the state where they leave it, with or without a rejected
         word: above 2**62 a bound rejects words with odds up to about 1/3."""
-        g = rng_split(14, 0)
+        g = scalar_rng(14, 0)
         rejected = 0
         for _ in range(300):
             bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(g.randint(40))]
             state = g.next_u64()
-            block, scalar = Rng64(state), Rng64(state)
+            block, scalar = Rng64(state), ScalarRng(state)
             assert block.randints(bounds) == [scalar.randint(n) for n in bounds]
             assert block.state == scalar.state
             rejected += block.state != (state + len(bounds) * GOLDEN) & MASK64
@@ -216,11 +216,11 @@ class TestRng:
     @pytest.mark.parametrize("n", [3, 15, 30])
     @pytest.mark.parametrize("before", [0, 1, 5])
     def test_block_draw_discards_rejected_word(self, n, before):
-        """The block's word number ``before`` is 2**64 - 1, which randint(n)
-        rejects: the block takes the next word instead, like the scalar
-        calls and the Python-int oracle, and ends one word further on."""
+        """The block's word number ``before`` is 2**64 - 1, which a draw from
+        [0, n) rejects: the block takes the next word instead, like the
+        Python-int oracle draw by draw, and ends one word further on."""
         state = (state_before(MASK64) - before * GOLDEN) & MASK64
-        block, scalar = Rng64(state), Rng64(state)
+        block, scalar = Rng64(state), ScalarRng(state)
         values = block.randints([n] * 8)
         draws = outputs(state)
         assert values == [scalar.randint(n) for _ in range(8)]
@@ -236,7 +236,7 @@ class TestRng:
         """samples_without_replacement maps one partial Fisher-Yates per pool
         through the pool, the pools' draws following each other in one
         stream, a rejected word included."""
-        g = rng_split(15, 0)
+        g = scalar_rng(15, 0)
         for trial in range(60):
             sizes = [1 + g.randint(12) for _ in range(1 + g.randint(6))]
             k = g.randint(min(sizes) + 1)
@@ -248,6 +248,25 @@ class TestRng:
             expected = [[pool[i] for i in fisher_yates(draws, len(pool), k)] for pool in pools]
             assert Rng64(state).samples_without_replacement(pools, k) == expected
 
+    def test_accepted_words_equal_word_by_word_draws(self):
+        """_accepted(bounds) gives each bound n in turn the first word at
+        most 2**64 - 1 - 2**64 % n, as word by word draws do, and leaves the
+        state where they do: a bound of 1 takes any word, and one above 2**62
+        rejects words with odds up to about 1/3."""
+        g = scalar_rng(16, 0)
+        rejected = 0
+        for _ in range(200):
+            bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(g.randint(30))]
+            state = g.next_u64()
+            block, scalar = Rng64(state), ScalarRng(state)
+            words = block._accepted(np.array(bounds, dtype=np.uint64)).tolist()
+            draws = iter(scalar.next_u64, None)
+            limits = [MASK64 - (1 << 64) % n for n in bounds]
+            assert words == [next(x for x in draws if x <= limit) for limit in limits]
+            assert block.state == scalar.state
+            rejected += block.state != (state + len(bounds) * GOLDEN) & MASK64
+        assert 0 < rejected < 200
+
     def test_uniform_range(self):
         g = rng_split(4, 0)
         us = g.uniforms(10_000)
@@ -256,6 +275,6 @@ class TestRng:
     def test_sample_without_replacement(self):
         g = rng_split(5, 0)
         for _ in range(100):
-            picks = g.sample_without_replacement(10, 7)
+            picks = g.samples_without_replacement([range(10)], 7)[0]
             assert len(set(picks)) == 7
             assert all(0 <= p < 10 for p in picks)

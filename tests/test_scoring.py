@@ -33,6 +33,7 @@ from oracles import (
     moment,
     per_tensor_head,
     per_tensor_optimizer_step,
+    scalar_rng,
     scale_grads,
     zero_grads,
 )
@@ -361,7 +362,7 @@ class TestCheckpoint:
 
     def test_round_trip_fuzz(self):
         for seed in range(30):
-            rng = rng_split(seed, 55)
+            rng = scalar_rng(seed, 55)
             head = MlpHead.initialize(1 + rng.randint(20), 1 + rng.randint(10), rng)
             a, b = io.BytesIO(), io.BytesIO()
             save_head(head, a)

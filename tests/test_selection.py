@@ -18,7 +18,7 @@ from cpes.selection import (
     similarity_sequence,
 )
 from cpes.store import EmbeddingStore
-from oracles import EmbeddingRecord, fuse, records, store_from_records
+from oracles import EmbeddingRecord, fuse, records, scalar_rng, store_from_records
 
 
 def make_record(class_emb, patches) -> EmbeddingRecord:
@@ -96,7 +96,7 @@ class TestSelectTop:
             select_top(np.array([1.0]), 2)
 
     def test_oracle_equivalence_fuzz(self):
-        rng = rng_split(8, 0)
+        rng = scalar_rng(8, 0)
         for trial in range(1000):
             big = 1 + rng.randint(32)
             sims = rng.normals(big)
@@ -151,7 +151,7 @@ class TestFuse:
                 )
 
     def test_permutation_equivariance(self):
-        rng = rng_split(11, 0)
+        rng = scalar_rng(11, 0)
         for _ in range(50):
             rec = make_record(rng.normals(8), rng.normals(6 * 8).reshape(6, 8))
             perm = rng.sample_without_replacement(6, 6)

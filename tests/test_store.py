@@ -15,7 +15,8 @@ from cpes.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from cpes.numerics import rng_split
+import cpes.store as store_module
+from cpes.numerics import Rng64, rng_split
 from cpes.scoring import MlpHead, load_head, save_head
 from cpes.store import (
     EmbeddingStore,
@@ -25,7 +26,18 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from oracles import EmbeddingRecord, cosine, records, store_from_records
+from oracles import (
+    GOLDEN,
+    MASK64,
+    EmbeddingRecord,
+    ScalarRng,
+    cosine,
+    per_patch_store,
+    records,
+    scalar_rng,
+    state_before,
+    store_from_records,
+)
 
 # Golden means recorded from the first run of the reference store
 # (small_store fixture); recomputed exhaustively in the test below.
@@ -34,7 +46,7 @@ GOLDEN_MEAN_COS_DISTRACTOR = 0.3786657482046831
 
 
 def random_store(seed: int) -> EmbeddingStore:
-    rng = rng_split(seed, 77)
+    rng = scalar_rng(seed, 77)
     dim = 2 + rng.randint(6)
     patches = 1 + rng.randint(5)
     classes = 1 + rng.randint(4)
@@ -287,3 +299,50 @@ class TestSyntheticGenerator:
         by_label = small_store.records_by_label()
         assert sorted(by_label) == list(range(5))
         assert all(len(v) == 10 for v in by_label.values())
+
+
+def _cpem(store: EmbeddingStore) -> bytes:
+    buf = io.BytesIO()
+    write_store(store, buf)
+    return buf.getvalue()
+
+
+class TestGeneratorOracle:
+    """generate_synthetic draws each record's words as one block; the
+    stores it writes equal the per-patch oracle's, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SyntheticConfig(3, 4, 11, 9, 3, 0.3, 5, 0.3, seed=3),  # odd D, pool 5
+            SyntheticConfig(2, 5, 7, 8, 2, 0.2, 3, 0.4, seed=5),  # odd D, pool 3
+            SyntheticConfig(2, 4, 6, 9, 9, 0.3, 0, 0.3, seed=4),  # s = M, pool 0
+            SyntheticConfig(2, 4, 8, 10, 1, 0.1, 4, 0.2, seed=6),  # s = 1
+            SyntheticConfig(),
+        ],
+        ids=["odd-dim-pool-5", "odd-dim-pool-3", "all-signal-pool-0", "one-signal", "defaults"],
+    )
+    def test_store_equals_per_patch_oracle(self, cfg):
+        oracle = per_patch_store(cfg, scalar_rng(cfg.seed, 0))
+        assert _cpem(generate_synthetic(cfg)) == _cpem(oracle)
+
+    def test_pinned_rejections_equal_per_patch_oracle(self, monkeypatch):
+        """Start the stream k words before 2**64 - 1, for every word k of
+        the store. A pick from the pool of 3 rejects that word; with M = 4
+        a position draw never rejects and a normal word never does, so a
+        store that takes one word more than its layout rejected a pick."""
+        cfg = SyntheticConfig(1, 2, 5, 4, 1, 0.3, 3, 0.3)
+        width = 6  # 2 * ceil(5 / 2) normal words per vector
+        layout = (1 + 3) * width + 2 * (1 + 4 * width + 3)
+        picks_rejected = 0
+        for k in range(layout):
+            state = (state_before(MASK64) - k * GOLDEN) & MASK64
+            package = Rng64(state)
+            monkeypatch.setattr(store_module, "rng_split", lambda seed, index: package)
+            oracle = ScalarRng(state)
+            assert _cpem(generate_synthetic(cfg)) == _cpem(per_patch_store(cfg, oracle))
+            assert package.state == oracle.state
+            words = (package.state - state) * pow(GOLDEN, -1, 1 << 64) & MASK64
+            assert words in (layout, layout + 1)
+            picks_rejected += words == layout + 1
+        assert picks_rejected > 0

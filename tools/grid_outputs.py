@@ -4,10 +4,12 @@ Generates the two frozen sweep stores of ``tests/conftest.py`` with
 ``cpes gen-synthetic``, then runs ``cpes train`` and ``cpes eval`` at their
 default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
 keeping every store, checkpoint, training log and report under OUT_DIR.
-It also writes a store of every gen-synthetic default, the selection masks
-of records 0-5 of the train store (m=4, cos), and a checkpoint and log
-trained from a ``--config`` JSON file, and the JSON reports of a short
-``sweep-m`` and ``sweep-distance`` over the two sweep stores. Everything
+It also writes a store of every gen-synthetic default, an odd-shape store
+(odd D, whose last normal pair is cut short, and a pool of 5, whose picks
+can reject a word), the selection masks of records 0-5 of the train store
+(m=4, cos), and a checkpoint and log trained from a ``--config`` JSON file,
+and the JSON reports of a short ``sweep-m`` and ``sweep-distance`` over the
+two sweep stores. Everything
 goes through ``cpes.cli.main``, so the cpes imported is the one on
 PYTHONPATH. To check that a change moves no result:
 
@@ -36,6 +38,9 @@ CONFIG_RUN = {
     "m": 4, "distance": "sqr", "k_shot": 3, "epochs": 2, "episodes_per_epoch": 20,
     "seed": 3, "hidden": 32, "lr": 0.002, "weight_decay": 0.0, "schedule": "constant",
 }
+# a store shape the sweep stores miss: odd D and a pool size that does not divide 2**64
+ODD_SHAPE = ["--classes", "6", "--dim", "11", "--patches", "9", "--signal-patches", "3",
+             "--distractors", "5"]
 # run length of each sweep point: short, as a sweep trains once per value
 SWEEP_RUN = ["--epochs", "1", "--episodes-per-epoch", "20", "--tasks", "50"]
 
@@ -62,6 +67,7 @@ def main_grid(out_dir: Path) -> None:
     gen_synthetic(SWEEP_TRAIN_CFG, train_store)
     gen_synthetic(SWEEP_EVAL_CFG, eval_store)
     run(["gen-synthetic", "--out", str(out_dir / "defaults.cpem")])
+    run(["gen-synthetic", *ODD_SHAPE, "--out", str(out_dir / "odd_shape.cpem")])
     run(["export-masks", "--store", str(train_store), "--records", "0,1,2,3,4,5", "--m", "4",
          "--distance", "cos", "--out", str(out_dir / "masks")])
     config = out_dir / "config_run.json"
