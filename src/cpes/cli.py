@@ -203,8 +203,8 @@ def _cmd_export_masks(args) -> int:
 def _cmd_inspect_store(args) -> int:
     store = read_store(args.store)
     print(f"dim={store.dim_d} patches={store.patches_m} classes={store.class_count}")
-    print(f"records={len(store)} ground_truth={store.ground_truth is not None}")
-    for label, idx in store.records_by_label().items():
+    print(f"records={len(store)} ground_truth={store.planted is not None}")
+    for label, idx in store.by_label.items():
         print(f"  class {label}: {len(idx)} records")
     return 0
 

@@ -41,12 +41,12 @@ def sample_episode(
     without replacement: first K become the prototype, the rest queries.
     Class sizes are checked before anything of size K+Q is allocated.
     """
-    by_label, labels = store.records_by_label(), store.present_labels
-    if len(labels) < n_way:
-        raise InsufficientClasses(f"need {n_way} classes, store has {len(labels)}")
+    by_label = store.by_label
+    if len(by_label) < n_way:
+        raise InsufficientClasses(f"need {n_way} classes, store has {len(by_label)}")
     need = k_shot + queries_per_class
     rng = rng_split(base_seed, task_index)
-    class_map = rng.samples_without_replacement([labels], n_way)[0]
+    class_map = rng.samples_without_replacement([list(by_label)], n_way)[0]
     pools = [by_label[label] for label in class_map]
     for label, pool in zip(class_map, pools):
         if len(pool) < need:

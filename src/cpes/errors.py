@@ -87,5 +87,5 @@ class TrailingBytes(StoreFormatError):
 
 
 class InvalidRecord(StoreFormatError):
-    """A record over 2 GiB, a label >= class_count, a ground-truth index >= M
-    or repeated within a record, or a repeated record id."""
+    """A record over 2 GiB, a label >= class_count, a repeated record id, a
+    ground-truth index >= M or repeated in its record, or on write one above u16."""

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -122,12 +123,10 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
         if not 0 <= cfg.m <= store.patches_m:
             raise ValueError(f"m must be in [0, {store.patches_m}], got {cfg.m}")
         return cfg.m
-    if store.ground_truth:
-        counts = sorted({len(planted) for planted in store.ground_truth})
-        if len(counts) > 1:
-            raise InfeasibleConfig(f"records plant {counts} signal patches; pass --m")
-        return counts[0]
-    return min(96, store.patches_m)
+    counts = [] if store.planted is None else np.unique(store.planted.sum(1)).tolist()
+    if len(counts) > 1:
+        raise InfeasibleConfig(f"records plant {counts} signal patches; pass --m")
+    return counts[0] if counts else min(96, store.patches_m)
 
 
 def episode_scores(
@@ -199,6 +198,7 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     Returns the head and a per-epoch log of mean loss and accuracy.
     """
     m = resolve_m(store, cfg)
+    cfg.optimizer.check_schedule()
     head = init_head(cfg, m)
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
@@ -287,8 +287,6 @@ def export_masks(
     """Write the selection JSON (and PGM mask when M is a perfect square)
     for each requested record, once every id and cfg are checked. Returns
     the written paths."""
-    from pathlib import Path
-
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     for record_id in record_ids:
         if record_id not in by_id:

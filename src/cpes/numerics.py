@@ -85,10 +85,6 @@ class Rng64:
     def uniforms(self, n: int) -> np.ndarray:
         return _unit_interval(self._raw_block(n))
 
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller; consumes 2*ceil(n/2) raw draws."""
-        return box_muller(self._raw_block(2 * ((n + 1) // 2)), n)
-
     def randints(self, bounds) -> list[int]:
         """A uniform integer in [0, n) for each n of ``bounds`` in turn."""
         if min(bounds, default=1) <= 0:

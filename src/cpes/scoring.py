@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue, StoreFormatError, setting
+from .errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, NonFiniteValue
+from .errors import StoreFormatError, setting
 from .numerics import Rng64, cross_entropy, softmax
 from .selection import _blocks
 from .store import _read_header, _reject_trailing, _require, _write
@@ -54,6 +55,11 @@ class OptimizerConfig:
     schedule: ScheduleKind = setting(ScheduleKind.COSINE, "--schedule")
     lr_floor: float = setting(1e-6, "--lr-floor", least=0)
     total_steps: int = 1
+
+    def check_schedule(self) -> None:
+        if self.schedule is ScheduleKind.COSINE and self.lr_floor > self.learning_rate:
+            raise InfeasibleConfig(f"lr_floor {self.lr_floor} must be <= learning_rate "
+                                   f"{self.learning_rate} under the cosine schedule")
 
     def lr_at(self, t: int) -> float:
         if self.schedule is ScheduleKind.CONSTANT:

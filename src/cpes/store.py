@@ -6,7 +6,8 @@ CPEM layout (little-endian):
   other bit) | dim_d u32 (>= 1) | patches_m u32 | class_count u32 | record_count u64
   | per record: record_id u64, label u32, class_embedding f32 x D,
     patch_embeddings f32 x (M*D)
-  | optional ground-truth section: per record, s u16 then s x u16 indices.
+  | optional ground-truth section: per record, s u16 then s x u16 indices,
+    read in any order into the (R, M) bool mask ``planted`` and written ascending.
 
 Embeddings stay float32, as CPEM stores them (a read store holds views of
 the file bytes); consumers take exact float64 copies, so all math runs in
@@ -41,8 +42,7 @@ VERSION = 1
 CONFUSER_WEIGHT = 0.7
 _FLAG_GROUND_TRUTH = 1
 _HEADER = "HIIIQ"  # after the magic and u16 version: flags, D, M, C, record count
-_PLANTED = "H"  # each ground-truth count and index: u16
-HEADER_BYTES = 4 + struct.calcsize("<H" + _HEADER)
+_PLANTED = np.dtype("<u2")  # each ground-truth count and index
 # numpy cannot shape arrays of larger records: sub-array dimensions must fit a C int
 _MAX_RECORD_BYTES = 2**31
 
@@ -65,22 +65,17 @@ class EmbeddingStore:
     labels: np.ndarray  # (R,) in [0, class_count)
     class_embeddings: np.ndarray  # (R, D) float32
     patch_embeddings: np.ndarray  # (R, M, D) float32
-    # per-record planted signal patch indices; synthetic stores only
-    ground_truth: list[tuple[int, ...]] | None = None
+    planted: np.ndarray | None = None  # (R, M) bool planted signal patches; synthetic stores
 
     def __post_init__(self):
         by_label: dict[int, list[int]] = {}
         for row, label in enumerate(self.labels.tolist()):
             by_label.setdefault(label, []).append(row)
-        self._by_label = dict(sorted(by_label.items()))
-        self.present_labels = list(self._by_label)  # ascending, as episodes number classes
+        # row indices of each label's records, in store order, by ascending label
+        self.by_label = dict(sorted(by_label.items()))
 
     def __len__(self) -> int:
         return self.record_ids.shape[0]
-
-    def records_by_label(self) -> dict[int, list[int]]:
-        """Row indices of each label's records, in store order, by ascending label."""
-        return self._by_label
 
     def embeddings(self, rows, patches=None) -> tuple[np.ndarray, np.ndarray]:
         """float64 copies of the class embeddings at ``rows`` (an index, an
@@ -119,7 +114,7 @@ class SyntheticConfig:
         """The declared bounds, then the rules that involve two fields."""
         check_settings(self)
         # each record's planted count and indices must fit the CPEM ground-truth width
-        most = (1 << 8 * struct.calcsize(_PLANTED)) - 1
+        most = np.iinfo(_PLANTED).max
         if self.patches > most + 1:
             raise InfeasibleConfig(f"--patches must be <= {most + 1}, got {self.patches}")
         if self.signal_patches > most:
@@ -140,14 +135,18 @@ class SyntheticConfig:
 
 def write_store(store: EmbeddingStore, destination) -> int:
     """Serialize to CPEM. destination is a path or a binary sink; returns bytes written."""
-    flags = _FLAG_GROUND_TRUTH if store.ground_truth is not None else 0
+    flags = _FLAG_GROUND_TRUTH if store.planted is not None else 0
     body = np.empty(len(store), dtype=_record_dtype(store.dim_d, store.patches_m))
     for name in body.dtype.names:
         body[name] = getattr(store, name)
     header = (flags, store.dim_d, store.patches_m, store.class_count, len(store))
-    gts = store.ground_truth or ()
-    planted = [struct.pack(f"<{1 + len(gt)}{_PLANTED}", len(gt), *gt) for gt in gts]
-    return _write(destination, MAGIC, VERSION, _HEADER, header, [memoryview(body), *planted])
+    planted = store.planted if flags else np.zeros((0, 0), dtype=bool)
+    counts = planted.sum(1)  # each row's count, then its indices, which nonzero gives ascending
+    section = np.insert(np.nonzero(planted)[1], np.cumsum(counts) - counts, counts)
+    if section.max(initial=0) > np.iinfo(_PLANTED).max:
+        raise InvalidRecord(f"a planted count or index exceeds {np.iinfo(_PLANTED).max}")
+    chunks = [memoryview(body), section.astype(_PLANTED)]
+    return _write(destination, MAGIC, VERSION, _HEADER, header, chunks)
 
 
 def _write(destination, magic: bytes, version: int, fmt: str, fields, chunks) -> int:
@@ -177,7 +176,7 @@ def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, i
     return data, start, fields
 
 
-def _require(data: bytes, end: int, what: str) -> None:
+def _require(data, end: int, what: str) -> None:
     if len(data) < end:
         raise TruncatedFile(f"unexpected end of file while reading {what}")
 
@@ -220,19 +219,21 @@ def read_store(source) -> EmbeddingStore:
     if np.unique(store.record_ids).size != record_count:
         raise InvalidRecord("record ids are not unique")
     if flags & _FLAG_GROUND_TRUTH:
-        store.ground_truth = []
-        count = struct.Struct("<" + _PLANTED)  # compiled once, not per record
-        width = count.size
-        for _ in range(record_count):
-            _require(data, end + width, "ground-truth count")
-            (s,) = count.unpack_from(data, end)
-            _require(data, end + width * (1 + s), "ground-truth indices")
-            store.ground_truth.append(struct.unpack_from(f"<{s}{_PLANTED}", data, end + width))
-            end += width * (1 + s)
-        bad = [max(gt, default=-1) >= patches_m for gt in store.ground_truth]
-        reject(InvalidRecord, np.array(bad), f"has a ground-truth index >= {patches_m} patches")
-        repeats = [len(set(gt)) < len(gt) for gt in store.ground_truth]
-        reject(InvalidRecord, np.array(repeats), "repeats a ground-truth index")
+        words = np.frombuffer(data, _PLANTED, (len(data) - end) // _PLANTED.itemsize, end)
+        heads, at = [], 0  # where each record's count word is; its indices follow it
+        while len(heads) < record_count and at < len(words):
+            heads.append(at)
+            at += 1 + words.item(at)
+        _require(words, at, "ground-truth indices")
+        _require(words, at + (len(heads) < record_count), "ground-truth count")
+        end += _PLANTED.itemsize * at
+        rows = np.repeat(np.arange(record_count), words[heads])
+        indices = np.delete(words[:at], heads)
+        beyond = np.bincount(rows[indices >= patches_m], minlength=record_count) > 0
+        reject(InvalidRecord, beyond, f"has a ground-truth index >= {patches_m} patches")
+        store.planted = np.zeros((record_count, patches_m), dtype=bool)
+        store.planted[rows, indices] = True
+        reject(InvalidRecord, store.planted.sum(1) != words[heads], "repeats a ground-truth index")
     _reject_trailing(data, end)
     return store
 
@@ -279,12 +280,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
         np.repeat(np.arange(cfg.class_count, dtype=np.uint32), cfg.records_per_class),
         np.empty((rows, cfg.dim), dtype=np.float32),
         np.empty((rows, cfg.patches, cfg.dim), dtype=np.float32),
-        ground_truth=[],
+        planted=np.zeros((rows, cfg.patches), dtype=bool),
     )
     for row, label in enumerate(store.labels.tolist()):
-        positions = range(cfg.patches)
-        signal_pos = sorted(rng.samples_without_replacement([positions], cfg.signal_patches)[0])
-        distractor = np.isin(np.arange(cfg.patches), signal_pos, invert=True)
+        (signal_pos,) = rng.samples_without_replacement([range(cfg.patches)], cfg.signal_patches)
+        store.planted[row, signal_pos] = True
+        distractor = ~store.planted[row]
         # patch j's normals follow j patches' normals and every pick up to its own
         starts = np.arange(cfg.patches) * width + np.cumsum(distractor)
         picks = starts[distractor] - 1
@@ -299,5 +300,4 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
         patches = v / _norms(v)
         store.class_embeddings[row] = patches.mean(axis=0)
         store.patch_embeddings[row] = patches
-        store.ground_truth.append(tuple(signal_pos))
     return store

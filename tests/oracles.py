@@ -9,6 +9,11 @@ query. Tests require the batched engine to match it. ``record``,
 ``records`` and ``store_from_records`` convert between array stores and
 records.
 
+Ground truth here is a list of index tuples, one per record, as the
+package held it before its (R, M) ``planted`` mask: ``planted_mask``
+converts it, and ``planted_section`` and ``read_planted_section`` write
+and read the CPEM ground-truth section a record at a time with ``struct``.
+
 The head here is the one the package kept before its state became one flat
 array: parameters and moments as separate tensors, b2 a Python float, and
 an optimizer step per tensor. ``head_of`` and ``grads_of`` build the flat
@@ -19,9 +24,10 @@ one-draw-at-a-time form, which tests make data with, and ``per_patch_store``
 is the generator the package ran before it drew each record as one block.
 """
 
+import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,10 +39,10 @@ from cpes.errors import (
     SelectionOutOfRange,
 )
 from cpes.harness import resolve_m
-from cpes.numerics import DEGENERATE_NORM, Rng64, rng_split, softmax, unit_rows
+from cpes.numerics import DEGENERATE_NORM, Rng64, box_muller, rng_split, softmax, unit_rows
 from cpes.scoring import Gradients, MlpHead, head_forward
 from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind
-from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig
+from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -84,7 +90,8 @@ def records(store: EmbeddingStore) -> list[EmbeddingRecord]:
 
 
 def store_from_records(dim_d, patches_m, class_count, recs, ground_truth=None) -> EmbeddingStore:
-    """A store holding ``recs`` at the float32 precision CPEM stores."""
+    """A store holding ``recs`` at the float32 precision CPEM stores, and the
+    per-record index tuples ``ground_truth`` (or none) as its planted mask."""
     return EmbeddingStore(
         dim_d,
         patches_m,
@@ -95,8 +102,44 @@ def store_from_records(dim_d, patches_m, class_count, recs, ground_truth=None) -
         np.array([r.patch_embeddings for r in recs], dtype=np.float32).reshape(
             len(recs), patches_m, dim_d
         ),
-        ground_truth,
+        None if ground_truth is None else planted_mask(ground_truth, patches_m),
     )
+
+
+def planted_mask(ground_truth, patches_m: int) -> np.ndarray:
+    """The (R, M) bool mask of per-record planted index tuples."""
+    mask = np.zeros((len(ground_truth), patches_m), dtype=bool)
+    for row, indices in enumerate(ground_truth):
+        mask[row, list(indices)] = True
+    return mask
+
+
+def planted_section(ground_truth) -> bytes:
+    """The CPEM ground-truth section of per-record index tuples, in their
+    order: per record, its count and then its indices, each a ``struct`` u16."""
+    return b"".join(struct.pack(f"<{1 + len(gt)}H", len(gt), *gt) for gt in ground_truth)
+
+
+def read_planted_section(data: bytes, offset: int, record_count: int):
+    """(index tuples, end offset) of the ground-truth section at ``offset``:
+    per record, one ``struct`` read of its count and one of its indices."""
+    ground_truth = []
+    for _ in range(record_count):
+        (s,) = struct.unpack_from("<H", data, offset)
+        ground_truth.append(struct.unpack_from(f"<{s}H", data, offset + 2))
+        offset += 2 * (1 + s)
+    return ground_truth, offset
+
+
+def cpem_with_section(store: EmbeddingStore, ground_truth) -> bytes:
+    """CPEM bytes of ``store`` with the ground-truth flag set and the section
+    ``planted_section`` writes after its records, whatever ``ground_truth``
+    holds: indices >= M, repeats or any order."""
+    buf = io.BytesIO()
+    write_store(replace(store, planted=None), buf)
+    data = bytearray(buf.getvalue())
+    data[6:8] = struct.pack("<H", 1)
+    return bytes(data) + planted_section(ground_truth)
 
 
 def read_records(data: bytes) -> list[EmbeddingRecord]:
@@ -420,7 +463,9 @@ def fisher_yates(draws, n: int, k: int) -> list[int]:
 class ScalarRng(Rng64):
     """Rng64 with one-draw-at-a-time methods on the Python-int oracles, for
     tests that make data draw by draw: each takes the words the package's
-    blocks take, so values and state match theirs."""
+    blocks take, so values and state match theirs. ``normals`` is the
+    Box-Muller draw tests make data with; the package's generator takes
+    the same words in its record blocks."""
 
     __slots__ = ()
 
@@ -433,6 +478,10 @@ class ScalarRng(Rng64):
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         return fisher_yates(iter(self.next_u64, None), n, k)
+
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normals via Box-Muller; consumes 2*ceil(n/2) raw draws."""
+        return box_muller(self._raw_block(2 * ((n + 1) // 2)), n)
 
 
 def scalar_rng(seed: int, index: int) -> ScalarRng:
@@ -484,5 +533,5 @@ def per_patch_store(cfg: SyntheticConfig, rng: ScalarRng) -> EmbeddingStore:
         labels,
         np.array(class_embeddings, dtype=np.float32).reshape(len(labels), cfg.dim),
         np.array(patch_embeddings, dtype=np.float32).reshape(len(labels), cfg.patches, cfg.dim),
-        ground_truth=ground_truth,
+        planted=planted_mask(ground_truth, cfg.patches),
     )

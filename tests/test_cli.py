@@ -6,7 +6,8 @@ import pytest
 
 from cpes.cli import _build_parser, _config, _int_list, main
 from cpes.harness import RunConfig
-from cpes.store import SyntheticConfig, read_store
+from cpes.store import SyntheticConfig, read_store, write_store
+from oracles import store_from_records
 
 GEN = [
     "gen-synthetic",
@@ -44,7 +45,7 @@ class TestRoundTrip:
         out = capsys.readouterr().out
         assert "dim=24 patches=9 classes=6" in out
         assert "records=48" in out
-        assert read_store(store_path).ground_truth is not None
+        assert read_store(store_path).planted is not None
 
     def test_train_then_eval(self, store_path, tmp_path, capsys):
         ckpt = tmp_path / "head.cpeh"
@@ -165,7 +166,6 @@ class TestExitCodes:
         [
             ["--lr", "1e12"],
             ["--weight-decay", "1e12"],
-            ["--lr-floor", "1e12"],
             ["--lr", "1e300", "--weight-decay", "0"],
         ],
     )
@@ -179,6 +179,34 @@ class TestExitCodes:
         assert err.startswith("error: optimizer settings overflow the head at step ")
         assert len(err.splitlines()) == 1
         assert all(name in err for name in ("learning_rate", "lr_floor", "weight_decay"))
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--lr-floor", "0.01"], ["--lr-floor", "1e12"], ["--lr", "0"]]
+    )
+    def test_lr_floor_above_cosine_lr_is_2(self, store_path, tmp_path, capsys, flags):
+        """The cosine schedule decays from learning_rate to lr_floor: a floor
+        above it made the rate climb, and --lr-floor 0.01 trained with exit 0.
+        It is rejected before the head is initialised."""
+        ckpt = tmp_path / "h.cpeh"
+        argv = ["train", "--store", str(store_path), "--out", str(ckpt)] + RUN
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr_floor ") and len(err.splitlines()) == 1
+        assert all(name in err for name in ("lr_floor", "learning_rate", "cosine"))
+        assert not ckpt.exists()
+        # the constant schedule never reads the floor
+        assert main(argv + flags + ["--schedule", "constant"]) == 0
+
+    def test_train_on_empty_store_with_ground_truth_is_2(self, tmp_path, capsys):
+        """No records, so no planted counts: m falls back to min(96, M), and
+        the episode sampler rejects the store in one line."""
+        empty = tmp_path / "empty.cpem"
+        write_store(store_from_records(2, 3, 5, [], []), empty)
+        assert read_store(empty).planted.shape == (0, 3)
+        ckpt = tmp_path / "h.cpeh"
+        assert main(["train", "--store", str(empty), "--out", str(ckpt)]) == 2
+        assert capsys.readouterr().err == "error: need 5 classes, store has 0\n"
         assert not ckpt.exists()
 
     def test_eval_zero_tasks_is_2(self, store_path, tmp_path, capsys):
@@ -269,8 +297,8 @@ class TestExitCodes:
         argv = ["gen-synthetic", "--classes", "1", "--records-per-class", "1", "--dim", "2",
                 "--distractors", "1", "--patches", "65536", "--signal-patches", "65535"]
         assert main(argv + ["--out", str(out)]) == 0
-        (planted,) = read_store(out).ground_truth
-        assert len(planted) == 65535 and max(planted) <= 65535
+        planted = read_store(out).planted
+        assert planted.shape == (1, 65536) and planted.sum() == 65535
 
     @pytest.mark.parametrize("flag", ["--k-shot", "--queries"])
     @pytest.mark.parametrize("command", ["train", "eval"])

@@ -5,7 +5,7 @@ import cpes.episodes
 import oracles
 from cpes.episodes import sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
-from cpes.numerics import Rng64, rng_split
+from cpes.numerics import Rng64
 from cpes.store import EmbeddingStore
 from oracles import (
     GOLDEN,
@@ -22,7 +22,7 @@ from oracles import (
 
 
 def tiny_store(n_classes: int, per_class: int, dim=4, patches=3) -> EmbeddingStore:
-    rng = rng_split(123, 0)
+    rng = scalar_rng(123, 0)
     recs = []
     rid = 0
     for label in range(n_classes):
@@ -138,7 +138,7 @@ class TestSampleEpisode:
             monkeypatch.setattr(module, "rng_split", lambda seed, index: Rng64(state))
         store = store_of_sizes([5, 6, 7, 9, 10, 11, 12])
         ep = assert_same_as_record_sampler(store, 4, 2, 3, task=0, seed=0)
-        first_pool = len(store.records_by_label()[ep.class_map[0]])
+        first_pool = len(store.by_label[ep.class_map[0]])
         bound = [7, 6, 5, 4, first_pool, first_pool - 1, first_pool - 2][word]
         assert MASK64 >= (1 << 64) - (1 << 64) % bound  # the word is one randint rejects
 

@@ -57,7 +57,7 @@ class TestCosine:
             cosine([1, 0], [1, 0, 0])
 
     def test_symmetry_and_scale_invariance(self):
-        rng = rng_split(1, 0)
+        rng = scalar_rng(1, 0)
         for _ in range(100):
             u = rng.normals(8)
             v = rng.normals(8)
@@ -66,7 +66,7 @@ class TestCosine:
                 assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-12)
 
     def test_bounded_fuzz(self):
-        rng = rng_split(2, 0)
+        rng = scalar_rng(2, 0)
         for _ in range(10_000):
             u = rng.normals(6)
             v = rng.normals(6)
@@ -79,7 +79,7 @@ class TestCosine:
 def test_zero_norm_policy_on_package_path(target, scale):
     """A degenerate vector has cosine 0 with everything: a COS similarity of
     0, and a zero row or column in the score matrix."""
-    rng = rng_split(3, 0)
+    rng = scalar_rng(3, 0)
     rows = rng.normals(12).reshape(3, 4)
     others = rng.normals(8).reshape(2, 4)
     if target in ("patch", "query row"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cpes.episodes import sample_episode
-from cpes.errors import DimensionMismatch, NonFiniteGradient, StoreFormatError
+from cpes.errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, StoreFormatError
 from cpes.harness import RunConfig, episode_scores, head_input_dim
 from cpes.numerics import rng_split, unit_rows
 from cpes.scoring import (
@@ -65,7 +65,7 @@ class TestScoreMatrix:
         np.testing.assert_allclose(score_matrix(q, p), [[0.0]], atol=1e-15)
 
     def test_sign_flip_invariance(self):
-        rng = rng_split(20, 0)
+        rng = scalar_rng(20, 0)
         q = rep(rng.normals(8).reshape(2, 4))
         p = rep(rng.normals(12).reshape(3, 4))
         np.testing.assert_array_equal(
@@ -73,13 +73,13 @@ class TestScoreMatrix:
         )
 
     def test_transpose_symmetry(self):
-        rng = rng_split(21, 0)
+        rng = scalar_rng(21, 0)
         q = rep(rng.normals(8).reshape(2, 4))
         p = rep(rng.normals(12).reshape(3, 4))
         np.testing.assert_array_equal(score_matrix(q, p), score_matrix(p, q).T)
 
     def test_entries_in_unit_interval_fuzz(self):
-        rng = rng_split(22, 0)
+        rng = scalar_rng(22, 0)
         for _ in range(2000):
             q = rep(rng.normals(6).reshape(2, 3))
             p = rep(rng.normals(6).reshape(2, 3))
@@ -279,7 +279,7 @@ class TestOptimizer:
         head = random_head(9, 5, seed=21)
         ref = per_tensor_head(head)
         cfg = OptimizerConfig(weight_decay=0.1, schedule=schedule, total_steps=20)
-        rng = rng_split(21, 7)
+        rng = scalar_rng(21, 7)
         for _ in range(20):
             grads = Gradients(head.hidden_dim, rng.normals(head.flat.size))
             optimizer_step(head, grads, cfg)
@@ -298,6 +298,13 @@ class TestOptimizer:
         assert cfg.lr_at(0) == pytest.approx(1e-3)
         assert cfg.lr_at(100) == 1e-6
         assert cfg.lr_at(50) == pytest.approx((1e-3 + 1e-6) / 2)
+
+    def test_cosine_floor_above_rate_rejected(self):
+        """Above learning_rate, the floor would make the cosine rate climb."""
+        with pytest.raises(InfeasibleConfig, match="lr_floor 0.01 must be <= learning_rate 0.001"):
+            OptimizerConfig(learning_rate=1e-3, lr_floor=1e-2).check_schedule()
+        OptimizerConfig(learning_rate=1e-3, lr_floor=1e-3).check_schedule()
+        OptimizerConfig(lr_floor=1e-2, schedule=ScheduleKind.CONSTANT).check_schedule()
 
     def test_non_finite_gradient_rejected(self):
         head = random_head(4, 3, seed=9)

@@ -20,7 +20,6 @@ from cpes.numerics import Rng64, rng_split
 from cpes.scoring import MlpHead, load_head, save_head
 from cpes.store import (
     EmbeddingStore,
-    HEADER_BYTES,
     SyntheticConfig,
     generate_synthetic,
     read_store,
@@ -32,12 +31,18 @@ from oracles import (
     EmbeddingRecord,
     ScalarRng,
     cosine,
+    cpem_with_section,
     per_patch_store,
+    planted_mask,
+    planted_section,
+    read_planted_section,
     records,
     scalar_rng,
     state_before,
     store_from_records,
 )
+
+HEADER_BYTES = 4 + struct.calcsize("<HHIIIQ")  # magic, version, flags, D, M, C, record count
 
 # Golden means recorded from the first run of the reference store
 # (small_store fixture); recomputed exhaustively in the test below.
@@ -84,7 +89,7 @@ class TestSerialization:
         assert back.dim_d == small_store.dim_d
         assert back.patches_m == small_store.patches_m
         assert back.class_count == small_store.class_count
-        assert back.ground_truth == small_store.ground_truth
+        np.testing.assert_array_equal(back.planted, small_store.planted)
         assert len(back) == len(small_store)
         for a, b in zip(records(back), records(small_store)):
             assert a.record_id == b.record_id
@@ -190,12 +195,14 @@ class TestBoundaryValidation:
             read_store(io.BytesIO(data))
 
     def test_ground_truth_index_at_m_rejected(self):
-        data = store_bytes([plain_record(0), plain_record(1)], ground_truth=[(0, 2), (3,)])
+        store = store_from_records(2, 3, 2, [plain_record(0), plain_record(1)])
+        data = cpem_with_section(store, [(0, 2), (3,)])
         with pytest.raises(InvalidRecord, match="record 1"):
             read_store(io.BytesIO(data))
 
     def test_repeated_ground_truth_index_rejected(self):
-        data = store_bytes([plain_record(0), plain_record(1)], ground_truth=[(0, 2), (2, 2, 2)])
+        store = store_from_records(2, 3, 2, [plain_record(0), plain_record(1)])
+        data = cpem_with_section(store, [(0, 2), (2, 2, 2)])
         with pytest.raises(InvalidRecord, match="record 1 repeats a ground-truth index"):
             read_store(io.BytesIO(data))
 
@@ -266,24 +273,22 @@ class TestSyntheticGenerator:
         for ra, rb in zip(records(a), records(b)):
             np.testing.assert_array_equal(ra.class_embedding, rb.class_embedding)
             np.testing.assert_array_equal(ra.patch_embeddings, rb.patch_embeddings)
-        assert a.ground_truth == b.ground_truth
+        np.testing.assert_array_equal(a.planted, b.planted)
 
     def test_signal_vs_distractor_separation_goldens(self, small_store):
         sig, dis = [], []
-        for rec, gt in zip(records(small_store), small_store.ground_truth):
+        for rec, planted in zip(records(small_store), small_store.planted):
             for j in range(small_store.patches_m):
                 c = cosine(rec.class_embedding, rec.patch_embeddings[j])
-                (sig if j in gt else dis).append(c)
+                (sig if planted[j] else dis).append(c)
         assert np.mean(sig) == pytest.approx(GOLDEN_MEAN_COS_SIGNAL, abs=1e-12)
         assert np.mean(dis) == pytest.approx(GOLDEN_MEAN_COS_DISTRACTOR, abs=1e-12)
         assert np.mean(sig) > np.mean(dis)
 
     def test_ground_truth_indices_valid(self, small_store):
-        s = 4
-        for gt in small_store.ground_truth:
-            assert len(gt) == s
-            assert len(set(gt)) == s
-            assert all(0 <= i < small_store.patches_m for i in gt)
+        assert small_store.planted.dtype == bool
+        assert small_store.planted.shape == (len(small_store), small_store.patches_m)
+        assert (small_store.planted.sum(1) == 4).all()
 
     def test_infeasible_when_pool_plus_classes_exceed_dim(self):
         cfg = SyntheticConfig(20, 2, 16, 4, 2, 0.1, 8, 0.1, seed=1)
@@ -296,7 +301,7 @@ class TestSyntheticGenerator:
 
     def test_labels_and_counts(self, small_store):
         assert small_store.class_count == 5
-        by_label = small_store.records_by_label()
+        by_label = small_store.by_label
         assert sorted(by_label) == list(range(5))
         assert all(len(v) == 10 for v in by_label.values())
 
@@ -305,6 +310,113 @@ def _cpem(store: EmbeddingStore) -> bytes:
     buf = io.BytesIO()
     write_store(store, buf)
     return buf.getvalue()
+
+
+def _section_store(planted: np.ndarray) -> EmbeddingStore:
+    """A store of one plain record (D = 1) per row of ``planted``, its mask."""
+    count, patches_m = planted.shape
+    return EmbeddingStore(
+        1,
+        patches_m,
+        1,
+        np.arange(count, dtype=np.uint64),
+        np.zeros(count, dtype=np.uint32),
+        np.ones((count, 1), dtype=np.float32),
+        np.ones((count, patches_m, 1), dtype=np.float32),
+        planted,
+    )
+
+
+def _section_offset(store: EmbeddingStore) -> int:
+    """Where the ground-truth section of ``store``'s CPEM bytes starts."""
+    return HEADER_BYTES + len(store) * (12 + 4 * store.dim_d * (1 + store.patches_m))
+
+
+def _u16_edge() -> np.ndarray:
+    planted = np.ones((1, 65536), dtype=bool)
+    planted[0, 40000] = False
+    return planted
+
+
+class TestPlantedSection:
+    """write_store writes the ground-truth section from the planted mask as
+    the per-record struct writer does, byte for byte, and read_store reads
+    it to the mask of what the per-record struct reader reads."""
+
+    @staticmethod
+    def assert_equals_oracle(planted: np.ndarray) -> None:
+        store = _section_store(planted)
+        ground_truth = [tuple(np.flatnonzero(row).tolist()) for row in planted]
+        data = _cpem(store)
+        assert data == cpem_with_section(store, ground_truth)
+        read, end = read_planted_section(data, _section_offset(store), len(store))
+        assert read == ground_truth and end == len(data)
+        back = read_store(io.BytesIO(data)).planted
+        assert back.dtype == bool
+        np.testing.assert_array_equal(back, planted_mask(read, store.patches_m))
+
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            np.zeros((3, 5), dtype=bool),
+            np.ones((3, 5), dtype=bool),
+            np.array([[True], [False], [True]]),
+            np.zeros((0, 4), dtype=bool),
+            np.array([[False, True, True, False], [False] * 4, [True] * 4]),
+            _u16_edge(),
+        ],
+        ids=["empty-rows", "full-rows", "one-patch", "no-records", "mixed", "u16-edge"],
+    )
+    def test_section_equals_oracle(self, planted):
+        self.assert_equals_oracle(planted)
+
+    def test_seeded_sections_equal_oracle(self):
+        rng = scalar_rng(12, 0)
+        for _ in range(200):
+            count, patches_m = rng.randint(6), 1 + rng.randint(9)
+            ground_truth = [
+                rng.sample_without_replacement(patches_m, rng.randint(patches_m + 1))
+                for _ in range(count)
+            ]
+            self.assert_equals_oracle(planted_mask(ground_truth, patches_m))
+
+    @pytest.mark.parametrize(
+        "patches_m,planted_at", [(65537, [65536]), (65536, slice(None))], ids=["index", "count"]
+    )
+    def test_planted_wider_than_u16_not_written(self, patches_m, planted_at):
+        """A count or index CPEM's u16 cannot hold is refused, not wrapped
+        into other ground truth; indices within it still write at any M."""
+        planted = np.zeros((1, patches_m), dtype=bool)
+        planted[0, planted_at] = True
+        with pytest.raises(InvalidRecord, match="a planted count or index exceeds 65535"):
+            write_store(_section_store(planted), io.BytesIO())
+        planted[:] = False
+        planted[0, 65535] = True
+        self.assert_equals_oracle(planted)
+
+    def test_unsorted_indices_read_to_sorted_mask(self):
+        """Ground truth is a set: indices in any order read to one mask,
+        which writes them back in ascending order."""
+        store = _section_store(np.zeros((2, 5), dtype=bool))
+        back = read_store(io.BytesIO(cpem_with_section(store, [(4, 0, 2), (3, 1)])))
+        np.testing.assert_array_equal(back.planted, planted_mask([(0, 2, 4), (1, 3)], 5))
+        assert _cpem(back) == cpem_with_section(store, [(0, 2, 4), (1, 3)])
+
+    # the section of [(0, 2), (1,)]: count 2 at +0, indices at +2 and +4,
+    # count 1 at +6 and index at +8; 10 bytes
+    @pytest.mark.parametrize("cut", [1, 6, 7])
+    def test_section_cut_inside_count_word(self, cut):
+        store = _section_store(np.zeros((2, 3), dtype=bool))
+        data = cpem_with_section(store, [(0, 2), (1,)])
+        with pytest.raises(TruncatedFile, match="reading ground-truth count$"):
+            read_store(io.BytesIO(data[: _section_offset(store) + cut]))
+
+    @pytest.mark.parametrize("cut", [2, 3, 4, 5, 8, 9])
+    def test_section_cut_inside_indices(self, cut):
+        store = _section_store(np.zeros((2, 3), dtype=bool))
+        data = cpem_with_section(store, [(0, 2), (1,)])
+        with pytest.raises(TruncatedFile, match="reading ground-truth indices$"):
+            read_store(io.BytesIO(data[: _section_offset(store) + cut]))
 
 
 class TestGeneratorOracle:

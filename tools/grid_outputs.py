@@ -8,8 +8,9 @@ It also writes a store of every gen-synthetic default, an odd-shape store
 (odd D, whose last normal pair is cut short, and a pool of 5, whose picks
 can reject a word), the selection masks of records 0-5 of the train store
 (m=4, cos), and a checkpoint and log trained from a ``--config`` JSON file,
-and the JSON reports of a short ``sweep-m`` and ``sweep-distance`` over the
-two sweep stores. Everything
+the JSON reports of a short ``sweep-m`` and ``sweep-distance`` over the
+two sweep stores, and one ``train`` + ``eval`` pair (K = 1, cos) with no
+``--m``, whose m comes from the stores' planted ground truth. Everything
 goes through ``cpes.cli.main``, so the cpes imported is the one on
 PYTHONPATH. To check that a change moves no result:
 
@@ -79,6 +80,12 @@ def main_grid(out_dir: Path) -> None:
          "--out", str(out_dir / "sweep_m.json")])
     run(["sweep-distance", *stores, "--m", "4", *SWEEP_RUN,
          "--out", str(out_dir / "sweep_distance.json")])
+    # no --m: the reader's planted mask sets it, by the count every record plants
+    name = out_dir / "m_default_cos_k1"
+    run(["train", "--store", str(train_store), "--out", f"{name}.cpeh", "--log", f"{name}.log.json",
+         "--distance", "cos", "--k-shot", "1"])
+    run(["eval", "--store", str(eval_store), "--checkpoint", f"{name}.cpeh",
+         "--out", f"{name}.report.json", "--distance", "cos", "--k-shot", "1"])
     for m in M_VALUES:
         for distance in DISTANCES:
             for k_shot in K_SHOTS:
