@@ -2,7 +2,7 @@
 head operating on precomputed (or synthetic) embedding stores.
 """
 
-from .episodes import Episode, sample_episode
+from .episodes import Episode, plan_episodes, sample_episode
 from .errors import CpesError
 from .harness import (
     EvalReport,
@@ -62,6 +62,7 @@ __all__ = [
     "generate_synthetic",
     "load_head",
     "optimizer_step",
+    "plan_episodes",
     "read_store",
     "rng_split",
     "sample_episode",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import Episode, sample_episode
+from .episodes import Episode, plan_episodes, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
 from .numerics import rng_split, unit_rows
 from .scoring import (
@@ -32,6 +32,7 @@ from .scoring import (
 )
 from .selection import (
     DistanceKind,
+    _blocks,
     fuse_rows,
     mask_json,
     mask_pgm,
@@ -176,13 +177,17 @@ def init_head(cfg: RunConfig, m: int) -> MlpHead:
 
 def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: int):
     """(episode, score tensor) for tasks 0..count-1 of ``seed``, all gathered
-    from one representation table: each record is fused and normalised once."""
+    from one representation table: each record is fused and normalised once.
+    Tasks are planned in chunks of BLOCK_VALUES draws and pool slots, or one task."""
     reps = representation_table(store, m, cfg.distance)
-    for task_index in range(count):
-        episode = sample_episode(
-            store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, task_index, seed
-        )
-        yield episode, episode_scores(store, reps, episode, m, cfg.distance)
+    pools = store.by_label.values()
+    draws = cfg.n_way * (1 + cfg.k_shot + cfg.queries_per_class)
+    for chunk in _blocks(count, draws + len(pools) + cfg.n_way * max(map(len, pools), default=0)):
+        tasks = range(count)[chunk]
+        plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, tasks, seed)
+        for index in range(len(tasks)):
+            episode = sample_episode(plan, index)
+            yield episode, episode_scores(store, reps, episode, m, cfg.distance)
 
 
 def _accuracy(probs: np.ndarray, episode: Episode) -> float:

@@ -17,18 +17,23 @@ DEGENERATE_NORM = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_SPLIT_SALT = 0x5851F42D4C957F2D
-# the uint64 operands of _raw_block and _unit_interval, built once: Weyl step, multipliers, shifts
+# the uint64 operands of _splitmix, _words and _unit_interval, built once: Weyl step,
+# multipliers, split salt and shifts
 _GOLDEN_U64, _MUL1, _MUL2 = map(np.uint64, (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_S30, _S27, _S31, _S11 = map(np.uint64, (30, 27, 31, 11))
+_SALT, _S30, _S27, _S31, _S11 = map(np.uint64, (0x5851F42D4C957F2D, 30, 27, 31, 11))
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer: bijective avalanche mix of a 64-bit word."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on uint64 words: a bijective avalanche mix, whose
+    wrapping stands in for the 64-bit masks (arrays: no scalar overflow warning)."""
+    z = (z ^ (z >> _S30)) * _MUL1
+    z = (z ^ (z >> _S27)) * _MUL2
+    return z ^ (z >> _S31)
+
+
+def _words(states: np.ndarray, n: int) -> np.ndarray:
+    """The next n outputs (..., n) of the stream at each uint64 state (...)."""
+    return _splitmix(states[..., np.newaxis] + _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64))
 
 
 def _unit_interval(words: np.ndarray) -> np.ndarray:
@@ -60,27 +65,15 @@ class Rng64:
         self.state = state & _MASK64
 
     def _raw_block(self, n: int) -> np.ndarray:
-        # the next n outputs: _mix64 on uint64 words, whose wrapping stands
-        # in for its masks (np.uint64 constants: no Python-int operands)
-        z = np.uint64(self.state) + _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
+        words = _words(np.uint64(self.state), n)
         self.state = (self.state + n * _GOLDEN) & _MASK64
-        z = (z ^ (z >> _S30)) * _MUL1
-        z = (z ^ (z >> _S27)) * _MUL2
-        return z ^ (z >> _S31)
+        return words
 
     def _accepted(self, bounds: np.ndarray) -> np.ndarray:
-        """A word for each uint64 bound n in turn, at most 2**64 - 1 - 2**64 % n,
-        so that its residues mod n are equally likely (n = 1 takes any word):
-        a word above its limit is dropped, and that entry takes the next word."""
-        limits = ~(-bounds % bounds)
-        words = self._raw_block(len(limits))
-        start = 0
-        while (rejected := np.flatnonzero(words[start:] > limits[start:])).size:
-            start += int(rejected[0])
-            # rewind to just after the rejected word and redraw the tail
-            self.state = (self.state - (len(limits) - start - 1) * _GOLDEN) & _MASK64
-            words[start:] = self._raw_block(len(limits) - start)
-        return words
+        """_accepted_rows for this stream alone: one row of uint64 bounds."""
+        words, after = _accepted_rows(np.array([self.state], np.uint64), bounds[np.newaxis])
+        self.state = int(after[0])
+        return words[0]
 
     def uniforms(self, n: int) -> np.ndarray:
         return _unit_interval(self._raw_block(n))
@@ -93,14 +86,57 @@ class Rng64:
         return (self._accepted(n) % n).tolist()
 
     def samples_without_replacement(self, pools, k: int) -> list[list]:
-        """k distinct items per pool by a partial Fisher-Yates (slot i swaps
-        with slot i + j, j drawn from [0, len(pool) - i)), in one block."""
-        draws = iter(self.randints([len(pool) - i for pool in pools for i in range(k)]))
-        samples = [list(pool) for pool in pools]
-        for items in samples:
-            for i, j in zip(range(k), draws):
-                items[i], items[i + j] = items[i + j], items[i]
-        return [items[:k] for items in samples]
+        """k distinct items per pool: partial_shuffle of its padded slots on this stream."""
+        sizes = np.array([[len(pool) for pool in pools]])
+        if sizes.min(initial=k) < k:
+            raise EmptyInput(f"{k} samples from a pool of {sizes.min()} items")
+        slots = np.tile(np.arange(sizes.max(initial=0)), (1, len(pools), 1))
+        picks, after = partial_shuffle(np.array([self.state], np.uint64), slots, sizes, k)
+        self.state = int(after[0])
+        return [[pool[i] for i in row] for pool, row in zip(pools, picks[0].tolist())]
+
+
+def _accepted_rows(states: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each uint64 state (T,), a word of its stream for each uint64 bound n
+    of its row (T, W) in turn, at most 2**64 - 1 - 2**64 % n (n = 1 takes any
+    word) so its residues mod n are equally likely: a word above its limit is
+    dropped, and that entry takes the next word. Returns the words, one (T, W)
+    block, and each stream's state after them."""
+    limits, width = ~(-bounds % bounds), bounds.shape[1]
+    words, after = _words(states, width), states + np.uint64(width * _GOLDEN & _MASK64)
+    for row in np.flatnonzero((words > limits).any(axis=1)):
+        at, state = 0, int(states[row])  # the state before words[row, at]
+        while (rejected := np.flatnonzero(words[row, at:] > limits[row, at:])).size:
+            # redraw the tail from the rejected word's state, so from the word after it
+            state = (state + (int(rejected[0]) + 1) * _GOLDEN) & _MASK64
+            at += int(rejected[0])
+            words[row, at:] = _words(np.uint64(state), width - at)
+        after[row] = (state + (width - at) * _GOLDEN) & _MASK64
+    return words, after
+
+
+def partial_shuffle(states, pools, sizes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k slots (T, r, k) of each pool (T, r, n) after a partial
+    Fisher-Yates of its first ``sizes`` (T, r) slots, in which slot i swaps
+    with slot i + j, j drawn from [0, size - i), so padding is never reached:
+    task t's r * k draws are row t of one _accepted_rows block on its uint64
+    state (T,). Also returns the states after the draws."""
+    tasks, rows, width = pools.shape
+    bounds = (sizes[..., np.newaxis] - np.arange(k)).astype(np.uint64)
+    words, after = _accepted_rows(states, bounds.reshape(tasks, rows * k))
+    # the flat index of each pool's slot i, and that of the slot it swaps with
+    slots = (np.arange(tasks * rows) * width).reshape(tasks, rows, 1) + np.arange(k)
+    swaps = slots + (words.reshape(bounds.shape) % bounds).astype(np.intp)
+    flat = pools.flatten()
+    for i, j in zip(slots.T, swaps.T):
+        flat[i], flat[j] = flat[j], flat[i]
+    return flat[slots], after
+
+
+def split_states(seed: int, indices) -> np.ndarray:
+    """The uint64 state of rng_split(seed, i) for each index i, all at once."""
+    seeds = _splitmix(np.array([seed & _MASK64], dtype=np.uint64))
+    return _splitmix(seeds ^ _splitmix(np.asarray(indices, dtype=np.uint64) ^ _SALT))
 
 
 def rng_split(seed: int, index: int) -> Rng64:
@@ -109,7 +145,7 @@ def rng_split(seed: int, index: int) -> Rng64:
     Pure function of its arguments: distinct pairs give distinct streams and
     creation order is irrelevant, so parallel consumers stay reproducible.
     """
-    return Rng64(_mix64(_mix64(seed) ^ _mix64(index ^ _SPLIT_SALT)))
+    return Rng64(int(split_states(seed, [index & _MASK64])[0]))
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:

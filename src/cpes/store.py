@@ -68,11 +68,12 @@ class EmbeddingStore:
     planted: np.ndarray | None = None  # (R, M) bool planted signal patches; synthetic stores
 
     def __post_init__(self):
-        by_label: dict[int, list[int]] = {}
-        for row, label in enumerate(self.labels.tolist()):
-            by_label.setdefault(label, []).append(row)
-        # row indices of each label's records, in store order, by ascending label
-        self.by_label = dict(sorted(by_label.items()))
+        # each label's row indices (an array) in store order, by ascending label:
+        # one stable sort of the labels, sliced where each label's run starts
+        order = np.argsort(self.labels, kind="stable")
+        keys, starts = np.unique(self.labels[order], return_index=True)
+        ends = [*starts[1:].tolist(), len(order)]
+        self.by_label = {key: order[a:b] for key, a, b in zip(keys.tolist(), starts.tolist(), ends)}
 
     def __len__(self) -> int:
         return self.record_ids.shape[0]

@@ -5,9 +5,10 @@ episode engine and selection were batched: records as float64 objects, a
 K-shot prototype built as a record, one similarity sequence and one
 lexsort ranking per record, one fused representation per record, one
 score matrix per (query, prototype) pair and one loss and gradient per
-query. Tests require the batched engine to match it. ``record``,
-``records`` and ``store_from_records`` convert between array stores and
-records.
+query. Tests require the batched engine to match it. ``per_task_episode``
+is the sampler the package ran before it planned tasks in blocks: one
+task at a time, two RNG blocks each. ``record``, ``records`` and
+``store_from_records`` convert between array stores and records.
 
 Ground truth here is a list of index tuples, one per record, as the
 package held it before its (R, M) ``planted`` mask: ``planted_mask``
@@ -32,9 +33,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from cpes.episodes import Episode
 from cpes.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InsufficientClasses,
+    InsufficientRecords,
     NonFiniteGradient,
     SelectionOutOfRange,
 )
@@ -238,16 +242,45 @@ def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.n
 # -- episodes of records -----------------------------------------------------
 
 
+def by_label_of(store: EmbeddingStore) -> dict[int, list[int]]:
+    """Each label's row indices in store order, by ascending label: one
+    record at a time, as the package built ``EmbeddingStore.by_label``."""
+    by_label: dict[int, list[int]] = {}
+    for row, label in enumerate(store.labels.tolist()):
+        by_label.setdefault(label, []).append(row)
+    return dict(sorted(by_label.items()))
+
+
+def per_task_episode(
+    store: EmbeddingStore, n_way, k_shot, queries_per_class, task_index, base_seed
+) -> Episode:
+    """The Episode of one task, as the package sampled it before it planned
+    tasks in blocks: from rng_split(base_seed, task_index), one
+    ``Rng64.samples_without_replacement`` block for the N classes and one
+    for all N classes' K+Q records, with the class sizes checked between."""
+    by_label = by_label_of(store)
+    if len(by_label) < n_way:
+        raise InsufficientClasses(f"need {n_way} classes, store has {len(by_label)}")
+    need = k_shot + queries_per_class
+    rng = rng_split(base_seed, task_index)
+    class_map = rng.samples_without_replacement([list(by_label)], n_way)[0]
+    pools = [by_label[label] for label in class_map]
+    for label, pool in zip(class_map, pools):
+        if len(pool) < need:
+            raise InsufficientRecords(f"class {label} has {len(pool)} records, need {need}")
+    picked = np.array(rng.samples_without_replacement(pools, need), np.intp).reshape(n_way, need)
+    query_labels = np.repeat(np.arange(n_way), queries_per_class)
+    return Episode(class_map, picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)
+
+
 def sample_episode_records(
     store: EmbeddingStore, n_way, k_shot, queries_per_class, task_index, base_seed
 ):
     """(prototypes, queries, query labels) as records, drawing from the RNG
-    in the order ``cpes.sample_episode`` must keep, for the same arguments:
+    in the order ``cpes.plan_episodes`` must keep, for the same arguments:
     one Python-int output at a time, through ``fisher_yates``."""
-    by_label: dict[int, list[int]] = {}
-    for row, label in enumerate(store.labels.tolist()):
-        by_label.setdefault(label, []).append(row)
-    labels = sorted(by_label)
+    by_label = by_label_of(store)
+    labels = list(by_label)
     need = k_shot + queries_per_class
     draws = outputs(rng_split(base_seed, task_index).state)
     chosen = fisher_yates(draws, len(labels), n_way)

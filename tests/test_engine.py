@@ -8,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from cpes.episodes import sample_episode
+from cpes.episodes import plan_episodes, sample_episode
 from cpes.harness import RunConfig, episode_scores, evaluate, head_input_dim, train
 from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, episode_loss_and_grads
@@ -49,7 +49,7 @@ class TestEngineMatchesPerQueryPath:
         head = MlpHead.initialize(head_input_dim(m), 8, rng_split(m + k_shot, 31))
         reps = representation_table(small_store, m, kind)
         for task in range(3):
-            episode = sample_episode(small_store, 5, k_shot, 3, task, 23)
+            episode = sample_episode(plan_episodes(small_store, 5, k_shot, 3, [task], 23), 0)
             scores = episode_scores(small_store, reps, episode, m, kind)
             _, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
 

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 import cpes.episodes
+import cpes.harness
 import oracles
-from cpes.episodes import sample_episode
+from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
-from cpes.numerics import Rng64
+from cpes.harness import RunConfig, _episodes, train
+from cpes.numerics import Rng64, rng_split, split_states
 from cpes.store import EmbeddingStore
 from oracles import (
     GOLDEN,
     MASK64,
     EmbeddingRecord,
     build_prototype,
+    per_task_episode,
     record,
     records,
     sample_episode_records,
@@ -52,10 +55,21 @@ def store_of_sizes(sizes, dim=4, patches=3) -> EmbeddingStore:
     return store_from_records(dim, patches, len(sizes), recs)
 
 
+def rejecting_state(word: int) -> int:
+    """A state whose stream meets 2**64 - 1, which any bound above 1 that
+    does not divide 2**64 rejects, as its draw number ``word``."""
+    return (state_before(MASK64) - word * GOLDEN) & MASK64
+
+
+def one_task(store, n_way, k_shot, q, task_index, base_seed):
+    """The Episode of one task, planned on its own."""
+    return sample_episode(plan_episodes(store, n_way, k_shot, q, [task_index], base_seed), 0)
+
+
 def assert_same_as_record_sampler(store, n_way, k_shot, q, task, seed):
     """The index episode holds the classes and records, in the order, that
     the record-at-a-time sampler draws; returns the episode."""
-    ep = sample_episode(store, n_way, k_shot, q, task, seed)
+    ep = one_task(store, n_way, k_shot, q, task, seed)
     protos, queries, labels = sample_episode_records(store, n_way, k_shot, q, task, seed)
     assert [p.label for p in protos] == ep.class_map
     assert [r.record_id for r in queries] == store.record_ids[ep.query_rows].tolist()
@@ -70,7 +84,7 @@ class TestSampleEpisode:
     def test_forced_partition_uses_every_record_once(self):
         n, k, q = 3, 2, 2
         store = tiny_store(n, k + q)
-        ep = sample_episode(store, n, k, q, task_index=0, base_seed=1)
+        ep = one_task(store, n, k, q, task_index=0, base_seed=1)
         query_ids = set(store.record_ids[ep.query_rows].tolist())
         assert len(ep.query_rows) == n * q
         assert len(query_ids) == n * q
@@ -79,8 +93,8 @@ class TestSampleEpisode:
 
     def test_deterministic(self):
         store = tiny_store(6, 8)
-        a = sample_episode(store, 4, 2, 3, task_index=11, base_seed=5)
-        b = sample_episode(store, 4, 2, 3, task_index=11, base_seed=5)
+        a = one_task(store, 4, 2, 3, task_index=11, base_seed=5)
+        b = one_task(store, 4, 2, 3, task_index=11, base_seed=5)
         assert a.class_map == b.class_map
         np.testing.assert_array_equal(a.query_rows, b.query_rows)
         np.testing.assert_array_equal(a.support_rows, b.support_rows)
@@ -88,17 +102,17 @@ class TestSampleEpisode:
     def test_insufficient_classes(self):
         store = tiny_store(3, 10)
         with pytest.raises(InsufficientClasses):
-            sample_episode(store, 4, 1, 1, 0, 0)
+            one_task(store, 4, 1, 1, 0, 0)
 
     def test_insufficient_records(self):
         store = tiny_store(5, 3)
         with pytest.raises(InsufficientRecords):
-            sample_episode(store, 5, 2, 2, 0, 0)
+            one_task(store, 5, 2, 2, 0, 0)
 
     def test_support_query_disjoint_and_label_counts(self):
         store = tiny_store(6, 10)
         for task in range(20):
-            ep = sample_episode(store, 4, 3, 2, task, base_seed=9)
+            ep = one_task(store, 4, 3, 2, task, base_seed=9)
             for local in range(4):
                 assert list(ep.query_labels).count(local) == 2
             # episode-local labels map bijectively onto sampled store labels
@@ -110,7 +124,7 @@ class TestSampleEpisode:
         store = tiny_store(10, 20)
         seen = set()
         for task in range(100):
-            ep = sample_episode(store, 5, 1, 2, task, base_seed=3)
+            ep = one_task(store, 5, 1, 2, task, base_seed=3)
             seen.add((tuple(ep.class_map), tuple(ep.query_rows.tolist())))
         # at least most of 100 episodes must differ; identical pairs would
         # indicate broken stream splitting
@@ -133,14 +147,129 @@ class TestSampleEpisode:
         """The task's stream meets 2**64 - 1 as its draw number ``word``:
         among the 4 class picks (0, 2) or among the first class's record
         picks (4, 6). Both samplers discard it the same way."""
-        state = (state_before(MASK64) - word * GOLDEN) & MASK64
-        for module in (cpes.episodes, oracles):
-            monkeypatch.setattr(module, "rng_split", lambda seed, index: Rng64(state))
+        state = rejecting_state(word)
+        monkeypatch.setattr(oracles, "rng_split", lambda seed, index: Rng64(state))
+        monkeypatch.setattr(
+            cpes.episodes, "split_states", lambda seed, tasks: np.full(len(tasks), state, np.uint64)
+        )
         store = store_of_sizes([5, 6, 7, 9, 10, 11, 12])
         ep = assert_same_as_record_sampler(store, 4, 2, 3, task=0, seed=0)
         first_pool = len(store.by_label[ep.class_map[0]])
         bound = [7, 6, 5, 4, first_pool, first_pool - 1, first_pool - 2][word]
         assert MASK64 >= (1 << 64) - (1 << 64) % bound  # the word is one randint rejects
+
+
+def assert_plan_equals_per_task(store, n_way, k_shot, q, tasks, seed):
+    """plan_episodes over ``tasks`` gives each task the Episode the per-task
+    oracle samples, and sample_episode slices it out."""
+    plan = plan_episodes(store, n_way, k_shot, q, tasks, seed)
+    assert [len(part) for part in plan] == [len(tasks)] * 3
+    for index, task in enumerate(tasks):
+        expected = per_task_episode(store, n_way, k_shot, q, task, seed)
+        assert_same_episode(sample_episode(plan, index), expected)
+
+
+def assert_same_episode(ep, expected):
+    assert ep.class_map == expected.class_map
+    np.testing.assert_array_equal(ep.support_rows, expected.support_rows)
+    np.testing.assert_array_equal(ep.query_rows, expected.query_rows)
+    np.testing.assert_array_equal(ep.query_labels, expected.query_labels)
+
+
+class TestPlanEpisodes:
+    """plan_episodes draws every task of a block at once and gives the rows
+    the per-task oracle (the package's former sampler) draws."""
+
+    @pytest.mark.parametrize("k_shot", [1, 5])
+    @pytest.mark.parametrize("which", ["sweep_train_store", "sweep_eval_store"])
+    def test_sweep_stores_equal_per_task_sampler(self, request, which, k_shot):
+        store = request.getfixturevalue(which)
+        assert_plan_equals_per_task(store, 5, k_shot, 15, range(300), 0)
+        assert_plan_equals_per_task(store, 5, k_shot, 15, [299], 0)  # T = 1, not task 0
+        assert_plan_equals_per_task(store, 5, k_shot, 15, [7, 3, 7], 2**64 - 1)
+
+    @pytest.mark.parametrize("k_shot", [1, 5])
+    def test_harness_chunks_equal_per_task_sampler(self, monkeypatch, sweep_train_store, k_shot):
+        """The run's episodes, planned a chunk at a time, are the per-task
+        oracle's for every task, across the chunk boundaries."""
+        chunks = []
+
+        def plan(*args):
+            chunks.append(len(args[4]))
+            return plan_episodes(*args)
+
+        monkeypatch.setattr(cpes.harness, "plan_episodes", plan)
+        cfg = RunConfig(n_way=5, k_shot=k_shot, queries_per_class=15, m=0)
+        episodes = [episode for episode, _ in _episodes(sweep_train_store, cfg, 0, 11, 600)]
+        assert len(chunks) > 1 and sum(chunks) == len(episodes) == 600
+        for task, episode in enumerate(episodes):
+            expected = per_task_episode(sweep_train_store, 5, k_shot, 15, task, 11)
+            assert_same_episode(episode, expected)
+
+    def test_unequal_class_sizes(self):
+        store = store_of_sizes([5, 6, 7, 9, 10, 11, 12])
+        assert_plan_equals_per_task(store, 4, 2, 3, range(60), 9)
+        assert_plan_equals_per_task(store, 7, 1, 4, range(20), 3)
+
+    def test_no_tasks_samples_nothing(self):
+        store = tiny_store(6, 8)
+        class_maps, support_rows, query_rows = plan_episodes(store, 4, 2, 3, [], 5)
+        assert class_maps.shape == (0, 4)
+        assert support_rows.shape == (0, 4, 2)
+        assert query_rows.shape == (0, 12)
+        cfg = RunConfig(n_way=5, k_shot=3, queries_per_class=3, m=1, epochs=0)
+        assert list(_episodes(tiny_store(3, 2), cfg, 1, 0, 0)) == []
+        _, log = train(tiny_store(3, 2), cfg)  # too few classes and records: never sampled
+        assert log == []
+
+    @pytest.mark.parametrize("word", [0, 2, 4, 6])
+    def test_rejected_word_in_a_later_task(self, monkeypatch, word):
+        """Task 3 of 6 meets a rejected word among its class picks (0, 2),
+        which moves where its record picks start, or among its record picks
+        (4, 6); the other tasks of the block draw as they would alone. The
+        state and store are test_rejected_word_matches_record_sampler's,
+        which shows each of these words is one a draw rejects."""
+        state = rejecting_state(word)
+
+        def states(seed, tasks):
+            out = split_states(seed, tasks)
+            out[np.asarray(tasks) == 3] = state
+            return out
+
+        monkeypatch.setattr(cpes.episodes, "split_states", states)
+        monkeypatch.setattr(
+            oracles, "rng_split", lambda seed, i: Rng64(state) if i == 3 else rng_split(seed, i)
+        )
+        assert_plan_equals_per_task(store_of_sizes([5, 6, 7, 9, 10, 11, 12]), 4, 2, 3, range(6), 0)
+
+    def test_insufficient_classes_message(self):
+        store = tiny_store(3, 10)
+        with pytest.raises(InsufficientClasses) as expected:
+            per_task_episode(store, 4, 1, 1, 0, 0)
+        with pytest.raises(InsufficientClasses, match=f"^{expected.value}$"):
+            plan_episodes(store, 4, 1, 1, range(5), 0)
+
+    def test_insufficient_records_names_first_offending_task_and_class(self):
+        """Classes 0 and 1 are too small for 2 supports and 6 queries. Over
+        windows of tasks the plan names what the per-task sampler meets
+        first, which is not always in the window's first task."""
+        store = store_of_sizes([5, 7, 8, 9, 10, 11, 12, 13])
+        later = 0
+        for start in range(12):
+            tasks = range(start, start + 20)
+            for first, task in enumerate(tasks):
+                try:
+                    per_task_episode(store, 3, 2, 6, task, 4)
+                except InsufficientRecords as error:
+                    expected = str(error)
+                    break
+            else:
+                raise AssertionError(f"no task of {tasks} is short of records")
+            later += first > 0
+            with pytest.raises(InsufficientRecords, match=f"^{expected}$"):
+                plan_episodes(store, 3, 2, 6, tasks, 4)
+            assert_plan_equals_per_task(store, 3, 2, 6, tasks[:first], 4)
+        assert later > 0
 
 
 class TestBuildPrototype:

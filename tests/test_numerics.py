@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpes.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
-from cpes.numerics import Rng64, cross_entropy, rng_split, softmax, unit_rows
+from cpes.numerics import (
+    Rng64,
+    _accepted_rows,
+    cross_entropy,
+    partial_shuffle,
+    rng_split,
+    softmax,
+    split_states,
+    unit_rows,
+)
 from cpes.scoring import score_tensor
 from cpes.selection import DistanceKind, similarity_sequence
 from oracles import (
@@ -278,3 +287,79 @@ class TestRng:
             picks = g.samples_without_replacement([range(10)], 7)[0]
             assert len(set(picks)) == 7
             assert all(0 <= p < 10 for p in picks)
+
+
+class TestRowKernels:
+    """The row-wise forms the episode plan draws through: task states,
+    accepted words and the partial Fisher-Yates, each against the one-row
+    generator or the Python-int oracle."""
+
+    def test_split_states_are_rng_split_states(self):
+        """Seeds and indices are taken modulo 2**64, and no uint64 scalar
+        overflows (a RuntimeWarning fails the suite)."""
+        seeds = [0, 1, -1, 10**12, (1 << 64) - 1, 1 << 70, rng_split(0, 1).state]
+        indices = [0, 1, 2, 1000, (1 << 64) - 1]
+        for seed in seeds:
+            expected = [rng_split(seed, i).state for i in indices]
+            assert split_states(seed, indices).tolist() == expected
+            assert split_states(seed, indices).dtype == np.uint64
+        assert rng_split(3, -1).state == rng_split(3, (1 << 64) - 1).state
+        assert split_states(20260826, range(0)).shape == (0,)
+
+    def test_accepted_rows_equal_one_row_draws(self):
+        """Each row is _accepted on its own stream, states after included:
+        above 2**62 a bound rejects words with odds up to about 1/3."""
+        g = scalar_rng(17, 0)
+        rejected = 0
+        for _ in range(40):
+            tasks, width = g.randint(9), 1 + g.randint(12)
+            states = np.array([g.next_u64() for _ in range(tasks)], dtype=np.uint64)
+            bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(tasks * width)]
+            bounds = np.array(bounds, dtype=np.uint64).reshape(tasks, width)
+            words, after = _accepted_rows(states, bounds)
+            for row in range(tasks):
+                rng = Rng64(int(states[row]))
+                assert words[row].tolist() == rng._accepted(bounds[row]).tolist()
+                assert int(after[row]) == rng.state
+                rejected += rng.state != (int(states[row]) + width * GOLDEN) & MASK64
+        assert rejected > 0
+
+    def test_accepted_rows_redraw_only_the_rejecting_row(self):
+        state = state_before(MASK64) - 2 * GOLDEN & MASK64
+        states = np.array([5, state, 7], dtype=np.uint64)
+        bounds = np.full((3, 4), 3, dtype=np.uint64)
+        words, after = _accepted_rows(states, bounds)
+        draws = outputs(state)
+        assert (words[1] % 3).tolist() == [randint(draws, 3) for _ in range(4)]
+        steps = zip([5, state, 7], [4, 5, 4])
+        assert after.tolist() == [(start + n * GOLDEN) & MASK64 for start, n in steps]
+
+    def test_samples_beyond_a_pool_rejected(self):
+        with pytest.raises(EmptyInput, match="^3 samples from a pool of 2 items$"):
+            Rng64(1).samples_without_replacement([range(3), range(2)], 3)
+        assert Rng64(1).samples_without_replacement([], 3) == []
+
+    def test_partial_shuffle_equals_oracle_on_padded_pools(self):
+        """Each task's pools, of unequal sizes and padded to the largest, are
+        the oracle Fisher-Yates of each pool in turn on the task's stream,
+        which ends where the oracle's draws leave it; odd trials meet
+        2**64 - 1 as one of a task's first seven words."""
+        g = scalar_rng(18, 0)
+        for trial in range(60):
+            tasks, rows = g.randint(5), 1 + g.randint(4)
+            sizes = np.array([1 + g.randint(12) for _ in range(rows * tasks)]).reshape(tasks, rows)
+            k = g.randint(int(sizes.min(initial=12)) + 1)
+            rejecting = (state_before(MASK64) - trial % 7 * GOLDEN) & MASK64
+            states = [rejecting if trial % 2 else g.next_u64() for _ in range(tasks)]
+            pools = np.full((tasks, rows, 12), -1)
+            for task, row in np.ndindex(tasks, rows):
+                pools[task, row, : sizes[task, row]] = 100 * row + np.arange(sizes[task, row])
+            picks, after = partial_shuffle(np.array(states, np.uint64), pools, sizes, k)
+            assert picks.shape == (tasks, rows, k)
+            for task, state in enumerate(states):
+                scalar = ScalarRng(state)
+                for row, size in enumerate(sizes[task].tolist()):
+                    expected = [100 * row + i for i in scalar.sample_without_replacement(size, k)]
+                    assert picks[task, row].tolist() == expected
+                assert int(after[task]) == scalar.state
+            assert (pools[..., 0] % 100 == 0).all()  # the input is left as it was

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpes.episodes import sample_episode
+from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, StoreFormatError
 from cpes.harness import RunConfig, episode_scores, head_input_dim
 from cpes.numerics import rng_split, unit_rows
@@ -161,7 +161,7 @@ def assert_grads_close(analytic: Gradients, numeric: Gradients, rel=1e-5, tiny=1
 def episode_fixture(store, m, seed, task):
     """Score tensor and target of the first query of a 3-way 1-shot episode."""
     cfg = RunConfig(n_way=3, k_shot=1, queries_per_class=1, m=m, base_seed=seed)
-    episode = sample_episode(store, 3, 1, 1, task, seed)
+    episode = sample_episode(plan_episodes(store, 3, 1, 1, [task], seed), 0)
     reps = representation_table(store, m, cfg.distance)
     scores = episode_scores(store, reps, episode, m, cfg.distance)
     return scores[:1], episode.query_labels[:1]
@@ -206,7 +206,7 @@ class TestClassProbabilities:
         head = random_head(head_input_dim(m), 8, seed=m + k_shot)
         reps = representation_table(small_store, m, DistanceKind.COS)
         for task in range(4):
-            episode = sample_episode(small_store, 5, k_shot, 2, task, 17)
+            episode = sample_episode(plan_episodes(small_store, 5, k_shot, 2, [task], 17), 0)
             scores = episode_scores(small_store, reps, episode, m, DistanceKind.COS)
             _, _, probs = episode_loss_and_grads(head, scores, episode.query_labels)
             assert np.array_equal(class_probabilities(head, scores), probs)
@@ -222,7 +222,7 @@ class TestBlockedScoreTensor:
         store = random_store(*SHORT_LAST_BLOCK, seed=18)
         m, kind = store.patches_m, DistanceKind.COS
         reps = representation_table(store, m, kind)
-        episode = sample_episode(store, 2, k_shot, 140, 0, 19)
+        episode = sample_episode(plan_episodes(store, 2, k_shot, 140, [0], 19), 0)
         assert len(episode.query_rows) * m * store.dim_d > 2 * BLOCK_VALUES  # three blocks
         if k_shot == 1:
             protos = reps[episode.support_rows[:, 0]]

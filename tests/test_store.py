@@ -30,6 +30,7 @@ from oracles import (
     MASK64,
     EmbeddingRecord,
     ScalarRng,
+    by_label_of,
     cosine,
     cpem_with_section,
     per_patch_store,
@@ -304,6 +305,23 @@ class TestSyntheticGenerator:
         by_label = small_store.by_label
         assert sorted(by_label) == list(range(5))
         assert all(len(v) == 10 for v in by_label.values())
+
+    def test_by_label_equals_per_record_loop(self, small_store, sweep_train_store):
+        """The argsort split holds the keys, rows and row order that a loop
+        over the records gives, labels shuffled and of unequal counts too."""
+
+        def of_labels(labels):
+            recs = [EmbeddingRecord(i, label, np.zeros(1), np.zeros((1, 1)))
+                    for i, label in enumerate(labels)]
+            return store_from_records(1, 1, 6, recs)
+
+        rng = scalar_rng(5, 0)
+        shuffled = [rng.randint(6) for _ in range(50)]
+        stores = [small_store, sweep_train_store, of_labels(shuffled), of_labels([3]), of_labels([])]
+        for store in stores:
+            by_label = {label: rows.tolist() for label, rows in store.by_label.items()}
+            assert by_label == by_label_of(store)
+            assert list(by_label) == list(by_label_of(store))
 
 
 def _cpem(store: EmbeddingStore) -> bytes:
