@@ -21,12 +21,13 @@ import numpy as np
 
 from .episodes import Episode, plan_episodes, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
-from .numerics import rng_split, unit_rows
+from .numerics import rng_split, softmax, unit_rows
 from .scoring import (
     MlpHead,
     OptimizerConfig,
-    class_probabilities,
+    StepBuffers,
     episode_loss_and_grads,
+    head_forward,
     optimizer_step,
     score_tensor,
 )
@@ -130,19 +131,6 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
     return counts[0] if counts else min(96, store.patches_m)
 
 
-def episode_scores(
-    store: EmbeddingStore, reps: np.ndarray, episode: Episode, m: int, kind: DistanceKind
-) -> np.ndarray:
-    """The episode's (Q, N, r, r) score tensor, r = max(m, 1), from the store's
-    (R, r, D) representation_table: queries and K = 1 prototypes are its rows;
-    a K > 1 prototype, the mean of its supports, is selected and fused here."""
-    if episode.support_rows.shape[1] == 1:
-        protos = reps[episode.support_rows[:, 0]]
-    else:
-        protos = _mean_prototypes(store, episode.support_rows, m, kind)
-    return score_tensor(reps, episode.query_rows, protos)
-
-
 def _mean_prototypes(
     store: EmbeddingStore, support_rows: np.ndarray, m: int, kind: DistanceKind
 ) -> np.ndarray:
@@ -157,6 +145,7 @@ def _mean_prototypes(
         shot_classes, shot_patches = store.embeddings(rows)
         classes += shot_classes
         patches += shot_patches
+        del shot_classes, shot_patches  # freed before the next shot is read
     classes /= len(shots)
     patches /= len(shots)
     picks = select_top(similarity_sequence(classes, patches, kind), m)
@@ -176,29 +165,41 @@ def init_head(cfg: RunConfig, m: int) -> MlpHead:
 
 
 def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: int):
-    """(episode, score tensor) for tasks 0..count-1 of ``seed``, all gathered
-    from one representation table: each record is fused and normalised once.
-    Tasks are planned in chunks of BLOCK_VALUES draws and pool slots, or one task."""
+    """Tasks 0..count-1 of ``seed``, planned a chunk at a time (BLOCK_VALUES
+    draws and pool slots, or one task): for each chunk, its task count and a
+    generator of its (episode, score tensor) pairs. Each record is fused and
+    normalised once, into one representation table, and every score tensor
+    is written into one (Q, N, r, r) buffer, allocated once the first plan
+    has checked the store: a pair's tensor holds until the next pair is
+    drawn. Queries and K = 1 prototypes are table rows; a K > 1 prototype is
+    the mean of its supports."""
     reps = representation_table(store, m, cfg.distance)
+
+    def scored(plan, size: int, scores: np.ndarray):
+        for index in range(size):
+            episode = sample_episode(plan, index)
+            if cfg.k_shot == 1:
+                protos = reps[episode.support_rows[:, 0]]
+            else:
+                protos = _mean_prototypes(store, episode.support_rows, m, cfg.distance)
+            yield episode, score_tensor(reps, episode.query_rows, protos, scores)
+
     pools = store.by_label.values()
     draws = cfg.n_way * (1 + cfg.k_shot + cfg.queries_per_class)
+    scores = None
     for chunk in _blocks(count, draws + len(pools) + cfg.n_way * max(map(len, pools), default=0)):
         tasks = range(count)[chunk]
         plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, tasks, seed)
-        for index in range(len(tasks)):
-            episode = sample_episode(plan, index)
-            yield episode, episode_scores(store, reps, episode, m, cfg.distance)
-
-
-def _accuracy(probs: np.ndarray, episode: Episode) -> float:
-    """The fraction of the episode's queries whose argmax class probability
-    is their label; argmax ties go to the lowest class index."""
-    return float(np.mean(probs.argmax(axis=1) == episode.query_labels))
+        if scores is None:
+            rows = reps.shape[1]
+            scores = np.empty((cfg.n_way * cfg.queries_per_class, cfg.n_way, rows, rows))
+        yield len(tasks), scored(plan, len(tasks), scores)
 
 
 def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     """Train the head episodically; one optimizer step per episode with
-    gradients averaged over the episode's queries.
+    gradients averaged over the episode's queries, written into buffers
+    allocated at the first step.
 
     Returns the head and a per-epoch log of mean loss and accuracy.
     """
@@ -208,25 +209,30 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
     seed = rng_split(cfg.base_seed, _TRAIN_STREAM).state
-    episodes = _episodes(store, cfg, m, seed, total_steps)
+    chunks = _episodes(store, cfg, m, seed, total_steps)
+    episodes = itertools.chain.from_iterable(run for _, run in chunks)
+    buffers = None
 
     def step(episode: Episode, scores: np.ndarray) -> tuple[float, float]:
+        nonlocal buffers
+        if buffers is None:
+            buffers = StepBuffers.allocate(scores.shape[0] * scores.shape[1], head)
         number = head.step + 1
+        labels = episode.query_labels
         try:
             # settings that grow the head past float64 range stop here, not as NaN later
             with np.errstate(over="raise", invalid="raise"):
-                loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+                loss, grads, probs = episode_loss_and_grads(head, scores, labels, buffers)
                 optimizer_step(head, grads, opt)
         except FloatingPointError:
             raise InfeasibleConfig(
                 f"optimizer settings overflow the head at step {number}: learning_rate "
                 f"{opt.learning_rate}, lr_floor {opt.lr_floor}, weight_decay {opt.weight_decay}"
             ) from None
-        return float(np.mean(loss)), _accuracy(probs, episode)
+        return float(np.mean(loss)), float(np.mean(probs.argmax(axis=1) == labels))
 
     log: list[dict] = []
     for epoch in range(cfg.epochs):
-        # starmap holds no score tensor while the next one is built, as a loop variable would
         steps = itertools.starmap(step, itertools.islice(episodes, cfg.episodes_per_epoch))
         losses, accuracies = zip(*steps)
         log.append(
@@ -240,18 +246,29 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
 
 
 def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport:
-    """Accuracy over cfg.eval_tasks episodes with task_index 0..T-1."""
+    """Accuracy over cfg.eval_tasks episodes with task_index 0..T-1: a task's
+    accuracy is the fraction of its queries whose argmax class probability
+    is their label, with argmax ties to the lowest class index. Each task's
+    head pass writes its chunk's hidden-layer buffer and its class scores
+    before b2; b2, the softmax and the accuracies are taken once per chunk."""
     m = resolve_m(store, cfg)
     if head.input_dim != head_input_dim(m):
         raise ValueError(
             f"head input dim {head.input_dim} does not match m={m} "
             f"(expected {head_input_dim(m)})"
         )
-    # starmap holds no score tensor while the next one is built, as a loop variable would
-    per_task = list(itertools.starmap(
-        lambda episode, scores: _accuracy(class_probabilities(head, scores), episode),
-        _episodes(store, cfg, m, cfg.base_seed, cfg.eval_tasks),
-    ))
+    queries = cfg.n_way * cfg.queries_per_class
+    per_task: list[float] = []
+    for tasks, run in _episodes(store, cfg, m, cfg.base_seed, cfg.eval_tasks):
+        # allocated once the chunk's plan has checked the store
+        labels = np.repeat(np.arange(cfg.n_way), cfg.queries_per_class)
+        hidden = np.empty((queries * cfg.n_way, head.hidden_dim))
+        logits = np.empty((tasks, queries, cfg.n_way))
+        for task, (_, scores) in enumerate(run):
+            head_forward(head, scores, hidden)
+            np.matmul(hidden, head.w2, out=logits[task].reshape(-1))
+        logits += head.b2
+        per_task += (softmax(logits).argmax(axis=-1) == labels).mean(axis=-1).tolist()
     echo = replace(cfg, hidden_dim=head.hidden_dim).echo()  # the checkpoint's, not the flag's
     return EvalReport(per_task, *mean_and_ci95(per_task), echo)
 

@@ -150,14 +150,23 @@ def rng_split(seed: int, index: int) -> Rng64:
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row (along the last axis) scaled to unit norm; a row whose norm
-    is below DEGENERATE_NORM becomes zero.
+    is below DEGENERATE_NORM (divided by 1, so no warning) becomes zero.
 
     The degenerate-vector policy makes an (unrealistic) zero patch or class
     embedding have cosine 0 with everything, ranking it as uninformative
     instead of erroring.
     """
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    return np.divide(rows, norms, out=np.zeros(rows.shape), where=norms >= DEGENERATE_NORM)
+    kept = norms >= DEGENERATE_NORM
+    out = rows / np.where(kept, norms, 1.0)
+    out[~kept[..., 0]] = 0.0
+    return out
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, from two reductions: a NaN propagates
+    through both min and max, and an infinity is one of them."""
+    return bool(np.isfinite(values.min(initial=0)) and np.isfinite(values.max(initial=0)))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

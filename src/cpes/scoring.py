@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, NonFiniteValue
 from .errors import StoreFormatError, setting
-from .numerics import Rng64, cross_entropy, softmax
+from .numerics import Rng64, all_finite, cross_entropy, softmax
 from .selection import _blocks
 from .store import _read_header, _reject_trailing, _require, _write
 
@@ -25,19 +25,21 @@ CHECKPOINT_VERSION = 1
 _HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
 
 
-def score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:
+def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.ndarray:
     """Squared cosine between every unit row of every query table[rows]
     (Q, r, D) and of every prototype (N, r', D): the (Q, N, r, r') score
-    tensor, written a block of queries at a time (BLOCK_VALUES values of
-    the table at most, or one query), so no (Q, r, D) copy is made."""
+    tensor, written into ``out`` (or a new array) a block of queries at a
+    time (BLOCK_VALUES values of the table at most, or one query), so no
+    (Q, r, D) copy is made."""
     if table.shape[-1] != protos.shape[-1]:
         raise DimensionMismatch(f"fused dims differ: {table.shape[-1]} vs {protos.shape[-1]}")
-    s = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
+    if out is None:
+        out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
     for block in _blocks(len(rows), table.shape[1] * table.shape[2]):
-        np.matmul(table[rows[block], np.newaxis], protos.transpose(0, 2, 1), out=s[block])
-    np.square(s, out=s)
+        np.matmul(table[rows[block], np.newaxis], protos.transpose(0, 2, 1), out=out[block])
+    np.square(out, out=out)
     # rounding can push a squared cosine a few ulp past 1
-    return np.minimum(s, 1.0, out=s)
+    return np.minimum(out, 1.0, out=out)
 
 
 class ScheduleKind(enum.Enum):
@@ -134,47 +136,56 @@ class MlpHead(_Group):
         return head
 
 
-def head_forward(
-    head: MlpHead, scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """W1 -> ReLU -> w2 over score matrices (..., r, r).
+@dataclass
+class StepBuffers:
+    """The arrays one training step's head pass writes, allocated once per
+    train call and rewritten by every episode: the (n, H) hidden layer over
+    the episode's n score matrices, its gradient, and the parameter gradients."""
 
-    Returns (x, pre, hidden, out): the flattened scores (n, input_dim), the
-    hidden layer before and after the rectifier (n, H), and the class
-    scores, shaped like the leading axes of ``scores``.
-    """
+    hidden: np.ndarray
+    dhidden: np.ndarray
+    grads: Gradients
+
+    @classmethod
+    def allocate(cls, n: int, head: MlpHead) -> "StepBuffers":
+        hidden, dhidden = np.empty((2, n, head.hidden_dim))
+        return cls(hidden, dhidden, Gradients(head.hidden_dim, np.empty_like(head.flat)))
+
+
+def head_forward(head: MlpHead, scores, hidden=None) -> tuple[np.ndarray, np.ndarray]:
+    """W1 -> ReLU over score matrices (..., r, r): the flattened scores x
+    (n, input_dim) and the hidden layer relu(x W1^T + b1) (n, H), written
+    into ``hidden`` (or a new array). The class scores are hidden @ w2 + b2."""
     x = np.asarray(scores, dtype=np.float64)
-    lead, size = x.shape[:-2], x.shape[-2] * x.shape[-1]
+    size = x.shape[-2] * x.shape[-1]
     if size != head.input_dim:
         raise DimensionMismatch(f"score size {size}, head expects {head.input_dim}")
     x = x.reshape(-1, size)
-    pre = x @ head.w1.T + head.b1
-    hidden = np.maximum(pre, 0.0)
-    return x, pre, hidden, (hidden @ head.w2 + head.b2).reshape(lead)
-
-
-def class_probabilities(head: MlpHead, scores: np.ndarray) -> np.ndarray:
-    """(Q, N) class probabilities of an episode's score tensor (Q, N, r, r),
-    forward only: no loss and no gradients."""
-    return softmax(head_forward(head, scores)[3])
+    hidden = np.matmul(x, head.w1.T, out=hidden)
+    hidden += head.b1
+    return x, np.maximum(hidden, 0.0, out=hidden)
 
 
 def episode_loss_and_grads(
-    head: MlpHead, scores: np.ndarray, targets: np.ndarray
+    head: MlpHead, scores: np.ndarray, targets: np.ndarray, buffers: StepBuffers | None = None
 ) -> tuple[np.ndarray, Gradients, np.ndarray]:
     """Cross-entropy of each query of an episode's score tensor (Q, N, r, r)
     against its target class, with analytic parameter gradients of the mean
-    loss over the queries. Returns (losses (Q,), grads, probabilities (Q, N)).
+    loss over the queries, written into ``buffers`` (or new arrays). Returns
+    (losses (Q,), grads, probabilities (Q, N)).
 
     The rectifier subgradient at exactly 0 is taken as 0.
     """
-    xs, pre, hidden, out = head_forward(head, scores)
-    probs = softmax(out)
+    if buffers is None:
+        buffers = StepBuffers.allocate(len(targets) * len(scores[0]), head)
+    xs, hidden = head_forward(head, scores, buffers.hidden)
+    probs = softmax((hidden @ head.w2 + head.b2).reshape(len(targets), -1))
     dscores = probs.copy()
     dscores[np.arange(len(targets)), targets] -= 1.0  # d loss / d scores, per query
     dscores = dscores.reshape(-1) / len(targets)  # of the mean over queries
-    dhidden = np.outer(dscores, head.w2) * (pre > 0.0)
-    grads = Gradients(head.hidden_dim, np.empty_like(head.flat))
+    dhidden = np.multiply(dscores[:, np.newaxis], head.w2, out=buffers.dhidden)
+    dhidden *= hidden > 0.0  # where the pre-activation is positive
+    grads = buffers.grads
     np.matmul(dhidden.T, xs, out=grads.w1)
     np.sum(dhidden, axis=0, out=grads.b1)
     np.matmul(dscores, hidden, out=grads.w2)
@@ -183,9 +194,12 @@ def episode_loss_and_grads(
 
 
 def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> MlpHead:
-    """One decoupled-weight-decay adaptive-moment update of the state, in place."""
+    """One decoupled-weight-decay adaptive-moment update of the state, in
+    place, its temporaries written into two (P,) arrays a step. Held across
+    steps, they would sit beside the score tensor and a K > 1 prototype's
+    temporaries and raise the peak memory."""
     g = grads.flat
-    if not np.all(np.isfinite(g)):
+    if not all_finite(g):
         raise NonFiniteGradient("NaN/Inf in gradients")
 
     lr = cfg.lr_at(head.step)
@@ -193,13 +207,19 @@ def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> Mlp
     bc1 = 1.0 - cfg.beta1**head.step
     bc2 = 1.0 - cfg.beta2**head.step
     param, m, v = head.state
+    a, b = np.empty_like(g), np.empty_like(g)
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
+    m += np.multiply(1.0 - cfg.beta1, g, out=a)
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    # decay is decoupled: both terms reference the pre-update parameter
+    np.multiply(1.0 - cfg.beta2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    # decay is decoupled: both terms reference the pre-update parameter;
+    # the step is (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
     param *= 1.0 - lr * cfg.weight_decay
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.sqrt(np.divide(v, bc2, out=b), out=b)
+    b += cfg.eps
+    param -= np.divide(a, b, out=a)
     return head
 
 
@@ -227,7 +247,7 @@ def load_head(source) -> MlpHead:
     _reject_trailing(data, end)
     # one aligned, writable copy
     state = np.frombuffer(data, "<f8", 3 * size, start).astype(np.float64).reshape(3, size)
-    if not np.all(np.isfinite(state)):
+    if not all_finite(state):
         raise NonFiniteValue("checkpoint contains NaN/Inf parameters or moments")
     (step,) = struct.unpack_from("<Q", data, end - 8)
     return MlpHead(input_dim, hidden, state, step)

@@ -34,7 +34,7 @@ from .errors import (
     check_settings,
     setting,
 )
-from .numerics import box_muller, rng_split
+from .numerics import all_finite, box_muller, rng_split
 
 MAGIC = b"CPEM"
 VERSION = 1
@@ -211,11 +211,12 @@ def read_store(source) -> EmbeddingStore:
         if bad.any():
             raise error(f"record {int(store.record_ids[np.argmax(bad)])} {what}")
 
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every term is
-    sums = store.class_embeddings.sum(1, np.float64)
-    sums += store.patch_embeddings.sum((1, 2), np.float64)
-    reject(NonFiniteValue, ~np.isfinite(sums), "contains NaN/Inf")
+    if not (all_finite(store.class_embeddings) and all_finite(store.patch_embeddings)):
+        # a float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every term is: the first record whose sum is not is named
+        sums = store.class_embeddings.sum(1, np.float64)
+        sums += store.patch_embeddings.sum((1, 2), np.float64)
+        reject(NonFiniteValue, ~np.isfinite(sums), "contains NaN/Inf")
     reject(InvalidRecord, store.labels >= class_count, f"has a label >= {class_count} classes")
     if np.unique(store.record_ids).size != record_count:
         raise InvalidRecord("record ids are not unique")

@@ -20,6 +20,13 @@ array: parameters and moments as separate tensors, b2 a Python float, and
 an optimizer step per tensor. ``head_of`` and ``grads_of`` build the flat
 state from separate tensors; ``moment`` and ``per_tensor_head`` read it back.
 
+The per-episode path here is the one the package ran before its train and
+evaluate loops wrote into per-call buffers: ``episode_scores``, a fresh score
+tensor per episode; ``head_pass``, ``episode_loss_and_grads`` and
+``optimizer_step``, fresh arrays per step; ``class_probabilities`` and
+``accuracy``, one softmax and one accuracy per task. ``per_episode_train``
+and ``per_episode_evaluate`` run the package's loops on it.
+
 The RNG here is the counter stream on Python ints. ``ScalarRng`` is its
 one-draw-at-a-time form, which tests make data with, and ``per_patch_store``
 is the generator the package ran before it drew each record as one block.
@@ -33,19 +40,28 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from cpes.episodes import Episode
+from cpes.episodes import Episode, plan_episodes, sample_episode
 from cpes.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InfeasibleConfig,
     InsufficientClasses,
     InsufficientRecords,
     NonFiniteGradient,
     SelectionOutOfRange,
 )
-from cpes.harness import resolve_m
-from cpes.numerics import DEGENERATE_NORM, Rng64, box_muller, rng_split, softmax, unit_rows
-from cpes.scoring import Gradients, MlpHead, head_forward
-from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind
+from cpes.harness import _TRAIN_STREAM, _mean_prototypes, init_head, resolve_m
+from cpes.numerics import (
+    DEGENERATE_NORM,
+    Rng64,
+    box_muller,
+    cross_entropy,
+    rng_split,
+    softmax,
+    unit_rows,
+)
+from cpes.scoring import Gradients, MlpHead, score_tensor
+from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, representation_table
 from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
 
@@ -64,6 +80,12 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
+
+
+def masked_unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``cpes.numerics.unit_rows`` as one masked divide into zeros."""
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros(rows.shape), where=norms >= DEGENERATE_NORM)
 
 
 # -- stores as lists of records ---------------------------------------------
@@ -323,14 +345,14 @@ def episode_representations(store: EmbeddingStore, episode, m: int, kind):
 
 def query_class_probabilities(head, query, protos) -> np.ndarray:
     scores = np.stack([score_matrix(query, p) for p in protos])
-    return softmax(head_forward(head, scores)[3])
+    return softmax(head_pass(head, scores)[3])
 
 
 def query_loss_and_grads(head, query, protos, target):
     """Cross-entropy loss of one query against N prototypes, with analytic
     parameter gradients. Returns (loss, grads, class probabilities)."""
     scores = np.stack([score_matrix(query, p) for p in protos])
-    xs, pre, hidden, out = head_forward(head, scores)
+    xs, pre, hidden, out = head_pass(head, scores)
     probs = softmax(out)
     loss = -math.log(max(float(probs[target]), 1e-300))
 
@@ -432,6 +454,122 @@ def per_tensor_optimizer_step(head, grads, cfg):
         math.sqrt(v / bc2) + cfg.eps
     )
     return head
+
+
+# -- the per-episode path ---------------------------------------------------
+
+
+def episode_scores(store: EmbeddingStore, reps, episode, m: int, kind) -> np.ndarray:
+    """The episode's (Q, N, r, r) score tensor, a new array, from the store's
+    representation table: queries and K = 1 prototypes are its rows."""
+    if episode.support_rows.shape[1] == 1:
+        protos = reps[episode.support_rows[:, 0]]
+    else:
+        protos = _mean_prototypes(store, episode.support_rows, m, kind)
+    return score_tensor(reps, episode.query_rows, protos)
+
+
+def head_pass(head: MlpHead, scores):
+    """(x, pre, hidden, class scores) of W1 -> ReLU -> w2 over score matrices
+    (..., r, r), each a new array; the class scores shaped like the leading axes."""
+    x = np.asarray(scores, dtype=np.float64)
+    lead, size = x.shape[:-2], x.shape[-2] * x.shape[-1]
+    if size != head.input_dim:
+        raise DimensionMismatch(f"score size {size}, head expects {head.input_dim}")
+    x = x.reshape(-1, size)
+    pre = x @ head.w1.T + head.b1
+    hidden = np.maximum(pre, 0.0)
+    return x, pre, hidden, (hidden @ head.w2 + head.b2).reshape(lead)
+
+
+def class_probabilities(head: MlpHead, scores: np.ndarray) -> np.ndarray:
+    """(Q, N) class probabilities of an episode's score tensor, forward only."""
+    return softmax(head_pass(head, scores)[3])
+
+
+def episode_loss_and_grads(head: MlpHead, scores: np.ndarray, targets: np.ndarray):
+    """(losses (Q,), mean-loss gradients, probabilities (Q, N)) of an episode."""
+    xs, pre, hidden, out = head_pass(head, scores)
+    probs = softmax(out)
+    dscores = probs.copy()
+    dscores[np.arange(len(targets)), targets] -= 1.0
+    dscores = dscores.reshape(-1) / len(targets)
+    dhidden = np.outer(dscores, head.w2) * (pre > 0.0)
+    grads = Gradients(head.hidden_dim, np.empty_like(head.flat))
+    np.matmul(dhidden.T, xs, out=grads.w1)
+    np.sum(dhidden, axis=0, out=grads.b1)
+    np.matmul(dscores, hidden, out=grads.w2)
+    grads.b2 = np.sum(dscores)
+    return cross_entropy(probs, targets), grads, probs
+
+
+def optimizer_step(head: MlpHead, grads: Gradients, cfg) -> MlpHead:
+    """One AdamW update of the whole state, each temporary a new array."""
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteGradient("NaN/Inf in gradients")
+    lr = cfg.lr_at(head.step)
+    head.step += 1
+    bc1 = 1.0 - cfg.beta1**head.step
+    bc2 = 1.0 - cfg.beta2**head.step
+    param, m, v = head.state
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    param *= 1.0 - lr * cfg.weight_decay
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    return head
+
+
+def accuracy(probs: np.ndarray, episode) -> float:
+    """The fraction of the episode's queries whose argmax class is their label."""
+    return float(np.mean(probs.argmax(axis=1) == episode.query_labels))
+
+
+def per_episode_train(store: EmbeddingStore, cfg):
+    """``cpes.train``'s head and log, one episode at a time on the path above."""
+    m = resolve_m(store, cfg)
+    cfg.optimizer.check_schedule()
+    head = init_head(cfg, m)
+    total_steps = cfg.epochs * cfg.episodes_per_epoch
+    opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
+    seed = rng_split(cfg.base_seed, _TRAIN_STREAM).state
+    plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class,
+                         range(total_steps), seed)
+    reps = representation_table(store, m, cfg.distance)
+    log = []
+    for epoch in range(cfg.epochs):
+        losses, accuracies = [], []
+        for step in range(cfg.episodes_per_epoch):
+            episode = sample_episode(plan, epoch * cfg.episodes_per_epoch + step)
+            scores = episode_scores(store, reps, episode, m, cfg.distance)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    loss, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+                    optimizer_step(head, grads, opt)
+            except FloatingPointError:
+                raise InfeasibleConfig(f"overflow at step {head.step + 1}") from None
+            losses.append(float(np.mean(loss)))
+            accuracies.append(accuracy(probs, episode))
+        log.append({"epoch": epoch, "mean_loss": float(np.mean(losses)),
+                    "mean_accuracy": float(np.mean(accuracies))})
+    return head, log
+
+
+def per_episode_evaluate(head: MlpHead, store: EmbeddingStore, cfg) -> list[float]:
+    """``cpes.evaluate``'s per-task accuracies, one episode at a time on the
+    path above."""
+    m = resolve_m(store, cfg)
+    plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class,
+                         range(cfg.eval_tasks), cfg.base_seed)
+    reps = representation_table(store, m, cfg.distance)
+    per_task = []
+    for task in range(cfg.eval_tasks):
+        episode = sample_episode(plan, task)
+        scores = episode_scores(store, reps, episode, m, cfg.distance)
+        per_task.append(accuracy(class_probabilities(head, scores), episode))
+    return per_task
 
 
 # -- the counter RNG as Python ints ------------------------------------------

@@ -1,6 +1,6 @@
 """Smoke test of the benchmark: one short run of the eval workload, untraced
-and traced, as a subprocess; ``bench/run.py`` imports the package from this
-checkout's ``src``."""
+and traced, and of the train workload, untraced, as a subprocess;
+``bench/run.py`` imports the package from this checkout's ``src``."""
 
 import json
 import subprocess
@@ -12,10 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bench_run(trace: int) -> dict:
-    """The last stdout line of ``bench/run.py`` on the eval workload, seed 0,
-    with no timed seconds beyond its minimum rounds."""
-    argv = [sys.executable, "bench/run.py", "--workload", "eval", "--seed", "0",
+def bench_run(workload: str, trace: int) -> dict:
+    """The last stdout line of ``bench/run.py`` on a workload, seed 0, with no
+    timed seconds beyond its minimum rounds."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
             "--seconds", "0", "--trace", str(trace)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -24,9 +24,18 @@ def bench_run(trace: int) -> dict:
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_eval_workload_runs_clean(trace):
-    result = bench_run(trace)
+    result = bench_run("eval", trace)
     assert result["failed"] == 0
     assert result["correct"] is True
     if trace:
         # one sample_episode span per task of the 50-task eval phase marks its episodes
         assert result["metrics"]["episodes.sample_calls"]["value"] == 50
+
+
+def test_train_workload_runs_clean():
+    """Its rounds train the head for as many episodes as the reference head
+    trained at input generation, and each checkpoint must equal it byte for
+    byte: the bench's byte check of the train path."""
+    result = bench_run("train", 0)
+    assert result["failed"] == 0
+    assert result["correct"] is True

@@ -200,7 +200,8 @@ class TestPlanEpisodes:
 
         monkeypatch.setattr(cpes.harness, "plan_episodes", plan)
         cfg = RunConfig(n_way=5, k_shot=k_shot, queries_per_class=15, m=0)
-        episodes = [episode for episode, _ in _episodes(sweep_train_store, cfg, 0, 11, 600)]
+        runs = _episodes(sweep_train_store, cfg, 0, 11, 600)
+        episodes = [episode for _, run in runs for episode, _ in run]
         assert len(chunks) > 1 and sum(chunks) == len(episodes) == 600
         for task, episode in enumerate(episodes):
             expected = per_task_episode(sweep_train_store, 5, k_shot, 15, task, 11)

@@ -235,7 +235,7 @@ class TestExportMasks:
 
 class TestEndToEndOrderInvariance:
     def test_query_score_invariant_to_patch_storage_order(self, small_store):
-        from cpes.scoring import head_forward
+        from test_scoring import class_scores
 
         cfg = quick_cfg()
         head = init_head(cfg, 4)
@@ -248,6 +248,6 @@ class TestEndToEndOrderInvariance:
             query_rec.class_embedding,
             query_rec.patch_embeddings[perm],
         )
-        a = head_forward(head, [score_matrix(fused(query_rec, 4, DistanceKind.COS), proto)])[3][0]
-        b = head_forward(head, [score_matrix(fused(permuted, 4, DistanceKind.COS), proto)])[3][0]
+        a = class_scores(head, [score_matrix(fused(query_rec, 4, DistanceKind.COS), proto)])[0]
+        b = class_scores(head, [score_matrix(fused(permuted, 4, DistanceKind.COS), proto)])[0]
         assert a == pytest.approx(b, abs=1e-12)

@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from cpes.errors import DimensionMismatch, EmptyInput, IndexOutOfRange
 from cpes.numerics import (
+    DEGENERATE_NORM,
     Rng64,
     _accepted_rows,
+    all_finite,
     cross_entropy,
     partial_shuffle,
     rng_split,
@@ -24,6 +26,7 @@ from oracles import (
     ScalarRng,
     cosine,
     fisher_yates,
+    masked_unit_rows,
     mix64,
     outputs,
     randint,
@@ -107,6 +110,38 @@ def test_zero_norm_policy_on_package_path(target, scale):
         else:
             expected_zero[:, 0] = True
         np.testing.assert_array_equal(s == 0.0, expected_zero)
+
+
+@pytest.mark.parametrize(
+    "shape", [(196, 384), (96, 384), (5, 196, 384), (600, 4, 32), (128, 16, 32), (0, 3), (3, 0)]
+)
+def test_unit_rows_equals_masked_divide(shape):
+    """unit_rows divides by each norm, 1 for a degenerate row, and then zeroes
+    those rows: bit for bit the masked divide into zeros, +0.0 included, with
+    exactly zero, below-threshold and negative-zero rows among normal ones."""
+    rows = scalar_rng(31, 0).normals(math.prod(shape)).reshape(shape)
+    flat = rows.reshape(math.prod(shape[:-1]), shape[-1])
+    for row, scale in zip(range(0, len(flat), 7), [0.0, 1e-14, -0.0, DEGENERATE_NORM / 2]):
+        flat[row] *= scale
+    got = unit_rows(rows)
+    assert got.dtype == np.float64 and got.tobytes() == masked_unit_rows(rows).tobytes()
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_entry(self, dtype, value):
+        for at in range(6):
+            values = np.arange(6, dtype=dtype).reshape(2, 3)
+            values.flat[at] = value
+            assert not all_finite(values)
+            assert all_finite(values[:, ::2]) == (at % 3 == 1)  # a strided view
+
+    def test_finite_extremes_and_empty(self):
+        big = np.finfo(np.float64).max
+        assert all_finite(np.array([big, -big, 0.0, -0.0, 5e-324]))
+        assert all_finite(np.array([np.finfo(np.float32).max], dtype=np.float32))
+        assert all_finite(np.zeros((0, 4))) and all_finite(np.zeros(0, dtype=np.float32))
 
 
 class TestSoftmax:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import struct
 import tracemalloc
@@ -8,14 +9,13 @@ import pytest
 
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, StoreFormatError
-from cpes.harness import RunConfig, episode_scores, head_input_dim
+from cpes.harness import RunConfig, head_input_dim
 from cpes.numerics import rng_split, unit_rows
 from cpes.scoring import (
     Gradients,
     MlpHead,
     OptimizerConfig,
     ScheduleKind,
-    class_probabilities,
     episode_loss_and_grads,
     group_size,
     head_forward,
@@ -27,7 +27,9 @@ from cpes.scoring import (
 from cpes.selection import BLOCK_VALUES, DistanceKind, representation_table
 from oracles import (
     add_grads,
+    class_probabilities,
     episode_representations,
+    episode_scores,
     grads_of,
     head_of,
     moment,
@@ -47,6 +49,12 @@ def rep(rows) -> np.ndarray:
 def score_matrix(query: np.ndarray, proto: np.ndarray) -> np.ndarray:
     """The package's score tensor of one query against one prototype."""
     return score_tensor(unit_rows(query)[np.newaxis], [0], unit_rows(proto)[np.newaxis])[0, 0]
+
+
+def class_scores(head: MlpHead, scores) -> np.ndarray:
+    """The head's class score of each score matrix (..., r, r), flattened."""
+    _, hidden = head_forward(head, scores)
+    return hidden @ head.w2 + head.b2
 
 
 def random_head(input_dim, hidden, seed=0) -> MlpHead:
@@ -94,16 +102,16 @@ class TestScoreMatrix:
 class TestMlpForward:
     def test_bias_passthrough(self):
         head = head_of(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.7)
-        assert head_forward(head, [np.eye(2)])[3][0] == pytest.approx(0.7)
+        assert class_scores(head, [np.eye(2)])[0] == pytest.approx(0.7)
 
     def test_hand_computed_forward(self):
         # oracle: relu(0.5*1 + 0.5*0 + 0.5*0 + 0.5*1) * 1 + 0 = 1.0
         head = head_of(np.full((1, 4), 0.5), np.zeros(1), np.ones(1), 0.0)
-        assert head_forward(head, [np.eye(2)])[3][0] == pytest.approx(1.0)
+        assert class_scores(head, [np.eye(2)])[0] == pytest.approx(1.0)
 
     def test_dead_rectifier_returns_output_bias(self):
         head = head_of(np.ones((3, 4)), np.full(3, -100.0), np.ones(3), 0.25)
-        assert head_forward(head, [np.eye(2) * 0.5])[3][0] == pytest.approx(0.25)
+        assert class_scores(head, [np.eye(2) * 0.5])[0] == pytest.approx(0.25)
 
     def test_shape_check(self):
         head = random_head(9, 4)
@@ -308,10 +316,12 @@ class TestOptimizer:
 
     def test_non_finite_gradient_rejected(self):
         head = random_head(4, 3, seed=9)
-        grads = zero_grads(head)
-        grads.w1[0, 0] = np.nan
-        with pytest.raises(NonFiniteGradient):
-            optimizer_step(head, grads, OptimizerConfig())
+        for value, at in itertools.product([np.nan, np.inf, -np.inf], [0, head.flat.size - 1]):
+            grads = zero_grads(head)
+            grads.flat[at] = value
+            with pytest.raises(NonFiniteGradient):
+                optimizer_step(head, grads, OptimizerConfig())
+        assert head.step == 0
 
     def test_weight_decay_shrinks_params(self):
         head = head_of(np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)
@@ -382,7 +392,7 @@ class TestCheckpoint:
         with pytest.raises(BadMagic):
             load_head(io.BytesIO(b"NOPE" + b"\x00" * 32))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["W1", "b2", "moment2 W2"])
     def test_non_finite_value_rejected(self, value, where):
         from cpes.errors import NonFiniteValue

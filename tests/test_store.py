@@ -151,6 +151,30 @@ class TestSerialization:
         with pytest.raises(NonFiniteValue, match="record 9"):
             read_store(io.BytesIO(buf.getvalue()))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [[0], [2], [1, 3], [3]])
+    @pytest.mark.parametrize("where", ["class", "patch"])
+    def test_first_non_finite_record_named(self, value, bad, where):
+        """The two-reduction test finds any non-finite value; the error names
+        the first record holding one, as per-record sums do."""
+        recs = [EmbeddingRecord(i, 0, np.ones(2), np.ones((3, 2))) for i in (10, 11, 12, 13)]
+        for row in bad:
+            if where == "class":
+                recs[row].class_embedding[1] = value
+            else:
+                recs[row].patch_embeddings[row % 3, row % 2] = value
+        buf = io.BytesIO()
+        write_store(store_from_records(2, 3, 1, recs), buf)
+        with pytest.raises(NonFiniteValue, match=f"record {10 + bad[0]} contains NaN/Inf"):
+            read_store(io.BytesIO(buf.getvalue()))
+
+    @pytest.mark.parametrize("patches_m", [0, 3])
+    def test_no_records_reads(self, patches_m):
+        buf = io.BytesIO()
+        write_store(store_from_records(4, patches_m, 2, []), buf)
+        back = read_store(io.BytesIO(buf.getvalue()))
+        assert len(back) == 0 and back.patch_embeddings.shape == (0, patches_m, 4)
+
     def test_path_round_trip(self, tmp_path, small_store):
         path = tmp_path / "store.cpem"
         write_store(small_store, path)
