@@ -78,13 +78,6 @@ class Rng64:
     def uniforms(self, n: int) -> np.ndarray:
         return _unit_interval(self._raw_block(n))
 
-    def randints(self, bounds) -> list[int]:
-        """A uniform integer in [0, n) for each n of ``bounds`` in turn."""
-        if min(bounds, default=1) <= 0:
-            raise EmptyInput(f"randints needs bounds >= 1, got {min(bounds)}")
-        n = np.array(bounds, dtype=np.uint64)
-        return (self._accepted(n) % n).tolist()
-
     def samples_without_replacement(self, pools, k: int) -> list[list]:
         """k distinct items per pool: partial_shuffle of its padded slots on this stream."""
         sizes = np.array([[len(pool) for pool in pools]])

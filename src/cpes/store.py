@@ -187,6 +187,26 @@ def _reject_trailing(data: bytes, end: int) -> None:
         raise TrailingBytes(f"{len(data) - end} bytes after the end of the file's body")
 
 
+def _walk(words: np.ndarray, count: int, cap: int) -> tuple[np.ndarray, int]:
+    """Offsets (intp) of the count words of the first ``count`` records that
+    start in the ground-truth section ``words``, each 1 + its count past the
+    one before, and the offset after the last one's indices. Steps compose by
+    doubling over the first ``cap`` words (a step past them ends at ``cap``);
+    from the last head inside them the walk goes on a record at a time."""
+    n = min(len(words), cap)
+    jump = np.minimum(np.arange(1, n + 2) + np.append(words[:n], 0), n)
+    heads = np.zeros(1, dtype=np.intp)
+    while len(heads) < count:  # heads: steps 0..k-1 from 0; jump: k steps
+        heads = np.concatenate([heads, jump.take(heads)])
+        jump = jump.take(jump)
+    last = max(np.searchsorted(heads[:count], n) - 1, 0)
+    more, at = [], int(heads[last])
+    while at < len(words) and len(more) < count - last:
+        more.append(at)
+        at += 1 + words.item(at)
+    return np.concatenate([heads[:last], np.array(more, dtype=np.intp)]), at
+
+
 def read_store(source) -> EmbeddingStore:
     """Parse a CPEM path or binary source in one read, into float32 views
     of the bytes. Rejects a bad magic, version, dim_d or flag bit, a size
@@ -218,24 +238,25 @@ def read_store(source) -> EmbeddingStore:
         sums += store.patch_embeddings.sum((1, 2), np.float64)
         reject(NonFiniteValue, ~np.isfinite(sums), "contains NaN/Inf")
     reject(InvalidRecord, store.labels >= class_count, f"has a label >= {class_count} classes")
-    if np.unique(store.record_ids).size != record_count:
+    if not np.diff(np.sort(store.record_ids)).all():
         raise InvalidRecord("record ids are not unique")
     if flags & _FLAG_GROUND_TRUTH:
         words = np.frombuffer(data, _PLANTED, (len(data) - end) // _PLANTED.itemsize, end)
-        heads, at = [], 0  # where each record's count word is; its indices follow it
-        while len(heads) < record_count and at < len(words):
-            heads.append(at)
-            at += 1 + words.item(at)
+        # R (M + 1) words: no valid section is longer, as no valid count exceeds M
+        heads, at = _walk(words, record_count, record_count * (patches_m + 1))
         _require(words, at, "ground-truth indices")
         _require(words, at + (len(heads) < record_count), "ground-truth count")
         end += _PLANTED.itemsize * at
-        rows = np.repeat(np.arange(record_count), words[heads])
-        indices = np.delete(words[:at], heads)
+        counts = words[heads]
+        rows = np.repeat(np.arange(record_count), counts)
+        # index j of record rows[j] follows rows[j] + 1 count words
+        indices = words[np.arange(len(rows)) + rows + 1]
         beyond = np.bincount(rows[indices >= patches_m], minlength=record_count) > 0
         reject(InvalidRecord, beyond, f"has a ground-truth index >= {patches_m} patches")
         store.planted = np.zeros((record_count, patches_m), dtype=bool)
         store.planted[rows, indices] = True
-        reject(InvalidRecord, store.planted.sum(1) != words[heads], "repeats a ground-truth index")
+        repeats = np.count_nonzero(store.planted, axis=1) != counts
+        reject(InvalidRecord, repeats, "repeats a ground-truth index")
     _reject_trailing(data, end)
     return store
 

@@ -14,6 +14,9 @@ Ground truth here is a list of index tuples, one per record, as the
 package held it before its (R, M) ``planted`` mask: ``planted_mask``
 converts it, and ``planted_section`` and ``read_planted_section`` write
 and read the CPEM ground-truth section a record at a time with ``struct``.
+``walk_planted_section`` is the walk ``read_store`` took through that
+section before it composed its steps by doubling, with its checks and
+messages: the reference on any bytes, malformed ones too.
 
 The head here is the one the package kept before its state became one flat
 array: parameters and moments as separate tensors, b2 a Python float, and
@@ -30,6 +33,7 @@ and ``per_episode_evaluate`` run the package's loops on it.
 The RNG here is the counter stream on Python ints. ``ScalarRng`` is its
 one-draw-at-a-time form, which tests make data with, and ``per_patch_store``
 is the generator the package ran before it drew each record as one block.
+``randints`` is the package's bounded block draw, which only tests called.
 """
 
 import io
@@ -43,12 +47,16 @@ import numpy as np
 from cpes.episodes import Episode, plan_episodes, sample_episode
 from cpes.errors import (
     DimensionMismatch,
+    EmptyInput,
     IndexOutOfRange,
     InfeasibleConfig,
     InsufficientClasses,
     InsufficientRecords,
+    InvalidRecord,
     NonFiniteGradient,
     SelectionOutOfRange,
+    TrailingBytes,
+    TruncatedFile,
 )
 from cpes.harness import _TRAIN_STREAM, _mean_prototypes, init_head, resolve_m
 from cpes.numerics import (
@@ -155,6 +163,37 @@ def read_planted_section(data: bytes, offset: int, record_count: int):
         ground_truth.append(struct.unpack_from(f"<{s}H", data, offset + 2))
         offset += 2 * (1 + s)
     return ground_truth, offset
+
+
+def walk_planted_section(data: bytes, end: int, record_ids, patches_m: int) -> np.ndarray:
+    """The planted mask of the CPEM ground-truth section from ``end`` to the
+    end of ``data``, read as the package read it before it composed its walk
+    by doubling: a plain-int step per record to its count word, then one
+    record at a time. It raises what ``read_store`` raises, with the same
+    message, checking in its order: indices cut short, a count cut short, an
+    index >= M, a repeated index (each naming the first record at fault by
+    its id in ``record_ids``), then bytes after the section."""
+    record_count = len(record_ids)
+    words = np.frombuffer(data, "<u2", (len(data) - end) // 2, end)
+    heads, at = [], 0
+    while len(heads) < record_count and at < len(words):
+        heads.append(at)
+        at += 1 + words.item(at)
+    for need, what in ((at, "indices"), (at + (len(heads) < record_count), "count")):
+        if len(words) < need:
+            raise TruncatedFile(f"unexpected end of file while reading ground-truth {what}")
+    ground_truth = [words[h + 1 : h + 1 + words.item(h)].tolist() for h in heads]
+    beyond = f"has a ground-truth index >= {patches_m} patches"
+    for what, fault in (
+        (beyond, lambda gt: any(i >= patches_m for i in gt)),
+        ("repeats a ground-truth index", lambda gt: len(set(gt)) != len(gt)),
+    ):
+        for record_id, gt in zip(record_ids, ground_truth):
+            if fault(gt):
+                raise InvalidRecord(f"record {int(record_id)} {what}")
+    if len(data) > end + 2 * at:
+        raise TrailingBytes(f"{len(data) - end - 2 * at} bytes after the end of the file's body")
+    return planted_mask(ground_truth, patches_m)
 
 
 def cpem_with_section(store: EmbeddingStore, ground_truth) -> bytes:
@@ -629,6 +668,15 @@ def fisher_yates(draws, n: int, k: int) -> list[int]:
         j = i + randint(draws, n - i)
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:k]
+
+
+def randints(rng: Rng64, bounds) -> list[int]:
+    """A uniform integer in [0, n) for each n of ``bounds`` in turn, from one
+    ``Rng64._accepted`` block of ``rng``'s stream."""
+    if min(bounds, default=1) <= 0:
+        raise EmptyInput(f"randints needs bounds >= 1, got {min(bounds)}")
+    n = np.array(bounds, dtype=np.uint64)
+    return (rng._accepted(n) % n).tolist()
 
 
 class ScalarRng(Rng64):

@@ -19,7 +19,15 @@ from cpes.harness import (
 )
 from cpes.scoring import save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
-from oracles import EmbeddingRecord, fused, record, records, score_matrix, store_from_records
+from oracles import (
+    EmbeddingRecord,
+    fused,
+    head_of,
+    record,
+    records,
+    score_matrix,
+    store_from_records,
+)
 from test_selection import random_store
 
 
@@ -122,6 +130,18 @@ class TestEvaluate:
         mean, ci = mean_and_ci95(report.per_task_accuracy)
         assert report.mean_accuracy == mean
         assert report.ci95_half_width == ci
+
+    def test_class_score_ties_go_to_class_0(self, sweep_eval_store):
+        """Ties on class scores are the rule: with m = 0 the head sees one
+        cosine c in [-1, 1] and scores relu(2**-30 c) + 2**30, which rounds
+        to 2**30 for every class, so every query picks class 0 and every
+        task's accuracy is exactly 1/N. Without b2 the scores differ, and
+        the same head is far above chance."""
+        cfg = quick_cfg(m=0, queries_per_class=15, eval_tasks=20, hidden_dim=1)
+        tied = evaluate(head_of([[2.0**-30]], [0.0], [1.0], 2.0**30), sweep_eval_store, cfg)
+        assert tied.per_task_accuracy == [1 / cfg.n_way] * cfg.eval_tasks
+        untied = evaluate(head_of([[2.0**-30]], [0.0], [1.0], 0.0), sweep_eval_store, cfg)
+        assert untied.mean_accuracy > 0.7
 
     def test_head_shape_mismatch(self, easy_eval_store):
         cfg = quick_cfg(m=8)

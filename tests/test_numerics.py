@@ -30,6 +30,7 @@ from oracles import (
     mix64,
     outputs,
     randint,
+    randints,
     scalar_rng,
     state_before,
     unmix64,
@@ -236,7 +237,7 @@ class TestRng:
         top, following = itertools.islice(outputs(state), 2)
         assert top == MASK64 >= (1 << 64) - (1 << 64) % n
         g = Rng64(state)
-        assert g.randints([n]) == [following % n] == [randint(outputs(state), n)]
+        assert randints(g, [n]) == [following % n] == [randint(outputs(state), n)]
         assert g.state == (state + 2 * GOLDEN) & MASK64
         for k in (1, n):
             expected = fisher_yates(outputs(state), n, k)
@@ -252,7 +253,7 @@ class TestRng:
             bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(g.randint(40))]
             state = g.next_u64()
             block, scalar = Rng64(state), ScalarRng(state)
-            assert block.randints(bounds) == [scalar.randint(n) for n in bounds]
+            assert randints(block, bounds) == [scalar.randint(n) for n in bounds]
             assert block.state == scalar.state
             rejected += block.state != (state + len(bounds) * GOLDEN) & MASK64
         assert 0 < rejected < 300
@@ -265,7 +266,7 @@ class TestRng:
         Python-int oracle draw by draw, and ends one word further on."""
         state = (state_before(MASK64) - before * GOLDEN) & MASK64
         block, scalar = Rng64(state), ScalarRng(state)
-        values = block.randints([n] * 8)
+        values = randints(block, [n] * 8)
         draws = outputs(state)
         assert values == [scalar.randint(n) for _ in range(8)]
         assert values == [randint(draws, n) for _ in range(8)]
@@ -273,8 +274,8 @@ class TestRng:
 
     def test_block_draw_rejects_empty_bound(self):
         with pytest.raises(EmptyInput):
-            Rng64(1).randints([3, 0])
-        assert Rng64(1).randints([]) == []
+            randints(Rng64(1), [3, 0])
+        assert randints(Rng64(1), []) == []
 
     def test_pool_samples_equal_oracle(self):
         """samples_without_replacement maps one partial Fisher-Yates per pool

@@ -1,5 +1,7 @@
 import io
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from oracles import (
     scalar_rng,
     state_before,
     store_from_records,
+    walk_planted_section,
 )
 
 HEADER_BYTES = 4 + struct.calcsize("<HHIIIQ")  # magic, version, flags, D, M, C, record count
@@ -248,8 +251,13 @@ class TestBoundaryValidation:
         store = read_store(io.BytesIO(store_bytes(recs, patches=0)))
         assert store.patch_embeddings.shape == (4, 0, 2)
 
-    def test_duplicate_record_ids_rejected(self):
-        data = store_bytes([plain_record(5), plain_record(6), plain_record(5)])
+    @pytest.mark.parametrize(
+        "ids",
+        [[5, 6, 5], [5, 5, 6, 7], [5, 6, 7, 7], [8, 5, 6, 7, 5, 9], [MASK64, 0, 1 << 63, MASK64]],
+        ids=["first-and-last", "first", "last", "non-adjacent", "largest-u64"],
+    )
+    def test_duplicate_record_ids_rejected(self, ids):
+        data = store_bytes([plain_record(i) for i in ids])
         with pytest.raises(InvalidRecord, match="not unique"):
             read_store(io.BytesIO(data))
 
@@ -459,6 +467,92 @@ class TestPlantedSection:
         data = cpem_with_section(store, [(0, 2), (1,)])
         with pytest.raises(TruncatedFile, match="reading ground-truth indices$"):
             read_store(io.BytesIO(data[: _section_offset(store) + cut]))
+
+
+def _walk_case(section: list[int], count: int, patches_m: int, tail: bytes = b"") -> None:
+    """read_store of ``count`` plain records (ids 10 + 3 * (count - 1 - row),
+    falling, so a named record is not its row) and the u16 ``section`` words
+    then ``tail`` reads the planted mask the record-at-a-time walk reads, or
+    raises the same exception class with the same message."""
+    store = _section_store(np.zeros((count, patches_m), dtype=bool))
+    store = replace(store, record_ids=10 + 3 * np.arange(count, dtype=np.uint64)[::-1])
+    data = cpem_with_section(store, []) + np.array(section, dtype="<u2").tobytes() + tail
+    try:
+        expected = walk_planted_section(data, _section_offset(store), store.record_ids, patches_m)
+    except StoreFormatError as exc:
+        with pytest.raises(StoreFormatError) as raised:
+            read_store(io.BytesIO(data))
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        back = read_store(io.BytesIO(data)).planted
+        assert back.dtype == bool
+        np.testing.assert_array_equal(back, expected)
+
+
+class TestWalkOracle:
+    """The ground-truth walk, composed by doubling, ends on any bytes as the
+    record-at-a-time walk does: the same mask, or the same error and message."""
+
+    @pytest.mark.parametrize(
+        "section,count,patches_m",
+        [
+            ([0, 3, 2, 0, 1, 1, 2], 3, 3),  # unequal counts, one of them 0
+            ([], 0, 3),
+            ([2, 0, 1], 0, 3),  # no records, and words after them
+            ([5, 0, 1], 3, 2),  # a count above M runs past the end
+            # a count above M passes R (M + 1) = 9 words with words to spare:
+            # the walk goes on, and names the last record's index >= M
+            ([10, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 2], 3, 2),
+            ([10, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1], 3, 2),  # or the first's repeat
+            ([10, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0], 3, 2),  # then cut at a count
+            ([10, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 0], 3, 2),  # or in indices
+            ([1, 3, 1, 0, 1, 1], 3, 3),  # an index >= M in the first record
+            ([1, 0, 1, 1, 1, 3], 3, 3),  # in the last
+            ([2, 1, 1, 1, 0, 1, 2], 3, 3),  # a repeat in the first record
+            ([1, 0, 1, 1, 2, 2, 2], 3, 3),  # in the last
+            ([2, 1, 1, 1, 0, 1, 3], 3, 3),  # a repeat first, an index >= M last
+            ([1, 0, 1, 1, 1, 2, 0, 0], 3, 3),  # words after the last record
+            ([0, 0, 0], 3, 0),  # M = 0
+        ],
+    )
+    def test_section_equals_oracle(self, section, count, patches_m):
+        _walk_case(section, count, patches_m)
+
+    @pytest.mark.parametrize("tail", [b"", b"\x00", b"\x07\x00", b"\x01\x00\x00"])
+    def test_every_cut_equals_oracle(self, tail):
+        """The section cut inside every count word and every index word, and
+        at every word, then an odd byte, a word or a word and a byte."""
+        section = [2, 0, 3, 0, 4, 1, 2, 3, 4, 1, 4]
+        data = np.array(section, dtype="<u2").tobytes()
+        for cut in range(len(data) + 1):
+            words = np.frombuffer(data[: cut - cut % 2], "<u2").tolist()
+            _walk_case(words, 4, 5, data[cut - cut % 2 : cut] + tail)
+
+    def test_seeded_sections_equal_oracle(self):
+        """Counts up to M + 2, indices up to M + 1, cut or extended."""
+        rng = scalar_rng(21, 0)
+        for _ in range(300):
+            count, patches_m = rng.randint(7), rng.randint(6)
+            section = []
+            for _ in range(count):
+                s = rng.randint(patches_m + 3)
+                section += [s] + [rng.randint(patches_m + 2) for _ in range(s)]
+            section = section[: len(section) - rng.randint(3)] + [rng.randint(4)] * rng.randint(2)
+            _walk_case(section, count, patches_m, b"\x00" * rng.randint(2))
+
+    def test_walk_memory_bounded_by_records(self):
+        """Words after the section cost the walk nothing: a table over the
+        4 MB of them would take 16 MB."""
+        store = _section_store(np.zeros((2, 3), dtype=bool))
+        data = cpem_with_section(store, [(0,), (1, 2)]) + bytes(1 << 22)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrailingBytes):
+                read_store(io.BytesIO(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) + (1 << 20)
 
 
 class TestGeneratorOracle:
