@@ -2,8 +2,9 @@
 
 Subcommands: gen-synthetic, train, eval, sweep-m, sweep-distance,
 export-masks, inspect-store. Any flag may also come from a JSON config
-file (--config); explicit flags win. Exit codes: 0 success, 2 validation
-error or a size too large to allocate, 3 I/O or file-format error.
+file (--config); explicit flags win. Output paths are checked before any
+store is read. Exit codes: 0 success, 2 validation error or a size too
+large to allocate, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -139,6 +140,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
+def _check_output(flag: str, path: str | None) -> None:
+    """Refuse an output path before any work is done: its directory must
+    exist, and the path must not be a directory itself."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"{flag} {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
+
+
 def _cmd_gen_synthetic(args) -> int:
     store = generate_synthetic(_config(SyntheticConfig, args))
     n = write_store(store, args.out)
@@ -147,11 +159,13 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    log_path = args.log or args.out + ".log.json"
+    _check_output("--out", args.out)
+    _check_output("--log", log_path)
     store = read_store(args.store)
     cfg = _config(RunConfig, args)
     head, log = train(store, cfg)
     save_head(head, args.out)
-    log_path = args.log or args.out + ".log.json"
     Path(log_path).write_text(json.dumps(log, indent=2))
     print(f"checkpoint -> {args.out}")
     print(f"log        -> {log_path}")
@@ -164,6 +178,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_output("--out", args.out)
     store = read_store(args.store)
     cfg = _config(RunConfig, args)
     head = load_head(args.checkpoint)
@@ -180,6 +195,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_output("--out", args.out)
     train_store = read_store(args.store)
     eval_store = read_store(args.eval_store) if args.eval_store else train_store
     if args.command == "sweep-m":

@@ -307,8 +307,9 @@ def export_masks(
     store: EmbeddingStore, cfg: RunConfig, record_ids: list[int], out_dir
 ) -> list[str]:
     """Write the selection JSON (and PGM mask when M is a perfect square)
-    for each requested record, once every id and cfg are checked. Returns
-    the written paths."""
+    for each distinct requested record, in the order first requested, once
+    every id and cfg are checked. Returns the written paths."""
+    record_ids = list(dict.fromkeys(record_ids))
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     for record_id in record_ids:
         if record_id not in by_id:

@@ -8,7 +8,9 @@ flows into representations.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -24,19 +26,60 @@ CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
 _HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
 
+# score_tensor's threads: one per core this process may run on (the CPU
+# affinity mask, so `taskset -c 0` runs it serially), the calling thread
+# and a pool of the others
+try:
+    _THREADS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _THREADS = os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The pool of score_tensor's other threads, made when a tensor of more
+    than one block first needs it: until then no thread pool is imported."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="cpes-score")
+
+
+def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blocks) -> None:
+    """Write each block of queries' products with the prototypes into out."""
+    for block in blocks:
+        np.matmul(table[rows[block], np.newaxis], protos_t, out=out[block])
+
 
 def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.ndarray:
     """Squared cosine between every unit row of every query table[rows]
     (Q, r, D) and of every prototype (N, r', D): the (Q, N, r, r') score
     tensor, written into ``out`` (or a new array) a block of queries at a
-    time (BLOCK_VALUES values of the table at most, or one query), so no
-    (Q, r, D) copy is made."""
+    time, so no (Q, r, D) copy is made.
+
+    The blocks are shared out among the threads (a tensor of one block
+    stays on the calling thread), each writing the products of its own
+    blocks: each block holds BLOCK_VALUES // threads values of
+    the table at most (or one query), so the gathers in flight together
+    stay within one block unless one query is larger than a thread's part.
+    Each query's product is the same BLAS call on any thread, so the tensor
+    does not depend on the thread count."""
     if table.shape[-1] != protos.shape[-1]:
         raise DimensionMismatch(f"fused dims differ: {table.shape[-1]} vs {protos.shape[-1]}")
     if out is None:
         out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
-    for block in _blocks(len(rows), table.shape[1] * table.shape[2]):
-        np.matmul(table[rows[block], np.newaxis], protos.transpose(0, 2, 1), out=out[block])
+    blocks = _blocks(len(rows), table.shape[1] * table.shape[2] * _THREADS)
+    args = (table, rows, protos.transpose(0, 2, 1), out)
+    futures = [
+        _pool().submit(_matmuls, *args, blocks[i :: _THREADS])
+        for i in range(1, min(_THREADS, len(blocks)))
+    ]
+    try:
+        _matmuls(*args, blocks[:: _THREADS])
+    finally:
+        for future in futures:  # waits, so no share writes to out once this call is over
+            future.exception()
+    for future in futures:
+        future.result()
     np.square(out, out=out)
     # rounding can push a squared cosine a few ulp past 1
     return np.minimum(out, 1.0, out=out)

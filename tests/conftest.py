@@ -1,5 +1,10 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from cpes import scoring
 from cpes.store import SyntheticConfig, generate_synthetic
 
 # Frozen synthetic-store settings shared by tests and the acceptance suite.
@@ -60,3 +65,57 @@ def sweep_train_store():
 @pytest.fixture(scope="session")
 def sweep_eval_store():
     return generate_synthetic(SWEEP_EVAL_CFG)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that keeps every future it hands out."""
+
+    def __init__(self, workers: int, prefix: str):
+        super().__init__(workers, thread_name_prefix=prefix)
+        self.prefix = prefix
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+    def started(self) -> bool:
+        """Whether any of the pool's threads has started."""
+        return any(t.name.startswith(self.prefix) for t in threading.enumerate())
+
+
+@pytest.fixture
+def score_threads(monkeypatch):
+    """Call with a count to run score_tensor on that many threads, whatever
+    the cores: the calling thread and a RecordingPool of its own, returned,
+    and shut down after the test."""
+    pools = []
+
+    def force(count: int) -> RecordingPool:
+        pool = RecordingPool(max(count - 1, 1), f"test-score-{len(pools)}")
+        pools.append(pool)
+        monkeypatch.setattr(scoring, "_THREADS", count)
+        monkeypatch.setattr(scoring, "_pool", lambda: pool)
+        return pool
+
+    yield force
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+def fail_score_blocks(monkeypatch, on: str) -> None:
+    """Make score_tensor's block products raise MemoryError on the pool's
+    workers or on the calling thread (``on``). A worker's share sleeps
+    first, so a share still running when score_tensor raises would show."""
+    matmuls = scoring._matmuls
+
+    def failing(*args):
+        worker = threading.current_thread() is not threading.main_thread()
+        if worker:
+            time.sleep(0.05)
+        if worker == (on == "worker"):
+            raise MemoryError
+        matmuls(*args)
+
+    monkeypatch.setattr(scoring, "_matmuls", failing)

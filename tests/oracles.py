@@ -29,6 +29,8 @@ tensor per episode; ``head_pass``, ``episode_loss_and_grads`` and
 ``optimizer_step``, fresh arrays per step; ``class_probabilities`` and
 ``accuracy``, one softmax and one accuracy per task. ``per_episode_train``
 and ``per_episode_evaluate`` run the package's loops on it.
+``serial_score_tensor`` is the block loop ``score_tensor`` ran before it
+shared its blocks out among threads.
 
 The RNG here is the counter stream on Python ints. ``ScalarRng`` is its
 one-draw-at-a-time form, which tests make data with, and ``per_patch_store``
@@ -69,7 +71,7 @@ from cpes.numerics import (
     unit_rows,
 )
 from cpes.scoring import Gradients, MlpHead, score_tensor
-from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, representation_table
+from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, _blocks, representation_table
 from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
 
@@ -506,6 +508,15 @@ def episode_scores(store: EmbeddingStore, reps, episode, m: int, kind) -> np.nda
     else:
         protos = _mean_prototypes(store, episode.support_rows, m, kind)
     return score_tensor(reps, episode.query_rows, protos)
+
+
+def serial_score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:
+    """``score_tensor`` as the package ran it on one thread: a block of
+    BLOCK_VALUES values of the table at most (or one query) at a time."""
+    out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
+    for block in _blocks(len(rows), table.shape[1] * table.shape[2]):
+        np.matmul(table[rows[block], np.newaxis], protos.transpose(0, 2, 1), out=out[block])
+    return np.minimum(np.square(out, out=out), 1.0, out=out)
 
 
 def head_pass(head: MlpHead, scores):

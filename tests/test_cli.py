@@ -1,13 +1,19 @@
 import argparse
 import json
 import struct
+from pathlib import Path
 
 import pytest
 
+from cpes import cli, harness
 from cpes.cli import _build_parser, _config, _int_list, main
 from cpes.harness import RunConfig
+from cpes.numerics import rng_split
+from cpes.scoring import MlpHead, save_head
 from cpes.store import SyntheticConfig, read_store, write_store
+from conftest import fail_score_blocks
 from oracles import store_from_records
+from test_selection import SHORT_LAST_BLOCK, random_store
 
 GEN = [
     "gen-synthetic",
@@ -107,6 +113,17 @@ class TestRoundTrip:
         assert len(printed) == 4
         mask = json.loads((tmp_path / "masks" / "mask_0.json").read_text())
         assert len(mask["indices"]) == 3
+
+    def test_export_masks_writes_each_record_once(self, store_path, tmp_path, capsys):
+        out = tmp_path / "masks"
+        rc = main(
+            ["export-masks", "--store", str(store_path), "--records", "1,0,1,0",
+             "--m", "3", "--out", str(out)]
+        )
+        assert rc == 0
+        printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+        assert printed == ["mask_1.json", "mask_1.pgm", "mask_0.json", "mask_0.pgm"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(printed)
 
 
 class TestExitCodes:
@@ -399,6 +416,19 @@ class TestExitCodes:
         assert named in err and valid not in err
         assert not (tmp_path / "h.cpeh").exists()
 
+    def test_failing_score_worker_is_2(self, tmp_path, capsys, monkeypatch, score_threads):
+        """At m = M, an episode of 2 x 70 queries spans three blocks on two threads."""
+        store, checkpoint = tmp_path / "s.cpem", tmp_path / "h.cpeh"
+        write_store(random_store(*SHORT_LAST_BLOCK, seed=18), store)
+        save_head(MlpHead.initialize(16 * 16, 8, rng_split(0, 2)), checkpoint)
+        pool = score_threads(2)
+        fail_score_blocks(monkeypatch, "worker")
+        rc = main(["eval", "--store", str(store), "--checkpoint", str(checkpoint), "--n-way", "2",
+                   "--queries", "70", "--m", "16", "--tasks", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert pool.futures and all(future.done() for future in pool.futures)
+
     def test_missing_file_is_3(self, tmp_path, capsys):
         rc = main(["inspect-store", "--store", str(tmp_path / "nope.cpem")])
         assert rc == 3
@@ -685,3 +715,53 @@ class TestFuzz:
             elif rc != 0 and any(work.iterdir()):
                 findings.append(f"{case}: left {sorted(p.name for p in work.iterdir())}")
         assert not findings
+
+
+# every flag naming an output file, by command
+OUTPUT_FLAGS = [
+    ("train", "--out"), ("train", "--log"), ("eval", "--out"),
+    ("sweep-m", "--out"), ("sweep-distance", "--out"),
+]
+
+
+def count_work(monkeypatch) -> dict:
+    """Count the calls, by name, of what a command does its work with:
+    reading a store, training and evaluating (a sweep's included)."""
+    calls = {"read_store": 0, "train": 0, "evaluate": 0}
+    for module, name in ((cli, "read_store"), (cli, "train"), (cli, "evaluate"),
+                         (harness, "train"), (harness, "evaluate")):
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+    def test_bad_output_path_is_3_before_any_work(
+        self, store_path, tmp_path, capsys, monkeypatch, command, flag, bad
+    ):
+        """Exit 3 with one line naming the flag; no store read, no train or
+        evaluate call, and no file written. The same argv with a good path
+        does the work, so the counts would see it."""
+        checkpoint = tmp_path / "h.cpeh"
+        assert main(fuzz_base("train", store_path, None, checkpoint)) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        path = work / "none" / "out.json" if bad == "missing-directory" else work / "dir"
+        if bad == "directory":
+            path.mkdir()
+        argv = fuzz_base(command, store_path, checkpoint, work / "out")
+        calls = count_work(monkeypatch)
+        capsys.readouterr()
+        assert main(argv + [flag, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}") and len(err.splitlines()) == 1
+        assert calls == {"read_store": 0, "train": 0, "evaluate": 0}
+        assert [p.name for p in work.iterdir()] == ([] if bad == "missing-directory" else ["dir"])
+        assert main(argv) == 0
+        assert calls["read_store"] and calls["train"] + calls["evaluate"]

@@ -9,7 +9,7 @@ import pytest
 
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, StoreFormatError
-from cpes.harness import RunConfig, head_input_dim
+from cpes.harness import RunConfig, _mean_prototypes, evaluate, head_input_dim, train
 from cpes.numerics import rng_split, unit_rows
 from cpes.scoring import (
     Gradients,
@@ -37,9 +37,19 @@ from oracles import (
     per_tensor_optimizer_step,
     scalar_rng,
     scale_grads,
+    serial_score_tensor,
     zero_grads,
 )
-from test_selection import SHORT_LAST_BLOCK, random_store
+from conftest import fail_score_blocks
+from test_selection import OVER_BUDGET, SHORT_LAST_BLOCK, random_store
+
+# each store shape's prototypes, as rows of support records (N, 3): one
+# prototype keeps the over-budget store's score tensor of 1040 x 1040
+# matrices at 26 MB
+THREADED_CASES = {
+    "short": (SHORT_LAST_BLOCK, [[0, 2, 4], [1, 3, 5]]),
+    "over": (OVER_BUDGET, [[1, 0, 2]]),
+}
 
 
 def rep(rows) -> np.ndarray:
@@ -254,6 +264,82 @@ class TestBlockedScoreTensor:
             tracemalloc.stop()
         assert reps[rows].nbytes > 2 * 8 * BLOCK_VALUES
         assert peak - scores.nbytes <= 8 * BLOCK_VALUES + 16 * 1024  # and bookkeeping
+
+    def test_two_threads_gather_one_block_between_them(self, score_threads):
+        """The bound above with score_tensor on two threads, whatever the
+        cores: each thread gathers half a block at a time."""
+        pool = score_threads(2)
+        store = random_store(*SHORT_LAST_BLOCK, seed=18)
+        reps = representation_table(store, store.patches_m, DistanceKind.COS)
+        rows, protos = np.arange(len(store)), reps[:5]
+        tracemalloc.start()
+        try:
+            scores = score_tensor(reps, rows, protos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.futures
+        assert peak - scores.nbytes <= 8 * BLOCK_VALUES + 16 * 1024  # and bookkeeping
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    @pytest.mark.parametrize("shape", ["short", "over"])
+    def test_threads_equal_the_serial_loop(self, score_threads, shape, k_shot, threads):
+        """Bit for bit, whichever thread takes a block: the short-last-block
+        store's 300 queries, and the over-budget store's 3 (a block each),
+        against prototypes of K rows of the table or K-shot means."""
+        pool = score_threads(threads)
+        store_shape, supports = THREADED_CASES[shape]
+        store = random_store(*store_shape, seed=18)
+        m, kind = store.patches_m, DistanceKind.COS
+        reps = representation_table(store, m, kind)
+        supports = np.array(supports)[:, :k_shot]
+        if k_shot == 1:
+            protos = reps[supports[:, 0]]
+        else:
+            protos = _mean_prototypes(store, supports, m, kind)
+        rows = np.arange(len(store))[::-1]
+        expected = serial_score_tensor(reps, rows, protos)
+        assert np.array_equal(score_tensor(reps, rows, protos), expected)
+        assert len(pool.futures) == threads - 1
+
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_train_and_evaluate_bytes_do_not_depend_on_threads(self, score_threads, k_shot):
+        """At m = M, an episode of 2 x 70 queries is 140 x 512 table values:
+        two blocks on one thread, three on two."""
+        store = random_store(*SHORT_LAST_BLOCK, seed=18)
+        cfg = RunConfig(n_way=2, k_shot=k_shot, queries_per_class=70, m=store.patches_m,
+                        epochs=1, episodes_per_epoch=3, eval_tasks=3, hidden_dim=8)
+        outputs = []
+        for threads in (1, 2):
+            pool = score_threads(threads)
+            head, log = train(store, cfg)
+            checkpoint = io.BytesIO()
+            save_head(head, checkpoint)
+            outputs.append((checkpoint.getvalue(), log, evaluate(head, store, cfg).to_json()))
+            assert len(pool.futures) == (threads - 1) * 6  # a share for each of 6 episodes
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("on", ["worker", "caller"])
+    def test_a_failing_block_reaches_the_caller(self, score_threads, monkeypatch, on):
+        """The exception of a block's product, on a worker or on the calling
+        thread, is score_tensor's, raised once every share has finished."""
+        pool = score_threads(3)
+        fail_score_blocks(monkeypatch, on)
+        store = random_store(*SHORT_LAST_BLOCK, seed=18)
+        reps = representation_table(store, store.patches_m, DistanceKind.COS)
+        with pytest.raises(MemoryError):
+            score_tensor(reps, np.arange(len(store)), reps[:2])
+        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
+
+    def test_one_block_episodes_start_no_thread(self, score_threads, sweep_eval_store):
+        """A sweep-store episode at m = 4 is 75 x 128 table values, one block
+        even at half the budget: train and evaluate start no pool thread."""
+        pool = score_threads(2)
+        cfg = RunConfig(m=4, epochs=1, episodes_per_epoch=2, eval_tasks=2)
+        head, _ = train(sweep_eval_store, cfg)
+        evaluate(head, sweep_eval_store, cfg)
+        assert not pool.futures and not pool.started()
 
 
 class TestOptimizer:

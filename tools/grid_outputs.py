@@ -17,6 +17,12 @@ PYTHONPATH. To check that a change moves no result:
     PYTHONPATH=/path/to/parent/src python3 tools/grid_outputs.py out-parent
     PYTHONPATH=src python3 tools/grid_outputs.py out-change
     diff -r out-parent out-change
+
+and, as score_tensor runs one thread per core of the CPU affinity mask,
+that the outputs are the same on one core:
+
+    PYTHONPATH=src taskset -c 0 python3 tools/grid_outputs.py out-serial
+    diff -r out-parent out-serial
 """
 
 import argparse
