@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, NonFiniteValue
 from .errors import StoreFormatError, setting
 from .numerics import Rng64, all_finite, cross_entropy, softmax
-from .selection import _blocks
+from .selection import BLOCK_VALUES, _blocks
 from .store import _read_header, _reject_trailing, _require, _write
 
 CHECKPOINT_MAGIC = b"CPEH"
@@ -56,25 +56,28 @@ def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.nd
     tensor, written into ``out`` (or a new array) a block of queries at a
     time, so no (Q, r, D) copy is made.
 
-    The blocks are shared out among the threads (a tensor of one block
-    stays on the calling thread), each writing the products of its own
-    blocks: each block holds BLOCK_VALUES // threads values of
-    the table at most (or one query), so the gathers in flight together
-    stay within one block unless one query is larger than a thread's part.
+    A tensor of BLOCK_VALUES table values at most is one block on the
+    calling thread, on any number of cores. A larger one is shared out
+    among the threads, each writing the products of its own blocks: each
+    block holds BLOCK_VALUES // threads values of the table at most (or
+    one query), so the gathers in flight together stay within one block
+    unless one query is larger than a thread's part.
     Each query's product is the same BLAS call on any thread, so the tensor
     does not depend on the thread count."""
     if table.shape[-1] != protos.shape[-1]:
         raise DimensionMismatch(f"fused dims differ: {table.shape[-1]} vs {protos.shape[-1]}")
     if out is None:
         out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
-    blocks = _blocks(len(rows), table.shape[1] * table.shape[2] * _THREADS)
+    query_values = table.shape[1] * table.shape[2]
+    threads = _THREADS if len(rows) * query_values > BLOCK_VALUES else 1
+    blocks = _blocks(len(rows), query_values * threads)
     args = (table, rows, protos.transpose(0, 2, 1), out)
     futures = [
-        _pool().submit(_matmuls, *args, blocks[i :: _THREADS])
-        for i in range(1, min(_THREADS, len(blocks)))
+        _pool().submit(_matmuls, *args, blocks[i::threads])
+        for i in range(1, min(threads, len(blocks)))
     ]
     try:
-        _matmuls(*args, blocks[:: _THREADS])
+        _matmuls(*args, blocks[::threads])
     finally:
         for future in futures:  # waits, so no share writes to out once this call is over
             future.exception()

@@ -332,10 +332,12 @@ class TestBlockedScoreTensor:
             score_tensor(reps, np.arange(len(store)), reps[:2])
         assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
 
-    def test_one_block_episodes_start_no_thread(self, score_threads, sweep_eval_store):
-        """A sweep-store episode at m = 4 is 75 x 128 table values, one block
-        even at half the budget: train and evaluate start no pool thread."""
-        pool = score_threads(2)
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_one_block_episodes_start_no_thread(self, score_threads, sweep_eval_store, threads):
+        """A sweep-store episode at m = 4 is 75 x 128 table values, within
+        one block: train and evaluate start no pool thread, even on 8 cores,
+        where a thread's part of a block (8192 values) holds 64 queries."""
+        pool = score_threads(threads)
         cfg = RunConfig(m=4, epochs=1, episodes_per_epoch=2, eval_tasks=2)
         head, _ = train(sweep_eval_store, cfg)
         evaluate(head, sweep_eval_store, cfg)
