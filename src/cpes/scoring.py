@@ -45,7 +45,9 @@ def _pool():
 
 
 def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blocks) -> None:
-    """Write each block of queries' products with the prototypes into out."""
+    """Write the products of the blocks of queries taken from ``blocks``, an
+    iterator the threads share, into out: next() on a list iterator is
+    atomic under the GIL, so each block goes to one thread."""
     for block in blocks:
         np.matmul(table[rows[block], np.newaxis], protos_t, out=out[block])
 
@@ -58,10 +60,12 @@ def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.nd
 
     A tensor of BLOCK_VALUES table values at most is one block on the
     calling thread, on any number of cores. A larger one is shared out
-    among the threads, each writing the products of its own blocks: each
-    block holds BLOCK_VALUES // threads values of the table at most (or
-    one query), so the gathers in flight together stay within one block
-    unless one query is larger than a thread's part.
+    among the threads, each taking the next block not yet taken until none
+    is left, so a thread that starts late or is paused does fewer blocks
+    and none waits on another's fixed share. Each block holds
+    BLOCK_VALUES // threads values of the table at most (or one query), so
+    the gathers in flight together stay within one block unless one query
+    is larger than a thread's part.
     Each query's product is the same BLAS call on any thread, so the tensor
     does not depend on the thread count."""
     if table.shape[-1] != protos.shape[-1]:
@@ -71,18 +75,18 @@ def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.nd
     query_values = table.shape[1] * table.shape[2]
     threads = _THREADS if len(rows) * query_values > BLOCK_VALUES else 1
     blocks = _blocks(len(rows), query_values * threads)
-    args = (table, rows, protos.transpose(0, 2, 1), out)
-    futures = [
-        _pool().submit(_matmuls, *args, blocks[i::threads])
-        for i in range(1, min(threads, len(blocks)))
-    ]
-    try:
-        _matmuls(*args, blocks[::threads])
-    finally:
-        for future in futures:  # waits, so no share writes to out once this call is over
-            future.exception()
-    for future in futures:
-        future.result()
+    args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
+    if threads == 1:
+        _matmuls(*args)
+    else:
+        futures = [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
+        try:
+            _matmuls(*args)
+        finally:
+            for future in futures:  # waits, so no share writes to out once this call is over
+                future.exception()
+        for future in futures:
+            future.result()
     np.square(out, out=out)
     # rounding can push a squared cosine a few ulp past 1
     return np.minimum(out, 1.0, out=out)

@@ -2,11 +2,13 @@ import io
 import itertools
 import math
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, StoreFormatError
 from cpes.harness import RunConfig, _mean_prototypes, evaluate, head_input_dim, train
@@ -302,6 +304,30 @@ class TestBlockedScoreTensor:
         expected = serial_score_tensor(reps, rows, protos)
         assert np.array_equal(score_tensor(reps, rows, protos), expected)
         assert len(pool.futures) == threads - 1
+
+    def test_a_late_worker_leaves_its_blocks_to_the_caller(self, score_threads, monkeypatch):
+        """Blocks are taken, not dealt: a worker that starts only once the
+        calling thread is done finds no block left, and the tensor is whole."""
+        pool = score_threads(2)
+        matmuls, caller_done, taken = scoring._matmuls, threading.Event(), {}
+
+        def late(*args):
+            *head, blocks = args
+            worker = threading.current_thread() is not threading.main_thread()
+            if worker:
+                caller_done.wait(timeout=10)
+            mine = taken.setdefault(worker, [])
+            matmuls(*head, (mine.append(block) or block for block in blocks))
+            if not worker:
+                caller_done.set()
+
+        monkeypatch.setattr(scoring, "_matmuls", late)
+        store = random_store(*SHORT_LAST_BLOCK, seed=18)
+        reps = representation_table(store, store.patches_m, DistanceKind.COS)
+        rows, protos = np.arange(len(store)), reps[:5]
+        scores = score_tensor(reps, rows, protos)
+        assert len(pool.futures) == 1 and taken[True] == [] and len(taken[False]) > 1
+        assert np.array_equal(scores, serial_score_tensor(reps, rows, protos))
 
     @pytest.mark.parametrize("k_shot", [1, 3])
     def test_train_and_evaluate_bytes_do_not_depend_on_threads(self, score_threads, k_shot):
