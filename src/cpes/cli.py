@@ -140,18 +140,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
-def _check_output(flag: str, path: str | None) -> None:
-    """Refuse an output path before any work is done: its directory must
-    exist, and the path must not be a directory itself."""
+def _check_output(flag: str, path: str | None, directory: bool = False) -> None:
+    """Refuse an output path before any work is done: its parent must be a
+    directory, and an existing path must not be a directory, or for an
+    output ``directory`` must be one."""
     if path is None:
         return
-    if Path(path).is_dir():
-        raise IsADirectoryError(f"{flag} {path} is a directory")
+    if Path(path).exists() and Path(path).is_dir() != directory:
+        raise FileExistsError(f"{flag} {path} is {'not ' if directory else ''}a directory")
     if not Path(path).parent.is_dir():
         raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
 
 
 def _cmd_gen_synthetic(args) -> int:
+    _check_output("--out", args.out)
     store = generate_synthetic(_config(SyntheticConfig, args))
     n = write_store(store, args.out)
     print(f"wrote {len(store)} records ({n} bytes) to {args.out}")
@@ -210,6 +212,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_masks(args) -> int:
+    _check_output("--out", args.out, directory=True)
     store = read_store(args.store)
     for path in export_masks(store, _config(RunConfig, args), args.records, args.out):
         print(path)

@@ -8,22 +8,6 @@ class CpesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(CpesError):
-    pass
-
-
-class EmptyInput(CpesError):
-    pass
-
-
-class IndexOutOfRange(CpesError):
-    pass
-
-
-class SelectionOutOfRange(CpesError):
-    pass
-
-
 class InfeasibleConfig(CpesError):
     pass
 
@@ -51,10 +35,6 @@ class InsufficientClasses(CpesError):
 
 
 class InsufficientRecords(CpesError):
-    pass
-
-
-class NonFiniteGradient(CpesError):
     pass
 
 

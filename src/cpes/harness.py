@@ -308,7 +308,10 @@ def export_masks(
 ) -> list[str]:
     """Write the selection JSON (and PGM mask when M is a perfect square)
     for each distinct requested record, in the order first requested, once
-    every id and cfg are checked. Returns the written paths."""
+    every id and cfg are checked, into out_dir, which it creates if its
+    parent exists. Returns the written paths."""
+    if not record_ids:
+        raise InfeasibleConfig("no record ids to export")
     record_ids = list(dict.fromkeys(record_ids))
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     for record_id in record_ids:
@@ -316,7 +319,7 @@ def export_masks(
             raise UnknownRecord(f"record_id {record_id} not in store")
     m = resolve_m(store, cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(exist_ok=True)
     written: list[str] = []
     for record_id in record_ids:
         similarities = similarity_sequence(*store.embeddings(by_id[record_id]), cfg.distance)

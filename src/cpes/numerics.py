@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from .errors import EmptyInput, IndexOutOfRange
-
 DEGENERATE_NORM = 1e-12
 
 _MASK64 = (1 << 64) - 1
@@ -77,16 +75,6 @@ class Rng64:
 
     def uniforms(self, n: int) -> np.ndarray:
         return _unit_interval(self._raw_block(n))
-
-    def samples_without_replacement(self, pools, k: int) -> list[list]:
-        """k distinct items per pool: partial_shuffle of its padded slots on this stream."""
-        sizes = np.array([[len(pool) for pool in pools]])
-        if sizes.min(initial=k) < k:
-            raise EmptyInput(f"{k} samples from a pool of {sizes.min()} items")
-        slots = np.tile(np.arange(sizes.max(initial=0)), (1, len(pools), 1))
-        picks, after = partial_shuffle(np.array([self.state], np.uint64), slots, sizes, k)
-        self.state = int(after[0])
-        return [[pool[i] for i in row] for pool, row in zip(pools, picks[0].tolist())]
 
 
 def _accepted_rows(states: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +154,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; entries positive and
     summing to 1."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise EmptyInput("softmax of empty score vector")
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
 
@@ -177,7 +163,5 @@ def cross_entropy(probs: np.ndarray, targets) -> np.ndarray:
     argument clamped at 1e-300."""
     probs = np.asarray(probs, dtype=np.float64)
     targets = np.asarray(targets)
-    if np.any((targets < 0) | (targets >= probs.shape[-1])):
-        raise IndexOutOfRange(f"targets {targets} for {probs.shape[-1]} classes")
     picked = np.take_along_axis(probs, targets[..., np.newaxis], axis=-1)[..., 0]
     return -np.log(np.maximum(picked, 1e-300))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, NonFiniteValue
-from .errors import StoreFormatError, setting
+from .errors import InfeasibleConfig, NonFiniteValue, StoreFormatError, setting
 from .numerics import Rng64, all_finite, cross_entropy, softmax
 from .selection import BLOCK_VALUES, _blocks
 from .store import _read_header, _reject_trailing, _require, _write
@@ -68,8 +67,6 @@ def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.nd
     is larger than a thread's part.
     Each query's product is the same BLAS call on any thread, so the tensor
     does not depend on the thread count."""
-    if table.shape[-1] != protos.shape[-1]:
-        raise DimensionMismatch(f"fused dims differ: {table.shape[-1]} vs {protos.shape[-1]}")
     if out is None:
         out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
     query_values = table.shape[1] * table.shape[2]
@@ -207,10 +204,7 @@ def head_forward(head: MlpHead, scores, hidden=None) -> tuple[np.ndarray, np.nda
     (n, input_dim) and the hidden layer relu(x W1^T + b1) (n, H), written
     into ``hidden`` (or a new array). The class scores are hidden @ w2 + b2."""
     x = np.asarray(scores, dtype=np.float64)
-    size = x.shape[-2] * x.shape[-1]
-    if size != head.input_dim:
-        raise DimensionMismatch(f"score size {size}, head expects {head.input_dim}")
-    x = x.reshape(-1, size)
+    x = x.reshape(-1, x.shape[-2] * x.shape[-1])
     hidden = np.matmul(x, head.w1.T, out=hidden)
     hidden += head.b1
     return x, np.maximum(hidden, 0.0, out=hidden)
@@ -247,11 +241,9 @@ def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> Mlp
     """One decoupled-weight-decay adaptive-moment update of the state, in
     place, its temporaries written into two (P,) arrays a step. Held across
     steps, they would sit beside the score tensor and a K > 1 prototype's
-    temporaries and raise the peak memory."""
+    temporaries and raise the peak memory. The gradients are finite: train
+    runs each step under np.errstate, which raises at the first overflow."""
     g = grads.flat
-    if not all_finite(g):
-        raise NonFiniteGradient("NaN/Inf in gradients")
-
     lr = cfg.lr_at(head.step)
     head.step += 1
     bc1 = 1.0 - cfg.beta1**head.step

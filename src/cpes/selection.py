@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .errors import SelectionOutOfRange
 from .numerics import unit_rows
 from .store import EmbeddingStore
 
@@ -50,11 +49,8 @@ def similarity_sequence(
 
 def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
     """(..., m) indices of the m largest of each similarity sequence (..., M),
-    in descending order; ties go to the lower index."""
+    in descending order; ties go to the lower index. m is in [0, M] (resolve_m)."""
     similarities = np.asarray(similarities, dtype=np.float64)
-    big = similarities.shape[-1]
-    if not 0 <= m <= big:
-        raise SelectionOutOfRange(f"m={m} with M={big}")
     return np.argsort(-similarities, axis=-1, kind="stable")[..., :m]
 
 

@@ -34,7 +34,7 @@ from .errors import (
     check_settings,
     setting,
 )
-from .numerics import all_finite, box_muller, rng_split
+from .numerics import all_finite, box_muller, partial_shuffle, rng_split
 
 MAGIC = b"CPEM"
 VERSION = 1
@@ -305,9 +305,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
         np.empty((rows, cfg.patches, cfg.dim), dtype=np.float32),
         planted=np.zeros((rows, cfg.patches), dtype=bool),
     )
+    # each record's signal positions: a partial Fisher-Yates of the M patch slots on its stream
+    slots, sizes = np.arange(cfg.patches).reshape(1, 1, -1), np.full((1, 1), cfg.patches)
     for row, label in enumerate(store.labels.tolist()):
-        (signal_pos,) = rng.samples_without_replacement([range(cfg.patches)], cfg.signal_patches)
-        store.planted[row, signal_pos] = True
+        state = np.array([rng.state], np.uint64)
+        signal_pos, after = partial_shuffle(state, slots, sizes, cfg.signal_patches)
+        rng.state = int(after[0])
+        store.planted[row, signal_pos[0, 0]] = True
         distractor = ~store.planted[row]
         # patch j's normals follow j patches' normals and every pick up to its own
         starts = np.arange(cfg.patches) * width + np.cumsum(distractor)

@@ -7,8 +7,10 @@ lexsort ranking per record, one fused representation per record, one
 score matrix per (query, prototype) pair and one loss and gradient per
 query. Tests require the batched engine to match it. ``per_task_episode``
 is the sampler the package ran before it planned tasks in blocks: one
-task at a time, two RNG blocks each. ``record``, ``records`` and
-``store_from_records`` convert between array stores and records.
+task at a time, two ``samples_without_replacement`` blocks each.
+``record``, ``records`` and ``store_from_records`` convert between array
+stores and records. The oracles check their own arguments and raise
+ValueError; the package's kernels leave that to its boundary.
 
 Ground truth here is a list of index tuples, one per record, as the
 package held it before its (R, M) ``planted`` mask: ``planted_mask``
@@ -48,15 +50,10 @@ import numpy as np
 
 from cpes.episodes import Episode, plan_episodes, sample_episode
 from cpes.errors import (
-    DimensionMismatch,
-    EmptyInput,
-    IndexOutOfRange,
     InfeasibleConfig,
     InsufficientClasses,
     InsufficientRecords,
     InvalidRecord,
-    NonFiniteGradient,
-    SelectionOutOfRange,
     TrailingBytes,
     TruncatedFile,
 )
@@ -66,6 +63,7 @@ from cpes.numerics import (
     Rng64,
     box_muller,
     cross_entropy,
+    partial_shuffle,
     rng_split,
     softmax,
     unit_rows,
@@ -84,7 +82,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
-        raise DimensionMismatch(f"cosine: shapes {u.shape} vs {v.shape}")
+        raise ValueError(f"cosine: shapes {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
@@ -233,7 +231,7 @@ def build_prototype(supports: list[EmbeddingRecord]) -> EmbeddingRecord:
             rec.class_embedding.shape != first.class_embedding.shape
             or rec.patch_embeddings.shape != first.patch_embeddings.shape
         ):
-            raise DimensionMismatch("support records disagree on D or M")
+            raise ValueError("support records disagree on D or M")
     class_embedding = np.mean([r.class_embedding for r in supports], axis=0)
     patch_embeddings = np.mean([r.patch_embeddings for r in supports], axis=0)
     return EmbeddingRecord(first.record_id, first.label, class_embedding, patch_embeddings)
@@ -261,7 +259,7 @@ def select_top(similarities, m: int) -> list[int]:
     similarities = np.asarray(similarities, dtype=np.float64)
     big = similarities.size
     if not 0 <= m <= big:
-        raise SelectionOutOfRange(f"m={m} with M={big}")
+        raise ValueError(f"m={m} with M={big}")
     # lexsort: primary key last -> sort by -sim, then by index ascending
     order = np.lexsort((np.arange(big), -similarities))
     return [int(i) for i in order[:m]]
@@ -283,7 +281,7 @@ def fuse(rec: EmbeddingRecord, indices) -> FusedRepresentation:
         )
     for i in indices:
         if not 0 <= i < rec.patch_embeddings.shape[0]:
-            raise IndexOutOfRange(f"patch index {i}")
+            raise ValueError(f"patch index {i}")
     rows = rec.patch_embeddings[indices] + FUSION_CLASS_WEIGHT * rec.class_embedding
     return FusedRepresentation(rows=rows, source_indices=indices)
 
@@ -295,7 +293,7 @@ def fused(rec: EmbeddingRecord, m: int, kind) -> FusedRepresentation:
 def score_matrix(query: FusedRepresentation, proto: FusedRepresentation) -> np.ndarray:
     """Squared cosine between every (query row, proto row) pair."""
     if query.rows.shape[1] != proto.rows.shape[1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"fused dims differ: {query.rows.shape[1]} vs {proto.rows.shape[1]}"
         )
     s = (unit_rows(query.rows) @ unit_rows(proto.rows).T) ** 2
@@ -314,24 +312,37 @@ def by_label_of(store: EmbeddingStore) -> dict[int, list[int]]:
     return dict(sorted(by_label.items()))
 
 
+def samples_without_replacement(rng: Rng64, pools, k: int) -> list[list]:
+    """k distinct items per pool: partial_shuffle of its padded slots on
+    ``rng``'s stream, which it advances, as ``Rng64`` once did it."""
+    sizes = np.array([[len(pool) for pool in pools]])
+    if sizes.min(initial=k) < k:
+        raise ValueError(f"{k} samples from a pool of {sizes.min()} items")
+    slots = np.tile(np.arange(sizes.max(initial=0)), (1, len(pools), 1))
+    picks, after = partial_shuffle(np.array([rng.state], np.uint64), slots, sizes, k)
+    rng.state = int(after[0])
+    return [[pool[i] for i in row] for pool, row in zip(pools, picks[0].tolist())]
+
+
 def per_task_episode(
     store: EmbeddingStore, n_way, k_shot, queries_per_class, task_index, base_seed
 ) -> Episode:
     """The Episode of one task, as the package sampled it before it planned
     tasks in blocks: from rng_split(base_seed, task_index), one
-    ``Rng64.samples_without_replacement`` block for the N classes and one
-    for all N classes' K+Q records, with the class sizes checked between."""
+    ``samples_without_replacement`` block for the N classes and one for all
+    N classes' K+Q records, with the class sizes checked between."""
     by_label = by_label_of(store)
     if len(by_label) < n_way:
         raise InsufficientClasses(f"need {n_way} classes, store has {len(by_label)}")
     need = k_shot + queries_per_class
     rng = rng_split(base_seed, task_index)
-    class_map = rng.samples_without_replacement([list(by_label)], n_way)[0]
+    class_map = samples_without_replacement(rng, [list(by_label)], n_way)[0]
     pools = [by_label[label] for label in class_map]
     for label, pool in zip(class_map, pools):
         if len(pool) < need:
             raise InsufficientRecords(f"class {label} has {len(pool)} records, need {need}")
-    picked = np.array(rng.samples_without_replacement(pools, need), np.intp).reshape(n_way, need)
+    picked = np.array(samples_without_replacement(rng, pools, need), np.intp)
+    picked = picked.reshape(n_way, need)
     query_labels = np.repeat(np.arange(n_way), queries_per_class)
     return Episode(class_map, picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)
 
@@ -467,9 +478,9 @@ def per_tensor_optimizer_step(head, grads, cfg):
     closure per tensor, and a scalar copy of it for b2."""
     for g in (grads.w1, grads.b1, grads.w2):
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("NaN/Inf in gradients")
+            raise ValueError("NaN/Inf in gradients")
     if not math.isfinite(grads.b2):
-        raise NonFiniteGradient("NaN/Inf in gradients")
+        raise ValueError("NaN/Inf in gradients")
 
     lr = cfg.lr_at(head.step)
     head.step += 1
@@ -525,7 +536,7 @@ def head_pass(head: MlpHead, scores):
     x = np.asarray(scores, dtype=np.float64)
     lead, size = x.shape[:-2], x.shape[-2] * x.shape[-1]
     if size != head.input_dim:
-        raise DimensionMismatch(f"score size {size}, head expects {head.input_dim}")
+        raise ValueError(f"score size {size}, head expects {head.input_dim}")
     x = x.reshape(-1, size)
     pre = x @ head.w1.T + head.b1
     hidden = np.maximum(pre, 0.0)
@@ -557,7 +568,7 @@ def optimizer_step(head: MlpHead, grads: Gradients, cfg) -> MlpHead:
     """One AdamW update of the whole state, each temporary a new array."""
     g = grads.flat
     if not np.all(np.isfinite(g)):
-        raise NonFiniteGradient("NaN/Inf in gradients")
+        raise ValueError("NaN/Inf in gradients")
     lr = cfg.lr_at(head.step)
     head.step += 1
     bc1 = 1.0 - cfg.beta1**head.step
@@ -685,7 +696,7 @@ def randints(rng: Rng64, bounds) -> list[int]:
     """A uniform integer in [0, n) for each n of ``bounds`` in turn, from one
     ``Rng64._accepted`` block of ``rng``'s stream."""
     if min(bounds, default=1) <= 0:
-        raise EmptyInput(f"randints needs bounds >= 1, got {min(bounds)}")
+        raise ValueError(f"randints needs bounds >= 1, got {min(bounds)}")
     n = np.array(bounds, dtype=np.uint64)
     return (rng._accepted(n) % n).tolist()
 

@@ -128,22 +128,24 @@ class TestRoundTrip:
 
 class TestExitCodes:
     def test_validation_error_is_2(self, store_path, tmp_path, capsys):
-        rc = main(
-            ["train", "--store", str(store_path), "--out", str(tmp_path / "h")]
-            + RUN + ["--m", "99"]
-        )
+        """m above M is refused by resolve_m, not by a numpy error in selection."""
+        ckpt = tmp_path / "h"
+        rc = main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN + ["--m", "10"])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: m must be in [0, 9], got 10\n"
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("flag", ["--n-way", "--k-shot", "--queries", "--hidden"])
     def test_nonpositive_size_is_2(self, store_path, tmp_path, capsys, flag):
+        """Each is refused by its declared least value, before any episode."""
+        field = {"--n-way": "n_way", "--k-shot": "k_shot", "--queries": "queries_per_class",
+                 "--hidden": "hidden_dim"}[flag]
         rc = main(
             ["train", "--store", str(store_path), "--out", str(tmp_path / "h")]
             + RUN + [flag, "0"]
         )
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert capsys.readouterr().err == f"error: {field} must be >= 1, got 0\n"
 
     def test_eval_nonpositive_queries_is_2(self, store_path, tmp_path, capsys):
         ckpt = tmp_path / "h.cpeh"
@@ -241,6 +243,19 @@ class TestExitCodes:
         assert "eval_tasks" in err
         assert not report.exists()
 
+    def test_eval_checkpoint_at_another_m_is_2(self, store_path, tmp_path, capsys):
+        """A head trained at m=3 takes 3 x 3 score matrices, so eval at m=2
+        is refused by evaluate's head-size check, not by a numpy error."""
+        ckpt, report = tmp_path / "h.cpeh", tmp_path / "report.json"
+        assert main(["train", "--store", str(store_path), "--out", str(ckpt)] + RUN) == 0
+        capsys.readouterr()
+        argv = ["eval", "--store", str(store_path), "--checkpoint", str(ckpt), "--tasks", "2",
+                "--out", str(report)]
+        assert main(argv + RUN + ["--m", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: head input dim 9 does not match m=2 (expected 4)\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize("damage", ["nan weight", "trailing byte"])
     def test_bad_checkpoint_is_3(self, store_path, tmp_path, capsys, damage):
         ckpt = tmp_path / "h.cpeh"
@@ -278,6 +293,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("signal", ["0", "10"])
+    def test_signal_patches_out_of_range_is_2(self, tmp_path, capsys, signal):
+        """GEN's records have 9 patches: a record plants at least one signal
+        patch and at most all of them."""
+        out = tmp_path / "s.cpem"
+        assert main(GEN + ["--out", str(out), "--signal-patches", signal]) == 2
+        assert capsys.readouterr().err == "error: signal_patches must be in [1, patches]\n"
         assert not out.exists()
 
     def test_negative_distractor_pool_is_2(self, tmp_path, capsys):
@@ -376,6 +400,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"no {axis} values" in err
+
+    @pytest.mark.parametrize("records", ["", ","])
+    def test_empty_records_is_2(self, store_path, tmp_path, capsys, records):
+        out = tmp_path / "masks"
+        argv = ["export-masks", "--store", str(store_path), "--m", "3", "--out", str(out)]
+        assert main(argv + ["--records", records]) == 2
+        assert capsys.readouterr().err == "error: no record ids to export\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("input_dim,hidden", [(9, 0), (0, 8)])
     def test_zero_sized_checkpoint_is_3(self, store_path, tmp_path, capsys, input_dim, hidden):
@@ -765,3 +797,37 @@ class TestOutputPaths:
         assert [p.name for p in work.iterdir()] == ([] if bad == "missing-directory" else ["dir"])
         assert main(argv) == 0
         assert calls["read_store"] and calls["train"] + calls["evaluate"]
+
+    @pytest.mark.parametrize("bad", ["missing-parent", "file"])
+    def test_bad_mask_directory_is_3_before_any_work(
+        self, store_path, tmp_path, capsys, monkeypatch, bad
+    ):
+        """export-masks' --out is a directory it creates, but only inside one
+        that exists, and never over a file: either is refused with one line
+        naming --out, before the store is read, and nothing is created."""
+        work = tmp_path / "work"
+        work.mkdir()
+        path = work / "none" / "masks" if bad == "missing-parent" else work / "file"
+        if bad == "file":
+            path.write_text("")
+        argv = fuzz_base("export-masks", store_path, None, work / "masks")
+        calls = count_work(monkeypatch)
+        assert main(argv + ["--out", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {path}") and len(err.splitlines()) == 1
+        assert calls["read_store"] == 0
+        assert [p.name for p in work.iterdir()] == ([] if bad == "missing-parent" else ["file"])
+        assert main(argv) == 0
+        assert calls["read_store"] == 1 and (work / "masks" / "mask_0.json").exists()
+
+    @pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+    def test_bad_store_path_is_3_before_generating(self, tmp_path, capsys, monkeypatch, bad):
+        """gen-synthetic's --out is refused, naming the flag, before any
+        record is drawn."""
+        path = tmp_path / "none" / "s.cpem" if bad == "missing-directory" else tmp_path
+        generated = []
+        monkeypatch.setattr(cli, "generate_synthetic", lambda cfg: generated.append(cfg))
+        assert main(GEN + ["--out", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {path}") and len(err.splitlines()) == 1
+        assert generated == [] and not (tmp_path / "none").exists()

@@ -145,7 +145,7 @@ class TestEvaluate:
 
     def test_head_shape_mismatch(self, easy_eval_store):
         cfg = quick_cfg(m=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^head input dim 16 does not match m=8 \(expected 64\)$"):
             evaluate(init_head(quick_cfg(m=4), 4), easy_eval_store, cfg)
 
     def test_json_round_trip(self, easy_eval_store):

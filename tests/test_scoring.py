@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 import struct
 import threading
@@ -10,7 +9,7 @@ import pytest
 
 from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
-from cpes.errors import DimensionMismatch, InfeasibleConfig, NonFiniteGradient, StoreFormatError
+from cpes.errors import InfeasibleConfig, StoreFormatError
 from cpes.harness import RunConfig, _mean_prototypes, evaluate, head_input_dim, train
 from cpes.numerics import rng_split, unit_rows
 from cpes.scoring import (
@@ -106,10 +105,6 @@ class TestScoreMatrix:
             s = score_matrix(q, p)
             assert np.all(s >= 0.0) and np.all(s <= 1.0 + 1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            score_matrix(rep([[1.0, 0.0]]), rep([[1.0, 0.0, 0.0]]))
-
 
 class TestMlpForward:
     def test_bias_passthrough(self):
@@ -124,11 +119,6 @@ class TestMlpForward:
     def test_dead_rectifier_returns_output_bias(self):
         head = head_of(np.ones((3, 4)), np.full(3, -100.0), np.ones(3), 0.25)
         assert class_scores(head, [np.eye(2) * 0.5])[0] == pytest.approx(0.25)
-
-    def test_shape_check(self):
-        head = random_head(9, 4)
-        with pytest.raises(DimensionMismatch):
-            head_forward(head, [np.eye(2)])
 
 
 def finite_difference_grads(head, scores, targets, step=1e-6):
@@ -427,15 +417,6 @@ class TestOptimizer:
             OptimizerConfig(learning_rate=1e-3, lr_floor=1e-2).check_schedule()
         OptimizerConfig(learning_rate=1e-3, lr_floor=1e-3).check_schedule()
         OptimizerConfig(lr_floor=1e-2, schedule=ScheduleKind.CONSTANT).check_schedule()
-
-    def test_non_finite_gradient_rejected(self):
-        head = random_head(4, 3, seed=9)
-        for value, at in itertools.product([np.nan, np.inf, -np.inf], [0, head.flat.size - 1]):
-            grads = zero_grads(head)
-            grads.flat[at] = value
-            with pytest.raises(NonFiniteGradient):
-                optimizer_step(head, grads, OptimizerConfig())
-        assert head.step == 0
 
     def test_weight_decay_shrinks_params(self):
         head = head_of(np.ones((1, 1)), np.zeros(1), np.zeros(1), 0.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpes.errors import SelectionOutOfRange
 from cpes.numerics import unit_rows
 import oracles
 from cpes.selection import (
@@ -90,10 +89,6 @@ class TestSelectTop:
 
     def test_m_zero(self):
         assert select_top(np.array([1.0, 2.0]), 0).tolist() == []
-
-    def test_out_of_range(self):
-        with pytest.raises(SelectionOutOfRange):
-            select_top(np.array([1.0]), 2)
 
     def test_oracle_equivalence_fuzz(self):
         rng = scalar_rng(8, 0)
