@@ -37,7 +37,7 @@ def plan_episodes(
     """The class maps (T, N), support rows (T, N, K) and query rows (T, Q) of
     the T listed tasks, each deterministic in its task index and base_seed.
 
-    Task t draws from rng_split(base_seed, t): one block picks N classes
+    Task t draws from stream t of base_seed: one block picks N classes
     uniformly without replacement, the next K+Q records per class without
     replacement, the first K its prototype and the rest queries. All T tasks'
     blocks are drawn as one, with each row's bounds gathered from its picked

@@ -21,7 +21,7 @@ import numpy as np
 
 from .episodes import Episode, plan_episodes, sample_episode
 from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
-from .numerics import rng_split, softmax, unit_rows
+from .numerics import softmax, split_states, unit_rows
 from .scoring import (
     MlpHead,
     OptimizerConfig,
@@ -159,9 +159,8 @@ def head_input_dim(m: int) -> int:
 
 
 def init_head(cfg: RunConfig, m: int) -> MlpHead:
-    return MlpHead.initialize(
-        head_input_dim(m), cfg.hidden_dim, rng_split(cfg.base_seed, _HEAD_INIT_STREAM)
-    )
+    state = int(split_states(cfg.base_seed, [_HEAD_INIT_STREAM])[0])
+    return MlpHead.initialize(head_input_dim(m), cfg.hidden_dim, state)
 
 
 def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: int):
@@ -208,7 +207,7 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
     head = init_head(cfg, m)
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
-    seed = rng_split(cfg.base_seed, _TRAIN_STREAM).state
+    seed = int(split_states(cfg.base_seed, [_TRAIN_STREAM])[0])
     chunks = _episodes(store, cfg, m, seed, total_steps)
     episodes = itertools.chain.from_iterable(run for _, run in chunks)
     buffers = None

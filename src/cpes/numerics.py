@@ -1,6 +1,11 @@
 """Deterministic numeric kernels: unit rows, softmax, cross-entropy, and a
 counter-based 64-bit RNG whose streams are identical on every platform.
 
+A stream is its uint64 state, a Weyl counter whose words pass through the
+splitmix64 finalizer; ``split_states`` derives independent ones from a seed.
+No object holds a state: ``accepted_rows`` and ``partial_shuffle`` return
+their draws and the states after them.
+
 All math runs in float64 regardless of how embeddings are stored on disk,
 so accumulation order never shows up in test tolerances.
 """
@@ -50,34 +55,12 @@ def box_muller(words: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
 
 
-class Rng64:
-    """Weyl-sequence generator with a splitmix64 output function.
-
-    The state advances by a fixed odd constant, so a block of n outputs can
-    be produced vectorized from a counter range without changing the stream.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: int):
-        self.state = state & _MASK64
-
-    def _raw_block(self, n: int) -> np.ndarray:
-        words = _words(np.uint64(self.state), n)
-        self.state = (self.state + n * _GOLDEN) & _MASK64
-        return words
-
-    def _accepted(self, bounds: np.ndarray) -> np.ndarray:
-        """_accepted_rows for this stream alone: one row of uint64 bounds."""
-        words, after = _accepted_rows(np.array([self.state], np.uint64), bounds[np.newaxis])
-        self.state = int(after[0])
-        return words[0]
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return _unit_interval(self._raw_block(n))
+def uniforms(state: int, n: int) -> np.ndarray:
+    """The next n words of the stream at ``state`` as floats in [0, 1)."""
+    return _unit_interval(_words(np.uint64(state), n))
 
 
-def _accepted_rows(states: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def accepted_rows(states: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each uint64 state (T,), a word of its stream for each uint64 bound n
     of its row (T, W) in turn, at most 2**64 - 1 - 2**64 % n (n = 1 takes any
     word) so its residues mod n are equally likely: a word above its limit is
@@ -100,11 +83,11 @@ def partial_shuffle(states, pools, sizes, k: int) -> tuple[np.ndarray, np.ndarra
     """The first k slots (T, r, k) of each pool (T, r, n) after a partial
     Fisher-Yates of its first ``sizes`` (T, r) slots, in which slot i swaps
     with slot i + j, j drawn from [0, size - i), so padding is never reached:
-    task t's r * k draws are row t of one _accepted_rows block on its uint64
-    state (T,). Also returns the states after the draws."""
+    task t's r * k draws are row t of one accepted_rows block on its uint64
+    state (T,). Returns the picks and the states after the draws."""
     tasks, rows, width = pools.shape
     bounds = (sizes[..., np.newaxis] - np.arange(k)).astype(np.uint64)
-    words, after = _accepted_rows(states, bounds.reshape(tasks, rows * k))
+    words, after = accepted_rows(states, bounds.reshape(tasks, rows * k))
     # the flat index of each pool's slot i, and that of the slot it swaps with
     slots = (np.arange(tasks * rows) * width).reshape(tasks, rows, 1) + np.arange(k)
     swaps = slots + (words.reshape(bounds.shape) % bounds).astype(np.intp)
@@ -115,18 +98,11 @@ def partial_shuffle(states, pools, sizes, k: int) -> tuple[np.ndarray, np.ndarra
 
 
 def split_states(seed: int, indices) -> np.ndarray:
-    """The uint64 state of rng_split(seed, i) for each index i, all at once."""
+    """The uint64 state of stream i of ``seed`` for each index i in [0, 2**64),
+    the seed taken modulo 2**64: a pure function of (seed, i), so distinct
+    pairs give distinct streams, whatever order they are derived in."""
     seeds = _splitmix(np.array([seed & _MASK64], dtype=np.uint64))
     return _splitmix(seeds ^ _splitmix(np.asarray(indices, dtype=np.uint64) ^ _SALT))
-
-
-def rng_split(seed: int, index: int) -> Rng64:
-    """Derive an independent child generator from (seed, index).
-
-    Pure function of its arguments: distinct pairs give distinct streams and
-    creation order is irrelevant, so parallel consumers stay reproducible.
-    """
-    return Rng64(int(split_states(seed, [index & _MASK64])[0]))
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:

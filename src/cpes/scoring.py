@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConfig, NonFiniteValue, StoreFormatError, setting
-from .numerics import Rng64, all_finite, cross_entropy, softmax
+from .numerics import all_finite, cross_entropy, softmax, uniforms
 from .selection import BLOCK_VALUES, _blocks
 from .store import _read_header, _reject_trailing, _require, _write
 
@@ -173,11 +173,12 @@ class MlpHead(_Group):
         return self.state[0]
 
     @classmethod
-    def initialize(cls, input_dim: int, hidden_dim: int, rng: Rng64) -> "MlpHead":
-        """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer; zero moments."""
+    def initialize(cls, input_dim: int, hidden_dim: int, state: int) -> "MlpHead":
+        """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer from the
+        stream at uint64 ``state``; zero moments."""
         head = cls(input_dim, hidden_dim, np.zeros((3, group_size(input_dim, hidden_dim))))
         # one block of draws in group order: W1 and b1 (fan-in I), then W2 and b2 (fan-in H)
-        head.flat[:] = rng.uniforms(head.flat.size) * 2 - 1
+        head.flat[:] = uniforms(state, head.flat.size) * 2 - 1
         head.flat[: -hidden_dim - 1] *= 1.0 / math.sqrt(input_dim)
         head.flat[-hidden_dim - 1 :] *= 1.0 / math.sqrt(hidden_dim)
         return head

@@ -34,7 +34,7 @@ from .errors import (
     check_settings,
     setting,
 )
-from .numerics import all_finite, box_muller, partial_shuffle, rng_split
+from .numerics import accepted_rows, all_finite, box_muller, partial_shuffle, split_states
 
 MAGIC = b"CPEM"
 VERSION = 1
@@ -269,16 +269,17 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
     """Generate a planted-signal store, fully determined by cfg.seed.
 
-    Stores stay reproducible while the stream keeps this order: 2*ceil(D/2)
-    normal words for each class signal and then each pool item; then per
-    record, its s signal-position draws, then for each patch in order an
-    optional pool pick and 2*ceil(D/2) normal words.
+    Stores stay reproducible while stream 0 of cfg.seed keeps this order:
+    2*ceil(D/2) normal words for each class signal and then each pool item;
+    then per record, its s signal-position draws, then for each patch in
+    order an optional pool pick and 2*ceil(D/2) normal words.
     """
     cfg.validate()
-    rng = rng_split(cfg.seed, 0)
+    state = split_states(cfg.seed, [0])  # (1,): each draw below returns the state after it
     width = 2 * ((cfg.dim + 1) // 2)  # the words of one vector's normals
     vectors = cfg.class_count + cfg.distractor_pool_size
-    normals = box_muller(rng._raw_block(vectors * width).reshape(vectors, width), cfg.dim)
+    (words,), state = accepted_rows(state, np.ones((1, vectors * width), np.uint64))  # 1: any word
+    normals = box_muller(words.reshape(vectors, width), cfg.dim)
     signals = normals[: cfg.class_count] / _norms(normals[: cfg.class_count])
     # Orthonormal basis of the signal span, for projecting distractors out.
     basis, _ = np.linalg.qr(signals.T)
@@ -308,9 +309,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
     # each record's signal positions: a partial Fisher-Yates of the M patch slots on its stream
     slots, sizes = np.arange(cfg.patches).reshape(1, 1, -1), np.full((1, 1), cfg.patches)
     for row, label in enumerate(store.labels.tolist()):
-        state = np.array([rng.state], np.uint64)
-        signal_pos, after = partial_shuffle(state, slots, sizes, cfg.signal_patches)
-        rng.state = int(after[0])
+        signal_pos, state = partial_shuffle(state, slots, sizes, cfg.signal_patches)
         store.planted[row, signal_pos[0, 0]] = True
         distractor = ~store.planted[row]
         # patch j's normals follow j patches' normals and every pick up to its own
@@ -318,7 +317,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> EmbeddingStore:
         picks = starts[distractor] - 1
         bounds = np.ones(cfg.patches * width + len(picks), dtype=np.uint64)  # 1: any word
         bounds[picks] = cfg.distractor_pool_size
-        words = rng._accepted(bounds)
+        (words,), state = accepted_rows(state, bounds[np.newaxis])
         noise = box_muller(words[starts[:, np.newaxis] + np.arange(width)], cfg.dim)
         base = np.repeat(signals[label][np.newaxis], cfg.patches, axis=0)
         base[distractor] = distractors[words[picks] % cfg.distractor_pool_size]

@@ -34,10 +34,12 @@ and ``per_episode_evaluate`` run the package's loops on it.
 ``serial_score_tensor`` is the block loop ``score_tensor`` ran before it
 shared its blocks out among threads.
 
-The RNG here is the counter stream on Python ints. ``ScalarRng`` is its
-one-draw-at-a-time form, which tests make data with, and ``per_patch_store``
-is the generator the package ran before it drew each record as one block.
-``randints`` is the package's bounded block draw, which only tests called.
+The RNG here is the counter stream on Python ints: ``split_state`` derives
+a stream's state as ``split_states`` does, and ``outputs`` gives its words.
+``ScalarRng`` is its one-draw-at-a-time form, which tests make data with,
+and ``per_patch_store`` is the generator the package ran before it drew each
+record as one block. ``randints`` is the package's bounded block draw, which
+only tests called.
 """
 
 import io
@@ -60,11 +62,10 @@ from cpes.errors import (
 from cpes.harness import _TRAIN_STREAM, _mean_prototypes, init_head, resolve_m
 from cpes.numerics import (
     DEGENERATE_NORM,
-    Rng64,
+    accepted_rows,
     box_muller,
     cross_entropy,
     partial_shuffle,
-    rng_split,
     softmax,
     unit_rows,
 )
@@ -312,36 +313,36 @@ def by_label_of(store: EmbeddingStore) -> dict[int, list[int]]:
     return dict(sorted(by_label.items()))
 
 
-def samples_without_replacement(rng: Rng64, pools, k: int) -> list[list]:
-    """k distinct items per pool: partial_shuffle of its padded slots on
-    ``rng``'s stream, which it advances, as ``Rng64`` once did it."""
+def samples_without_replacement(state: int, pools, k: int) -> tuple[list[list], int]:
+    """k distinct items per pool: partial_shuffle of its padded slots on the
+    stream at ``state``; and the state after them."""
     sizes = np.array([[len(pool) for pool in pools]])
     if sizes.min(initial=k) < k:
         raise ValueError(f"{k} samples from a pool of {sizes.min()} items")
     slots = np.tile(np.arange(sizes.max(initial=0)), (1, len(pools), 1))
-    picks, after = partial_shuffle(np.array([rng.state], np.uint64), slots, sizes, k)
-    rng.state = int(after[0])
-    return [[pool[i] for i in row] for pool, row in zip(pools, picks[0].tolist())]
+    picks, after = partial_shuffle(np.array([state], np.uint64), slots, sizes, k)
+    return [[pool[i] for i in row] for pool, row in zip(pools, picks[0].tolist())], int(after[0])
 
 
 def per_task_episode(
     store: EmbeddingStore, n_way, k_shot, queries_per_class, task_index, base_seed
 ) -> Episode:
     """The Episode of one task, as the package sampled it before it planned
-    tasks in blocks: from rng_split(base_seed, task_index), one
+    tasks in blocks: from split_state(base_seed, task_index), one
     ``samples_without_replacement`` block for the N classes and one for all
     N classes' K+Q records, with the class sizes checked between."""
     by_label = by_label_of(store)
     if len(by_label) < n_way:
         raise InsufficientClasses(f"need {n_way} classes, store has {len(by_label)}")
     need = k_shot + queries_per_class
-    rng = rng_split(base_seed, task_index)
-    class_map = samples_without_replacement(rng, [list(by_label)], n_way)[0]
+    (class_map,), state = samples_without_replacement(
+        split_state(base_seed, task_index), [list(by_label)], n_way
+    )
     pools = [by_label[label] for label in class_map]
     for label, pool in zip(class_map, pools):
         if len(pool) < need:
             raise InsufficientRecords(f"class {label} has {len(pool)} records, need {need}")
-    picked = np.array(samples_without_replacement(rng, pools, need), np.intp)
+    picked = np.array(samples_without_replacement(state, pools, need)[0], np.intp)
     picked = picked.reshape(n_way, need)
     query_labels = np.repeat(np.arange(n_way), queries_per_class)
     return Episode(class_map, picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)
@@ -356,7 +357,7 @@ def sample_episode_records(
     by_label = by_label_of(store)
     labels = list(by_label)
     need = k_shot + queries_per_class
-    draws = outputs(rng_split(base_seed, task_index).state)
+    draws = outputs(split_state(base_seed, task_index))
     chosen = fisher_yates(draws, len(labels), n_way)
     protos, queries, query_labels = [], [], []
     for local, label in enumerate(labels[i] for i in chosen):
@@ -595,7 +596,7 @@ def per_episode_train(store: EmbeddingStore, cfg):
     head = init_head(cfg, m)
     total_steps = cfg.epochs * cfg.episodes_per_epoch
     opt = replace(cfg.optimizer, total_steps=max(total_steps, 1))
-    seed = rng_split(cfg.base_seed, _TRAIN_STREAM).state
+    seed = split_state(cfg.base_seed, _TRAIN_STREAM)
     plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class,
                          range(total_steps), seed)
     reps = representation_table(store, m, cfg.distance)
@@ -638,6 +639,7 @@ def per_episode_evaluate(head: MlpHead, store: EmbeddingStore, cfg) -> list[floa
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_SALT = 0x5851F42D4C957F2D
 
 
 def mix64(z: int) -> int:
@@ -645,6 +647,13 @@ def mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * _MULTIPLIERS[0] & MASK64
     z = (z ^ (z >> 27)) * _MULTIPLIERS[1] & MASK64
     return z ^ (z >> 31)
+
+
+def split_state(seed: int, index: int) -> int:
+    """The state of stream ``index`` of ``seed`` (taken modulo 2**64), as
+    ``cpes.numerics.split_states`` derives it: the seed's mix xored with the
+    salted index's mix, mixed again."""
+    return mix64(mix64(seed & MASK64) ^ mix64(index ^ _SALT))
 
 
 def unmix64(z: int) -> int:
@@ -664,12 +673,12 @@ def _unshift(y: int, s: int) -> int:
 
 
 def state_before(output: int) -> int:
-    """The Rng64 state whose next output is ``output``."""
+    """The stream state whose next output is ``output``."""
     return (unmix64(output) - GOLDEN) & MASK64
 
 
 def outputs(state: int):
-    """The Rng64 outputs after ``state``: its Weyl counter through mix64."""
+    """The stream's outputs after ``state``: its Weyl counter through mix64."""
     while True:
         state = (state + GOLDEN) & MASK64
         yield mix64(state)
@@ -692,23 +701,35 @@ def fisher_yates(draws, n: int, k: int) -> list[int]:
     return idx[:k]
 
 
-def randints(rng: Rng64, bounds) -> list[int]:
+def randints(state: int, bounds) -> tuple[list[int], int]:
     """A uniform integer in [0, n) for each n of ``bounds`` in turn, from one
-    ``Rng64._accepted`` block of ``rng``'s stream."""
+    ``accepted_rows`` row of the stream at ``state``; and the state after them."""
     if min(bounds, default=1) <= 0:
         raise ValueError(f"randints needs bounds >= 1, got {min(bounds)}")
-    n = np.array(bounds, dtype=np.uint64)
-    return (rng._accepted(n) % n).tolist()
+    n = np.array([bounds], dtype=np.uint64)
+    words, after = accepted_rows(np.array([state], np.uint64), n)
+    return (words[0] % n[0]).tolist(), int(after[0])
 
 
-class ScalarRng(Rng64):
-    """Rng64 with one-draw-at-a-time methods on the Python-int oracles, for
-    tests that make data draw by draw: each takes the words the package's
+def block(state: int, n: int) -> tuple[np.ndarray, int]:
+    """The next n words of the stream at ``state`` as one block, as the
+    package's generator draws its normals (an ``accepted_rows`` row of bound
+    1, which takes any word); and the state after them."""
+    words, after = accepted_rows(np.array([state], np.uint64), np.ones((1, n), np.uint64))
+    return words[0], int(after[0])
+
+
+class ScalarRng:
+    """The stream at ``state``, one draw at a time on the Python-int oracles,
+    for tests that make data draw by draw: each takes the words the package's
     blocks take, so values and state match theirs. ``normals`` is the
     Box-Muller draw tests make data with; the package's generator takes
     the same words in its record blocks."""
 
-    __slots__ = ()
+    __slots__ = ("state",)
+
+    def __init__(self, state: int):
+        self.state = state & MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN) & MASK64
@@ -722,19 +743,20 @@ class ScalarRng(Rng64):
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) raw draws."""
-        return box_muller(self._raw_block(2 * ((n + 1) // 2)), n)
+        words, self.state = block(self.state, 2 * ((n + 1) // 2))
+        return box_muller(words, n)
 
 
 def scalar_rng(seed: int, index: int) -> ScalarRng:
-    """rng_split(seed, index) as a ScalarRng."""
-    return ScalarRng(rng_split(seed, index).state)
+    """Stream ``index`` of ``seed`` as a ScalarRng."""
+    return ScalarRng(split_state(seed, index))
 
 
 # -- the planted-signal generator, patch by patch ----------------------------
 
 
 def per_patch_store(cfg: SyntheticConfig, rng: ScalarRng) -> EmbeddingStore:
-    """``cpes.generate_synthetic(cfg)`` with ``rng`` for rng_split(cfg.seed, 0),
+    """``cpes.generate_synthetic(cfg)`` with ``rng`` for stream 0 of cfg.seed,
     drawing as the package once did: one normals(D) call per class signal and
     pool item, then per record a Fisher-Yates of its signal positions and,
     patch by patch, a randint pool pick for a distractor and normals(D)."""

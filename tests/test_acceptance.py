@@ -20,7 +20,6 @@ from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG
 from cpes.cli import main as cli_main
 from cpes.errors import BadMagic, NonFiniteValue, TruncatedFile, UnsupportedVersion
 from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep
-from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
 from cpes.store import (
@@ -29,7 +28,7 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from oracles import EmbeddingRecord, ScalarRng, records, store_from_records
+from oracles import EmbeddingRecord, ScalarRng, records, split_state, store_from_records
 from test_scoring import (
     assert_grads_close,
     episode_fixture,
@@ -274,7 +273,7 @@ def test_format_round_trips(tmp_path):
             assert again.getvalue() == first
 
             head = MlpHead.initialize(
-                1 + rng.randint(9), 1 + rng.randint(8), rng_split(99, i)
+                1 + rng.randint(9), 1 + rng.randint(8), split_state(99, i)
             )
             buf = io.BytesIO()
             save_head(head, buf)
@@ -305,7 +304,7 @@ def test_format_round_trips(tmp_path):
             read_store(io.BytesIO(buf.getvalue()))
 
         good = io.BytesIO()
-        save_head(MlpHead.initialize(4, 3, rng_split(5, 5)), good)
+        save_head(MlpHead.initialize(4, 3, split_state(5, 5)), good)
         blob = good.getvalue()
         with pytest.raises(BadMagic):
             load_head(io.BytesIO(b"YYYY" + blob[4:]))

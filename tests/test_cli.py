@@ -8,11 +8,10 @@ import pytest
 from cpes import cli, harness
 from cpes.cli import _build_parser, _config, _int_list, main
 from cpes.harness import RunConfig
-from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, save_head
 from cpes.store import SyntheticConfig, read_store, write_store
 from conftest import fail_score_blocks
-from oracles import store_from_records
+from oracles import split_state, store_from_records
 from test_selection import SHORT_LAST_BLOCK, random_store
 
 GEN = [
@@ -452,7 +451,7 @@ class TestExitCodes:
         """At m = M, an episode of 2 x 70 queries spans three blocks on two threads."""
         store, checkpoint = tmp_path / "s.cpem", tmp_path / "h.cpeh"
         write_store(random_store(*SHORT_LAST_BLOCK, seed=18), store)
-        save_head(MlpHead.initialize(16 * 16, 8, rng_split(0, 2)), checkpoint)
+        save_head(MlpHead.initialize(16 * 16, 8, split_state(0, 2)), checkpoint)
         pool = score_threads(2)
         fail_score_blocks(monkeypatch, "worker")
         rc = main(["eval", "--store", str(store), "--checkpoint", str(checkpoint), "--n-way", "2",

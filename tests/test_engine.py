@@ -15,7 +15,6 @@ import cpes.harness
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig
 from cpes.harness import RunConfig, evaluate, head_input_dim, train
-from cpes.numerics import rng_split
 from cpes.scoring import MlpHead, OptimizerConfig, episode_loss_and_grads, save_head
 from cpes.selection import DistanceKind, representation_table
 from cpes.store import read_store, write_store
@@ -30,6 +29,7 @@ from oracles import (
     read_records,
     record,
     score_matrix,
+    split_state,
 )
 from test_episodes import store_of_sizes
 from test_store import random_store
@@ -55,7 +55,7 @@ class TestEngineMatchesPerQueryPath:
         assert report.per_task_accuracy == evaluate_per_query(head, small_store, cfg)
 
     def test_scores_probabilities_and_gradients(self, small_store, m, k_shot, kind):
-        head = MlpHead.initialize(head_input_dim(m), 8, rng_split(m + k_shot, 31))
+        head = MlpHead.initialize(head_input_dim(m), 8, split_state(m + k_shot, 31))
         reps = representation_table(small_store, m, kind)
         for task in range(3):
             episode = sample_episode(plan_episodes(small_store, 5, k_shot, 3, [task], 23), 0)

@@ -7,7 +7,7 @@ import oracles
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InsufficientClasses, InsufficientRecords
 from cpes.harness import RunConfig, _episodes, train
-from cpes.numerics import Rng64, rng_split, split_states
+from cpes.numerics import split_states
 from cpes.store import EmbeddingStore
 from oracles import (
     GOLDEN,
@@ -19,6 +19,7 @@ from oracles import (
     records,
     sample_episode_records,
     scalar_rng,
+    split_state,
     state_before,
     store_from_records,
 )
@@ -148,7 +149,7 @@ class TestSampleEpisode:
         among the 4 class picks (0, 2) or among the first class's record
         picks (4, 6). Both samplers discard it the same way."""
         state = rejecting_state(word)
-        monkeypatch.setattr(oracles, "rng_split", lambda seed, index: Rng64(state))
+        monkeypatch.setattr(oracles, "split_state", lambda seed, index: state)
         monkeypatch.setattr(
             cpes.episodes, "split_states", lambda seed, tasks: np.full(len(tasks), state, np.uint64)
         )
@@ -239,7 +240,7 @@ class TestPlanEpisodes:
 
         monkeypatch.setattr(cpes.episodes, "split_states", states)
         monkeypatch.setattr(
-            oracles, "rng_split", lambda seed, i: Rng64(state) if i == 3 else rng_split(seed, i)
+            oracles, "split_state", lambda seed, i: state if i == 3 else split_state(seed, i)
         )
         assert_plan_equals_per_task(store_of_sizes([5, 6, 7, 9, 10, 11, 12]), 4, 2, 3, range(6), 0)
 

@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 
 from cpes.numerics import (
     DEGENERATE_NORM,
-    Rng64,
-    _accepted_rows,
+    accepted_rows,
     all_finite,
     cross_entropy,
     partial_shuffle,
-    rng_split,
     softmax,
     split_states,
+    uniforms,
     unit_rows,
 )
 from cpes.scoring import score_tensor
@@ -23,6 +22,7 @@ from oracles import (
     GOLDEN,
     MASK64,
     ScalarRng,
+    block,
     cosine,
     fisher_yates,
     masked_unit_rows,
@@ -32,11 +32,12 @@ from oracles import (
     randints,
     samples_without_replacement,
     scalar_rng,
+    split_state,
     state_before,
     unmix64,
 )
 
-# First ten outputs of rng_split(20260826, 0), recorded at first
+# First ten outputs of stream 0 of seed 20260826, recorded at first
 # implementation; any change here is a cross-platform reproducibility break.
 RNG_GOLDEN = [
     14151194533577837301,
@@ -189,37 +190,32 @@ class TestCrossEntropy:
 
 class TestRng:
     def test_golden_vector(self):
-        state = rng_split(20260826, 0).state
-        assert Rng64(state)._raw_block(10).tolist() == RNG_GOLDEN
+        state = int(split_states(20260826, [0])[0])
+        assert block(state, 10)[0].tolist() == RNG_GOLDEN
         assert list(itertools.islice(outputs(state), 10)) == RNG_GOLDEN
 
     def test_same_split_same_stream(self):
-        a = rng_split(99, 0)
-        b = rng_split(99, 0)
-        assert a._raw_block(20).tolist() == b._raw_block(20).tolist()
+        assert split_states(99, [0, 0]).tolist() == 2 * split_states(99, [0]).tolist()
 
     def test_distinct_indices_distinct_streams(self):
-        xs = rng_split(99, 0)._raw_block(64)
-        ys = rng_split(99, 1)._raw_block(64)
+        xs, ys = (block(int(state), 64)[0] for state in split_states(99, [0, 1]))
         assert np.all(xs != ys)
 
     def test_creation_order_irrelevant(self):
-        first = rng_split(7, 5)
-        _ = rng_split(7, 6)
-        again = rng_split(7, 5)
-        assert first._raw_block(1) == again._raw_block(1)
+        assert split_states(7, [5, 6]).tolist()[0] == split_states(7, [6, 5]).tolist()[1]
 
     def test_block_matches_scalar_path(self):
         """Two blocks in a row are the Python-int outputs in a row."""
-        a = Rng64(12345)
-        block = np.concatenate([a._raw_block(17), a._raw_block(5)])
-        assert block.tolist() == list(itertools.islice(outputs(12345), 22))
-        assert a.state == (12345 + 22 * GOLDEN) & MASK64
+        first, state = block(12345, 17)
+        second, state = block(state, 5)
+        expected = list(itertools.islice(outputs(12345), 22))
+        assert np.concatenate([first, second]).tolist() == expected
+        assert state == (12345 + 22 * GOLDEN) & MASK64
 
     def test_finalizer_inverse(self):
-        for x in [0, 1, MASK64] + rng_split(6, 0)._raw_block(200).tolist():
+        for x in [0, 1, MASK64] + block(split_state(6, 0), 200)[0].tolist():
             assert unmix64(mix64(x)) == x == mix64(unmix64(x))
-        assert list(itertools.islice(outputs(rng_split(20260826, 0).state), 10)) == RNG_GOLDEN
+        assert list(itertools.islice(outputs(split_state(20260826, 0)), 10)) == RNG_GOLDEN
 
     @pytest.mark.parametrize("n", [3, 15, 30])
     def test_rejected_draw_is_discarded(self, n):
@@ -228,12 +224,12 @@ class TestRng:
         state = state_before(MASK64)
         top, following = itertools.islice(outputs(state), 2)
         assert top == MASK64 >= (1 << 64) - (1 << 64) % n
-        g = Rng64(state)
-        assert randints(g, [n]) == [following % n] == [randint(outputs(state), n)]
-        assert g.state == (state + 2 * GOLDEN) & MASK64
+        values, after = randints(state, [n])
+        assert values == [following % n] == [randint(outputs(state), n)]
+        assert after == (state + 2 * GOLDEN) & MASK64
         for k in (1, n):
             expected = fisher_yates(outputs(state), n, k)
-            assert samples_without_replacement(Rng64(state), [range(n)], k) == [expected]
+            assert samples_without_replacement(state, [range(n)], k)[0] == [expected]
 
     def test_block_draw_equals_scalar_draws(self):
         """randints(bounds) returns what successive oracle draws return and
@@ -244,10 +240,11 @@ class TestRng:
         for _ in range(300):
             bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(g.randint(40))]
             state = g.next_u64()
-            block, scalar = Rng64(state), ScalarRng(state)
-            assert randints(block, bounds) == [scalar.randint(n) for n in bounds]
-            assert block.state == scalar.state
-            rejected += block.state != (state + len(bounds) * GOLDEN) & MASK64
+            scalar = ScalarRng(state)
+            values, after = randints(state, bounds)
+            assert values == [scalar.randint(n) for n in bounds]
+            assert after == scalar.state
+            rejected += after != (state + len(bounds) * GOLDEN) & MASK64
         assert 0 < rejected < 300
 
     @pytest.mark.parametrize("n", [3, 15, 30])
@@ -257,17 +254,17 @@ class TestRng:
         [0, n) rejects: the block takes the next word instead, like the
         Python-int oracle draw by draw, and ends one word further on."""
         state = (state_before(MASK64) - before * GOLDEN) & MASK64
-        block, scalar = Rng64(state), ScalarRng(state)
-        values = randints(block, [n] * 8)
+        scalar = ScalarRng(state)
+        values, after = randints(state, [n] * 8)
         draws = outputs(state)
         assert values == [scalar.randint(n) for _ in range(8)]
         assert values == [randint(draws, n) for _ in range(8)]
-        assert block.state == scalar.state == (state + 9 * GOLDEN) & MASK64
+        assert after == scalar.state == (state + 9 * GOLDEN) & MASK64
 
     def test_block_draw_rejects_empty_bound(self):
         with pytest.raises(ValueError, match="^randints needs bounds >= 1, got 0$"):
-            randints(Rng64(1), [3, 0])
-        assert randints(Rng64(1), []) == []
+            randints(1, [3, 0])
+        assert randints(1, []) == ([], 1)
 
     def test_pool_samples_equal_oracle(self):
         """samples_without_replacement maps one partial Fisher-Yates per pool
@@ -283,10 +280,10 @@ class TestRng:
             state = state if trial % 2 else g.next_u64()
             draws = outputs(state)
             expected = [[pool[i] for i in fisher_yates(draws, len(pool), k)] for pool in pools]
-            assert samples_without_replacement(Rng64(state), pools, k) == expected
+            assert samples_without_replacement(state, pools, k)[0] == expected
 
     def test_accepted_words_equal_word_by_word_draws(self):
-        """_accepted(bounds) gives each bound n in turn the first word at
+        """accepted_rows gives each bound n of a row in turn the first word at
         most 2**64 - 1 - 2**64 % n, as word by word draws do, and leaves the
         state where they do: a bound of 1 takes any word, and one above 2**62
         rejects words with odds up to about 1/3."""
@@ -295,47 +292,47 @@ class TestRng:
         for _ in range(200):
             bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(g.randint(30))]
             state = g.next_u64()
-            block, scalar = Rng64(state), ScalarRng(state)
-            words = block._accepted(np.array(bounds, dtype=np.uint64)).tolist()
+            scalar = ScalarRng(state)
+            row = np.array([bounds], dtype=np.uint64)
+            out, after = accepted_rows(np.array([state], np.uint64), row)
             draws = iter(scalar.next_u64, None)
             limits = [MASK64 - (1 << 64) % n for n in bounds]
-            assert words == [next(x for x in draws if x <= limit) for limit in limits]
-            assert block.state == scalar.state
-            rejected += block.state != (state + len(bounds) * GOLDEN) & MASK64
+            assert out[0].tolist() == [next(x for x in draws if x <= limit) for limit in limits]
+            assert int(after[0]) == scalar.state
+            rejected += scalar.state != (state + len(bounds) * GOLDEN) & MASK64
         assert 0 < rejected < 200
 
     def test_uniform_range(self):
-        g = rng_split(4, 0)
-        us = g.uniforms(10_000)
+        us = uniforms(split_state(4, 0), 10_000)
         assert np.all((us >= 0) & (us < 1))
 
     def test_sample_without_replacement(self):
-        g = rng_split(5, 0)
+        state = split_state(5, 0)
         for _ in range(100):
-            picks = samples_without_replacement(g, [range(10)], 7)[0]
+            (picks,), state = samples_without_replacement(state, [range(10)], 7)
             assert len(set(picks)) == 7
             assert all(0 <= p < 10 for p in picks)
 
 
 class TestRowKernels:
-    """The row-wise forms the episode plan draws through: task states,
-    accepted words and the partial Fisher-Yates, each against the one-row
-    generator or the Python-int oracle."""
+    """The row-wise forms the episode plan and the generator draw through:
+    stream states, accepted words and the partial Fisher-Yates, each against
+    the Python-int oracle."""
 
-    def test_split_states_are_rng_split_states(self):
-        """Seeds and indices are taken modulo 2**64, and no uint64 scalar
-        overflows (a RuntimeWarning fails the suite)."""
-        seeds = [0, 1, -1, 10**12, (1 << 64) - 1, 1 << 70, rng_split(0, 1).state]
+    def test_split_states_equal_scalar_splits(self):
+        """Seeds are taken modulo 2**64, and no uint64 scalar overflows (a
+        RuntimeWarning fails the suite)."""
+        seeds = [0, 1, -1, 10**12, (1 << 64) - 1, 1 << 70, split_state(0, 1)]
         indices = [0, 1, 2, 1000, (1 << 64) - 1]
         for seed in seeds:
-            expected = [rng_split(seed, i).state for i in indices]
+            expected = [split_state(seed, i) for i in indices]
             assert split_states(seed, indices).tolist() == expected
             assert split_states(seed, indices).dtype == np.uint64
-        assert rng_split(3, -1).state == rng_split(3, (1 << 64) - 1).state
+        assert split_states(-1, [7]).tolist() == split_states((1 << 64) - 1, [7]).tolist()
         assert split_states(20260826, range(0)).shape == (0,)
 
     def test_accepted_rows_equal_one_row_draws(self):
-        """Each row is _accepted on its own stream, states after included:
+        """Each row is drawn as it is on its own, states after included:
         above 2**62 a bound rejects words with odds up to about 1/3."""
         g = scalar_rng(17, 0)
         rejected = 0
@@ -344,28 +341,28 @@ class TestRowKernels:
             states = np.array([g.next_u64() for _ in range(tasks)], dtype=np.uint64)
             bounds = [1 + g.randint(1 << g.randint(64)) for _ in range(tasks * width)]
             bounds = np.array(bounds, dtype=np.uint64).reshape(tasks, width)
-            words, after = _accepted_rows(states, bounds)
+            out, after = accepted_rows(states, bounds)
             for row in range(tasks):
-                rng = Rng64(int(states[row]))
-                assert words[row].tolist() == rng._accepted(bounds[row]).tolist()
-                assert int(after[row]) == rng.state
-                rejected += rng.state != (int(states[row]) + width * GOLDEN) & MASK64
+                alone, state = accepted_rows(states[row : row + 1], bounds[row : row + 1])
+                assert out[row].tolist() == alone[0].tolist()
+                assert after[row] == state[0]
+                rejected += int(state[0]) != (int(states[row]) + width * GOLDEN) & MASK64
         assert rejected > 0
 
     def test_accepted_rows_redraw_only_the_rejecting_row(self):
         state = state_before(MASK64) - 2 * GOLDEN & MASK64
         states = np.array([5, state, 7], dtype=np.uint64)
         bounds = np.full((3, 4), 3, dtype=np.uint64)
-        words, after = _accepted_rows(states, bounds)
+        out, after = accepted_rows(states, bounds)
         draws = outputs(state)
-        assert (words[1] % 3).tolist() == [randint(draws, 3) for _ in range(4)]
+        assert (out[1] % 3).tolist() == [randint(draws, 3) for _ in range(4)]
         steps = zip([5, state, 7], [4, 5, 4])
         assert after.tolist() == [(start + n * GOLDEN) & MASK64 for start, n in steps]
 
     def test_samples_beyond_a_pool_rejected(self):
         with pytest.raises(ValueError, match="^3 samples from a pool of 2 items$"):
-            samples_without_replacement(Rng64(1), [range(3), range(2)], 3)
-        assert samples_without_replacement(Rng64(1), [], 3) == []
+            samples_without_replacement(1, [range(3), range(2)], 3)
+        assert samples_without_replacement(1, [], 3) == ([], 1)
 
     def test_partial_shuffle_equals_oracle_on_padded_pools(self):
         """Each task's pools, of unequal sizes and padded to the largest, are

@@ -11,7 +11,7 @@ from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig, StoreFormatError
 from cpes.harness import RunConfig, _mean_prototypes, evaluate, head_input_dim, train
-from cpes.numerics import rng_split, unit_rows
+from cpes.numerics import unit_rows
 from cpes.scoring import (
     Gradients,
     MlpHead,
@@ -39,6 +39,7 @@ from oracles import (
     scalar_rng,
     scale_grads,
     serial_score_tensor,
+    split_state,
     zero_grads,
 )
 from conftest import fail_score_blocks
@@ -69,7 +70,7 @@ def class_scores(head: MlpHead, scores) -> np.ndarray:
 
 
 def random_head(input_dim, hidden, seed=0) -> MlpHead:
-    return MlpHead.initialize(input_dim, hidden, rng_split(seed, 1000))
+    return MlpHead.initialize(input_dim, hidden, split_state(seed, 1000))
 
 
 class TestScoreMatrix:
@@ -475,7 +476,7 @@ class TestCheckpoint:
     def test_round_trip_fuzz(self):
         for seed in range(30):
             rng = scalar_rng(seed, 55)
-            head = MlpHead.initialize(1 + rng.randint(20), 1 + rng.randint(10), rng)
+            head = MlpHead.initialize(1 + rng.randint(20), 1 + rng.randint(10), rng.state)
             a, b = io.BytesIO(), io.BytesIO()
             save_head(head, a)
             save_head(load_head(io.BytesIO(a.getvalue())), b)

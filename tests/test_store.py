@@ -18,7 +18,7 @@ from cpes.errors import (
     UnsupportedVersion,
 )
 import cpes.store as store_module
-from cpes.numerics import Rng64, rng_split
+from cpes.numerics import accepted_rows
 from cpes.scoring import MlpHead, load_head, save_head
 from cpes.store import (
     EmbeddingStore,
@@ -41,6 +41,7 @@ from oracles import (
     read_planted_section,
     records,
     scalar_rng,
+    split_state,
     state_before,
     store_from_records,
     walk_planted_section,
@@ -271,7 +272,7 @@ class TestBoundaryValidation:
             read = read_store
         else:
             buf = io.BytesIO()
-            save_head(MlpHead.initialize(4, 2, rng_split(3, 3)), buf)
+            save_head(MlpHead.initialize(4, 2, split_state(3, 3)), buf)
             blob, read = buf.getvalue(), load_head
         pos = data.draw(st.integers(0, len(blob) - 1))
         mutated = blob[:pos] + bytes([data.draw(st.integers(0, 255))]) + blob[pos + 1 :]
@@ -582,15 +583,23 @@ class TestGeneratorOracle:
         cfg = SyntheticConfig(1, 2, 5, 4, 1, 0.3, 3, 0.3)
         width = 6  # 2 * ceil(5 / 2) normal words per vector
         layout = (1 + 3) * width + 2 * (1 + 4 * width + 3)
-        picks_rejected = 0
+        picks_rejected, after = 0, []
+
+        def accepted(states, bounds):  # the generator's last draw leaves the final state
+            words, states = accepted_rows(states, bounds)
+            after.append(int(states[0]))
+            return words, states
+
+        monkeypatch.setattr(store_module, "accepted_rows", accepted)
         for k in range(layout):
             state = (state_before(MASK64) - k * GOLDEN) & MASK64
-            package = Rng64(state)
-            monkeypatch.setattr(store_module, "rng_split", lambda seed, index: package)
+            monkeypatch.setattr(
+                store_module, "split_states", lambda seed, indices: np.array([state], np.uint64)
+            )
             oracle = ScalarRng(state)
             assert _cpem(generate_synthetic(cfg)) == _cpem(per_patch_store(cfg, oracle))
-            assert package.state == oracle.state
-            words = (package.state - state) * pow(GOLDEN, -1, 1 << 64) & MASK64
+            assert after[-1] == oracle.state
+            words = (after[-1] - state) * pow(GOLDEN, -1, 1 << 64) & MASK64
             assert words in (layout, layout + 1)
             picks_rejected += words == layout + 1
         assert picks_rejected > 0
