@@ -3,8 +3,9 @@
 Subcommands: gen-synthetic, train, eval, sweep-m, sweep-distance,
 export-masks, inspect-store. Any flag may also come from a JSON config
 file (--config); explicit flags win. Output paths are checked before any
-store is read. Exit codes: 0 success, 2 validation error or a size too
-large to allocate, 3 I/O or file-format error.
+store is read, and none may name the file of another path of its command.
+Exit codes: 0 success, 2 validation error or a size too large to allocate,
+3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+# the comma-separated list flags, whose --config value may also be a JSON array
+_LISTS = {"values", "records", "kinds"}
+# the input paths an output path must not name
+_INPUTS = ("--store", "--eval-store", "--checkpoint", "--config")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
@@ -117,7 +124,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv, with a --config JSON object's entries (found by a pre-parse)
     spliced in as flags ahead of it: each gets its flag's checks, argv wins,
-    and a required flag may come from the config."""
+    and a required flag may come from the config. A list flag's array is
+    passed as its items joined by commas."""
     parser, subparsers = _build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", nargs="?")
@@ -132,6 +140,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     unknown = set(values) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key in _LISTS & set(values):
+        if isinstance(values[key], list):
+            values[key] = ",".join(map(str, values[key]))
     tokens = [
         f"{actions[key].option_strings[0]}={v if isinstance(v, str) else json.dumps(v)}"
         for key, v in values.items()
@@ -140,20 +151,27 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
-def _check_output(flag: str, path: str | None, directory: bool = False) -> None:
-    """Refuse an output path before any work is done: its parent must be a
-    directory, and an existing path must not be a directory, or for an
-    output ``directory`` must be one."""
-    if path is None:
-        return
-    if Path(path).exists() and Path(path).is_dir() != directory:
-        raise FileExistsError(f"{flag} {path} is {'not ' if directory else ''}a directory")
-    if not Path(path).parent.is_dir():
-        raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
+def _check_outputs(args, outputs: dict[str, str | None], directory: bool = False) -> None:
+    """Refuse output paths before any work is done: each parent must be a
+    directory, an existing path must not be a directory (or for an output
+    ``directory`` must be one), and no output may resolve to the file of
+    another output or of an input path of the command."""
+    named = [(flag, path) for flag, path in outputs.items() if path is not None]
+    for flag, path in named:
+        if Path(path).exists() and Path(path).is_dir() != directory:
+            raise FileExistsError(f"{flag} {path} is {'not ' if directory else ''}a directory")
+        if not Path(path).parent.is_dir():
+            raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
+    inputs = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in _INPUTS]
+    paths = [(flag, Path(path).resolve()) for flag, path in named + inputs if path is not None]
+    for at, (flag, path) in enumerate(paths[: len(named)]):
+        for other, other_path in paths[at + 1 :]:
+            if path == other_path:
+                raise FileExistsError(f"{flag} {named[at][1]} is the same file as {other}")
 
 
 def _cmd_gen_synthetic(args) -> int:
-    _check_output("--out", args.out)
+    _check_outputs(args, {"--out": args.out})
     store = generate_synthetic(_config(SyntheticConfig, args))
     n = write_store(store, args.out)
     print(f"wrote {len(store)} records ({n} bytes) to {args.out}")
@@ -162,8 +180,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_train(args) -> int:
     log_path = args.log or args.out + ".log.json"
-    _check_output("--out", args.out)
-    _check_output("--log", log_path)
+    _check_outputs(args, {"--out": args.out, "--log": log_path})
     store = read_store(args.store)
     cfg = _config(RunConfig, args)
     head, log = train(store, cfg)
@@ -180,7 +197,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_output("--out", args.out)
+    _check_outputs(args, {"--out": args.out})
     store = read_store(args.store)
     cfg = _config(RunConfig, args)
     head = load_head(args.checkpoint)
@@ -197,7 +214,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_output("--out", args.out)
+    _check_outputs(args, {"--out": args.out})
     train_store = read_store(args.store)
     eval_store = read_store(args.eval_store) if args.eval_store else train_store
     if args.command == "sweep-m":
@@ -212,7 +229,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_masks(args) -> int:
-    _check_output("--out", args.out, directory=True)
+    _check_outputs(args, {"--out": args.out}, directory=True)
     store = read_store(args.store)
     for path in export_masks(store, _config(RunConfig, args), args.records, args.out):
         print(path)

@@ -540,6 +540,8 @@ class TestConfigFile:
             ("train", {"n_way": True}, "--n-way"),
             ("train", {"seed": 1.5}, "--seed"),
             ("train", {"lr": [1]}, "--lr"),
+            ("train", {"m": [0, 4]}, "--m"),
+            ("train", {"distance": ["cos"]}, "--distance"),
             ("train", {"epochs": None}, "--epochs"),
             ("gen-synthetic", {"classes": 3.0}, "--classes"),
         ],
@@ -558,6 +560,31 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,array",
+        [("sweep-m", "--values", [0, 3]), ("sweep-distance", "--kinds", ["cos", "sqr"]),
+         ("export-masks", "--records", [0, 1])],
+    )
+    def test_list_flag_takes_a_json_array(self, store_path, tmp_path, command, flag, array):
+        """A JSON array for a comma-separated list flag stands for its items
+        joined by commas: the run writes what the flag's string writes."""
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        argv = fuzz_base(command, store_path, None, flagged)
+        assert ",".join(map(str, array)) == argv[argv.index(flag) + 1]
+        assert main(argv) == 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({flag[2:]: array}))
+        argv = fuzz_base(command, store_path, None, configured)
+        at = argv.index(flag)
+        assert main(argv[:at] + argv[at + 2 :] + ["--config", str(cfg)]) == 0
+
+        def written(out: Path):  # a report's bytes, or the masks' by name
+            if out.is_dir():
+                return {p.name: p.read_bytes() for p in out.iterdir()}
+            return out.read_bytes()
+
+        assert written(configured) == written(flagged)
 
     def test_null_keeps_a_null_default(self, store_path, tmp_path):
         """null stands for a flag left out, where the flag's default is null."""
@@ -748,6 +775,16 @@ class TestFuzz:
         assert not findings
 
 
+# an output flag, and another path flag of the same command naming the same file
+COLLISIONS = [
+    ("train", "--log", "--out"),
+    ("train", "--out", "--store"),
+    ("train", "--log", "--config"),
+    ("eval", "--out", "--checkpoint"),
+    ("sweep-m", "--out", "--eval-store"),
+    ("gen-synthetic", "--out", "--config"),
+]
+
 # every flag naming an output file, by command
 OUTPUT_FLAGS = [
     ("train", "--out"), ("train", "--log"), ("eval", "--out"),
@@ -830,3 +867,50 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {path}") and len(err.splitlines()) == 1
         assert generated == [] and not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("command,flag,other", COLLISIONS)
+    def test_output_naming_another_path_is_3_before_any_work(
+        self, store_path, tmp_path, capsys, monkeypatch, command, flag, other
+    ):
+        """An output path that resolves to the file of another path flag,
+        here spelled relative to the working directory, is refused with one
+        line naming both flags before any store is read: no file changes or
+        appears, and there is no train or evaluate call. The same argv
+        without it does the work, so the counts would see it."""
+        monkeypatch.chdir(tmp_path)
+        store, checkpoint, config = tmp_path / "s.cpem", tmp_path / "h.cpeh", tmp_path / "c.json"
+        store.write_bytes(store_path.read_bytes())
+        assert main(fuzz_base("train", store, None, checkpoint)) == 0
+        config.write_text("{}")
+        work = tmp_path / "work"
+        work.mkdir()
+        argv = fuzz_base(command, store, checkpoint, work / "out") + ["--config", str(config)]
+        evaluated = tmp_path / "eval.cpem"
+        evaluated.write_bytes(store.read_bytes())
+        if other == "--eval-store":
+            argv += ["--eval-store", str(evaluated)]
+        named = {"--out": work / "out", "--store": store, "--eval-store": evaluated,
+                 "--checkpoint": checkpoint, "--config": config}[other]
+        before = {path: path.read_bytes() for path in (store, evaluated, checkpoint, config)}
+        calls = count_work(monkeypatch)
+        capsys.readouterr()
+        assert main(argv + [flag, str(named.relative_to(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert " is the same file as " in err and len(err.splitlines()) == 1
+        assert {flag, other} <= set(err.split())
+        assert calls == {"read_store": 0, "train": 0, "evaluate": 0}
+        assert {path: path.read_bytes() for path in before} == before
+        assert list(work.iterdir()) == []
+        assert main(argv) == 0
+        assert command == "gen-synthetic" or calls["train"] + calls["evaluate"]
+
+    def test_default_log_naming_the_config_is_3(self, store_path, tmp_path, capsys, monkeypatch):
+        """train's default log path, OUT.log.json, is checked as an output too."""
+        config = tmp_path / "run.log.json"
+        config.write_text("{}")
+        calls = count_work(monkeypatch)
+        argv = fuzz_base("train", store_path, None, tmp_path / "run") + ["--config", str(config)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: --log {config} is the same file as --config\n"
+        assert calls == {"read_store": 0, "train": 0, "evaluate": 0}
+        assert config.read_text() == "{}" and not (tmp_path / "run").exists()
