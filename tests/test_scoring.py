@@ -27,6 +27,7 @@ from cpes.scoring import (
 )
 from cpes.selection import BLOCK_VALUES, DistanceKind, representation_table
 from oracles import (
+    MASK64,
     add_grads,
     class_probabilities,
     episode_representations,
@@ -34,6 +35,7 @@ from oracles import (
     grads_of,
     head_of,
     moment,
+    outputs,
     per_tensor_head,
     per_tensor_optimizer_step,
     scalar_rng,
@@ -71,6 +73,24 @@ def class_scores(head: MlpHead, scores) -> np.ndarray:
 
 def random_head(input_dim, hidden, seed=0) -> MlpHead:
     return MlpHead.initialize(input_dim, hidden, split_state(seed, 1000))
+
+
+class TestInitialize:
+    @pytest.mark.parametrize(
+        "input_dim,hidden,state",
+        [(1, 1, 0), (4, 3, MASK64), (9, 8, split_state(0, 2)), (256, 5, 12345), (16, 2, 1 << 63)],
+    )
+    def test_equals_scalar_draws(self, input_dim, hidden, state):
+        """The parameters, in W1, b1, W2, b2 order, are the stream's words
+        after ``state``: each word's top 53 bits times 2**-53, then times 2
+        minus 1, the first H*I + H scaled by 1/sqrt(I) and the last H + 1 by
+        1/sqrt(H), bit for bit. The moments are zero."""
+        head = MlpHead.initialize(input_dim, hidden, state)
+        scales = [1.0 / math.sqrt(input_dim)] * (hidden * input_dim + hidden)
+        scales += [1.0 / math.sqrt(hidden)] * (hidden + 1)
+        expected = [((x >> 11) * 2.0**-53 * 2 - 1) * c for x, c in zip(outputs(state), scales)]
+        assert head.flat.tolist() == expected
+        assert not head.state[1:].any() and head.step == 0
 
 
 class TestScoreMatrix:

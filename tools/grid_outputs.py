@@ -6,7 +6,9 @@ default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
 keeping every store, checkpoint, training log and report under OUT_DIR.
 It also writes a store of every gen-synthetic default, an odd-shape store
 (odd D, whose last normal pair is cut short, and a pool of 5, whose picks
-can reject a word), the selection masks of records 0-5 of the train store
+can reject a word), that shape again with a ``train`` + ``eval`` pair at
+each of two seeds outside [0, 2**64), which streams take modulo 2**64
+(-1 and 2**64 + 5), the selection masks of records 0-5 of the train store
 (m=4, cos), and a checkpoint and log trained from a ``--config`` JSON file,
 the JSON reports of a short ``sweep-m`` and ``sweep-distance`` over the
 two sweep stores, and one ``train`` + ``eval`` pair (K = 1, cos) with no
@@ -48,6 +50,8 @@ CONFIG_RUN = {
 # a store shape the sweep stores miss: odd D and a pool size that does not divide 2**64
 ODD_SHAPE = ["--classes", "6", "--dim", "11", "--patches", "9", "--signal-patches", "3",
              "--distractors", "5"]
+# seeds outside [0, 2**64): -1 and 2**64 + 5
+WRAPPED_SEEDS = ("-1", str((1 << 64) + 5))
 # run length of each sweep point: short, as a sweep trains once per value
 SWEEP_RUN = ["--epochs", "1", "--episodes-per-epoch", "20", "--tasks", "50"]
 
@@ -75,6 +79,12 @@ def main_grid(out_dir: Path) -> None:
     gen_synthetic(SWEEP_EVAL_CFG, eval_store)
     run(["gen-synthetic", "--out", str(out_dir / "defaults.cpem")])
     run(["gen-synthetic", *ODD_SHAPE, "--out", str(out_dir / "odd_shape.cpem")])
+    for seed in WRAPPED_SEEDS:
+        name = out_dir / f"odd_shape_seed{seed}"
+        run(["gen-synthetic", *ODD_SHAPE, "--seed", seed, "--out", f"{name}.cpem"])
+        run(["train", "--store", f"{name}.cpem", "--out", f"{name}.cpeh", "--seed", seed])
+        run(["eval", "--store", f"{name}.cpem", "--checkpoint", f"{name}.cpeh",
+             "--out", f"{name}.report.json", "--seed", seed])
     run(["export-masks", "--store", str(train_store), "--records", "0,1,2,3,4,5", "--m", "4",
          "--distance", "cos", "--out", str(out_dir / "masks")])
     config = out_dir / "config_run.json"
