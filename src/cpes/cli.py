@@ -154,8 +154,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _check_outputs(args, outputs: dict[str, str | None], directory: bool = False) -> None:
     """Refuse output paths before any work is done: each parent must be a
     directory, an existing path must not be a directory (or for an output
-    ``directory`` must be one), and no output may resolve to the file of
-    another output or of an input path of the command."""
+    ``directory`` must be one), and no output may name the file of another
+    output or of an input path of the command: resolve to the same path, or
+    be a hard link to the same existing file."""
     named = [(flag, path) for flag, path in outputs.items() if path is not None]
     for flag, path in named:
         if Path(path).exists() and Path(path).is_dir() != directory:
@@ -166,7 +167,8 @@ def _check_outputs(args, outputs: dict[str, str | None], directory: bool = False
     paths = [(flag, Path(path).resolve()) for flag, path in named + inputs if path is not None]
     for at, (flag, path) in enumerate(paths[: len(named)]):
         for other, other_path in paths[at + 1 :]:
-            if path == other_path:
+            linked = path.exists() and other_path.exists() and path.samefile(other_path)
+            if path == other_path or linked:
                 raise FileExistsError(f"{flag} {named[at][1]} is the same file as {other}")
 
 

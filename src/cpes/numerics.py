@@ -56,8 +56,9 @@ def box_muller(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def uniforms(state: int, n: int) -> np.ndarray:
-    """The next n words of the stream at ``state`` as floats in [0, 1)."""
-    return _unit_interval(_words(np.uint64(state), n))
+    """The next n words of the stream at ``state`` (taken modulo 2**64) as
+    floats in [0, 1)."""
+    return _unit_interval(_words(np.uint64(state & _MASK64), n))
 
 
 def accepted_rows(states: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -914,3 +914,16 @@ class TestOutputPaths:
         assert capsys.readouterr().err == f"error: --log {config} is the same file as --config\n"
         assert calls == {"read_store": 0, "train": 0, "evaluate": 0}
         assert config.read_text() == "{}" and not (tmp_path / "run").exists()
+
+    def test_output_hard_linked_to_the_store_is_3(self, store_path, tmp_path, capsys, monkeypatch):
+        """A hard link resolves to a path of its own, but writing it writes the
+        store: it is refused as the store's own path is."""
+        store, link = tmp_path / "s.cpem", tmp_path / "link.cpeh"
+        store.write_bytes(store_path.read_bytes())
+        link.hardlink_to(store)
+        calls = count_work(monkeypatch)
+        assert main(fuzz_base("train", store, None, link)) == 3
+        assert capsys.readouterr().err == f"error: --out {link} is the same file as --store\n"
+        assert calls == {"read_store": 0, "train": 0, "evaluate": 0}
+        assert store.read_bytes() == store_path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.cpeh", "s.cpem"]

@@ -78,13 +78,14 @@ def random_head(input_dim, hidden, seed=0) -> MlpHead:
 class TestInitialize:
     @pytest.mark.parametrize(
         "input_dim,hidden,state",
-        [(1, 1, 0), (4, 3, MASK64), (9, 8, split_state(0, 2)), (256, 5, 12345), (16, 2, 1 << 63)],
+        [(1, 1, 0), (4, 3, MASK64), (9, 8, split_state(0, 2)), (256, 5, 12345), (16, 2, -1)],
     )
     def test_equals_scalar_draws(self, input_dim, hidden, state):
         """The parameters, in W1, b1, W2, b2 order, are the stream's words
         after ``state``: each word's top 53 bits times 2**-53, then times 2
         minus 1, the first H*I + H scaled by 1/sqrt(I) and the last H + 1 by
-        1/sqrt(H), bit for bit. The moments are zero."""
+        1/sqrt(H), bit for bit; a state below 0 is taken modulo 2**64. The
+        moments are zero."""
         head = MlpHead.initialize(input_dim, hidden, state)
         scales = [1.0 / math.sqrt(input_dim)] * (hidden * input_dim + hidden)
         scales += [1.0 / math.sqrt(hidden)] * (hidden + 1)
