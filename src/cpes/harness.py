@@ -10,6 +10,7 @@ change a result.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import json
@@ -28,8 +29,10 @@ from .scoring import (
     StepBuffers,
     episode_loss_and_grads,
     head_forward,
+    _threads,
+    finish_scores,
     optimizer_step,
-    score_tensor,
+    start_scores,
 )
 from .selection import (
     DistanceKind,
@@ -131,26 +134,23 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
     return counts[0] if counts else min(96, store.patches_m)
 
 
-def _mean_prototypes(
-    store: EmbeddingStore, support_rows: np.ndarray, m: int, kind: DistanceKind
-) -> np.ndarray:
-    """The (N, r, D) unit fused prototypes of supports (N, K): each the mean
-    of its K supports, all N selected in one call. The mean is summed shot by
-    shot, in the order np.mean sums a K axis (so bit-identical to it), not
-    gathered as (N, K, M, D), and its sums are freed on return, before the
-    score tensor is built: both keep the episode's peak memory down."""
-    shots = support_rows.T
-    classes, patches = store.embeddings(shots[0])
-    for rows in shots[1:]:
-        shot_classes, shot_patches = store.embeddings(rows)
-        classes += shot_classes
-        patches += shot_patches
-        del shot_classes, shot_patches  # freed before the next shot is read
-    classes /= len(shots)
-    patches /= len(shots)
-    picks = select_top(similarity_sequence(classes, patches, kind), m)
-    kept = np.take_along_axis(patches, picks[..., np.newaxis], axis=1)
-    return unit_rows(fuse_rows(classes, kept))
+def _mean_prototypes(store: EmbeddingStore, support_rows, m: int, kind: DistanceKind) -> np.ndarray:
+    """The (N, r, D) unit fused prototypes of supports (N, K), each the mean
+    of its K supports, summed shot by shot in the order np.mean sums a K
+    axis (so bit-identical to it): selected a class at a time, so only one
+    class's sums and temporaries sit beside the score tensors."""
+    protos = np.empty((len(support_rows), max(m, 1), store.dim_d))
+    for proto, shots in zip(protos, support_rows):
+        classes, patches = store.embeddings(shots[0])
+        for row in shots[1:]:
+            shot_classes, shot_patches = store.embeddings(row)
+            classes += shot_classes
+            patches += shot_patches
+        classes /= len(shots)
+        patches /= len(shots)
+        picks = select_top(similarity_sequence(classes, patches, kind), m)
+        proto[:] = unit_rows(fuse_rows(classes, patches[picks]))
+    return protos
 
 
 def head_input_dim(m: int) -> int:
@@ -166,33 +166,51 @@ def init_head(cfg: RunConfig, m: int) -> MlpHead:
 def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: int):
     """Tasks 0..count-1 of ``seed``, planned a chunk at a time (BLOCK_VALUES
     draws and pool slots, or one task): for each chunk, its task count and a
-    generator of its (episode, score tensor) pairs. Each record is fused and
-    normalised once, into one representation table, and every score tensor
-    is written into one (Q, N, r, r) buffer, allocated once the first plan
-    has checked the store: a pair's tensor holds until the next pair is
-    drawn. Queries and K = 1 prototypes are table rows; a K > 1 prototype is
-    the mean of its supports."""
-    reps = representation_table(store, m, cfg.distance)
+    generator of its (episode, score tensor) pairs. Queries and K = 1
+    prototypes are rows of one table, each record fused and normalised once,
+    when a chunk first gathers it; a K > 1 prototype is the mean of its
+    supports. Each tensor is written into a (Q, N, r, r) buffer and holds
+    until the next pair is drawn; where score_tensor shares it out among
+    threads, a second buffer takes the next episode's, which the pool scores
+    while the caller uses this one. Closing this generator waits for it."""
+    slots, reps, buffers = np.full(len(store), -1), None, None  # slots: store row -> table row
 
-    def scored(plan, size: int, scores: np.ndarray):
-        for index in range(size):
+    def scored(plan, queries, supports, started):
+        for index in range(len(queries)):
             episode = sample_episode(plan, index)
             if cfg.k_shot == 1:
-                protos = reps[episode.support_rows[:, 0]]
+                protos = reps[supports[index]]
             else:
                 protos = _mean_prototypes(store, episode.support_rows, m, cfg.distance)
-            yield episode, score_tensor(reps, episode.query_rows, protos, scores)
+            out = buffers[index % len(buffers)]
+            started.append((episode, start_scores(reps, queries[index], protos, out)))
+            while len(started) == len(buffers) or started and index == len(queries) - 1:
+                episode, job = started.pop(0)
+                yield episode, finish_scores(*job)
 
     pools = store.by_label.values()
     draws = cfg.n_way * (1 + cfg.k_shot + cfg.queries_per_class)
-    scores = None
     for chunk in _blocks(count, draws + len(pools) + cfg.n_way * max(map(len, pools), default=0)):
         tasks = range(count)[chunk]
         plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, tasks, seed)
-        if scores is None:
-            rows = reps.shape[1]
-            scores = np.empty((cfg.n_way * cfg.queries_per_class, cfg.n_way, rows, rows))
-        yield len(tasks), scored(plan, len(tasks), scores)
+        queries, supports = plan[2], plan[1][..., 0]  # K > 1 prototypes bypass the table
+        rows = (np.hstack([queries, supports]) if cfg.k_shot == 1 else queries).ravel()
+        new = np.flatnonzero((np.bincount(rows, minlength=len(store)) > 0) & (slots < 0))
+        if len(new) == len(store):  # every row: built by record slices, each at its store row
+            reps = representation_table(store, m, cfg.distance)
+        elif len(new):
+            part = representation_table(store, m, cfg.distance, new)
+            reps = part if reps is None else np.concatenate([reps, part])
+        slots[new] = np.arange(len(reps) - len(new), len(reps))
+        if buffers is None:
+            r, threads = reps.shape[1], _threads(queries.shape[1], reps[0].size)
+            buffers = np.empty((min(threads, 2), queries.shape[1], cfg.n_way, r, r))
+        started = []  # (episode, start_scores) of each episode started and not yet yielded
+        try:
+            yield len(tasks), scored(plan, slots[queries], slots[supports], started)
+        finally:  # waits, so no block is scored once this generator is closed
+            for future in (future for _, (_, futures) in started for future in futures):
+                future.exception()
 
 
 def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
@@ -231,16 +249,12 @@ def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:
         return float(np.mean(loss)), float(np.mean(probs.argmax(axis=1) == labels))
 
     log: list[dict] = []
-    for epoch in range(cfg.epochs):
-        steps = itertools.starmap(step, itertools.islice(episodes, cfg.episodes_per_epoch))
-        losses, accuracies = zip(*steps)
-        log.append(
-            {
-                "epoch": epoch,
-                "mean_loss": float(np.mean(losses)),
-                "mean_accuracy": float(np.mean(accuracies)),
-            }
-        )
+    with contextlib.closing(chunks):  # no score block runs on once train is over
+        for epoch in range(cfg.epochs):
+            steps = itertools.starmap(step, itertools.islice(episodes, cfg.episodes_per_epoch))
+            losses, accuracies = zip(*steps)
+            log.append({"epoch": epoch, "mean_loss": float(np.mean(losses)),
+                        "mean_accuracy": float(np.mean(accuracies))})
     return head, log
 
 
@@ -258,16 +272,17 @@ def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport
         )
     queries = cfg.n_way * cfg.queries_per_class
     per_task: list[float] = []
-    for tasks, run in _episodes(store, cfg, m, cfg.base_seed, cfg.eval_tasks):
-        # allocated once the chunk's plan has checked the store
-        labels = np.repeat(np.arange(cfg.n_way), cfg.queries_per_class)
-        hidden = np.empty((queries * cfg.n_way, head.hidden_dim))
-        logits = np.empty((tasks, queries, cfg.n_way))
-        for task, (_, scores) in enumerate(run):
-            head_forward(head, scores, hidden)
-            np.matmul(hidden, head.w2, out=logits[task].reshape(-1))
-        logits += head.b2
-        per_task += (softmax(logits).argmax(axis=-1) == labels).mean(axis=-1).tolist()
+    with contextlib.closing(_episodes(store, cfg, m, cfg.base_seed, cfg.eval_tasks)) as chunks:
+        for tasks, run in chunks:
+            # allocated once the chunk's plan has checked the store
+            labels = np.repeat(np.arange(cfg.n_way), cfg.queries_per_class)
+            hidden = np.empty((queries * cfg.n_way, head.hidden_dim))
+            logits = np.empty((tasks, queries, cfg.n_way))
+            for task, (_, scores) in enumerate(run):
+                head_forward(head, scores, hidden)
+                np.matmul(hidden, head.w2, out=logits[task].reshape(-1))
+            logits += head.b2
+            per_task += (softmax(logits).argmax(axis=-1) == labels).mean(axis=-1).tolist()
     echo = replace(cfg, hidden_dim=head.hidden_dim).echo()  # the checkpoint's, not the flag's
     return EvalReport(per_task, *mean_and_ci95(per_task), echo)
 

@@ -44,11 +44,41 @@ def _pool():
 
 
 def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blocks) -> None:
-    """Write the products of the blocks of queries taken from ``blocks``, an
-    iterator the threads share, into out: next() on a list iterator is
-    atomic under the GIL, so each block goes to one thread."""
+    """Write the clamped squared cosines of the blocks of queries taken from
+    ``blocks``, an iterator the threads share, into out: next() on a list
+    iterator is atomic under the GIL, so each block goes to one thread."""
     for block in blocks:
-        np.matmul(table[rows[block], np.newaxis], protos_t, out=out[block])
+        scores = np.matmul(table[rows[block], np.newaxis], protos_t, out=out[block])
+        # rounding can push a squared cosine a few ulp past 1
+        np.minimum(np.square(scores, out=scores), 1.0, out=scores)
+
+
+def _threads(queries: int, query_values: int) -> int:
+    """score_tensor's threads: one for a tensor of one block, on any cores."""
+    return _THREADS if queries * query_values > BLOCK_VALUES else 1
+
+
+def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray):
+    """score_tensor's first half: its block loop's arguments and the futures
+    of the pool's shares, if any, which take blocks until finish_scores."""
+    query_values = table.shape[1] * table.shape[2]
+    threads = _threads(len(rows), query_values)
+    blocks = _blocks(len(rows), query_values * threads)
+    args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
+    return args, [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
+
+
+def finish_scores(args, futures) -> np.ndarray:
+    """score_tensor's second half: the tensor, once the calling thread has
+    taken the blocks left and every share has finished."""
+    try:
+        _matmuls(*args)
+    finally:
+        for future in futures:  # waits, so no share writes to out once this call is over
+            future.exception()
+    for future in futures:
+        future.result()
+    return args[3]
 
 
 def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.ndarray:
@@ -64,29 +94,11 @@ def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.nd
     and none waits on another's fixed share. Each block holds
     BLOCK_VALUES // threads values of the table at most (or one query), so
     the gathers in flight together stay within one block unless one query
-    is larger than a thread's part.
-    Each query's product is the same BLAS call on any thread, so the tensor
-    does not depend on the thread count."""
+    is larger than a thread's part. Each query's product is the same BLAS
+    call on any thread, so the tensor does not depend on the thread count."""
     if out is None:
         out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
-    query_values = table.shape[1] * table.shape[2]
-    threads = _THREADS if len(rows) * query_values > BLOCK_VALUES else 1
-    blocks = _blocks(len(rows), query_values * threads)
-    args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
-    if threads == 1:
-        _matmuls(*args)
-    else:
-        futures = [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
-        try:
-            _matmuls(*args)
-        finally:
-            for future in futures:  # waits, so no share writes to out once this call is over
-                future.exception()
-        for future in futures:
-            future.result()
-    np.square(out, out=out)
-    # rounding can push a squared cosine a few ulp past 1
-    return np.minimum(out, 1.0, out=out)
+    return finish_scores(*start_scores(table, rows, protos, out))
 
 
 class ScheduleKind(enum.Enum):
@@ -240,29 +252,29 @@ def episode_loss_and_grads(
 
 def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> MlpHead:
     """One decoupled-weight-decay adaptive-moment update of the state, in
-    place, its temporaries written into two (P,) arrays a step. Held across
-    steps, they would sit beside the score tensor and a K > 1 prototype's
-    temporaries and raise the peak memory. The gradients are finite: train
-    runs each step under np.errstate, which raises at the first overflow."""
-    g = grads.flat
+    place, a block at a time: two (P,) temporaries would sit beside the score
+    tensors and raise the peak memory. The gradients are finite: train runs
+    each step under np.errstate, which raises at the first overflow."""
     lr = cfg.lr_at(head.step)
     head.step += 1
     bc1 = 1.0 - cfg.beta1**head.step
     bc2 = 1.0 - cfg.beta2**head.step
-    param, m, v = head.state
-    a, b = np.empty_like(g), np.empty_like(g)
-    m *= cfg.beta1
-    m += np.multiply(1.0 - cfg.beta1, g, out=a)
-    v *= cfg.beta2
-    np.multiply(1.0 - cfg.beta2, g, out=a)
-    v += np.multiply(a, g, out=a)
-    # decay is decoupled: both terms reference the pre-update parameter;
-    # the step is (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
-    param *= 1.0 - lr * cfg.weight_decay
-    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-    np.sqrt(np.divide(v, bc2, out=b), out=b)
-    b += cfg.eps
-    param -= np.divide(a, b, out=a)
+    temporaries = np.empty((2, min(grads.flat.size, BLOCK_VALUES)))
+    for block in _blocks(grads.flat.size, 1):
+        g, (param, m, v) = grads.flat[block], head.state[:, block]
+        a, b = temporaries[:, : g.size]
+        m *= cfg.beta1
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # decay is decoupled: both terms reference the pre-update parameter;
+        # the step is (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+        param *= 1.0 - lr * cfg.weight_decay
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += cfg.eps
+        param -= np.divide(a, b, out=a)
     return head
 
 

@@ -60,14 +60,15 @@ def _blocks(count: int, size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
-    """(R, m) top-m patch indices of every store record, in rank order.
+def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None) -> np.ndarray:
+    """(R, m) top-m patch indices of every store record, or of those at ``rows``, in rank order.
 
     Selected in blocks of consecutive records, each of BLOCK_VALUES patch
     values at most or of one record, so one block at a time is float64."""
-    table = np.empty((len(store), m), dtype=np.intp)
-    for block in _blocks(len(store), store.patches_m * store.dim_d):
-        table[block] = select_top(similarity_sequence(*store.embeddings(block), kind), m)
+    table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
+    for block in _blocks(len(table), store.patches_m * store.dim_d):
+        at = block if rows is None else rows[block]  # a slice of every record gathers nothing
+        table[block] = select_top(similarity_sequence(*store.embeddings(at), kind), m)
     return table
 
 
@@ -84,12 +85,14 @@ def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
     return patches + FUSION_CLASS_WEIGHT * rows
 
 
-def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind) -> np.ndarray:
+def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None):
     """(R, max(m, 1), D): each record's top-m patches fused with its class
-    embedding, as unit rows; built BLOCK_VALUES values (or one record) at a time."""
-    top, rows = selection_table(store, m, kind), np.arange(len(store))
-    out = np.empty((len(store), max(m, 1), store.dim_d))
-    for block in _blocks(len(store), max(m, 1) * store.dim_d):
+    embedding, as unit rows, of every store record or of those at ``rows``,
+    an index array; built BLOCK_VALUES values (or one record) at a time."""
+    top = selection_table(store, m, kind, rows)
+    rows = np.arange(len(store)) if rows is None else rows
+    out = np.empty((len(rows), max(m, 1), store.dim_d))
+    for block in _blocks(len(rows), max(m, 1) * store.dim_d):
         out[block] = unit_rows(fuse_rows(*store.embeddings(rows[block], top[block])))
     return out
 

@@ -458,7 +458,22 @@ class TestExitCodes:
                    "--queries", "70", "--m", "16", "--tasks", "2"])
         assert rc == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
-        assert pool.futures and all(future.done() for future in pool.futures)
+        # task 0's share raised while task 1's was started
+        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
+
+    def test_failing_score_worker_in_train_is_2(self, tmp_path, capsys, monkeypatch, score_threads):
+        """train's first step fails while its second's blocks are started:
+        exit 2, no checkpoint, and no share left running."""
+        store, checkpoint = tmp_path / "s.cpem", tmp_path / "h.cpeh"
+        write_store(random_store(*SHORT_LAST_BLOCK, seed=18), store)
+        pool = score_threads(2)
+        fail_score_blocks(monkeypatch, "worker")
+        rc = main(["train", "--store", str(store), "--out", str(checkpoint), "--n-way", "2",
+                   "--queries", "70", "--m", "16", "--epochs", "1", "--episodes-per-epoch", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not checkpoint.exists()
+        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
 
     def test_missing_file_is_3(self, tmp_path, capsys):
         rc = main(["inspect-store", "--store", str(tmp_path / "nope.cpem")])

@@ -5,17 +5,28 @@ view equals a record-at-a-time read. The train and evaluate loops, which
 write into per-call buffers, against the per-episode oracle path: equal
 checkpoint bytes, training logs and per-task accuracies."""
 
+import functools
 import io
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import cpes.harness
+from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig
-from cpes.harness import RunConfig, evaluate, head_input_dim, train
-from cpes.scoring import MlpHead, OptimizerConfig, episode_loss_and_grads, save_head
+from cpes.harness import RunConfig, _episodes, evaluate, head_input_dim, init_head, train
+from cpes.scoring import (
+    MlpHead,
+    OptimizerConfig,
+    episode_loss_and_grads,
+    save_head,
+    start_scores,
+)
 from cpes.selection import DistanceKind, representation_table
 from cpes.store import read_store, write_store
 from oracles import (
@@ -31,6 +42,7 @@ from oracles import (
     score_matrix,
     split_state,
 )
+from conftest import fail_score_blocks
 from test_episodes import store_of_sizes
 from test_store import random_store
 
@@ -175,3 +187,173 @@ class TestBufferedLoopsMatchPerEpisodePath:
         step = str(expected.value).removeprefix("overflow at step ")
         with pytest.raises(InfeasibleConfig, match=rf"overflow the head at step {step}: learning_rate"):
             train(small_store, cfg)
+
+
+@functools.cache
+def pipeline_store():
+    """Five classes of 200 records, D = 64 and M = 16: at m = M an episode of
+    5 x 15 queries is 75 x 1024 table values, more than one block, and a
+    chunk holds 60 tasks (59 at K = 3)."""
+    return store_of_sizes([200] * 5, dim=64, patches=16)
+
+
+def pipeline_cfg(k_shot: int = 1, episodes: int = 61, **changes) -> RunConfig:
+    return RunConfig(n_way=5, k_shot=k_shot, queries_per_class=15, m=16, epochs=1,
+                     episodes_per_epoch=episodes, eval_tasks=episodes, hidden_dim=8,
+                     base_seed=k_shot, **changes)
+
+
+def count_chunks(monkeypatch) -> list[int]:
+    """The task count of each chunk the harness plans from now on."""
+    chunks = []
+
+    def plan(*args):
+        chunks.append(len(args[4]))
+        return plan_episodes(*args)
+
+    monkeypatch.setattr(cpes.harness, "plan_episodes", plan)
+    return chunks
+
+
+def slow_workers(monkeypatch) -> None:
+    """Make each share of score_tensor's block products on a pool worker
+    sleep first, so a share still running when its caller raises would show."""
+    matmuls = scoring._matmuls
+
+    def slow(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        matmuls(*args)
+
+    monkeypatch.setattr(scoring, "_matmuls", slow)
+
+
+def data_addresses(store, cfg, m: int, count: int) -> list[int]:
+    """The address of each score tensor _episodes yields for tasks 0..count-1."""
+    runs = _episodes(store, cfg, m, cfg.base_seed, count)
+    return [scores.__array_interface__["data"][0] for _, run in runs for _, scores in run]
+
+
+class TestEpisodePipeline:
+    """Where score_tensor shares an episode's blocks out among threads,
+    _episodes starts the next episode's blocks on the pool before it yields
+    this one, into a second buffer."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_bytes_equal_per_episode_path(self, monkeypatch, score_threads, threads, k_shot):
+        """61 multi-block episodes over two chunks, in train and evaluate:
+        checkpoint and log bytes and per-task accuracies are the per-episode
+        path's, whichever thread scores each block."""
+        chunks = count_chunks(monkeypatch)
+        pool = score_threads(threads)
+        assert_loops_equal_per_episode_path(pipeline_store(), pipeline_cfg(k_shot))
+        first = 60 if k_shot == 1 else 59
+        assert chunks == [first, 61 - first] * 2
+        # a share of each tensor of the two loops and of their oracles: of 3
+        # blocks on two threads, or of 4 on three
+        assert len(pool.futures) == (threads - 1) * 4 * 61
+
+    def test_more_threads_than_cores_switching_often(self, score_threads):
+        """Five threads, switched every microsecond: each block is scored
+        once, into the buffer of its own episode, so the bytes still equal
+        the per-episode path's."""
+        pool = score_threads(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_loops_equal_per_episode_path(pipeline_store(), pipeline_cfg(3, episodes=12))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.futures and all(future.done() for future in pool.futures)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_second_buffer_only_where_the_pool_scores(self, score_threads, threads):
+        """Multi-block tensors alternate between two buffers on two threads,
+        and share one buffer, starting no thread, on one."""
+        pool = score_threads(threads)
+        addresses = data_addresses(pipeline_store(), pipeline_cfg(), 16, 6)
+        assert len(set(addresses)) == threads
+        assert addresses == addresses[:2] * 3
+        assert len(pool.futures) == (threads - 1) * 6 and pool.started() == (threads > 1)
+
+    def test_an_overflow_waits_for_the_pending_episode(self, monkeypatch, score_threads):
+        """train stops at the overflowing step 2 while the pool scores step
+        3; once train has raised, no share is running."""
+        pool = score_threads(2)
+        slow_workers(monkeypatch)
+        cfg = pipeline_cfg(episodes=10,
+                           optimizer=OptimizerConfig(learning_rate=1e300, weight_decay=0.0))
+        with pytest.raises(InfeasibleConfig, match="at step 2:"):
+            train(pipeline_store(), cfg)
+        assert len(pool.futures) == 3 and all(future.done() for future in pool.futures)
+
+    @pytest.mark.parametrize("loop", ["train", "evaluate"])
+    def test_a_failing_worker_waits_for_the_pending_episode(self, monkeypatch, score_threads, loop):
+        """The first episode's worker raises while the second's is started:
+        the loop raises it once both shares have finished."""
+        pool = score_threads(2)
+        fail_score_blocks(monkeypatch, "worker")
+        store, cfg = pipeline_store(), pipeline_cfg(episodes=10)
+        with pytest.raises(MemoryError):
+            if loop == "train":
+                train(store, cfg)
+            else:
+                evaluate(init_head(cfg, 16), store, cfg)
+        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
+
+
+class TestGatheredTable:
+    """The representation table holds only the rows a run's chunks gather,
+    each built once; every row an episode reads from it is the full
+    table's row of its store row."""
+
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_rows_equal_the_full_table(self, monkeypatch, k_shot):
+        """130 tasks over chunks of 63, 63 and 4 on 1000 records: a chunk
+        gathers some of them, and a later one appends the rows it adds."""
+        chunks = count_chunks(monkeypatch)
+        store = store_of_sizes([200] * 5)
+        built, started = [], []
+
+        def table(*args):
+            built.append(args[3])
+            return representation_table(*args)
+
+        def start(table, rows, protos, out):
+            started.append((table, rows, protos))
+            return start_scores(table, rows, protos, out)
+
+        monkeypatch.setattr(cpes.harness, "representation_table", table)
+        monkeypatch.setattr(cpes.harness, "start_scores", start)
+        cfg = RunConfig(n_way=5, k_shot=k_shot, queries_per_class=3, m=2, base_seed=4)
+        episodes = [episode for _, run in _episodes(store, cfg, 2, 4, 130) for episode, _ in run]
+        assert chunks == [63, 63, 4]
+        full = representation_table(store, 2, cfg.distance)
+        gathered = set()
+        for episode, (table, rows, protos) in zip(episodes, started, strict=True):
+            assert np.array_equal(table[rows], full[episode.query_rows])
+            gathered.update(episode.query_rows.tolist())
+            if k_shot == 1:
+                assert np.array_equal(protos, full[episode.support_rows[:, 0]])
+                gathered.update(episode.support_rows[:, 0].tolist())
+        rows = np.concatenate(built)
+        assert len(built) > 1 and len(rows) == len(set(rows.tolist()))  # each row built once
+        assert set(rows.tolist()) == gathered and len(gathered) < len(store)
+
+    def test_a_chunk_that_gathers_every_row_builds_the_whole_table(self, monkeypatch, small_store):
+        """The full table, by record slices, as representation_table builds
+        it for every row, and no build for the later chunk."""
+        chunks = count_chunks(monkeypatch)
+        built = []
+
+        def table(*args):
+            built.append(args[3:])
+            return representation_table(*args)
+
+        monkeypatch.setattr(cpes.harness, "representation_table", table)
+        cfg = RunConfig(n_way=5, k_shot=1, queries_per_class=3, m=4, eval_tasks=1000, hidden_dim=8)
+        head = init_head(cfg, 4)
+        report = evaluate(head, small_store, cfg)
+        assert chunks == [819, 181] and built == [()]
+        assert report.per_task_accuracy == per_episode_evaluate(head, small_store, cfg)

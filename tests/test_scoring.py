@@ -3,6 +3,7 @@ import math
 import struct
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig, StoreFormatError
-from cpes.harness import RunConfig, _mean_prototypes, evaluate, head_input_dim, train
+from cpes.harness import RunConfig, _episodes, _mean_prototypes, evaluate, head_input_dim, train
 from cpes.numerics import unit_rows
 from cpes.scoring import (
     Gradients,
@@ -26,6 +27,7 @@ from cpes.scoring import (
     score_tensor,
 )
 from cpes.selection import BLOCK_VALUES, DistanceKind, representation_table
+import oracles
 from oracles import (
     MASK64,
     add_grads,
@@ -45,6 +47,7 @@ from oracles import (
     zero_grads,
 )
 from conftest import fail_score_blocks
+from test_episodes import store_of_sizes
 from test_selection import OVER_BUDGET, SHORT_LAST_BLOCK, random_store
 
 # each store shape's prototypes, as rows of support records (N, 3): one
@@ -379,7 +382,31 @@ class TestBlockedScoreTensor:
         cfg = RunConfig(m=4, epochs=1, episodes_per_epoch=2, eval_tasks=2)
         head, _ = train(sweep_eval_store, cfg)
         evaluate(head, sweep_eval_store, cfg)
+        # one buffer: each tensor is written where the one before it was
+        runs = _episodes(sweep_eval_store, cfg, 4, 0, 3)
+        addresses = {scores.__array_interface__["data"][0] for _, run in runs for _, scores in run}
+        assert len(addresses) == 1
         assert not pool.futures and not pool.started()
+
+
+class TestMeanPrototypes:
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    def test_equal_the_record_path_a_class_at_a_time(self, kind):
+        """Each K = 3 prototype equals the oracle's fused unit rows of the
+        mean record, and one class's sums and temporaries are held at a
+        time: less than five (M, D) arrays beside the (N, m, D) output."""
+        store = store_of_sizes([3] * 5, dim=64, patches=256)
+        supports = np.arange(15).reshape(5, 3)
+        tracemalloc.start()
+        try:
+            protos = _mean_prototypes(store, supports, 64, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        episode = SimpleNamespace(support_rows=supports, query_rows=[])
+        expected, _ = episode_representations(store, episode, 64, kind)
+        assert np.array_equal(protos, unit_rows(np.stack([proto.rows for proto in expected])))
+        assert peak - protos.nbytes < 5 * 8 * store.patches_m * store.dim_d
 
 
 class TestOptimizer:
@@ -424,6 +451,28 @@ class TestOptimizer:
                 np.testing.assert_array_equal(flat[:-1], expected[:-1])
                 assert flat[-1] == pytest.approx(expected[-1], rel=64 * np.finfo(float).eps)
             assert moment(head, 1).b2 == ref.moment1.b2
+
+    def test_blocked_update_equals_whole_state_oracle(self):
+        """P = 64 x 2050 + 1 = 131201 values, two blocks and one more value:
+        updated a block at a time, the state is the oracle's update of the
+        whole state, bit for bit, over 5 steps; the step's temporaries are
+        two blocks, not two (P,) arrays."""
+        head = random_head(2048, 64, seed=22)
+        assert 2 * BLOCK_VALUES < head.flat.size
+        ref = MlpHead(head.input_dim, head.hidden_dim, head.state.copy(), head.step)
+        cfg = OptimizerConfig(weight_decay=0.1, total_steps=5)
+        rng = scalar_rng(22, 7)
+        for _ in range(5):
+            grads = Gradients(head.hidden_dim, rng.normals(head.flat.size))
+            tracemalloc.start()
+            try:
+                optimizer_step(head, grads, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            oracles.optimizer_step(ref, grads, cfg)
+            assert np.array_equal(head.state, ref.state) and head.step == ref.step
+            assert peak <= 2 * 8 * BLOCK_VALUES + 16 * 1024  # and bookkeeping
 
     def test_cosine_schedule_endpoints(self):
         cfg = OptimizerConfig(

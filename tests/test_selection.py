@@ -332,3 +332,17 @@ class TestRepresentationTable:
         reps = representation_table(store, m, kind)
         assert reps.shape == (len(store), max(m, 1), store.dim_d)
         assert np.array_equal(reps, np.stack(expected))
+
+    @pytest.mark.parametrize("shape", [SHORT_LAST_BLOCK, OVER_BUDGET], ids=["short", "over"])
+    @pytest.mark.parametrize("m", [0, 4, "M"])
+    def test_listed_rows_equal_the_full_tables(self, shape, m):
+        """Tables of listed records, in their order, hold the rows of the
+        tables of every record at those records."""
+        store = random_store(*shape, seed=16)
+        m = store.patches_m if m == "M" else m
+        rows = np.arange(len(store))[::-2]
+        for kind in DistanceKind:
+            top = selection_table(store, m, kind, rows)
+            assert np.array_equal(top, selection_table(store, m, kind)[rows])
+            reps = representation_table(store, m, kind, rows)
+            assert np.array_equal(reps, representation_table(store, m, kind)[rows])
