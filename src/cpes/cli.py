@@ -23,7 +23,7 @@ from .errors import CpesError, StoreFormatError
 from .harness import RunConfig, evaluate, export_masks, sweep, train
 from .scoring import load_head, save_head
 from .selection import DistanceKind
-from .store import SyntheticConfig, generate_synthetic, read_store, write_store
+from .store import SyntheticConfig, generate_synthetic, read_store, write_store, write_whole
 
 
 def _fields(cls):
@@ -186,8 +186,8 @@ def _cmd_train(args) -> int:
     store = read_store(args.store)
     cfg = _config(RunConfig, args)
     head, log = train(store, cfg)
-    save_head(head, args.out)
-    Path(log_path).write_text(json.dumps(log, indent=2))
+    log_text = json.dumps(log, indent=2).encode()  # neither is placed until both are written
+    write_whole({args.out: lambda fh: save_head(head, fh), log_path: lambda fh: fh.write(log_text)})
     print(f"checkpoint -> {args.out}")
     print(f"log        -> {log_path}")
     for entry in log:
@@ -210,7 +210,7 @@ def _cmd_eval(args) -> int:
         f"over {len(report.per_task_accuracy)} tasks ({time.perf_counter() - start:.1f}s)"
     )
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        write_whole({args.out: lambda fh: fh.write(report.to_json().encode())})
         print(f"report -> {args.out}")
     return 0
 
@@ -226,7 +226,7 @@ def _cmd_sweep(args) -> int:
     report = sweep(train_store, eval_store, _config(RunConfig, args), axis, values)
     print(report.table())
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        write_whole({args.out: lambda fh: fh.write(report.to_json().encode())})
     return 0
 
 

@@ -60,15 +60,17 @@ def _blocks(count: int, size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None) -> np.ndarray:
-    """(R, m) top-m patch indices of every store record, or of those at ``rows``, in rank order.
-
-    Selected in blocks of consecutive records, each of BLOCK_VALUES patch
-    values at most or of one record, so one block at a time is float64."""
+def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None, out=None):
+    """(R, m) top-m patch indices of every store record (taken by record slices, which gather
+    nothing) or of those at ``rows``, in rank order, ranked one float64 block of BLOCK_VALUES
+    patch values (or one record) at a time. Given ``out``, (R, max(m, 1), D), each block's top-m
+    patches are fused into it as unit rows, so a table upcasts each record once."""
     table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
     for block in _blocks(len(table), store.patches_m * store.dim_d):
-        at = block if rows is None else rows[block]  # a slice of every record gathers nothing
-        table[block] = select_top(similarity_sequence(*store.embeddings(at), kind), m)
+        classes, patches = store.embeddings(block if rows is None else rows[block])
+        table[block] = top = select_top(similarity_sequence(classes, patches, kind), m)
+        if out is not None:
+            out[block] = unit_rows(fuse_rows(classes, patches[np.arange(len(top))[:, None], top]))
     return table
 
 
@@ -86,14 +88,10 @@ def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 
 def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None):
-    """(R, max(m, 1), D): each record's top-m patches fused with its class
-    embedding, as unit rows, of every store record or of those at ``rows``,
-    an index array; built BLOCK_VALUES values (or one record) at a time."""
-    top = selection_table(store, m, kind, rows)
-    rows = np.arange(len(store)) if rows is None else rows
-    out = np.empty((len(rows), max(m, 1), store.dim_d))
-    for block in _blocks(len(rows), max(m, 1) * store.dim_d):
-        out[block] = unit_rows(fuse_rows(*store.embeddings(rows[block], top[block])))
+    """(R, max(m, 1), D): each record's top-m patches fused with its class embedding, as unit
+    rows, of every store record or of those at ``rows``, an index array (``selection_table``)."""
+    out = np.empty((len(store) if rows is None else len(rows), max(m, 1), store.dim_d))
+    selection_table(store, m, kind, rows, out)
     return out
 
 

@@ -16,6 +16,7 @@ float64 and write/read round trips exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,17 +79,12 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return self.record_ids.shape[0]
 
-    def embeddings(self, rows, patches=None) -> tuple[np.ndarray, np.ndarray]:
-        """float64 copies of the class embeddings at ``rows`` (an index, an
-        index array or a slice) and of their patch embeddings: every patch,
-        or those at ``patches``, an index array of shape ``rows.shape + (m,)``.
-
-        The one place the stored float32 values are upcast; the upcast is
-        exact.
-        """
-        at = rows if patches is None else (np.asarray(rows)[..., np.newaxis], patches)
-        picked = self.patch_embeddings[at]
-        return self.class_embeddings[rows].astype(np.float64), picked.astype(np.float64)
+    def embeddings(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """float64 copies of the class embeddings at ``rows`` (an index, index array or
+        slice) and of all their patches: the one place stored float32 values are upcast,
+        exactly. A selection or representation table upcasts each record once."""
+        classes = self.class_embeddings[rows].astype(np.float64)
+        return classes, self.patch_embeddings[rows].astype(np.float64)
 
 
 @dataclass
@@ -152,13 +148,29 @@ def write_store(store: EmbeddingStore, destination) -> int:
 
 def _write(destination, magic: bytes, version: int, fmt: str, fields, chunks) -> int:
     """Write magic, u16 version, the ``fmt`` header fields and each body chunk
-    (a buffer, so no array is copied first) to a path or a binary sink;
-    returns the bytes written."""
+    (a buffer, so no array is copied first) to a binary sink, or whole to a
+    path (``write_whole``); returns the bytes written."""
     if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            return _write(fh, magic, version, fmt, fields, chunks)
+        write_whole({destination: lambda fh: _write(fh, magic, version, fmt, fields, chunks)})
+        return Path(destination).stat().st_size
     header = struct.pack("<H" + fmt, version, *fields)
     return sum(destination.write(chunk) for chunk in [magic, header, *chunks])
+
+
+def write_whole(writes: dict) -> None:
+    """Call each ``write(fh)`` of ``writes``, {path: write}, on a binary file at a new temporary
+    sibling of its path, then move every one into place with os.replace: a reader sees the old
+    file or the whole new one, and a write that raises changes no path and leaves no temporary."""
+    temps = {path: Path(f"{path}.{os.urandom(6).hex()}.tmp") for path in writes}
+    try:
+        for path, write in writes.items():
+            with open(temps[path], "xb") as fh:
+                write(fh)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:  # a temporary already moved into place is gone
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, int, list]:

@@ -1,5 +1,5 @@
-"""Smoke test of the benchmark: one short run of the eval workload, untraced
-and traced, and of the train workload, untraced, as a subprocess;
+"""Smoke test of the benchmark: one short run of the eval and of the train
+workload, each untraced and traced, as a subprocess;
 ``bench/run.py`` imports the package from this checkout's ``src``."""
 
 import json
@@ -32,10 +32,12 @@ def test_eval_workload_runs_clean(trace):
         assert result["metrics"]["episodes.sample_calls"]["value"] == 50
 
 
-def test_train_workload_runs_clean():
+@pytest.mark.parametrize("trace", [0, 1])
+def test_train_workload_runs_clean(trace):
     """Its rounds train the head for as many episodes as the reference head
     trained at input generation, and each checkpoint must equal it byte for
-    byte: the bench's byte check of the train path."""
-    result = bench_run("train", 0)
+    byte: the bench's byte check of the train path. Traced, the spans must
+    nest on the workload whose tables are built from gathered rows."""
+    result = bench_run("train", trace)
     assert result["failed"] == 0
     assert result["correct"] is True

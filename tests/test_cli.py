@@ -942,3 +942,25 @@ class TestOutputPaths:
         assert calls == {"read_store": 0, "train": 0, "evaluate": 0}
         assert store.read_bytes() == store_path.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.cpeh", "s.cpem"]
+
+    @pytest.mark.parametrize("old", [False, True], ids=["new", "old"])
+    def test_train_that_fails_writing_leaves_neither_output(
+        self, store_path, tmp_path, capsys, monkeypatch, old
+    ):
+        """train moves its checkpoint and log into place only once both are
+        written: a checkpoint write that raises partway exits 3 and leaves no
+        checkpoint, no log and no temporary, and old files as they were."""
+        checkpoint, log = tmp_path / "h.cpeh", tmp_path / "h.cpeh.log.json"
+        if old:
+            checkpoint.write_bytes(b"old head")
+            log.write_text("old log")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def partial(head, fh):
+            fh.write(b"CPEH")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "save_head", partial)
+        assert main(["train", "--store", str(store_path), "--out", str(checkpoint)] + RUN) == 3
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

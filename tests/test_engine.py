@@ -100,8 +100,7 @@ def test_upcast_arrays_equal_per_record_read(small_store, seed):
     data = buf.getvalue()
     back = read_store(io.BytesIO(data))
     expected = read_records(data)
-    every_patch = np.broadcast_to(np.arange(back.patches_m), (len(back), back.patches_m))
-    class_embeddings, patch_embeddings = back.embeddings(np.arange(len(back)), every_patch)
+    class_embeddings, patch_embeddings = back.embeddings(np.arange(len(back)))
     assert class_embeddings.dtype == patch_embeddings.dtype == np.float64
     assert len(expected) == len(back)
     for row, rec in enumerate(expected):

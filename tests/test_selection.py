@@ -214,8 +214,7 @@ class TestSelectionMatchesRecordPath:
         ]
         expected = np.array(expected, dtype=np.intp).reshape(len(small_store), m)
         assert np.array_equal(selection_table(small_store, m, kind), expected)
-        every_patch = np.arange(small_store.patches_m)
-        embeddings = small_store.embeddings(np.arange(len(small_store)), every_patch)
+        embeddings = small_store.embeddings(np.arange(len(small_store)))
         assert np.array_equal(select_top(similarity_sequence(*embeddings, kind), m), expected)
 
     @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
@@ -346,3 +345,30 @@ class TestRepresentationTable:
             assert np.array_equal(top, selection_table(store, m, kind)[rows])
             reps = representation_table(store, m, kind, rows)
             assert np.array_equal(reps, representation_table(store, m, kind)[rows])
+
+
+class TestOneUpcastPerRecord:
+    """A representation table gathers and upcasts each record once: one
+    ``EmbeddingStore.embeddings`` call per block of the selection, the kept
+    patches taken from the block it ranked, not gathered again."""
+
+    @pytest.mark.parametrize("shape", [SHORT_LAST_BLOCK, OVER_BUDGET], ids=["short", "over"])
+    @pytest.mark.parametrize("m", [0, 1, "M"])
+    @pytest.mark.parametrize("listed", [False, True], ids=["every", "rows"])
+    def test_one_call_per_block_each_record_once(self, monkeypatch, shape, m, listed):
+        store = random_store(*shape, seed=16)
+        m = store.patches_m if m == "M" else m
+        rows = np.arange(len(store))[::-2] if listed else None
+        gathered = []
+        embeddings = EmbeddingStore.embeddings
+
+        def counted(self, at, *args):
+            gathered.append(np.arange(len(self))[at])
+            return embeddings(self, at, *args)
+
+        monkeypatch.setattr(EmbeddingStore, "embeddings", counted)
+        representation_table(store, m, DistanceKind.COS, rows)
+        wanted = np.arange(len(store)) if rows is None else rows
+        per_block = max(1, BLOCK_VALUES // (store.patches_m * store.dim_d))
+        assert len(gathered) == -(-len(wanted) // per_block) > 1
+        assert np.array_equal(np.concatenate(gathered), wanted)

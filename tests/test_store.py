@@ -26,6 +26,7 @@ from cpes.store import (
     generate_synthetic,
     read_store,
     write_store,
+    write_whole,
 )
 from oracles import (
     GOLDEN,
@@ -194,6 +195,68 @@ def store_bytes(recs, class_count=2, ground_truth=None, dim=2, patches=3) -> byt
 
 def plain_record(record_id, label=0) -> EmbeddingRecord:
     return EmbeddingRecord(record_id, label, np.ones(2), np.ones((3, 2)))
+
+
+class TestWriteWhole:
+    """A path is written to a temporary sibling and moved into place only once
+    every file of the call is written: a write that raises partway leaves
+    neither a destination file nor a temporary, and an old file whole."""
+
+    def test_a_write_that_raises_partway_leaves_no_file(self, tmp_path, small_store):
+        def partial(fh):
+            fh.write(b"{")
+            raise OSError("no space left on device")
+
+        store_path, log = tmp_path / "s.cpem", tmp_path / "log.json"
+        with pytest.raises(OSError, match="no space"):
+            write_whole({store_path: lambda fh: write_store(small_store, fh), log: partial})
+        assert list(tmp_path.iterdir()) == []
+        log.write_text("old")
+        with pytest.raises(OSError, match="no space"):
+            write_whole({store_path: lambda fh: write_store(small_store, fh), log: partial})
+        assert [p.name for p in tmp_path.iterdir()] == ["log.json"]
+        assert log.read_text() == "old"
+
+    @pytest.mark.parametrize("kind", ["store", "head"])
+    def test_path_writes_that_fail_partway_leave_no_file(
+        self, tmp_path, small_store, monkeypatch, kind
+    ):
+        """write_store and save_head on a path, with the file failing at its
+        second write (after the magic): nothing is left; unpatched, the path
+        holds the bytes the writer gives a binary sink."""
+        real_open = open
+
+        class Failing:
+            def __init__(self, path, mode):
+                self.file, self.writes = real_open(path, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return self.file.write(chunk)
+
+        head = MlpHead.initialize(9, 4, 3)
+
+        def write(out):
+            return write_store(small_store, out) if kind == "store" else save_head(head, out)
+
+        path = tmp_path / "out.bin"
+        monkeypatch.setattr(store_module, "open", Failing, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write(path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        sink = io.BytesIO()
+        assert write(path) == write(sink) == len(sink.getvalue())
+        assert path.read_bytes() == sink.getvalue()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestBoundaryValidation:
