@@ -60,11 +60,11 @@ def _blocks(count: int, size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None, out=None):
-    """(R, m) top-m patch indices of every store record (taken by record slices, which gather
-    nothing) or of those at ``rows``, in rank order, ranked one float64 block of BLOCK_VALUES
-    patch values (or one record) at a time. Given ``out``, (R, max(m, 1), D), each block's top-m
-    patches are fused into it as unit rows, so a table upcasts each record once."""
+def _select_blocks(store: EmbeddingStore, m: int, kind: DistanceKind, rows, out=None):
+    """(R, m) top-m patch indices of every store record (by slices, which gather nothing) or of
+    those at ``rows``, ranked one float64 block of BLOCK_VALUES values (or a record) at a time.
+    Given ``out``, (R, max(m, 1), D), each block's kept patches, indexed out of that same block,
+    are fused into it as unit rows, so each record is gathered and upcast once."""
     table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
     for block in _blocks(len(table), store.patches_m * store.dim_d):
         classes, patches = store.embeddings(block if rows is None else rows[block])
@@ -72,6 +72,11 @@ def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None
         if out is not None:
             out[block] = unit_rows(fuse_rows(classes, patches[np.arange(len(top))[:, None], top]))
     return table
+
+
+def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None) -> np.ndarray:
+    """(R, m) top-m patch indices of every store record, or of those at ``rows``, in rank order."""
+    return _select_blocks(store, m, kind, rows)
 
 
 def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
@@ -89,9 +94,9 @@ def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None):
     """(R, max(m, 1), D): each record's top-m patches fused with its class embedding, as unit
-    rows, of every store record or of those at ``rows``, an index array (``selection_table``)."""
+    rows, of every store record or of those at ``rows``, an index array (``_select_blocks``)."""
     out = np.empty((len(store) if rows is None else len(rows), max(m, 1), store.dim_d))
-    selection_table(store, m, kind, rows, out)
+    _select_blocks(store, m, kind, rows, out)
     return out
 
 

@@ -151,26 +151,31 @@ def _write(destination, magic: bytes, version: int, fmt: str, fields, chunks) ->
     (a buffer, so no array is copied first) to a binary sink, or whole to a
     path (``write_whole``); returns the bytes written."""
     if isinstance(destination, (str, Path)):
-        write_whole({destination: lambda fh: _write(fh, magic, version, fmt, fields, chunks)})
-        return Path(destination).stat().st_size
+        parts = (magic, version, fmt, fields, chunks)
+        return write_whole({destination: lambda fh: _write(fh, *parts)})[destination]
     header = struct.pack("<H" + fmt, version, *fields)
     return sum(destination.write(chunk) for chunk in [magic, header, *chunks])
 
 
-def write_whole(writes: dict) -> None:
-    """Call each ``write(fh)`` of ``writes``, {path: write}, on a binary file at a new temporary
-    sibling of its path, then move every one into place with os.replace: a reader sees the old
-    file or the whole new one, and a write that raises changes no path and leaves no temporary."""
-    temps = {path: Path(f"{path}.{os.urandom(6).hex()}.tmp") for path in writes}
+def write_whole(writes: dict) -> dict:
+    """{path: write(fh)} for each of ``writes``, {path: write}. A path that is missing or a regular
+    file (through symlinks) is written to a temporary sibling, each moved into place by os.replace
+    once all are written; one that raises leaves no temporary and no path changed (not fsynced, so
+    not over a crash). Any other path, such as a device or a FIFO, is written in place."""
+    real = {path: os.path.realpath(path) for path in writes}
+    whole = [path for path, at in real.items() if os.path.isfile(at) or not os.path.exists(at)]
+    temps = {path: f"{real[path]}.{os.urandom(6).hex()}.tmp" for path in whole}
+    results = {}
     try:
         for path, write in writes.items():
-            with open(temps[path], "xb") as fh:
-                write(fh)
+            with open(temps.get(path, path), "xb" if path in temps else "wb") as fh:
+                results[path] = write(fh)
         for path, temp in temps.items():
-            os.replace(temp, path)
+            os.replace(temp, real[path])
+        return results
     finally:  # a temporary already moved into place is gone
         for temp in temps.values():
-            temp.unlink(missing_ok=True)
+            Path(temp).unlink(missing_ok=True)
 
 
 def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, int, list]:

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -964,3 +966,23 @@ class TestOutputPaths:
         assert main(["train", "--store", str(store_path), "--out", str(checkpoint)] + RUN) == 3
         assert capsys.readouterr().err == "error: no space left on device\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_train_writes_a_fifo_log_in_place(self, store_path, tmp_path, capsys):
+        """A --log that exists and is not a regular file (a FIFO here, as
+        /dev/null would be) is written in place and stays what it was: its
+        reader gets the bytes a regular log file holds."""
+        log = tmp_path / "log.fifo"
+        os.mkfifo(log)
+        reader = os.open(log, os.O_RDONLY | os.O_NONBLOCK)  # opening it to write does not block
+        try:
+            assert main(["train", "--store", str(store_path), "--out", str(tmp_path / "h.cpeh"),
+                         "--log", str(log)] + RUN) == 0
+            piped = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(log.lstat().st_mode)
+        assert main(["train", "--store", str(store_path), "--out", str(tmp_path / "r.cpeh")] + RUN) == 0
+        assert piped == (tmp_path / "r.cpeh.log.json").read_bytes()
+        assert (tmp_path / "h.cpeh").read_bytes() == (tmp_path / "r.cpeh").read_bytes()
+        names = ["h.cpeh", "log.fifo", "r.cpeh", "r.cpeh.log.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names

@@ -1,4 +1,6 @@
 import io
+import os
+import stat
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -257,6 +259,33 @@ class TestWriteWhole:
         assert write(path) == write(sink) == len(sink.getvalue())
         assert path.read_bytes() == sink.getvalue()
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+    def test_a_fifo_is_written_in_place_and_stays_a_fifo(self, tmp_path):
+        """An existing path that is not a regular file (a FIFO here, as a
+        device such as /dev/null would be) is written in place, not replaced:
+        its reader gets the bytes and no temporary is made beside it."""
+        fifo = tmp_path / "out.json"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening it to write does not block
+        try:
+            assert write_whole({fifo: lambda fh: fh.write(b"{}")}) == {fifo: 2}
+            assert os.read(reader, 3) == b"{}"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_a_symlinked_path_is_written_through(self, tmp_path, small_store):
+        """A symlink to a regular file stays a symlink: the file it names is
+        replaced whole by one written beside it."""
+        target, link = tmp_path / "target.cpem", tmp_path / "link.cpem"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        sink = io.BytesIO()
+        assert write_store(small_store, link) == write_store(small_store, sink)
+        assert link.is_symlink() and target.read_bytes() == sink.getvalue()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.cpem", "target.cpem"]
 
 
 class TestBoundaryValidation:
