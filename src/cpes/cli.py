@@ -152,18 +152,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _check_outputs(args, outputs: dict[str, str | None], directory: bool = False) -> None:
-    """Refuse output paths before any work is done: each parent must be a
-    directory, an existing path must not be a directory (or for an output
-    ``directory`` must be one), and no output may name the file of another
-    output or of an input path of the command: resolve to the same path, or
-    be a hard link to the same existing file."""
+    """Refuse output paths before any work is done: no path flag of the
+    command may be empty, each parent must be a directory, an existing path
+    must not be a directory (or for an output ``directory`` must be one), and
+    no output may name the file of another output or of an input path of the
+    command: resolve to the same path, or be a hard link to the same existing file."""
     named = [(flag, path) for flag, path in outputs.items() if path is not None]
+    inputs = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in _INPUTS]
+    for flag, path in named + inputs:
+        if path == "":  # Path("") is the working directory
+            raise FileNotFoundError(f"{flag} is an empty path")
     for flag, path in named:
         if Path(path).exists() and Path(path).is_dir() != directory:
             raise FileExistsError(f"{flag} {path} is {'not ' if directory else ''}a directory")
         if not Path(path).parent.is_dir():
             raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
-    inputs = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in _INPUTS]
     paths = [(flag, Path(path).resolve()) for flag, path in named + inputs if path is not None]
     for at, (flag, path) in enumerate(paths[: len(named)]):
         for other, other_path in paths[at + 1 :]:
@@ -181,7 +184,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    log_path = args.log or args.out + ".log.json"
+    log_path = args.out + ".log.json" if args.log is None else args.log
     _check_outputs(args, {"--out": args.out, "--log": log_path})
     store = read_store(args.store)
     cfg = _config(RunConfig, args)
@@ -218,7 +221,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_outputs(args, {"--out": args.out})
     train_store = read_store(args.store)
-    eval_store = read_store(args.eval_store) if args.eval_store else train_store
+    eval_store = train_store if args.eval_store is None else read_store(args.eval_store)
     if args.command == "sweep-m":
         axis, values = "m", args.values
     else:

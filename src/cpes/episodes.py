@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientClasses, InsufficientRecords
+from .errors import InfeasibleConfig
 from .numerics import partial_shuffle, split_states
 from .store import EmbeddingStore
 
@@ -45,7 +45,7 @@ def plan_episodes(
     """
     labels, pools = np.array(list(store.by_label), np.intp), list(store.by_label.values())
     if len(pools) < n_way:
-        raise InsufficientClasses(f"need {n_way} classes, store has {len(pools)}")
+        raise InfeasibleConfig(f"need {n_way} classes, store has {len(pools)}")
     need, class_sizes = k_shot + queries_per_class, np.array([len(pool) for pool in pools])
     states = split_states(base_seed, task_indices)
     classes = np.tile(np.arange(len(pools)), (len(states), 1, 1))
@@ -53,7 +53,7 @@ def plan_episodes(
     picks, sizes = picks[:, 0], class_sizes[picks[:, 0]]
     if (short := sizes < need).any():
         task, at = np.argwhere(short)[0]
-        raise InsufficientRecords(
+        raise InfeasibleConfig(
             f"class {labels[picks[task, at]]} has {sizes[task, at]} records, need {need}"
         )
     # each picked class's rows, padded to the largest pool with a row the shuffle never reaches

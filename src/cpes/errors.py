@@ -9,7 +9,13 @@ class CpesError(Exception):
 
 
 class InfeasibleConfig(CpesError):
-    pass
+    """A request the settings or the store cannot meet: a setting out of
+    range, too few classes or records for an episode, an unknown record."""
+
+
+class StoreFormatError(CpesError):
+    """A CPEM or CPEH file the reader rejects: its magic, version, size,
+    header fields or records; or, on write, a planted count or index above u16."""
 
 
 def setting(default, flag: str, least=None, help: str | None = None):
@@ -28,44 +34,3 @@ def check_settings(config) -> None:
         elif least is not None and not least <= value < math.inf:
             finite = "finite and " if isinstance(value, float) else ""
             raise InfeasibleConfig(f"{f.name} must be {finite}>= {least}, got {value}")
-
-
-class InsufficientClasses(CpesError):
-    pass
-
-
-class InsufficientRecords(CpesError):
-    pass
-
-
-class UnknownRecord(CpesError):
-    pass
-
-
-class StoreFormatError(CpesError):
-    """Base for binary-format violations detected while reading files."""
-
-
-class BadMagic(StoreFormatError):
-    pass
-
-
-class UnsupportedVersion(StoreFormatError):
-    pass
-
-
-class TruncatedFile(StoreFormatError):
-    pass
-
-
-class NonFiniteValue(StoreFormatError):
-    pass
-
-
-class TrailingBytes(StoreFormatError):
-    pass
-
-
-class InvalidRecord(StoreFormatError):
-    """A record over 2 GiB, a label >= class_count, a repeated record id, a
-    ground-truth index >= M or repeated in its record, or on write one above u16."""

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import Episode, plan_episodes, sample_episode
-from .errors import InfeasibleConfig, UnknownRecord, check_settings, setting
+from .errors import InfeasibleConfig, check_settings, setting
 from .numerics import softmax, split_states, unit_rows
 from .scoring import (
     MlpHead,
@@ -44,7 +44,7 @@ from .selection import (
     select_top,
     similarity_sequence,
 )
-from .store import EmbeddingStore
+from .store import EmbeddingStore, write_whole
 
 # stream tags for namespacing the base seed (evaluation uses it directly)
 _TRAIN_STREAM = 1
@@ -170,7 +170,7 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
     prototypes are rows of one table, each record fused and normalised once,
     when a chunk first gathers it; a K > 1 prototype is the mean of its
     supports. Each tensor is written into a (Q, N, r, r) buffer and holds
-    until the next pair is drawn; where score_tensor shares it out among
+    until the next pair is drawn; where start_scores shares it out among
     threads, a second buffer takes the next episode's, which the pool scores
     while the caller uses this one. Closing this generator waits for it."""
     slots, reps, buffers = np.full(len(store), -1), None, None  # slots: store row -> table row
@@ -323,27 +323,24 @@ def export_masks(
     """Write the selection JSON (and PGM mask when M is a perfect square)
     for each distinct requested record, in the order first requested, once
     every id and cfg are checked, into out_dir, which it creates if its
-    parent exists. Returns the written paths."""
+    parent exists: all in one ``write_whole``, so a write that fails leaves
+    no mask file new or changed. Returns the written paths."""
     if not record_ids:
         raise InfeasibleConfig("no record ids to export")
     record_ids = list(dict.fromkeys(record_ids))
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     for record_id in record_ids:
         if record_id not in by_id:
-            raise UnknownRecord(f"record_id {record_id} not in store")
+            raise InfeasibleConfig(f"record_id {record_id} not in store")
     m = resolve_m(store, cfg)
-    out = Path(out_dir)
-    out.mkdir(exist_ok=True)
-    written: list[str] = []
+    texts = {}
     for record_id in record_ids:
         similarities = similarity_sequence(*store.embeddings(by_id[record_id]), cfg.distance)
         indices = select_top(similarities, m)
-        json_path = out / f"mask_{record_id}.json"
-        json_path.write_text(mask_json(record_id, indices, similarities))
-        written.append(str(json_path))
-        pgm = mask_pgm(indices, similarities)
-        if pgm is not None:
-            pgm_path = out / f"mask_{record_id}.pgm"
-            pgm_path.write_text(pgm)
-            written.append(str(pgm_path))
-    return written
+        texts[f"mask_{record_id}.json"] = mask_json(record_id, indices, similarities)
+        texts[f"mask_{record_id}.pgm"] = mask_pgm(indices, similarities)
+    out = Path(out_dir)
+    out.mkdir(exist_ok=True)
+    data = {str(out / name): text.encode() for name, text in texts.items() if text is not None}
+    write_whole({path: lambda fh, b=b: fh.write(b) for path, b in data.items()})
+    return list(data)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConfig, NonFiniteValue, StoreFormatError, setting
+from .errors import InfeasibleConfig, StoreFormatError, setting
 from .numerics import all_finite, cross_entropy, softmax, uniforms
 from .selection import BLOCK_VALUES, _blocks
 from .store import _read_header, _reject_trailing, _require, _write
@@ -25,7 +25,7 @@ CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
 _HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
 
-# score_tensor's threads: one per core this process may run on (the CPU
+# the score tensor's threads: one per core this process may run on (the CPU
 # affinity mask, so `taskset -c 0` runs it serially), the calling thread
 # and a pool of the others
 try:
@@ -36,7 +36,7 @@ except AttributeError:  # no affinity call on this platform
 
 @functools.cache
 def _pool():
-    """The pool of score_tensor's other threads, made when a tensor of more
+    """The pool of the score tensor's other threads, made when a tensor of more
     than one block first needs it: until then no thread pool is imported."""
     from concurrent.futures import ThreadPoolExecutor
 
@@ -54,38 +54,17 @@ def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blo
 
 
 def _threads(queries: int, query_values: int) -> int:
-    """score_tensor's threads: one for a tensor of one block, on any cores."""
+    """The score tensor's threads: one for a tensor of one block, on any cores."""
     return _THREADS if queries * query_values > BLOCK_VALUES else 1
 
 
 def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray):
-    """score_tensor's first half: its block loop's arguments and the futures
-    of the pool's shares, if any, which take blocks until finish_scores."""
-    query_values = table.shape[1] * table.shape[2]
-    threads = _threads(len(rows), query_values)
-    blocks = _blocks(len(rows), query_values * threads)
-    args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
-    return args, [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
-
-
-def finish_scores(args, futures) -> np.ndarray:
-    """score_tensor's second half: the tensor, once the calling thread has
-    taken the blocks left and every share has finished."""
-    try:
-        _matmuls(*args)
-    finally:
-        for future in futures:  # waits, so no share writes to out once this call is over
-            future.exception()
-    for future in futures:
-        future.result()
-    return args[3]
-
-
-def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.ndarray:
-    """Squared cosine between every unit row of every query table[rows]
-    (Q, r, D) and of every prototype (N, r', D): the (Q, N, r, r') score
-    tensor, written into ``out`` (or a new array) a block of queries at a
-    time, so no (Q, r, D) copy is made.
+    """The first half of the (Q, N, r, r') score tensor: the squared cosine
+    between every unit row of every query table[rows] (Q, r, D) and of every
+    prototype (N, r', D), written into ``out`` a block of queries at a time,
+    so no (Q, r, D) copy is made. Returns the block loop's arguments and the
+    futures of the pool's shares, if any, which take blocks until
+    finish_scores, so the caller may do other work between the two.
 
     A tensor of BLOCK_VALUES table values at most is one block on the
     calling thread, on any number of cores. A larger one is shared out
@@ -96,9 +75,24 @@ def score_tensor(table: np.ndarray, rows, protos: np.ndarray, out=None) -> np.nd
     the gathers in flight together stay within one block unless one query
     is larger than a thread's part. Each query's product is the same BLAS
     call on any thread, so the tensor does not depend on the thread count."""
-    if out is None:
-        out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
-    return finish_scores(*start_scores(table, rows, protos, out))
+    query_values = table.shape[1] * table.shape[2]
+    threads = _threads(len(rows), query_values)
+    blocks = _blocks(len(rows), query_values * threads)
+    args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
+    return args, [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
+
+
+def finish_scores(args, futures) -> np.ndarray:
+    """The second half: the tensor, once the calling thread has taken the
+    blocks left and every share has finished."""
+    try:
+        _matmuls(*args)
+    finally:
+        for future in futures:  # waits, so no share writes to out once this call is over
+            future.exception()
+    for future in futures:
+        future.result()
+    return args[3]
 
 
 class ScheduleKind(enum.Enum):
@@ -303,6 +297,6 @@ def load_head(source) -> MlpHead:
     # one aligned, writable copy
     state = np.frombuffer(data, "<f8", 3 * size, start).astype(np.float64).reshape(3, size)
     if not all_finite(state):
-        raise NonFiniteValue("checkpoint contains NaN/Inf parameters or moments")
+        raise StoreFormatError("checkpoint contains NaN/Inf parameters or moments")
     (step,) = struct.unpack_from("<Q", data, end - 8)
     return MlpHead(input_dim, hidden, state, step)

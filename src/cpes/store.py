@@ -23,18 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    InfeasibleConfig,
-    InvalidRecord,
-    NonFiniteValue,
-    StoreFormatError,
-    TrailingBytes,
-    TruncatedFile,
-    UnsupportedVersion,
-    check_settings,
-    setting,
-)
+from .errors import InfeasibleConfig, StoreFormatError, check_settings, setting
 from .numerics import accepted_rows, all_finite, box_muller, partial_shuffle, split_states
 
 MAGIC = b"CPEM"
@@ -141,7 +130,7 @@ def write_store(store: EmbeddingStore, destination) -> int:
     counts = planted.sum(1)  # each row's count, then its indices, which nonzero gives ascending
     section = np.insert(np.nonzero(planted)[1], np.cumsum(counts) - counts, counts)
     if section.max(initial=0) > np.iinfo(_PLANTED).max:
-        raise InvalidRecord(f"a planted count or index exceeds {np.iinfo(_PLANTED).max}")
+        raise StoreFormatError(f"a planted count or index exceeds {np.iinfo(_PLANTED).max}")
     chunks = [memoryview(body), section.astype(_PLANTED)]
     return _write(destination, MAGIC, VERSION, _HEADER, header, chunks)
 
@@ -185,23 +174,23 @@ def _read_header(source, magic: bytes, version: int, fmt: str) -> tuple[bytes, i
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     _require(data, 4, "magic")
     if data[:4] != magic:
-        raise BadMagic(f"expected {magic!r}, found {data[:4]!r}")
+        raise StoreFormatError(f"expected {magic!r}, found {data[:4]!r}")
     start = 4 + struct.calcsize("<H" + fmt)
     _require(data, start, "header")
     found, *fields = struct.unpack_from("<H" + fmt, data, 4)
     if found != version:
-        raise UnsupportedVersion(f"{magic.decode()} version {found}")
+        raise StoreFormatError(f"{magic.decode()} version {found}")
     return data, start, fields
 
 
 def _require(data, end: int, what: str) -> None:
     if len(data) < end:
-        raise TruncatedFile(f"unexpected end of file while reading {what}")
+        raise StoreFormatError(f"unexpected end of file while reading {what}")
 
 
 def _reject_trailing(data: bytes, end: int) -> None:
     if len(data) > end:
-        raise TrailingBytes(f"{len(data) - end} bytes after the end of the file's body")
+        raise StoreFormatError(f"{len(data) - end} bytes after the end of the file's body")
 
 
 def _walk(words: np.ndarray, count: int, cap: int) -> tuple[np.ndarray, int]:
@@ -237,26 +226,27 @@ def read_store(source) -> EmbeddingStore:
         raise StoreFormatError(f"CPEM flags {flags:#x} set a bit other than bit 0")
     itemsize = 12 + 4 * dim_d * (1 + patches_m)
     if itemsize >= _MAX_RECORD_BYTES:
-        raise InvalidRecord(f"records of {itemsize} bytes (D={dim_d}, M={patches_m}) exceed 2 GiB")
+        size = f"{itemsize} bytes (D={dim_d}, M={patches_m})"
+        raise StoreFormatError(f"records of {size} exceed 2 GiB")
     end = start + record_count * itemsize
     _require(data, end, f"the {record_count} records the header gives")
     dtype = _record_dtype(dim_d, patches_m)
     body = np.frombuffer(data, dtype=dtype, count=record_count, offset=start)
     store = EmbeddingStore(dim_d, patches_m, class_count, *(body[name] for name in dtype.names))
 
-    def reject(error, bad: np.ndarray, what: str) -> None:
+    def reject(bad: np.ndarray, what: str) -> None:
         if bad.any():
-            raise error(f"record {int(store.record_ids[np.argmax(bad)])} {what}")
+            raise StoreFormatError(f"record {int(store.record_ids[np.argmax(bad)])} {what}")
 
     if not (all_finite(store.class_embeddings) and all_finite(store.patch_embeddings)):
         # a float64 sum of float32 values cannot overflow, so it is finite
         # exactly when every term is: the first record whose sum is not is named
         sums = store.class_embeddings.sum(1, np.float64)
         sums += store.patch_embeddings.sum((1, 2), np.float64)
-        reject(NonFiniteValue, ~np.isfinite(sums), "contains NaN/Inf")
-    reject(InvalidRecord, store.labels >= class_count, f"has a label >= {class_count} classes")
+        reject(~np.isfinite(sums), "contains NaN/Inf")
+    reject(store.labels >= class_count, f"has a label >= {class_count} classes")
     if not np.diff(np.sort(store.record_ids)).all():
-        raise InvalidRecord("record ids are not unique")
+        raise StoreFormatError("record ids are not unique")
     if flags & _FLAG_GROUND_TRUTH:
         words = np.frombuffer(data, _PLANTED, (len(data) - end) // _PLANTED.itemsize, end)
         # R (M + 1) words: no valid section is longer, as no valid count exceeds M
@@ -269,11 +259,11 @@ def read_store(source) -> EmbeddingStore:
         # index j of record rows[j] follows rows[j] + 1 count words
         indices = words[np.arange(len(rows)) + rows + 1]
         beyond = np.bincount(rows[indices >= patches_m], minlength=record_count) > 0
-        reject(InvalidRecord, beyond, f"has a ground-truth index >= {patches_m} patches")
+        reject(beyond, f"has a ground-truth index >= {patches_m} patches")
         store.planted = np.zeros((record_count, patches_m), dtype=bool)
         store.planted[rows, indices] = True
         repeats = np.count_nonzero(store.planted, axis=1) != counts
-        reject(InvalidRecord, repeats, "repeats a ground-truth index")
+        reject(repeats, "repeats a ground-truth index")
     _reject_trailing(data, end)
     return store
 

@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,11 @@ SWEEP_EVAL_CFG = SyntheticConfig(
     distractor_noise=0.3,
     seed=999,
 )
+
+
+def raises_exactly(error, message: str):
+    """pytest.raises of ``error`` whose message is exactly ``message``."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +93,7 @@ class RecordingPool(ThreadPoolExecutor):
 
 @pytest.fixture
 def score_threads(monkeypatch):
-    """Call with a count to run score_tensor on that many threads, whatever
+    """Call with a count to score tensors on that many threads, whatever
     the cores: the calling thread and a RecordingPool of its own, returned,
     and shut down after the test."""
     pools = []
@@ -105,9 +111,9 @@ def score_threads(monkeypatch):
 
 
 def fail_score_blocks(monkeypatch, on: str) -> None:
-    """Make score_tensor's block products raise MemoryError on the pool's
+    """Make the score tensor's block products raise MemoryError on the pool's
     workers or on the calling thread (``on``). A worker's share sleeps
-    first, so a share still running when score_tensor raises would show."""
+    first, so a share still running when finish_scores raises would show."""
     matmuls = scoring._matmuls
 
     def failing(*args):

@@ -31,8 +31,9 @@ tensor per episode; ``head_pass``, ``episode_loss_and_grads`` and
 ``optimizer_step``, fresh arrays per step; ``class_probabilities`` and
 ``accuracy``, one softmax and one accuracy per task. ``per_episode_train``
 and ``per_episode_evaluate`` run the package's loops on it.
-``serial_score_tensor`` is the block loop ``score_tensor`` ran before it
-shared its blocks out among threads.
+``score_tensor`` is the package's tensor, ``start_scores`` then
+``finish_scores``, into a new array; ``serial_score_tensor`` is the block
+loop it ran before it shared its blocks out among threads.
 
 The RNG here is the counter stream on Python ints: ``split_state`` derives
 a stream's state as ``split_states`` does, and ``outputs`` gives its words.
@@ -51,14 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from cpes.episodes import Episode, plan_episodes, sample_episode
-from cpes.errors import (
-    InfeasibleConfig,
-    InsufficientClasses,
-    InsufficientRecords,
-    InvalidRecord,
-    TrailingBytes,
-    TruncatedFile,
-)
+from cpes.errors import InfeasibleConfig, StoreFormatError
 from cpes.harness import _TRAIN_STREAM, _mean_prototypes, init_head, resolve_m
 from cpes.numerics import (
     DEGENERATE_NORM,
@@ -69,7 +63,7 @@ from cpes.numerics import (
     softmax,
     unit_rows,
 )
-from cpes.scoring import Gradients, MlpHead, score_tensor
+from cpes.scoring import Gradients, MlpHead, finish_scores, start_scores
 from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, _blocks, representation_table
 from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
@@ -182,7 +176,7 @@ def walk_planted_section(data: bytes, end: int, record_ids, patches_m: int) -> n
         at += 1 + words.item(at)
     for need, what in ((at, "indices"), (at + (len(heads) < record_count), "count")):
         if len(words) < need:
-            raise TruncatedFile(f"unexpected end of file while reading ground-truth {what}")
+            raise StoreFormatError(f"unexpected end of file while reading ground-truth {what}")
     ground_truth = [words[h + 1 : h + 1 + words.item(h)].tolist() for h in heads]
     beyond = f"has a ground-truth index >= {patches_m} patches"
     for what, fault in (
@@ -191,9 +185,9 @@ def walk_planted_section(data: bytes, end: int, record_ids, patches_m: int) -> n
     ):
         for record_id, gt in zip(record_ids, ground_truth):
             if fault(gt):
-                raise InvalidRecord(f"record {int(record_id)} {what}")
+                raise StoreFormatError(f"record {int(record_id)} {what}")
     if len(data) > end + 2 * at:
-        raise TrailingBytes(f"{len(data) - end - 2 * at} bytes after the end of the file's body")
+        raise StoreFormatError(f"{len(data) - end - 2 * at} bytes after the end of the file's body")
     return planted_mask(ground_truth, patches_m)
 
 
@@ -333,7 +327,7 @@ def per_task_episode(
     N classes' K+Q records, with the class sizes checked between."""
     by_label = by_label_of(store)
     if len(by_label) < n_way:
-        raise InsufficientClasses(f"need {n_way} classes, store has {len(by_label)}")
+        raise InfeasibleConfig(f"need {n_way} classes, store has {len(by_label)}")
     need = k_shot + queries_per_class
     (class_map,), state = samples_without_replacement(
         split_state(base_seed, task_index), [list(by_label)], n_way
@@ -341,7 +335,7 @@ def per_task_episode(
     pools = [by_label[label] for label in class_map]
     for label, pool in zip(class_map, pools):
         if len(pool) < need:
-            raise InsufficientRecords(f"class {label} has {len(pool)} records, need {need}")
+            raise InfeasibleConfig(f"class {label} has {len(pool)} records, need {need}")
     picked = np.array(samples_without_replacement(state, pools, need)[0], np.intp)
     picked = picked.reshape(n_way, need)
     query_labels = np.repeat(np.arange(n_way), queries_per_class)
@@ -520,6 +514,11 @@ def episode_scores(store: EmbeddingStore, reps, episode, m: int, kind) -> np.nda
     else:
         protos = _mean_prototypes(store, episode.support_rows, m, kind)
     return score_tensor(reps, episode.query_rows, protos)
+
+
+def score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:
+    out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
+    return finish_scores(*start_scores(table, rows, protos, out))
 
 
 def serial_score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:

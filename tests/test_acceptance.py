@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG
+from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG, raises_exactly
 from cpes.cli import main as cli_main
-from cpes.errors import BadMagic, NonFiniteValue, TruncatedFile, UnsupportedVersion
+from cpes.errors import StoreFormatError
 from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep
 from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
@@ -285,11 +285,11 @@ def test_format_round_trips(tmp_path):
         good = io.BytesIO()
         write_store(_random_store(ScalarRng(1)), good)
         blob = good.getvalue()
-        with pytest.raises(BadMagic):
+        with raises_exactly(StoreFormatError, "expected b'CPEM', found b'XXXX'"):
             read_store(io.BytesIO(b"XXXX" + blob[4:]))
-        with pytest.raises(UnsupportedVersion):
+        with raises_exactly(StoreFormatError, "CPEM version 7"):
             read_store(io.BytesIO(blob[:4] + b"\x07\x00" + blob[6:]))
-        with pytest.raises(TruncatedFile):
+        with raises_exactly(StoreFormatError, "unexpected end of file while reading header"):
             read_store(io.BytesIO(blob[:-1]))
 
         seed = 3
@@ -300,15 +300,15 @@ def test_format_round_trips(tmp_path):
         store.class_embeddings[0, 0] = np.nan
         buf = io.BytesIO()
         write_store(store, buf)
-        with pytest.raises(NonFiniteValue):
+        with raises_exactly(StoreFormatError, "record 0 contains NaN/Inf"):
             read_store(io.BytesIO(buf.getvalue()))
 
         good = io.BytesIO()
         save_head(MlpHead.initialize(4, 3, split_state(5, 5)), good)
         blob = good.getvalue()
-        with pytest.raises(BadMagic):
+        with raises_exactly(StoreFormatError, "expected b'CPEH', found b'YYYY'"):
             load_head(io.BytesIO(b"YYYY" + blob[4:]))
-        with pytest.raises(TruncatedFile):
+        with raises_exactly(StoreFormatError, "unexpected end of file while reading parameters"):
             load_head(io.BytesIO(blob[:-3]))
 
 

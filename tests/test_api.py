@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import cpes
+import cpes.errors
 
 ROOT = Path(__file__).resolve().parent.parent
 SURFACE = [
@@ -33,6 +34,19 @@ SURFACE = [
 def test_all_is_the_user_surface():
     assert sorted(cpes.__all__) == SURFACE
     assert all(hasattr(cpes, name) for name in cpes.__all__)
+
+
+def test_errors_are_one_class_per_exit_code():
+    """The CLI maps InfeasibleConfig to exit 2 and StoreFormatError to exit 3;
+    no other exception class is defined."""
+    defined = {
+        name
+        for name, value in vars(cpes.errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert defined == {"CpesError", "InfeasibleConfig", "StoreFormatError"}
+    assert issubclass(cpes.errors.InfeasibleConfig, cpes.CpesError)
+    assert issubclass(cpes.errors.StoreFormatError, cpes.CpesError)
 
 
 def test_bench_and_tools_read_only_the_surface():

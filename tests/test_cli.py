@@ -733,6 +733,9 @@ class TestSurface:
 FUZZ_VALUES = ["0", "-1", "nan", "inf", "1000000000000", "", "x"]
 # counts that only make a loop longer: valid at any size, so never set huge
 LOOP_COUNTS = {"--tasks", "--epochs", "--episodes-per-epoch"}
+# every flag naming a path, and those naming an output
+PATH_FLAGS = ("--store", "--eval-store", "--checkpoint", "--config", "--out", "--log")
+OUTPUTS = ("--out", "--log")
 
 
 def fuzz_base(command, store, checkpoint, out):
@@ -790,6 +793,48 @@ class TestFuzz:
             elif rc != 0 and any(work.iterdir()):
                 findings.append(f"{case}: left {sorted(p.name for p in work.iterdir())}")
         assert not findings
+
+    @pytest.mark.parametrize("command", sorted(_build_parser()[1]))
+    def test_every_path_flag(self, store_path, tmp_path, capsys, monkeypatch, command):
+        """Each path flag set, one at a time, to a path that fails whoever runs
+        the suite: a path under a regular file, an existing directory, an
+        empty string, or (an input) a missing file. Each exits 2 or 3 with one
+        ``error:`` line and no traceback, and leaves nothing in the working
+        directory, in its work directory or in the planted directory."""
+        checkpoint = tmp_path / "h.cpeh"
+        assert main(fuzz_base("train", store_path, None, checkpoint)) == 0
+        planted = tmp_path / "planted"
+        planted.mkdir()
+        (tmp_path / "file").write_text("")
+        _, subparsers = _build_parser()
+        flags = [a.option_strings[0] for a in subparsers[command]._actions
+                 if a.option_strings and a.option_strings[0] in PATH_FLAGS]
+        values = {"under-file": str(tmp_path / "file" / "x"), "directory": str(planted),
+                  "empty": "", "missing": "missing"}
+        findings = []
+        for flag in flags:
+            for name, value in values.items():
+                # an output may be missing, and export-masks' --out may be a directory
+                may_name = flag in OUTPUTS and name == "missing"
+                if may_name or (command, flag, name) == ("export-masks", "--out", "directory"):
+                    continue
+                work = tmp_path / f"{flag[2:]}-{name}"
+                work.mkdir()
+                monkeypatch.chdir(work)
+                capsys.readouterr()
+                try:
+                    rc = main(fuzz_base(command, store_path, checkpoint, "out") + [flag, value])
+                except SystemExit as exc:
+                    rc = f"SystemExit {exc.code}"
+                err = capsys.readouterr().err
+                case = f"{flag} {name}"
+                if rc not in (2, 3):
+                    findings.append(f"{case}: exit {rc}")
+                elif not (err.startswith("error:") and len(err.splitlines()) == 1):
+                    findings.append(f"{case}: stderr {err!r}")
+                elif left := sorted(work.iterdir()) + sorted(planted.iterdir()):
+                    findings.append(f"{case}: left {left}")
+        assert flags and not findings
 
 
 # an output flag, and another path flag of the same command naming the same file
@@ -966,6 +1011,21 @@ class TestOutputPaths:
         assert main(["train", "--store", str(store_path), "--out", str(checkpoint)] + RUN) == 3
         assert capsys.readouterr().err == "error: no space left on device\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_export_masks_that_fails_writing_leaves_no_mask(self, store_path, tmp_path, capsys):
+        """export-masks moves its mask files into place only once all are
+        written: a directory where record 0's PGM mask goes exits 3 with one
+        line, and leaves no mask of record 1, written before it, nor record
+        0's JSON mask, nor a temporary."""
+        out = tmp_path / "masks"
+        (out / "mask_0.pgm").mkdir(parents=True)
+        argv = ["export-masks", "--store", str(store_path), "--records", "1,0", "--m", "3"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(out / "mask_0.pgm") in err
+        assert [p.name for p in out.iterdir()] == ["mask_0.pgm"]
+        assert not any((out / "mask_0.pgm").iterdir())
 
     def test_train_writes_a_fifo_log_in_place(self, store_path, tmp_path, capsys):
         """A --log that exists and is not a regular file (a FIFO here, as

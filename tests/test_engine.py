@@ -215,7 +215,7 @@ def count_chunks(monkeypatch) -> list[int]:
 
 
 def slow_workers(monkeypatch) -> None:
-    """Make each share of score_tensor's block products on a pool worker
+    """Make each share of the score tensor's block products on a pool worker
     sleep first, so a share still running when its caller raises would show."""
     matmuls = scoring._matmuls
 
@@ -234,7 +234,7 @@ def data_addresses(store, cfg, m: int, count: int) -> list[int]:
 
 
 class TestEpisodePipeline:
-    """Where score_tensor shares an episode's blocks out among threads,
+    """Where start_scores shares an episode's blocks out among threads,
     _episodes starts the next episode's blocks on the pool before it yields
     this one, into a second buffer."""
 

@@ -5,10 +5,11 @@ import cpes.episodes
 import cpes.harness
 import oracles
 from cpes.episodes import plan_episodes, sample_episode
-from cpes.errors import InsufficientClasses, InsufficientRecords
+from cpes.errors import InfeasibleConfig
 from cpes.harness import RunConfig, _episodes, train
 from cpes.numerics import split_states
 from cpes.store import EmbeddingStore
+from conftest import raises_exactly
 from oracles import (
     GOLDEN,
     MASK64,
@@ -102,12 +103,12 @@ class TestSampleEpisode:
 
     def test_insufficient_classes(self):
         store = tiny_store(3, 10)
-        with pytest.raises(InsufficientClasses):
+        with raises_exactly(InfeasibleConfig, "need 4 classes, store has 3"):
             one_task(store, 4, 1, 1, 0, 0)
 
     def test_insufficient_records(self):
         store = tiny_store(5, 3)
-        with pytest.raises(InsufficientRecords):
+        with raises_exactly(InfeasibleConfig, "class 3 has 3 records, need 4"):
             one_task(store, 5, 2, 2, 0, 0)
 
     def test_support_query_disjoint_and_label_counts(self):
@@ -246,9 +247,9 @@ class TestPlanEpisodes:
 
     def test_insufficient_classes_message(self):
         store = tiny_store(3, 10)
-        with pytest.raises(InsufficientClasses) as expected:
+        with raises_exactly(InfeasibleConfig, "need 4 classes, store has 3"):
             per_task_episode(store, 4, 1, 1, 0, 0)
-        with pytest.raises(InsufficientClasses, match=f"^{expected.value}$"):
+        with raises_exactly(InfeasibleConfig, "need 4 classes, store has 3"):
             plan_episodes(store, 4, 1, 1, range(5), 0)
 
     def test_insufficient_records_names_first_offending_task_and_class(self):
@@ -262,13 +263,13 @@ class TestPlanEpisodes:
             for first, task in enumerate(tasks):
                 try:
                     per_task_episode(store, 3, 2, 6, task, 4)
-                except InsufficientRecords as error:
+                except InfeasibleConfig as error:
                     expected = str(error)
                     break
             else:
                 raise AssertionError(f"no task of {tasks} is short of records")
             later += first > 0
-            with pytest.raises(InsufficientRecords, match=f"^{expected}$"):
+            with raises_exactly(InfeasibleConfig, expected):
                 plan_episodes(store, 3, 2, 6, tasks, 4)
             assert_plan_equals_per_task(store, 3, 2, 6, tasks[:first], 4)
         assert later > 0

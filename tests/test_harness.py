@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpes.errors import InfeasibleConfig, UnknownRecord
+from cpes.errors import InfeasibleConfig
 from cpes.harness import (
     RunConfig,
     evaluate,
@@ -19,6 +19,7 @@ from cpes.harness import (
 )
 from cpes.scoring import save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
+from conftest import raises_exactly
 from oracles import (
     EmbeddingRecord,
     fused,
@@ -249,7 +250,7 @@ class TestExportMasks:
         assert hits / total >= 0.5  # frozen: 2x chance (4/16)
 
     def test_unknown_record(self, small_store, tmp_path):
-        with pytest.raises(UnknownRecord):
+        with raises_exactly(InfeasibleConfig, "record_id 10000 not in store"):
             export_masks(small_store, quick_cfg(), [10_000], tmp_path)
 
 

@@ -16,7 +16,6 @@ from cpes.numerics import (
     uniforms,
     unit_rows,
 )
-from cpes.scoring import score_tensor
 from cpes.selection import DistanceKind, similarity_sequence
 from oracles import (
     GOLDEN,
@@ -32,6 +31,7 @@ from oracles import (
     randints,
     samples_without_replacement,
     scalar_rng,
+    score_tensor,
     split_state,
     state_before,
     unmix64,

@@ -9,16 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpes.errors import (
-    BadMagic,
-    InfeasibleConfig,
-    InvalidRecord,
-    NonFiniteValue,
-    StoreFormatError,
-    TrailingBytes,
-    TruncatedFile,
-    UnsupportedVersion,
-)
+from cpes.errors import InfeasibleConfig, StoreFormatError
 import cpes.store as store_module
 from cpes.numerics import accepted_rows
 from cpes.scoring import MlpHead, load_head, save_head
@@ -30,6 +21,7 @@ from cpes.store import (
     write_store,
     write_whole,
 )
+from conftest import raises_exactly
 from oracles import (
     GOLDEN,
     MASK64,
@@ -123,19 +115,21 @@ class TestSerialization:
             assert buf2.getvalue() == first  # bit-exact at 32-bit precision
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagic):
+        with raises_exactly(StoreFormatError, "expected b'CPEM', found b'XXXX'"):
             read_store(io.BytesIO(b"XXXX" + b"\x00" * 24))
 
     def test_unsupported_version(self):
         payload = b"CPEM" + struct.pack("<HHIIIQ", 9, 0, 4, 2, 0, 0)
-        with pytest.raises(UnsupportedVersion):
+        with raises_exactly(StoreFormatError, "CPEM version 9"):
             read_store(io.BytesIO(payload))
 
     def test_truncated_mid_record(self, small_store):
         buf = io.BytesIO()
         write_store(small_store, buf)
         data = buf.getvalue()
-        with pytest.raises(TruncatedFile):
+        records_given = f"the {len(small_store)} records the header gives"
+        message = f"unexpected end of file while reading {records_given}"
+        with raises_exactly(StoreFormatError, message):
             read_store(io.BytesIO(data[: len(data) // 2]))
 
     def test_non_finite_value(self):
@@ -145,7 +139,7 @@ class TestSerialization:
         buf = io.BytesIO()
         write_store(store_from_records(2, 1, 1, [rec]), buf)
         buf.seek(0)
-        with pytest.raises(NonFiniteValue):
+        with raises_exactly(StoreFormatError, "record 0 contains NaN/Inf"):
             read_store(buf)
 
     def test_non_finite_patch_names_record(self):
@@ -155,7 +149,7 @@ class TestSerialization:
         recs[1].patch_embeddings[2, 1] = np.inf
         buf = io.BytesIO()
         write_store(store_from_records(2, 3, 1, recs), buf)
-        with pytest.raises(NonFiniteValue, match="record 9"):
+        with raises_exactly(StoreFormatError, "record 9 contains NaN/Inf"):
             read_store(io.BytesIO(buf.getvalue()))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -172,7 +166,7 @@ class TestSerialization:
                 recs[row].patch_embeddings[row % 3, row % 2] = value
         buf = io.BytesIO()
         write_store(store_from_records(2, 3, 1, recs), buf)
-        with pytest.raises(NonFiniteValue, match=f"record {10 + bad[0]} contains NaN/Inf"):
+        with raises_exactly(StoreFormatError, f"record {10 + bad[0]} contains NaN/Inf"):
             read_store(io.BytesIO(buf.getvalue()))
 
     @pytest.mark.parametrize("patches_m", [0, 3])
@@ -294,37 +288,39 @@ class TestBoundaryValidation:
     def test_record_count_checked_against_size(self):
         data = store_bytes([plain_record(0)])
         header = struct.pack("<HHIIIQ", 1, 0, 2, 3, 2, 1 << 40)
-        with pytest.raises(TruncatedFile, match="records the header gives"):
+        message = f"unexpected end of file while reading the {1 << 40} records the header gives"
+        with raises_exactly(StoreFormatError, message):
             read_store(io.BytesIO(b"CPEM" + header + data[HEADER_BYTES:]))
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_record_too_large_to_shape_rejected(self, count):
         header = struct.pack("<HHIIIQ", 1, 0, 2**31, 3, 2, count)
-        with pytest.raises(InvalidRecord, match="exceed 2 GiB"):
+        message = f"records of {12 + 4 * 2**31 * 4} bytes (D={2**31}, M=3) exceed 2 GiB"
+        with raises_exactly(StoreFormatError, message):
             read_store(io.BytesIO(b"CPEM" + header))
 
     @pytest.mark.parametrize("with_gt", [False, True])
     def test_trailing_bytes_rejected(self, with_gt):
         data = store_bytes([plain_record(0)], ground_truth=[(1,)] if with_gt else None)
         read_store(io.BytesIO(data))
-        with pytest.raises(TrailingBytes):
+        with raises_exactly(StoreFormatError, "1 bytes after the end of the file's body"):
             read_store(io.BytesIO(data + b"\x00"))
 
     def test_label_at_class_count_rejected(self):
         data = store_bytes([plain_record(0), plain_record(1, label=2)], class_count=2)
-        with pytest.raises(InvalidRecord, match="record 1"):
+        with raises_exactly(StoreFormatError, "record 1 has a label >= 2 classes"):
             read_store(io.BytesIO(data))
 
     def test_ground_truth_index_at_m_rejected(self):
         store = store_from_records(2, 3, 2, [plain_record(0), plain_record(1)])
         data = cpem_with_section(store, [(0, 2), (3,)])
-        with pytest.raises(InvalidRecord, match="record 1"):
+        with raises_exactly(StoreFormatError, "record 1 has a ground-truth index >= 3 patches"):
             read_store(io.BytesIO(data))
 
     def test_repeated_ground_truth_index_rejected(self):
         store = store_from_records(2, 3, 2, [plain_record(0), plain_record(1)])
         data = cpem_with_section(store, [(0, 2), (2, 2, 2)])
-        with pytest.raises(InvalidRecord, match="record 1 repeats a ground-truth index"):
+        with raises_exactly(StoreFormatError, "record 1 repeats a ground-truth index"):
             read_store(io.BytesIO(data))
 
     def test_header_without_embedding_dimension_rejected(self):
@@ -351,7 +347,7 @@ class TestBoundaryValidation:
     )
     def test_duplicate_record_ids_rejected(self, ids):
         data = store_bytes([plain_record(i) for i in ids])
-        with pytest.raises(InvalidRecord, match="not unique"):
+        with raises_exactly(StoreFormatError, "record ids are not unique"):
             read_store(io.BytesIO(data))
 
     @settings(max_examples=300, deadline=None)
@@ -531,7 +527,7 @@ class TestPlantedSection:
         into other ground truth; indices within it still write at any M."""
         planted = np.zeros((1, patches_m), dtype=bool)
         planted[0, planted_at] = True
-        with pytest.raises(InvalidRecord, match="a planted count or index exceeds 65535"):
+        with raises_exactly(StoreFormatError, "a planted count or index exceeds 65535"):
             write_store(_section_store(planted), io.BytesIO())
         planted[:] = False
         planted[0, 65535] = True
@@ -551,14 +547,16 @@ class TestPlantedSection:
     def test_section_cut_inside_count_word(self, cut):
         store = _section_store(np.zeros((2, 3), dtype=bool))
         data = cpem_with_section(store, [(0, 2), (1,)])
-        with pytest.raises(TruncatedFile, match="reading ground-truth count$"):
+        message = "unexpected end of file while reading ground-truth count"
+        with raises_exactly(StoreFormatError, message):
             read_store(io.BytesIO(data[: _section_offset(store) + cut]))
 
     @pytest.mark.parametrize("cut", [2, 3, 4, 5, 8, 9])
     def test_section_cut_inside_indices(self, cut):
         store = _section_store(np.zeros((2, 3), dtype=bool))
         data = cpem_with_section(store, [(0, 2), (1,)])
-        with pytest.raises(TruncatedFile, match="reading ground-truth indices$"):
+        message = "unexpected end of file while reading ground-truth indices"
+        with raises_exactly(StoreFormatError, message):
             read_store(io.BytesIO(data[: _section_offset(store) + cut]))
 
 
@@ -640,7 +638,8 @@ class TestWalkOracle:
         data = cpem_with_section(store, [(0,), (1, 2)]) + bytes(1 << 22)
         tracemalloc.start()
         try:
-            with pytest.raises(TrailingBytes):
+            message = f"{1 << 22} bytes after the end of the file's body"
+            with raises_exactly(StoreFormatError, message):
                 read_store(io.BytesIO(data))
             _, peak = tracemalloc.get_traced_memory()
         finally:

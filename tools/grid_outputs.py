@@ -14,22 +14,29 @@ the JSON reports of a short ``sweep-m`` and ``sweep-distance`` over the
 two sweep stores, and one ``train`` + ``eval`` pair (K = 1, cos) with no
 ``--m``, whose m comes from the stores' planted ground truth. Everything
 goes through ``cpes.cli.main``, so the cpes imported is the one on
-PYTHONPATH. To check that a change moves no result:
+PYTHONPATH. Last, it runs a fixed list of rejected commands (damaged
+copies of the train store and of a checkpoint, and requests the train
+store cannot meet) and writes each one's exit code and stderr under
+OUT_DIR/rejected, so that no error message or exit code moves either.
+To check that a change moves no result:
 
     PYTHONPATH=/path/to/parent/src python3 tools/grid_outputs.py out-parent
     PYTHONPATH=src python3 tools/grid_outputs.py out-change
     diff -r out-parent out-change
 
-and, as score_tensor runs one thread per core of the CPU affinity mask,
-that the outputs are the same on one core:
+and, as the score tensor is shared among one thread per core of the CPU
+affinity mask, that the outputs are the same on one core:
 
     PYTHONPATH=src taskset -c 0 python3 tools/grid_outputs.py out-serial
     diff -r out-parent out-serial
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -54,6 +61,84 @@ ODD_SHAPE = ["--classes", "6", "--dim", "11", "--patches", "9", "--signal-patche
 WRAPPED_SEEDS = ("-1", str((1 << 64) + 5))
 # run length of each sweep point: short, as a sweep trains once per value
 SWEEP_RUN = ["--epochs", "1", "--episodes-per-epoch", "20", "--tasks", "50"]
+
+
+# the sweep train store's CPEM layout: header bytes, bytes a record, and its
+# ground-truth section (record 0's count word, then its indices) after the records
+CPEM_HEADER = 28
+RECORD = 12 + 4 * SWEEP_TRAIN_CFG.dim * (1 + SWEEP_TRAIN_CFG.patches)
+SECTION = CPEM_HEADER + SWEEP_TRAIN_CFG.class_count * SWEEP_TRAIN_CFG.records_per_class * RECORD
+CPEH_HEADER = 14
+u16, u32 = (lambda v: struct.pack("<H", v)), (lambda v: struct.pack("<I", v))
+
+
+def put(data: bytes, at: int, value: bytes) -> bytes:
+    return data[:at] + value + data[at + len(value) :]
+
+
+def record(row: int) -> int:
+    """The offset of the train store's record ``row``."""
+    return CPEM_HEADER + row * RECORD
+
+
+# name -> damage to the train store's bytes, of each rejected store read
+DAMAGED_STORES = {
+    "cpem_bad_magic": lambda b: put(b, 0, b"XXXX"),
+    "cpem_version_2": lambda b: put(b, 4, u16(2)),
+    "cpem_truncated_magic": lambda b: b[:2],
+    "cpem_truncated_header": lambda b: b[:10],
+    "cpem_truncated_body": lambda b: b[: record(3) + 5],
+    "cpem_truncated_ground_truth_count": lambda b: b[:SECTION],
+    "cpem_truncated_ground_truth_indices": lambda b: b[: SECTION + 4],
+    "cpem_trailing_byte": lambda b: b + b"\x00",
+    "cpem_record_over_2_gib": lambda b: put(b, 8, u32(1 << 31)),
+    "cpem_nan": lambda b: put(b, record(3) + 12, struct.pack("<f", float("nan"))),
+    "cpem_label_at_class_count": lambda b: put(b, record(2) + 8, u32(SWEEP_TRAIN_CFG.class_count)),
+    "cpem_repeated_record_id": lambda b: put(b, record(5), b[record(4) : record(4) + 8]),
+    "cpem_ground_truth_index_at_m": lambda b: put(b, SECTION + 2, u16(SWEEP_TRAIN_CFG.patches)),
+    "cpem_repeated_ground_truth_index": lambda b: put(b, SECTION + 4, b[SECTION + 2 : SECTION + 4]),
+}
+# name -> damage to a checkpoint's bytes, of each rejected checkpoint read
+DAMAGED_CHECKPOINTS = {
+    "cpeh_bad_magic": lambda b: put(b, 0, b"XXXX"),
+    "cpeh_version_2": lambda b: put(b, 4, u16(2)),
+    "cpeh_truncated": lambda b: b[:-4],
+    "cpeh_trailing_byte": lambda b: b + b"\x00",
+    "cpeh_non_finite": lambda b: put(b, CPEH_HEADER, struct.pack("<d", float("inf"))),
+}
+# name -> argv, --store aside, of each request the train store (20 classes of 30) cannot meet
+INFEASIBLE = {
+    "n_way_above_classes": ["train", "--n-way", "21"],
+    "queries_above_records": ["train", "--queries", "30"],
+    "unknown_record": ["export-masks", "--records", "0,99999"],
+}
+
+
+def rejected(out_dir: Path, train_store: Path, checkpoint: Path) -> None:
+    """Run each rejected command, on a damaged copy of the train store or of
+    ``checkpoint`` written to OUT_DIR/rejected/input and removed after it, or
+    on the train store, and write its exit code and stderr to
+    OUT_DIR/rejected/NAME.txt."""
+    folder = out_dir / "rejected"
+    folder.mkdir(exist_ok=True)
+    bad, unused = folder / "input", folder / "unused"
+    store = ["--store", str(train_store)]
+    cases = {name: (train_store, damage, ["inspect-store", "--store", str(bad)])
+             for name, damage in DAMAGED_STORES.items()}
+    cases |= {name: (checkpoint, damage, ["eval", *store, "--checkpoint", str(bad), "--m", "4"])
+              for name, damage in DAMAGED_CHECKPOINTS.items()}
+    cases |= {name: (None, None, [command, *store, *flags, "--out", str(unused)])
+              for name, (command, *flags) in INFEASIBLE.items()}
+    for name, (source, damage, argv) in cases.items():
+        if source is not None:
+            bad.write_bytes(damage(source.read_bytes()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        bad.unlink(missing_ok=True)
+        if code == 0 or unused.exists():
+            raise SystemExit(f"not rejected: cpes {' '.join(argv)}")
+        (folder / f"{name}.txt").write_text(f"exit {code}\n{err.getvalue()}")
 
 
 def run(argv: list[str]) -> None:
@@ -115,6 +200,7 @@ def main_grid(out_dir: Path) -> None:
                     ["eval", "--store", str(eval_store), "--checkpoint", f"{name}.cpeh",
                      "--out", f"{name}.report.json"] + flags
                 )
+    rejected(out_dir, train_store, out_dir / "m4_cos_k1.cpeh")
 
 
 if __name__ == "__main__":
