@@ -22,7 +22,7 @@ import numpy as np
 
 from .episodes import Episode, plan_episodes, sample_episode
 from .errors import InfeasibleConfig, check_settings, setting
-from .numerics import softmax, split_states, unit_rows
+from .numerics import block_slices, softmax, split_states, unit_rows
 from .scoring import (
     MlpHead,
     OptimizerConfig,
@@ -36,7 +36,6 @@ from .scoring import (
 )
 from .selection import (
     DistanceKind,
-    _blocks,
     fuse_rows,
     mask_json,
     mask_pgm,
@@ -189,8 +188,8 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
                 yield episode, finish_scores(*job)
 
     pools = store.by_label.values()
-    draws = cfg.n_way * (1 + cfg.k_shot + cfg.queries_per_class)
-    for chunk in _blocks(count, draws + len(pools) + cfg.n_way * max(map(len, pools), default=0)):
+    size = cfg.n_way * (1 + cfg.k_shot + cfg.queries_per_class + max(map(len, pools), default=0))
+    for chunk in block_slices(count, size + len(pools)):
         tasks = range(count)[chunk]
         plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, tasks, seed)
         queries, supports = plan[2], plan[1][..., 0]  # K > 1 prototypes bypass the table

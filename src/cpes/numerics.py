@@ -1,5 +1,5 @@
-"""Deterministic numeric kernels: unit rows, softmax, cross-entropy, and a
-counter-based 64-bit RNG whose streams are identical on every platform.
+"""Deterministic numeric kernels: unit rows, softmax, cross-entropy, block slices, the finiteness
+check, and a counter-based 64-bit RNG whose streams are identical on every platform.
 
 A stream is its uint64 state, a Weyl counter whose words pass through the
 splitmix64 finalizer; ``split_states`` derives independent ones from a seed.
@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 DEGENERATE_NORM = 1e-12
+BLOCK_VALUES = 2**16  # values one block of any block loop holds at once: 512 KiB of float64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -121,10 +122,23 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def all_finite(values: np.ndarray) -> bool:
-    """Whether every value is finite, from two reductions: a NaN propagates
-    through both min and max, and an infinity is one of them."""
-    return bool(np.isfinite(values.min(initial=0)) and np.isfinite(values.max(initial=0)))
+def block_slices(count: int, size: int) -> list[slice]:
+    """Slices of [0, count) of BLOCK_VALUES values at most (items of ``size``), or one item."""
+    step = max(1, BLOCK_VALUES // max(1, size))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def all_finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
+    """Whether every value is finite, checked a block_slices block of the leading axis at a
+    time by min and max while it is in cache (a NaN propagates through both, an infinity is one
+    of them) up to the first non-finite block. Given ``out``, each block is copied there first."""
+    for block in block_slices(len(values), values[:1].size):
+        if out is not None:
+            out[block] = values[block]
+        part = (values if out is None else out)[block]
+        if not (math.isfinite(part.min(initial=0)) and math.isfinite(part.max(initial=0))):
+            return False
+    return True
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConfig, StoreFormatError, setting
-from .numerics import all_finite, cross_entropy, softmax, uniforms
-from .selection import BLOCK_VALUES, _blocks
+from .numerics import BLOCK_VALUES, all_finite, block_slices, cross_entropy, softmax, uniforms
 from .store import _read_header, _reject_trailing, _require, _write
 
 CHECKPOINT_MAGIC = b"CPEH"
@@ -77,7 +76,7 @@ def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray):
     call on any thread, so the tensor does not depend on the thread count."""
     query_values = table.shape[1] * table.shape[2]
     threads = _threads(len(rows), query_values)
-    blocks = _blocks(len(rows), query_values * threads)
+    blocks = block_slices(len(rows), query_values * threads)
     args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
     return args, [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
 
@@ -254,7 +253,7 @@ def optimizer_step(head: MlpHead, grads: Gradients, cfg: OptimizerConfig) -> Mlp
     bc1 = 1.0 - cfg.beta1**head.step
     bc2 = 1.0 - cfg.beta2**head.step
     temporaries = np.empty((2, min(grads.flat.size, BLOCK_VALUES)))
-    for block in _blocks(grads.flat.size, 1):
+    for block in block_slices(grads.flat.size, 1):
         g, (param, m, v) = grads.flat[block], head.state[:, block]
         a, b = temporaries[:, : g.size]
         m *= cfg.beta1
@@ -294,9 +293,8 @@ def load_head(source) -> MlpHead:
     end = start + 8 * 3 * size + 8  # the state, then the step counter
     _require(data, end, "parameters")
     _reject_trailing(data, end)
-    # one aligned, writable copy
-    state = np.frombuffer(data, "<f8", 3 * size, start).astype(np.float64).reshape(3, size)
-    if not all_finite(state):
+    state = np.empty((3, size))  # aligned and writable, filled and checked a block at a time
+    if not all_finite(np.frombuffer(data, "<f8", 3 * size, start), state.reshape(-1)):
         raise StoreFormatError("checkpoint contains NaN/Inf parameters or moments")
     (step,) = struct.unpack_from("<Q", data, end - 8)
     return MlpHead(input_dim, hidden, state, step)

@@ -11,11 +11,10 @@ import math
 
 import numpy as np
 
-from .numerics import unit_rows
+from .numerics import block_slices, unit_rows
 from .store import EmbeddingStore
 
 FUSION_CLASS_WEIGHT = 2.0  # fused patch = patch + 2 * class embedding
-BLOCK_VALUES = 2**16  # float64 values a table or score-tensor block holds at once: 512 KiB
 
 
 class DistanceKind(enum.Enum):
@@ -54,19 +53,13 @@ def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(-similarities, axis=-1, kind="stable")[..., :m]
 
 
-def _blocks(count: int, size: int) -> list[slice]:
-    """Slices of [0, count) of BLOCK_VALUES values at most (items of ``size``), or one item."""
-    step = max(1, BLOCK_VALUES // max(1, size))
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def _select_blocks(store: EmbeddingStore, m: int, kind: DistanceKind, rows, out=None):
     """(R, m) top-m patch indices of every store record (by slices, which gather nothing) or of
     those at ``rows``, ranked one float64 block of BLOCK_VALUES values (or a record) at a time.
     Given ``out``, (R, max(m, 1), D), each block's kept patches, indexed out of that same block,
     are fused into it as unit rows, so each record is gathered and upcast once."""
     table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
-    for block in _blocks(len(table), store.patches_m * store.dim_d):
+    for block in block_slices(len(table), store.patches_m * store.dim_d):
         classes, patches = store.embeddings(block if rows is None else rows[block])
         table[block] = top = select_top(similarity_sequence(classes, patches, kind), m)
         if out is not None:

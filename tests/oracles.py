@@ -57,6 +57,7 @@ from cpes.harness import _TRAIN_STREAM, _mean_prototypes, init_head, resolve_m
 from cpes.numerics import (
     DEGENERATE_NORM,
     accepted_rows,
+    block_slices,
     box_muller,
     cross_entropy,
     partial_shuffle,
@@ -64,7 +65,7 @@ from cpes.numerics import (
     unit_rows,
 )
 from cpes.scoring import Gradients, MlpHead, finish_scores, start_scores
-from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, _blocks, representation_table
+from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, representation_table
 from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
 
@@ -525,7 +526,7 @@ def serial_score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarr
     """``score_tensor`` as the package ran it on one thread: a block of
     BLOCK_VALUES values of the table at most (or one query) at a time."""
     out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
-    for block in _blocks(len(rows), table.shape[1] * table.shape[2]):
+    for block in block_slices(len(rows), table.shape[1] * table.shape[2]):
         np.matmul(table[rows[block], np.newaxis], protos.transpose(0, 2, 1), out=out[block])
     return np.minimum(np.square(out, out=out), 1.0, out=out)
 

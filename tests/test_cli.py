@@ -5,11 +5,13 @@ import stat
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cpes import cli, harness
 from cpes.cli import _build_parser, _config, _int_list, main
 from cpes.harness import RunConfig
+from cpes.numerics import BLOCK_VALUES
 from cpes.scoring import MlpHead, save_head
 from cpes.store import SyntheticConfig, read_store, write_store
 from conftest import fail_score_blocks
@@ -274,6 +276,25 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_non_finite_state_at_block_edges_is_3(self, store_path, tmp_path, capsys, row):
+        """A checkpoint of six blocks of state values (P = 131201 a row) with a
+        NaN, +inf or -inf at a block's first or last value, or at the state's
+        last, in the parameter row or either moment row: exit 3 and the one
+        message for a non-finite state."""
+        head, ckpt = MlpHead.initialize(2048, 64, split_state(0, 2)), tmp_path / "h.cpeh"
+        size = head.flat.size
+        edges = {at for start in range(0, 3 * size, BLOCK_VALUES) for at in (start - 1, start)}
+        for at in sorted(at for at in edges | {3 * size - 1} if at // size == row):
+            for value in (np.nan, np.inf, -np.inf):
+                state = head.state.copy()
+                state.flat[at] = value
+                save_head(MlpHead(head.input_dim, head.hidden_dim, state, head.step), ckpt)
+                argv = ["eval", "--store", str(store_path), "--checkpoint", str(ckpt), *RUN]
+                assert main(argv) == 3
+                message = "error: checkpoint contains NaN/Inf parameters or moments\n"
+                assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize(
         "flag,value,message",

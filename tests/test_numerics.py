@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpes.numerics import (
+    BLOCK_VALUES,
     DEGENERATE_NORM,
     accepted_rows,
     all_finite,
+    block_slices,
     cross_entropy,
     partial_shuffle,
     softmax,
@@ -144,6 +146,55 @@ class TestAllFinite:
         assert all_finite(np.array([big, -big, 0.0, -0.0, 5e-324]))
         assert all_finite(np.array([np.finfo(np.float32).max], dtype=np.float32))
         assert all_finite(np.zeros((0, 4))) and all_finite(np.zeros(0, dtype=np.float32))
+
+    # layout -> (its zero values for n leading-axis items, items a block holds); a wide
+    # record (2 patches of BLOCK_VALUES / 2 + 3 values) is a block of its own
+    LAYOUTS = {
+        "contiguous": (lambda n, t: np.zeros(n, t), BLOCK_VALUES),
+        "cpem_wide_records": (lambda n, t: _cpem_patches(n, 2, BLOCK_VALUES // 2 + 3, t), 1),
+        "cpem_narrow_records": (lambda n, t: _cpem_patches(n, 4, 8, t), BLOCK_VALUES // 32),
+        "strided": (lambda n, t: np.zeros((2 * n, 6), t)[::2, 1::2], BLOCK_VALUES // 3),
+    }
+    # size -> (leading-axis items in blocks, and one more item; blocks)
+    SIZES = {"one_block": (1, 0, 1), "k_blocks": (3, 0, 3), "k_blocks_and_1": (3, 1, 4),
+             "empty": (0, 0, 0)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_block_edges_equal_oracle(self, dtype, layout, size):
+        """NaN, +inf and -inf at the first and last value of every block, and at
+        the last value: all_finite, with and without ``out``, is the oracle
+        np.isfinite(values).all(); a finite array is copied to ``out`` whole."""
+        make, per_block = self.LAYOUTS[layout]
+        blocks, extra, count = self.SIZES[size]
+        values = make(blocks * per_block + extra, dtype)
+        values[...] = (np.arange(values.size) % 7 - 3.5).reshape(values.shape)
+        item = values[:1].size
+        edges = block_slices(len(values), item)
+        assert len(edges) == count
+        out = np.empty(values.shape, dtype)
+        assert all_finite(values) and all_finite(values, out) and np.isfinite(values).all()
+        assert out.tobytes() == np.ascontiguousarray(values).tobytes()
+        firsts = [edge.start * item for edge in edges]
+        lasts = [min(edge.stop, len(values)) * item - 1 for edge in edges]
+        for at in sorted(set(firsts + lasts + [values.size - 1])) if values.size else []:
+            where = np.unravel_index(at, values.shape)
+            for value in (np.nan, np.inf, -np.inf):
+                values[where] = value
+                expected = bool(np.isfinite(values).all())
+                assert not expected
+                assert all_finite(values) == expected
+                assert all_finite(values, np.empty(values.shape, dtype)) == expected
+            values[where] = 0.5
+
+
+def _cpem_patches(records: int, patches_m: int, dim_d: int, dtype) -> np.ndarray:
+    """The patch field of ``records`` zero records laid out as a CPEM body is:
+    an 8-byte id and a 4-byte label, then the class embedding and patches."""
+    layout = [("id", "<u8"), ("label", "<u4"), ("class", dtype, (dim_d,)),
+              ("patches", dtype, (patches_m, dim_d))]
+    return np.zeros(records, np.dtype(layout))["patches"]
 
 
 class TestSoftmax:

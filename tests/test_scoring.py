@@ -12,7 +12,7 @@ from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig, StoreFormatError
 from cpes.harness import RunConfig, _episodes, _mean_prototypes, evaluate, head_input_dim, train
-from cpes.numerics import unit_rows
+from cpes.numerics import BLOCK_VALUES, unit_rows
 from cpes.scoring import (
     Gradients,
     MlpHead,
@@ -25,7 +25,7 @@ from cpes.scoring import (
     optimizer_step,
     save_head,
 )
-from cpes.selection import BLOCK_VALUES, DistanceKind, representation_table
+from cpes.selection import DistanceKind, representation_table
 import oracles
 from oracles import (
     MASK64,
@@ -583,6 +583,28 @@ class TestCheckpoint:
         for name, size in (("input_dim", input_dim), ("hidden_dim", hidden)):
             assert (name in str(info.value)) == (size == 0)
             assert (f"{name} 0" in str(info.value)) == (size == 0)
+
+    def test_blocked_load_peak_and_exact_copy(self):
+        """A head of six blocks of state values (P = 131201) loads with a traced
+        peak under its state and one block, filled and checked a block at a
+        time, and save -> load -> save writes the same bytes."""
+        head = random_head(2048, 64, seed=23)
+        assert head.state.size > 5 * BLOCK_VALUES
+        grads = Gradients(head.hidden_dim, scalar_rng(23, 7).normals(head.flat.size))
+        optimizer_step(head, grads, OptimizerConfig())  # gives the moments content
+        buf = io.BytesIO()
+        save_head(head, buf)
+        data = buf.getvalue()
+        tracemalloc.start()
+        try:
+            back = load_head(SimpleNamespace(read=lambda: data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < back.state.nbytes + 8 * BLOCK_VALUES
+        again = io.BytesIO()
+        save_head(back, again)
+        assert again.getvalue() == data
 
     def test_trailing_bytes_rejected(self):
         buf = io.BytesIO()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpes.numerics import unit_rows
+from cpes.numerics import BLOCK_VALUES, unit_rows
 import oracles
 from cpes.selection import (
-    BLOCK_VALUES,
     DistanceKind,
     mask_json,
     mask_pgm,

@@ -4,6 +4,7 @@ import stat
 import struct
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpes.errors import InfeasibleConfig, StoreFormatError
 import cpes.store as store_module
-from cpes.numerics import accepted_rows
+from cpes.numerics import BLOCK_VALUES, accepted_rows
 from cpes.scoring import MlpHead, load_head, save_head
 from cpes.store import (
     EmbeddingStore,
@@ -96,6 +97,36 @@ class TestSerialization:
             assert a.label == b.label
             np.testing.assert_array_equal(a.class_embedding, b.class_embedding)
             np.testing.assert_array_equal(a.patch_embeddings, b.patch_embeddings)
+
+    def test_read_makes_no_full_size_temporary(self):
+        """The finiteness check reads the store's float32 views where they lie:
+        a store of four blocks of patch values reads with a traced peak under
+        one block (8 * BLOCK_VALUES bytes) beyond its ground-truth mask, where
+        a copy of its patch array alone would take 1 MiB."""
+        rows, patches_m, dim_d = 64, 32, 128
+        rng = scalar_rng(41, 0)
+        planted = np.zeros((rows, patches_m), dtype=bool)
+        planted[np.arange(rows), np.arange(rows) % patches_m] = True
+        store = EmbeddingStore(
+            dim_d, patches_m, 4, np.arange(rows, dtype=np.uint64),
+            (np.arange(rows) % 4).astype(np.uint32),
+            rng.normals(rows * dim_d).astype(np.float32).reshape(rows, dim_d),
+            rng.normals(rows * patches_m * dim_d).astype(np.float32).reshape(rows, patches_m, -1),
+            planted=planted,
+        )
+        assert store.patch_embeddings.size == 4 * BLOCK_VALUES
+        buf = io.BytesIO()
+        write_store(store, buf)
+        data = buf.getvalue()
+        tracemalloc.start()
+        try:
+            back = read_store(SimpleNamespace(read=lambda: data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < back.planted.nbytes + 8 * BLOCK_VALUES
+        np.testing.assert_array_equal(back.patch_embeddings, store.patch_embeddings)
+        np.testing.assert_array_equal(back.planted, planted)
 
     def test_write_is_deterministic(self, small_store):
         a, b = io.BytesIO(), io.BytesIO()

@@ -69,6 +69,9 @@ CPEM_HEADER = 28
 RECORD = 12 + 4 * SWEEP_TRAIN_CFG.dim * (1 + SWEEP_TRAIN_CFG.patches)
 SECTION = CPEM_HEADER + SWEEP_TRAIN_CFG.class_count * SWEEP_TRAIN_CFG.records_per_class * RECORD
 CPEH_HEADER = 14
+# the first record of the second block of the store's patch finiteness check: blocks hold at
+# most 2**16 values, whole records of M x D values each (one record where a record is larger)
+SECOND_BLOCK = 2**16 // (SWEEP_TRAIN_CFG.patches * SWEEP_TRAIN_CFG.dim)
 u16, u32 = (lambda v: struct.pack("<H", v)), (lambda v: struct.pack("<I", v))
 
 
@@ -93,6 +96,11 @@ DAMAGED_STORES = {
     "cpem_trailing_byte": lambda b: b + b"\x00",
     "cpem_record_over_2_gib": lambda b: put(b, 8, u32(1 << 31)),
     "cpem_nan": lambda b: put(b, record(3) + 12, struct.pack("<f", float("nan"))),
+    "cpem_nan_last_patch_value": lambda b: put(b, SECTION - 4, struct.pack("<f", float("nan"))),
+    "cpem_inf_first_class_value": lambda b: put(b, record(0) + 12, struct.pack("<f", float("inf"))),
+    "cpem_minus_inf_second_block": lambda b: put(
+        b, record(SECOND_BLOCK) + 12 + 4 * SWEEP_TRAIN_CFG.dim, struct.pack("<f", float("-inf"))
+    ),
     "cpem_label_at_class_count": lambda b: put(b, record(2) + 8, u32(SWEEP_TRAIN_CFG.class_count)),
     "cpem_repeated_record_id": lambda b: put(b, record(5), b[record(4) : record(4) + 8]),
     "cpem_ground_truth_index_at_m": lambda b: put(b, SECTION + 2, u16(SWEEP_TRAIN_CFG.patches)),
@@ -105,6 +113,8 @@ DAMAGED_CHECKPOINTS = {
     "cpeh_truncated": lambda b: b[:-4],
     "cpeh_trailing_byte": lambda b: b + b"\x00",
     "cpeh_non_finite": lambda b: put(b, CPEH_HEADER, struct.pack("<d", float("inf"))),
+    # the state's last value, before the u64 step counter
+    "cpeh_minus_inf_last_moment2": lambda b: put(b, len(b) - 16, struct.pack("<d", float("-inf"))),
 }
 # name -> argv, --store aside, of each request the train store (20 classes of 30) cannot meet
 INFEASIBLE = {
