@@ -22,21 +22,20 @@ import numpy as np
 
 from .episodes import Episode, plan_episodes, sample_episode
 from .errors import InfeasibleConfig, check_settings, setting
-from .numerics import block_slices, softmax, split_states, unit_rows
+from .numerics import block_slices, softmax, split_states
 from .scoring import (
     MlpHead,
     OptimizerConfig,
     StepBuffers,
     episode_loss_and_grads,
-    head_forward,
-    _threads,
     finish_scores,
+    head_forward,
     optimizer_step,
     start_scores,
+    tensor_threads,
 )
 from .selection import (
     DistanceKind,
-    fuse_rows,
     mask_json,
     mask_pgm,
     representation_table,
@@ -133,25 +132,6 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
     return counts[0] if counts else min(96, store.patches_m)
 
 
-def _mean_prototypes(store: EmbeddingStore, support_rows, m: int, kind: DistanceKind) -> np.ndarray:
-    """The (N, r, D) unit fused prototypes of supports (N, K), each the mean
-    of its K supports, summed shot by shot in the order np.mean sums a K
-    axis (so bit-identical to it): selected a class at a time, so only one
-    class's sums and temporaries sit beside the score tensors."""
-    protos = np.empty((len(support_rows), max(m, 1), store.dim_d))
-    for proto, shots in zip(protos, support_rows):
-        classes, patches = store.embeddings(shots[0])
-        for row in shots[1:]:
-            shot_classes, shot_patches = store.embeddings(row)
-            classes += shot_classes
-            patches += shot_patches
-        classes /= len(shots)
-        patches /= len(shots)
-        picks = select_top(similarity_sequence(classes, patches, kind), m)
-        proto[:] = unit_rows(fuse_rows(classes, patches[picks]))
-    return protos
-
-
 def head_input_dim(m: int) -> int:
     rows = max(m, 1)  # m=0 collapses to the single class-embedding row
     return rows * rows
@@ -167,8 +147,9 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
     draws and pool slots, or one task): for each chunk, its task count and a
     generator of its (episode, score tensor) pairs. Queries and K = 1
     prototypes are rows of one table, each record fused and normalised once,
-    when a chunk first gathers it; a K > 1 prototype is the mean of its
-    supports. Each tensor is written into a (Q, N, r, r) buffer and holds
+    when a chunk first gathers it; an episode's K > 1 prototypes are a table
+    of their own, of its (N, K) support rows, each the mean of its K records.
+    Each tensor is written into a (Q, N, r, r) buffer and holds
     until the next pair is drawn; where start_scores shares it out among
     threads, a second buffer takes the next episode's, which the pool scores
     while the caller uses this one. Closing this generator waits for it."""
@@ -180,7 +161,7 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
             if cfg.k_shot == 1:
                 protos = reps[supports[index]]
             else:
-                protos = _mean_prototypes(store, episode.support_rows, m, cfg.distance)
+                protos = representation_table(store, m, cfg.distance, episode.support_rows)
             out = buffers[index % len(buffers)]
             started.append((episode, start_scores(reps, queries[index], protos, out)))
             while len(started) == len(buffers) or started and index == len(queries) - 1:
@@ -202,7 +183,7 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
             reps = part if reps is None else np.concatenate([reps, part])
         slots[new] = np.arange(len(reps) - len(new), len(reps))
         if buffers is None:
-            r, threads = reps.shape[1], _threads(queries.shape[1], reps[0].size)
+            r, threads = reps.shape[1], tensor_threads(queries.shape[1], reps[0].size)
             buffers = np.empty((min(threads, 2), queries.shape[1], cfg.n_way, r, r))
         started = []  # (episode, start_scores) of each episode started and not yet yielded
         try:

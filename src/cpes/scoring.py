@@ -52,8 +52,9 @@ def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blo
         np.minimum(np.square(scores, out=scores), 1.0, out=scores)
 
 
-def _threads(queries: int, query_values: int) -> int:
-    """The score tensor's threads: one for a tensor of one block, on any cores."""
+def tensor_threads(queries: int, query_values: int) -> int:
+    """The score tensor's threads: one for a tensor of one block, on any cores. Where there
+    are more, start_scores shares the tensor out and _episodes keeps a second buffer."""
     return _THREADS if queries * query_values > BLOCK_VALUES else 1
 
 
@@ -75,7 +76,7 @@ def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray):
     is larger than a thread's part. Each query's product is the same BLAS
     call on any thread, so the tensor does not depend on the thread count."""
     query_values = table.shape[1] * table.shape[2]
-    threads = _threads(len(rows), query_values)
+    threads = tensor_threads(len(rows), query_values)
     blocks = block_slices(len(rows), query_values * threads)
     args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
     return args, [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]

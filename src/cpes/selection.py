@@ -55,11 +55,14 @@ def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
 
 def _select_blocks(store: EmbeddingStore, m: int, kind: DistanceKind, rows, out=None):
     """(R, m) top-m patch indices of every store record (by slices, which gather nothing) or of
-    those at ``rows``, ranked one float64 block of BLOCK_VALUES values (or a record) at a time.
-    Given ``out``, (R, max(m, 1), D), each block's kept patches, indexed out of that same block,
-    are fused into it as unit rows, so each record is gathered and upcast once."""
+    the rows at ``rows``: records (R,), or means of K records (R, K), as EmbeddingStore.embeddings
+    gives them. Ranked a float64 block at a time: rows whose stored values (M * D a record,
+    K * M * D a mean) total BLOCK_VALUES at most, or one row. Given ``out``, (R, max(m, 1), D),
+    each block's kept patches, indexed out of that same block, are fused into it as unit rows,
+    so each record is gathered and upcast once."""
     table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
-    for block in block_slices(len(table), store.patches_m * store.dim_d):
+    shots = math.prod(np.shape(rows)[1:])  # records a row reads: 1, or K
+    for block in block_slices(len(table), shots * store.patches_m * store.dim_d):
         classes, patches = store.embeddings(block if rows is None else rows[block])
         table[block] = top = select_top(similarity_sequence(classes, patches, kind), m)
         if out is not None:
@@ -86,8 +89,9 @@ def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 
 def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None):
-    """(R, max(m, 1), D): each record's top-m patches fused with its class embedding, as unit
-    rows, of every store record or of those at ``rows``, an index array (``_select_blocks``)."""
+    """(R, max(m, 1), D): each row's top-m patches fused with its class embedding, as unit
+    rows, of every store record or of the rows at ``rows``, an index array of records (R,) or
+    of K-shot prototypes (R, K), each the mean of its K records (``_select_blocks``)."""
     out = np.empty((len(store) if rows is None else len(rows), max(m, 1), store.dim_d))
     _select_blocks(store, m, kind, rows, out)
     return out

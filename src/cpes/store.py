@@ -71,9 +71,19 @@ class EmbeddingStore:
     def embeddings(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """float64 copies of the class embeddings at ``rows`` (an index, index array or
         slice) and of all their patches: the one place stored float32 values are upcast,
-        exactly. A selection or representation table upcasts each record once."""
-        classes = self.class_embeddings[rows].astype(np.float64)
-        return classes, self.patch_embeddings[rows].astype(np.float64)
+        exactly. Rows (B, K) give the mean of each row's K records: the first upcast, each
+        later one added into that float64 sum in place, then divided by K, the order np.mean
+        sums a K axis in. A selection or representation table upcasts each record once."""
+        shots = np.transpose(rows) if np.ndim(rows) == 2 else [rows]
+        classes = self.class_embeddings[shots[0]].astype(np.float64)
+        patches = self.patch_embeddings[shots[0]].astype(np.float64)
+        for shot in shots[1:]:
+            np.add(classes, self.class_embeddings[shot], out=classes)
+            np.add(patches, self.patch_embeddings[shot], out=patches)
+        if len(shots) > 1:
+            classes /= len(shots)
+            patches /= len(shots)
+        return classes, patches
 
 
 @dataclass

@@ -53,7 +53,7 @@ import numpy as np
 
 from cpes.episodes import Episode, plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig, StoreFormatError
-from cpes.harness import _TRAIN_STREAM, _mean_prototypes, init_head, resolve_m
+from cpes.harness import _TRAIN_STREAM, init_head, resolve_m
 from cpes.numerics import (
     DEGENERATE_NORM,
     accepted_rows,
@@ -388,6 +388,14 @@ def episode_representations(store: EmbeddingStore, episode, m: int, kind):
     return [fused(p, m, kind) for p in protos], [fused(q, m, kind) for q in queries]
 
 
+def prototype_rows(store: EmbeddingStore, support_rows, m: int, kind) -> np.ndarray:
+    """(N, r, D) unit rows of the fused mean prototypes of supports (N, K),
+    one record at a time, as the package's representation table lays them out."""
+    episode = SimpleNamespace(support_rows=support_rows, query_rows=[])
+    protos, _ = episode_representations(store, episode, m, kind)
+    return unit_rows(np.stack([proto.rows for proto in protos]))
+
+
 # -- per-query head ----------------------------------------------------------
 
 
@@ -509,11 +517,12 @@ def per_tensor_optimizer_step(head, grads, cfg):
 
 def episode_scores(store: EmbeddingStore, reps, episode, m: int, kind) -> np.ndarray:
     """The episode's (Q, N, r, r) score tensor, a new array, from the store's
-    representation table: queries and K = 1 prototypes are its rows."""
+    representation table: queries and K = 1 prototypes are its rows, and
+    K > 1 prototypes are built one record at a time (``prototype_rows``)."""
     if episode.support_rows.shape[1] == 1:
         protos = reps[episode.support_rows[:, 0]]
     else:
-        protos = _mean_prototypes(store, episode.support_rows, m, kind)
+        protos = prototype_rows(store, episode.support_rows, m, kind)
     return score_tensor(reps, episode.query_rows, protos)
 
 

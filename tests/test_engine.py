@@ -310,13 +310,14 @@ class TestGatheredTable:
     @pytest.mark.parametrize("k_shot", [1, 3])
     def test_rows_equal_the_full_table(self, monkeypatch, k_shot):
         """130 tasks over chunks of 63, 63 and 4 on 1000 records: a chunk
-        gathers some of them, and a later one appends the rows it adds."""
+        gathers some of them, and a later one appends the rows it adds.
+        K > 1 prototypes are tables of their own, of (N, K) rows, one an episode."""
         chunks = count_chunks(monkeypatch)
         store = store_of_sizes([200] * 5)
-        built, started = [], []
+        built, means, started = [], [], []
 
         def table(*args):
-            built.append(args[3])
+            (built if args[3].ndim == 1 else means).append(args[3])
             return representation_table(*args)
 
         def start(table, rows, protos, out):
@@ -336,6 +337,8 @@ class TestGatheredTable:
             if k_shot == 1:
                 assert np.array_equal(protos, full[episode.support_rows[:, 0]])
                 gathered.update(episode.support_rows[:, 0].tolist())
+        assert [rows.tolist() for rows in means] == (
+            [] if k_shot == 1 else [episode.support_rows.tolist() for episode in episodes])
         rows = np.concatenate(built)
         assert len(built) > 1 and len(rows) == len(set(rows.tolist()))  # each row built once
         assert set(rows.tolist()) == gathered and len(gathered) < len(store)

@@ -11,7 +11,7 @@ import pytest
 from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig, StoreFormatError
-from cpes.harness import RunConfig, _episodes, _mean_prototypes, evaluate, head_input_dim, train
+from cpes.harness import RunConfig, _episodes, evaluate, head_input_dim, train
 from cpes.numerics import BLOCK_VALUES, unit_rows
 from cpes.scoring import (
     Gradients,
@@ -314,7 +314,7 @@ class TestBlockedScoreTensor:
         if k_shot == 1:
             protos = reps[supports[:, 0]]
         else:
-            protos = _mean_prototypes(store, supports, m, kind)
+            protos = representation_table(store, m, kind, supports)
         rows = np.arange(len(store))[::-1]
         expected = serial_score_tensor(reps, rows, protos)
         assert np.array_equal(score_tensor(reps, rows, protos), expected)
@@ -399,7 +399,7 @@ class TestMeanPrototypes:
         supports = np.arange(15).reshape(5, 3)
         tracemalloc.start()
         try:
-            protos = _mean_prototypes(store, supports, 64, kind)
+            protos = representation_table(store, 64, kind, supports)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

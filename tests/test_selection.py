@@ -260,6 +260,24 @@ def random_store(record_count: int, patches_m: int, dim_d: int, seed: int) -> Em
     )
 
 
+def cancelling_store(record_count: int, patches_m: int, dim_d: int, seed: int) -> EmbeddingStore:
+    """random_store with record 3j scaled by 2**40 and record 3j + 2 its
+    negation, so a float64 sum of records that holds both rounds away low
+    bits of the others, and its value depends on the order it is summed in."""
+    store = random_store(record_count, patches_m, dim_d, seed)
+    for values in (store.class_embeddings, store.patch_embeddings):
+        values[::3] *= 2.0**40
+        values[2::3] = -values[::3][: len(values[2::3])]
+    return store
+
+
+def shot_rows(store: EmbeddingStore, k_shot: int, count: int) -> np.ndarray:
+    """(count, K) rows of cancelling_store records: row i is records 3i + 1, 3i, 3i + 2,
+    3i + 4 and 3i + 7, the first K of them, so a scaled record and its negation follow
+    an unscaled one when K > 2, and unscaled ones follow them."""
+    return (3 * np.arange(count)[:, np.newaxis] + [1, 0, 2, 4, 7][:k_shot]) % len(store)
+
+
 # 16 x 32 = 512 patch values a record: blocks of 128 records, 300 = 128 + 128 + 44
 SHORT_LAST_BLOCK = (300, 16, 32)
 # 1040 x 64 = 66560 patch values a record, above the budget: every block one record
@@ -344,6 +362,42 @@ class TestRepresentationTable:
             assert np.array_equal(top, selection_table(store, m, kind)[rows])
             reps = representation_table(store, m, kind, rows)
             assert np.array_equal(reps, representation_table(store, m, kind)[rows])
+
+    @pytest.mark.parametrize("shape", [SHORT_LAST_BLOCK, OVER_BUDGET], ids=["short", "over"])
+    @pytest.mark.parametrize("k_shot", [2, 5])
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("m", [0, 1, 4, "M"])
+    def test_k_shot_rows_equal_the_mean_record_path(self, shape, k_shot, kind, m):
+        """Rows (R, K) are K-shot prototypes: each the oracle's fused unit
+        rows of the mean of its K records, summed in row order. A row reads
+        K * M * D values: the short store's R // K rows are 64 or 25 a block
+        with a short last block, and the over-budget store's 3 rows, with
+        records repeated, one a block."""
+        store = cancelling_store(*shape, seed=16)
+        m = store.patches_m if m == "M" else m
+        short = shape is SHORT_LAST_BLOCK
+        rows = shot_rows(store, k_shot, len(store) // k_shot if short else len(store))
+        per_block = BLOCK_VALUES // (k_shot * store.patches_m * store.dim_d)
+        if short:
+            assert 1 < per_block < len(rows) and len(rows) % per_block
+        else:
+            assert per_block == 0
+        reps = representation_table(store, m, kind, rows)
+        assert reps.shape == (len(rows), max(m, 1), store.dim_d)
+        assert np.array_equal(reps, oracles.prototype_rows(store, rows, m, kind))
+
+    def test_k_shot_means_depend_on_the_shot_order(self):
+        """The rows above tell a sum in row order from one reordered or
+        summed pairwise, so the rows test holds the package to np.mean's
+        order; and from one of each shot divided by K."""
+        store = cancelling_store(*SHORT_LAST_BLOCK, seed=16)
+        a, b, c, d, e = store.patch_embeddings[shot_rows(store, 5, 1)[0]].astype(np.float64)
+        in_order = (((a + b) + c) + d) + e
+        assert np.array_equal(in_order / 5, np.mean([a, b, c, d, e], axis=0))
+        reordered, pairwise = (((e + d) + c) + b) + a, ((a + b) + (c + d)) + e
+        grouped, divided_first = (a + (b + c)) + (d + e), a / 5 + b / 5 + c / 5 + d / 5 + e / 5
+        for other in (reordered / 5, pairwise / 5, grouped / 5, divided_first):
+            assert not np.array_equal(in_order / 5, other)
 
 
 class TestOneUpcastPerRecord:

@@ -4,16 +4,18 @@ Generates the two frozen sweep stores of ``tests/conftest.py`` with
 ``cpes gen-synthetic``, then runs ``cpes train`` and ``cpes eval`` at their
 default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
 keeping every store, checkpoint, training log and report under OUT_DIR.
-It also writes a store of every gen-synthetic default, an odd-shape store
-(odd D, whose last normal pair is cut short, and a pool of 5, whose picks
-can reject a word), that shape again with a ``train`` + ``eval`` pair at
-each of two seeds outside [0, 2**64), which streams take modulo 2**64
-(-1 and 2**64 + 5), the selection masks of records 0-5 of the train store
-(m=4, cos), and a checkpoint and log trained from a ``--config`` JSON file,
-the JSON reports of a short ``sweep-m`` and ``sweep-distance`` over the
-two sweep stores, and one ``train`` + ``eval`` pair (K = 1, cos) with no
-``--m``, whose m comes from the stores' planted ground truth. Everything
-goes through ``cpes.cli.main``, so the cpes imported is the one on
+It also writes a store of every gen-synthetic default, an odd-shape
+store (odd D, whose last normal pair is cut short, and a pool of 5,
+whose picks can reject a word), a K = 5 ``train`` + ``eval`` pair on it
+(5-shot means with odd D, every class of an episode in one selection
+block), that shape again with a ``train`` + ``eval`` pair at each of two
+seeds outside [0, 2**64), which streams take modulo 2**64 (-1 and 2**64
++ 5), the selection masks of records 0-5 of the train store (m=4, cos),
+a checkpoint and log trained from a ``--config`` JSON file, the JSON
+reports of a short ``sweep-m`` and ``sweep-distance`` over the two sweep
+stores, and one ``train`` + ``eval`` pair (K = 1, cos) with no ``--m``,
+whose m comes from the stores' planted ground truth. Everything goes
+through ``cpes.cli.main``, so the cpes imported is the one on
 PYTHONPATH. Last, it runs a fixed list of rejected commands (damaged
 copies of the train store and of a checkpoint, and requests the train
 store cannot meet) and writes each one's exit code and stderr under
@@ -173,7 +175,12 @@ def main_grid(out_dir: Path) -> None:
     gen_synthetic(SWEEP_TRAIN_CFG, train_store)
     gen_synthetic(SWEEP_EVAL_CFG, eval_store)
     run(["gen-synthetic", "--out", str(out_dir / "defaults.cpem")])
-    run(["gen-synthetic", *ODD_SHAPE, "--out", str(out_dir / "odd_shape.cpem")])
+    odd_store, name = out_dir / "odd_shape.cpem", out_dir / "odd_shape_k5"
+    run(["gen-synthetic", *ODD_SHAPE, "--out", str(odd_store)])
+    run(["train", "--store", str(odd_store), "--out", f"{name}.cpeh", "--log", f"{name}.log.json",
+         "--k-shot", "5"])
+    run(["eval", "--store", str(odd_store), "--checkpoint", f"{name}.cpeh",
+         "--out", f"{name}.report.json", "--k-shot", "5"])
     for seed in WRAPPED_SEEDS:
         name = out_dir / f"odd_shape_seed{seed}"
         run(["gen-synthetic", *ODD_SHAPE, "--seed", seed, "--out", f"{name}.cpem"])
