@@ -38,6 +38,7 @@ from .selection import (
     DistanceKind,
     mask_json,
     mask_pgm,
+    representation_blocks,
     representation_table,
     select_top,
     similarity_sequence,
@@ -149,24 +150,47 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
     prototypes are rows of one table, each record fused and normalised once,
     when a chunk first gathers it; an episode's K > 1 prototypes are a table
     of their own, of its (N, K) support rows, each the mean of its K records.
-    Each tensor is written into a (Q, N, r, r) buffer and holds
-    until the next pair is drawn; where start_scores shares it out among
-    threads, a second buffer takes the next episode's, which the pool scores
-    while the caller uses this one. Closing this generator waits for it."""
+    Each tensor is written into a (Q, N, r, r) buffer and holds until the
+    next pair is drawn. Where start_scores shares a tensor out among threads,
+    a second buffer takes the next episode's, which the pool scores while the
+    caller uses this one, and the pool scores while the caller selects: a
+    chunk's new rows are selected a block at a time, in the order its tasks
+    first read them, and each class's queries are started as soon as their
+    rows exist. Closing this generator waits for every share started."""
     slots, reps, buffers = np.full(len(store), -1), None, None  # slots: store row -> table row
+    r, width = max(m, 1), cfg.n_way * cfg.queries_per_class
+    threads = tensor_threads(width, r * store.dim_d)  # the episode's, and so each piece's
 
-    def scored(plan, queries, supports, started):
+    def scored(plan, queries, supports, started, base, blocks):
+        done = base  # table rows written: those before the chunk's new rows, then each block's
+
+        def ready(rows):  # table rows, once the table holds every one of them
+            nonlocal done
+            while done < len(reps) and done <= rows.max():
+                done = base + next(blocks).stop
+            return rows
+
         for index in range(len(queries)):
             episode = sample_episode(plan, index)
             if cfg.k_shot == 1:
-                protos = reps[supports[index]]
+                protos = reps[ready(supports[index])]
             else:
                 protos = representation_table(store, m, cfg.distance, episode.support_rows)
-            out = buffers[index % len(buffers)]
-            started.append((episode, start_scores(reps, queries[index], protos, out)))
+            out, jobs = buffers[index % len(buffers)], []
+            started.append((episode, out, jobs))  # before its first piece: a raise waits for it
+            if threads == 1:
+                jobs.append(start_scores(reps, queries[index], protos, out, threads))
+            else:  # a class at a time, each once the table holds its rows
+                for at in range(0, width, cfg.queries_per_class):
+                    piece = slice(at, at + cfg.queries_per_class)
+                    rows = ready(queries[index, piece])
+                    jobs.append(start_scores(reps, rows, protos, out[piece], threads))
             while len(started) == len(buffers) or started and index == len(queries) - 1:
-                episode, job = started.pop(0)
-                yield episode, finish_scores(*job)
+                episode, out, jobs = started[0]
+                for job in jobs:
+                    finish_scores(*job)
+                del started[0]  # once every piece is done: a raise leaves it to be waited for
+                yield episode, out
 
     pools = store.by_label.values()
     size = cfg.n_way * (1 + cfg.k_shot + cfg.queries_per_class + max(map(len, pools), default=0))
@@ -174,22 +198,30 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
         tasks = range(count)[chunk]
         plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, tasks, seed)
         queries, supports = plan[2], plan[1][..., 0]  # K > 1 prototypes bypass the table
-        rows = (np.hstack([queries, supports]) if cfg.k_shot == 1 else queries).ravel()
-        new = np.flatnonzero((np.bincount(rows, minlength=len(store)) > 0) & (slots < 0))
-        if len(new) == len(store):  # every row: built by record slices, each at its store row
-            reps = representation_table(store, m, cfg.distance)
-        elif len(new):
-            part = representation_table(store, m, cfg.distance, new)
+        if buffers is None:  # once the first plan has checked the store
+            buffers = np.empty((min(threads, 2), width, cfg.n_way, r, r))
+        reads = (np.hstack([supports, queries]) if cfg.k_shot == 1 else queries).ravel()
+        if threads == 1:  # the chunk's new rows now, in one call
+            new = np.flatnonzero((np.bincount(reads, minlength=len(store)) > 0) & (slots < 0))
+            if len(new) == len(store):  # every row: built by record slices, each at its store row
+                reps = representation_table(store, m, cfg.distance)
+            elif len(new):
+                part = representation_table(store, m, cfg.distance, new)
+                reps = part if reps is None else np.concatenate([reps, part])
+            base, blocks = len(reps), iter(())
+        else:  # a block at a time as the episodes need them, in the order they first read them
+            unique, first = np.unique(reads, return_index=True)
+            new = reads[np.sort(first[slots[unique] < 0])]
+            part = np.empty((len(new), r, store.dim_d))
             reps = part if reps is None else np.concatenate([reps, part])
+            base = len(reps) - len(new)
+            blocks = representation_blocks(store, m, cfg.distance, new, reps[base:])
         slots[new] = np.arange(len(reps) - len(new), len(reps))
-        if buffers is None:
-            r, threads = reps.shape[1], tensor_threads(queries.shape[1], reps[0].size)
-            buffers = np.empty((min(threads, 2), queries.shape[1], cfg.n_way, r, r))
-        started = []  # (episode, start_scores) of each episode started and not yet yielded
+        started = []  # (episode, buffer, its pieces' start_scores) started and not yet yielded
         try:
-            yield len(tasks), scored(plan, slots[queries], slots[supports], started)
+            yield len(tasks), scored(plan, slots[queries], slots[supports], started, base, blocks)
         finally:  # waits, so no block is scored once this generator is closed
-            for future in (future for _, (_, futures) in started for future in futures):
+            for future in (f for _, _, jobs in started for _, futures in jobs for f in futures):
                 future.exception()
 
 

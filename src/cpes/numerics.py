@@ -56,10 +56,10 @@ def box_muller(words: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
 
 
-def uniforms(state: int, n: int) -> np.ndarray:
-    """The next n words of the stream at ``state`` (taken modulo 2**64) as
-    floats in [0, 1)."""
-    return _unit_interval(_words(np.uint64(state & _MASK64), n))
+def uniforms(state: int, n: int, skip: int = 0) -> np.ndarray:
+    """The next n words of the stream at ``state`` (taken modulo 2**64), after
+    its first ``skip``, as floats in [0, 1)."""
+    return _unit_interval(_words(np.uint64((state + skip * _GOLDEN) & _MASK64), n))
 
 
 def accepted_rows(states: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

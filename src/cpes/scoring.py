@@ -58,7 +58,7 @@ def tensor_threads(queries: int, query_values: int) -> int:
     return _THREADS if queries * query_values > BLOCK_VALUES else 1
 
 
-def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray):
+def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray, threads: int):
     """The first half of the (Q, N, r, r') score tensor: the squared cosine
     between every unit row of every query table[rows] (Q, r, D) and of every
     prototype (N, r', D), written into ``out`` a block of queries at a time,
@@ -66,20 +66,21 @@ def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray):
     futures of the pool's shares, if any, which take blocks until
     finish_scores, so the caller may do other work between the two.
 
-    A tensor of BLOCK_VALUES table values at most is one block on the
-    calling thread, on any number of cores. A larger one is shared out
-    among the threads, each taking the next block not yet taken until none
-    is left, so a thread that starts late or is paused does fewer blocks
-    and none waits on another's fixed share. Each block holds
-    BLOCK_VALUES // threads values of the table at most (or one query), so
-    the gathers in flight together stay within one block unless one query
-    is larger than a thread's part. Each query's product is the same BLAS
-    call on any thread, so the tensor does not depend on the thread count."""
+    ``threads`` is the tensor's tensor_threads, or that of the episode the
+    caller starts it as a piece of. One thread scores every block on the
+    calling thread, on any number of cores. With more, the pool gets a share
+    for each block, up to one per other thread, and each thread takes the
+    next block not yet taken until none is left, so a thread that starts
+    late or is paused does fewer blocks and none waits on another's fixed
+    share. Each block holds BLOCK_VALUES // threads values of the table at
+    most (or one query), so the gathers in flight together stay within one
+    block unless one query is larger than a thread's part. Each query's
+    product is the same BLAS call on any thread, so the tensor does not
+    depend on the thread count."""
     query_values = table.shape[1] * table.shape[2]
-    threads = tensor_threads(len(rows), query_values)
     blocks = block_slices(len(rows), query_values * threads)
     args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
-    return args, [_pool().submit(_matmuls, *args) for _ in range(1, min(threads, len(blocks)))]
+    return args, [_pool().submit(_matmuls, *args) for _ in range(min(threads - 1, len(blocks)))]
 
 
 def finish_scores(args, futures) -> np.ndarray:
@@ -181,12 +182,17 @@ class MlpHead(_Group):
     @classmethod
     def initialize(cls, input_dim: int, hidden_dim: int, state: int) -> "MlpHead":
         """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer from the
-        stream at uint64 ``state``; zero moments."""
+        stream at uint64 ``state``; zero moments. The draws go in group order,
+        W1 and b1 (fan-in I), then W2 and b2 (fan-in H), a block at a time,
+        so no (P,) temporary sits beside the state."""
         head = cls(input_dim, hidden_dim, np.zeros((3, group_size(input_dim, hidden_dim))))
-        # one block of draws in group order: W1 and b1 (fan-in I), then W2 and b2 (fan-in H)
-        head.flat[:] = uniforms(state, head.flat.size) * 2 - 1
-        head.flat[: -hidden_dim - 1] *= 1.0 / math.sqrt(input_dim)
-        head.flat[-hidden_dim - 1 :] *= 1.0 / math.sqrt(hidden_dim)
+        fan_h = head.flat.size - hidden_dim - 1  # where W2 starts
+        for block in block_slices(head.flat.size, 1):
+            part = head.flat[block]
+            part[:] = uniforms(state, part.size, block.start) * 2 - 1
+            cut = min(max(fan_h - block.start, 0), part.size)
+            part[:cut] *= 1.0 / math.sqrt(input_dim)
+            part[cut:] *= 1.0 / math.sqrt(hidden_dim)
         return head
 
 

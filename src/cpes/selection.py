@@ -5,6 +5,7 @@ patches and of their unit rows fused with the class embedding.
 
 from __future__ import annotations
 
+import collections
 import enum
 import json
 import math
@@ -53,26 +54,29 @@ def select_top(similarities: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(-similarities, axis=-1, kind="stable")[..., :m]
 
 
-def _select_blocks(store: EmbeddingStore, m: int, kind: DistanceKind, rows, out=None):
-    """(R, m) top-m patch indices of every store record (by slices, which gather nothing) or of
-    the rows at ``rows``: records (R,), or means of K records (R, K), as EmbeddingStore.embeddings
-    gives them. Ranked a float64 block at a time: rows whose stored values (M * D a record,
-    K * M * D a mean) total BLOCK_VALUES at most, or one row. Given ``out``, (R, max(m, 1), D),
-    each block's kept patches, indexed out of that same block, are fused into it as unit rows,
-    so each record is gathered and upcast once."""
-    table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
+def _select_blocks(store: EmbeddingStore, m: int, kind: DistanceKind, rows, table, out=None):
+    """Write the (R, m) top-m patch indices of every store record (by slices, which gather
+    nothing) or of the rows at ``rows`` into ``table``: records (R,), or means of K records
+    (R, K), as EmbeddingStore.embeddings gives them. Ranked a float64 block at a time: rows whose
+    stored values (M * D a record, K * M * D a mean) total BLOCK_VALUES at most, or one row.
+    Given ``out``, (R, max(m, 1), D), each block's kept patches, indexed out of that same block,
+    are fused into it as unit rows, so each record is gathered and upcast once. A generator of
+    each block's slice once it is written: a block's arrays are freed only once the next
+    block's exist, or the generator is done."""
     shots = math.prod(np.shape(rows)[1:])  # records a row reads: 1, or K
     for block in block_slices(len(table), shots * store.patches_m * store.dim_d):
         classes, patches = store.embeddings(block if rows is None else rows[block])
         table[block] = top = select_top(similarity_sequence(classes, patches, kind), m)
         if out is not None:
             out[block] = unit_rows(fuse_rows(classes, patches[np.arange(len(top))[:, None], top]))
-    return table
+        yield block
 
 
 def selection_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows=None) -> np.ndarray:
     """(R, m) top-m patch indices of every store record, or of those at ``rows``, in rank order."""
-    return _select_blocks(store, m, kind, rows)
+    table = np.empty((len(store) if rows is None else len(rows), m), dtype=np.intp)
+    collections.deque(_select_blocks(store, m, kind, rows, table), maxlen=0)
+    return table
 
 
 def fuse_rows(class_embeddings: np.ndarray, patches: np.ndarray) -> np.ndarray:
@@ -93,8 +97,15 @@ def representation_table(store: EmbeddingStore, m: int, kind: DistanceKind, rows
     rows, of every store record or of the rows at ``rows``, an index array of records (R,) or
     of K-shot prototypes (R, K), each the mean of its K records (``_select_blocks``)."""
     out = np.empty((len(store) if rows is None else len(rows), max(m, 1), store.dim_d))
-    _select_blocks(store, m, kind, rows, out)
+    collections.deque(representation_blocks(store, m, kind, rows, out), maxlen=0)
     return out
+
+
+def representation_blocks(store: EmbeddingStore, m: int, kind: DistanceKind, rows, out):
+    """representation_table(store, m, kind, rows) written into ``out`` a block at a time, on
+    the caller's thread: a generator of each block's slice once its rows are written, so the
+    caller may use them while later blocks are still to be selected."""
+    return _select_blocks(store, m, kind, rows, np.empty((len(out), m), dtype=np.intp), out)
 
 
 def mask_json(record_id: int, indices: np.ndarray, similarities: np.ndarray) -> str:

@@ -31,8 +31,8 @@ tensor per episode; ``head_pass``, ``episode_loss_and_grads`` and
 ``optimizer_step``, fresh arrays per step; ``class_probabilities`` and
 ``accuracy``, one softmax and one accuracy per task. ``per_episode_train``
 and ``per_episode_evaluate`` run the package's loops on it.
-``score_tensor`` is the package's tensor, ``start_scores`` then
-``finish_scores``, into a new array; ``serial_score_tensor`` is the block
+``score_tensor`` is the package's tensor, ``start_scores`` on the
+tensor's own ``tensor_threads`` then ``finish_scores``, into a new array; ``serial_score_tensor`` is the block
 loop it ran before it shared its blocks out among threads.
 
 The RNG here is the counter stream on Python ints: ``split_state`` derives
@@ -64,7 +64,7 @@ from cpes.numerics import (
     softmax,
     unit_rows,
 )
-from cpes.scoring import Gradients, MlpHead, finish_scores, start_scores
+from cpes.scoring import Gradients, MlpHead, finish_scores, start_scores, tensor_threads
 from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, representation_table
 from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
@@ -528,7 +528,8 @@ def episode_scores(store: EmbeddingStore, reps, episode, m: int, kind) -> np.nda
 
 def score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:
     out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
-    return finish_scores(*start_scores(table, rows, protos, out))
+    threads = tensor_threads(len(rows), table.shape[1] * table.shape[2])
+    return finish_scores(*start_scores(table, rows, protos, out, threads))
 
 
 def serial_score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Smoke test of the benchmark: one short run of the eval and of the train
-workload, each untraced and traced, as a subprocess;
+workload, each untraced and traced, and one traced run of the paper_scale
+workload, as a subprocess;
 ``bench/run.py`` imports the package from this checkout's ``src``."""
 
 import json
@@ -39,5 +40,15 @@ def test_train_workload_runs_clean(trace):
     byte: the bench's byte check of the train path. Traced, the spans must
     nest on the workload whose tables are built from gathered rows."""
     result = bench_run("train", trace)
+    assert result["failed"] == 0
+    assert result["correct"] is True
+
+
+def test_paper_scale_workload_runs_clean_traced():
+    """The workload whose score tensors are shared out among threads, so
+    its table's blocks are selected while the pool scores: the spans still
+    nest, and every round's checkpoint and per-task accuracies are its
+    reference's."""
+    result = bench_run("paper_scale", 1)
     assert result["failed"] == 0
     assert result["correct"] is True

@@ -471,7 +471,9 @@ class TestExitCodes:
         assert not (tmp_path / "h.cpeh").exists()
 
     def test_failing_score_worker_is_2(self, tmp_path, capsys, monkeypatch, score_threads):
-        """At m = M, an episode of 2 x 70 queries spans three blocks on two threads."""
+        """At m = M, an episode of 2 x 70 queries is shared out on two
+        threads, a class at a time: each class's queries span two blocks,
+        and the pool gets a share of each class."""
         store, checkpoint = tmp_path / "s.cpem", tmp_path / "h.cpeh"
         write_store(random_store(*SHORT_LAST_BLOCK, seed=18), store)
         save_head(MlpHead.initialize(16 * 16, 8, split_state(0, 2)), checkpoint)
@@ -481,8 +483,8 @@ class TestExitCodes:
                    "--queries", "70", "--m", "16", "--tasks", "2"])
         assert rc == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
-        # task 0's share raised while task 1's was started
-        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
+        # task 0's shares raised while task 1's were started: a share of each class of each
+        assert len(pool.futures) == 4 and all(future.done() for future in pool.futures)
 
     def test_failing_score_worker_in_train_is_2(self, tmp_path, capsys, monkeypatch, score_threads):
         """train's first step fails while its second's blocks are started:
@@ -496,7 +498,7 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
         assert not checkpoint.exists()
-        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
+        assert len(pool.futures) == 4 and all(future.done() for future in pool.futures)
 
     def test_missing_file_is_3(self, tmp_path, capsys):
         rc = main(["inspect-store", "--store", str(tmp_path / "nope.cpem")])

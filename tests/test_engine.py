@@ -27,7 +27,7 @@ from cpes.scoring import (
     save_head,
     start_scores,
 )
-from cpes.selection import DistanceKind, representation_table
+from cpes.selection import DistanceKind, representation_blocks, representation_table
 from cpes.store import read_store, write_store
 from oracles import (
     episode_representations,
@@ -249,9 +249,11 @@ class TestEpisodePipeline:
         assert_loops_equal_per_episode_path(pipeline_store(), pipeline_cfg(k_shot))
         first = 60 if k_shot == 1 else 59
         assert chunks == [first, 61 - first] * 2
-        # a share of each tensor of the two loops and of their oracles: of 3
-        # blocks on two threads, or of 4 on three
-        assert len(pool.futures) == (threads - 1) * 4 * 61
+        # the two loops start each tensor a class of 15 queries at a time, one
+        # block on two or three threads, and the pool gets a share of each;
+        # their oracles share each whole tensor, of 3 blocks on two threads or
+        # of 4 on three, with the pool's threads
+        assert len(pool.futures) == 2 * 61 * (5 * min(threads - 1, 1) + threads - 1)
 
     def test_more_threads_than_cores_switching_often(self, score_threads):
         """Five threads, switched every microsecond: each block is scored
@@ -274,23 +276,25 @@ class TestEpisodePipeline:
         addresses = data_addresses(pipeline_store(), pipeline_cfg(), 16, 6)
         assert len(set(addresses)) == threads
         assert addresses == addresses[:2] * 3
-        assert len(pool.futures) == (threads - 1) * 6 and pool.started() == (threads > 1)
+        # a share of each class of each episode
+        assert len(pool.futures) == (threads - 1) * 5 * 6 and pool.started() == (threads > 1)
 
     def test_an_overflow_waits_for_the_pending_episode(self, monkeypatch, score_threads):
         """train stops at the overflowing step 2 while the pool scores step
-        3; once train has raised, no share is running."""
+        3; once train has raised, no share is running. Each step's tensor is
+        started a class at a time, a share for each of its 5 classes."""
         pool = score_threads(2)
         slow_workers(monkeypatch)
         cfg = pipeline_cfg(episodes=10,
                            optimizer=OptimizerConfig(learning_rate=1e300, weight_decay=0.0))
         with pytest.raises(InfeasibleConfig, match="at step 2:"):
             train(pipeline_store(), cfg)
-        assert len(pool.futures) == 3 and all(future.done() for future in pool.futures)
+        assert len(pool.futures) == 3 * 5 and all(future.done() for future in pool.futures)
 
     @pytest.mark.parametrize("loop", ["train", "evaluate"])
     def test_a_failing_worker_waits_for_the_pending_episode(self, monkeypatch, score_threads, loop):
         """The first episode's worker raises while the second's is started:
-        the loop raises it once both shares have finished."""
+        the loop raises it once the shares of both, one a class, have finished."""
         pool = score_threads(2)
         fail_score_blocks(monkeypatch, "worker")
         store, cfg = pipeline_store(), pipeline_cfg(episodes=10)
@@ -299,7 +303,47 @@ class TestEpisodePipeline:
                 train(store, cfg)
             else:
                 evaluate(init_head(cfg, 16), store, cfg)
-        assert len(pool.futures) == 2 and all(future.done() for future in pool.futures)
+        assert len(pool.futures) == 2 * 5 and all(future.done() for future in pool.futures)
+
+    def test_a_failing_table_block_waits_for_the_pieces_started(self, monkeypatch, score_threads):
+        """The chunk's second block of rows raises once episode 0's first
+        three classes are on the pool: train raises it once their shares,
+        which sleep first, have finished."""
+        pool = score_threads(2)
+        slow_workers(monkeypatch)
+
+        def blocks(*args):
+            yield next(representation_blocks(*args))
+            raise MemoryError
+
+        monkeypatch.setattr(cpes.harness, "representation_blocks", blocks)
+        with pytest.raises(MemoryError):
+            train(pipeline_store(), pipeline_cfg(episodes=10))
+        assert len(pool.futures) == 3 and all(future.done() for future in pool.futures)
+
+    def test_the_pool_scores_while_the_caller_selects(self, monkeypatch, score_threads):
+        """On two threads, the chunk's rows are selected a block of 64
+        records at a time, in the order its episodes read them: once the
+        first block holds episode 0's 5 supports and its first 59 queries,
+        its first three classes are shared out to the pool before the
+        caller selects the next block, and long before the chunk's last."""
+        pool = score_threads(2)
+        submitted = []  # the pool's share count as each block of rows is selected
+
+        def blocks(*args):
+            fills = representation_blocks(*args)
+            while True:
+                before, block = len(pool.futures), next(fills, None)
+                if block is None:
+                    return
+                submitted.append(before)
+                yield block
+
+        monkeypatch.setattr(cpes.harness, "representation_blocks", blocks)
+        for _, run in _episodes(pipeline_store(), pipeline_cfg(), 16, 0, 60):
+            for _ in run:
+                pass
+        assert submitted[:2] == [0, 3] and len(submitted) > 2
 
 
 class TestGatheredTable:
@@ -320,9 +364,9 @@ class TestGatheredTable:
             (built if args[3].ndim == 1 else means).append(args[3])
             return representation_table(*args)
 
-        def start(table, rows, protos, out):
+        def start(table, rows, protos, out, threads):
             started.append((table, rows, protos))
-            return start_scores(table, rows, protos, out)
+            return start_scores(table, rows, protos, out, threads)
 
         monkeypatch.setattr(cpes.harness, "representation_table", table)
         monkeypatch.setattr(cpes.harness, "start_scores", start)
@@ -342,6 +386,45 @@ class TestGatheredTable:
         rows = np.concatenate(built)
         assert len(built) > 1 and len(rows) == len(set(rows.tolist()))  # each row built once
         assert set(rows.tolist()) == gathered and len(gathered) < len(store)
+
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_streamed_rows_equal_the_full_table(self, monkeypatch, score_threads, k_shot):
+        """Where the pool shares the tensors, each chunk's new rows are
+        selected a block at a time as its episodes need them, over chunks
+        of 60, 60 and 10 tasks (59, 59 and 12 at K = 3): each row is built
+        once, the second chunk builds the rows it adds, and each class's
+        queries, and at K = 1 its prototypes, are the full table's rows when
+        they are started."""
+        chunks = count_chunks(monkeypatch)
+        score_threads(2)
+        store, cfg = pipeline_store(), pipeline_cfg(k_shot)
+        full = representation_table(store, 16, cfg.distance)
+        _, supports, queries = plan_episodes(store, 5, k_shot, 15, range(130), 4)
+        built, ready = [], []
+
+        def blocks(store, m, kind, rows, out):
+            built.append([])
+            for block in representation_blocks(store, m, kind, rows, out):
+                built[-1] += rows[block].tolist()
+                yield block
+
+        def start(table, rows, protos, out, threads):
+            task, at = divmod(len(ready), 5)
+            ready.append(np.array_equal(table[rows], full[queries[task, 15 * at : 15 * at + 15]])
+                         and (k_shot > 1 or np.array_equal(protos, full[supports[task, :, 0]])))
+            return start_scores(table, rows, protos, out, threads)
+
+        monkeypatch.setattr(cpes.harness, "representation_blocks", blocks)
+        monkeypatch.setattr(cpes.harness, "start_scores", start)
+        for _, run in _episodes(store, cfg, 16, 4, 130):
+            for _ in run:
+                pass
+        assert chunks == ([60, 60, 10] if k_shot == 1 else [59, 59, 12])
+        assert len(ready) == 5 * 130 and all(ready)
+        rows = sum(built, [])
+        read = queries if k_shot > 1 else np.hstack([supports[..., 0], queries])
+        assert len(rows) == len(set(rows)) and set(rows) == set(read.ravel().tolist())
+        assert len(built) == 2 and built[1]  # the third chunk reads no new row
 
     def test_a_chunk_that_gathers_every_row_builds_the_whole_table(self, monkeypatch, small_store):
         """The full table, by record slices, as representation_table builds

@@ -81,7 +81,8 @@ def random_head(input_dim, hidden, seed=0) -> MlpHead:
 class TestInitialize:
     @pytest.mark.parametrize(
         "input_dim,hidden,state",
-        [(1, 1, 0), (4, 3, MASK64), (9, 8, split_state(0, 2)), (256, 5, 12345), (16, 2, -1)],
+        [(1, 1, 0), (4, 3, MASK64), (9, 8, split_state(0, 2)), (256, 5, 12345), (16, 2, -1),
+         (16384, 5, MASK64)],  # two blocks: the short last one holds the W2 boundary
     )
     def test_equals_scalar_draws(self, input_dim, hidden, state):
         """The parameters, in W1, b1, W2, b2 order, are the stream's words
@@ -347,7 +348,8 @@ class TestBlockedScoreTensor:
     @pytest.mark.parametrize("k_shot", [1, 3])
     def test_train_and_evaluate_bytes_do_not_depend_on_threads(self, score_threads, k_shot):
         """At m = M, an episode of 2 x 70 queries is 140 x 512 table values:
-        two blocks on one thread, three on two."""
+        two blocks on one thread; on two it is started a class at a time, two
+        blocks of 70 queries and a share for the pool each."""
         store = random_store(*SHORT_LAST_BLOCK, seed=18)
         cfg = RunConfig(n_way=2, k_shot=k_shot, queries_per_class=70, m=store.patches_m,
                         epochs=1, episodes_per_epoch=3, eval_tasks=3, hidden_dim=8)
@@ -358,7 +360,8 @@ class TestBlockedScoreTensor:
             checkpoint = io.BytesIO()
             save_head(head, checkpoint)
             outputs.append((checkpoint.getvalue(), log, evaluate(head, store, cfg).to_json()))
-            assert len(pool.futures) == (threads - 1) * 6  # a share for each of 6 episodes
+            # a share for each of the 2 classes of each of 6 episodes
+            assert len(pool.futures) == (threads - 1) * 2 * 6
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("on", ["worker", "caller"])
