@@ -150,22 +150,25 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
     prototypes are rows of one table, each record fused and normalised once,
     when a chunk first gathers it; an episode's K > 1 prototypes are a table
     of their own, of its (N, K) support rows, each the mean of its K records.
-    Each tensor is written into a (Q, N, r, r) buffer and holds until the
-    next pair is drawn. Where start_scores shares a tensor out among threads,
-    a second buffer takes the next episode's, which the pool scores while the
-    caller uses this one, and the pool scores while the caller selects: a
-    chunk's new rows are selected a block at a time, in the order its tasks
-    first read them, and each class's queries are started as soon as their
-    rows exist. Closing this generator waits for every share started."""
+    Each tensor is written into a (Q, N, r, r) buffer, a piece of queries at
+    a time, and holds until the next pair is drawn. The thread count picks
+    only the order in which a chunk's new rows are built, and when. Where
+    start_scores scores on one thread, they are built in store order before
+    the chunk's first episode, and an episode is one piece. Where it shares
+    a tensor out among threads, they are built a block at a time, in the
+    order the chunk's tasks first read them, and each class's queries are a
+    piece, started as soon as their rows exist: the pool scores while the
+    caller selects, and a second buffer takes the next episode's tensor
+    while the caller uses this one. Closing this generator waits for every
+    piece started."""
     slots, reps, buffers = np.full(len(store), -1), None, None  # slots: store row -> table row
     r, width = max(m, 1), cfg.n_way * cfg.queries_per_class
     threads = tensor_threads(width, r * store.dim_d)  # the episode's, and so each piece's
+    piece = width if threads == 1 else cfg.queries_per_class  # the queries a start_scores takes
 
-    def scored(plan, queries, supports, started, base, blocks):
-        done = base  # table rows written: those before the chunk's new rows, then each block's
-
+    def scored(plan, queries, supports, started, base, done, blocks):
         def ready(rows):  # table rows, once the table holds every one of them
-            nonlocal done
+            nonlocal done  # table rows written: those before the chunk's, then each block's
             while done < len(reps) and done <= rows.max():
                 done = base + next(blocks).stop
             return rows
@@ -178,13 +181,9 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
                 protos = representation_table(store, m, cfg.distance, episode.support_rows)
             out, jobs = buffers[index % len(buffers)], []
             started.append((episode, out, jobs))  # before its first piece: a raise waits for it
-            if threads == 1:
-                jobs.append(start_scores(reps, queries[index], protos, out, threads))
-            else:  # a class at a time, each once the table holds its rows
-                for at in range(0, width, cfg.queries_per_class):
-                    piece = slice(at, at + cfg.queries_per_class)
-                    rows = ready(queries[index, piece])
-                    jobs.append(start_scores(reps, rows, protos, out[piece], threads))
+            for at in range(0, width, piece):
+                rows = ready(queries[index, at : at + piece])
+                jobs.append(start_scores(reps, rows, protos, out[at : at + piece], threads))
             while len(started) == len(buffers) or started and index == len(queries) - 1:
                 episode, out, jobs = started[0]
                 for job in jobs:
@@ -201,25 +200,23 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
         if buffers is None:  # once the first plan has checked the store
             buffers = np.empty((min(threads, 2), width, cfg.n_way, r, r))
         reads = (np.hstack([supports, queries]) if cfg.k_shot == 1 else queries).ravel()
-        if threads == 1:  # the chunk's new rows now, in one call
-            new = np.flatnonzero((np.bincount(reads, minlength=len(store)) > 0) & (slots < 0))
-            if len(new) == len(store):  # every row: built by record slices, each at its store row
-                reps = representation_table(store, m, cfg.distance)
-            elif len(new):
-                part = representation_table(store, m, cfg.distance, new)
-                reps = part if reps is None else np.concatenate([reps, part])
-            base, blocks = len(reps), iter(())
-        else:  # a block at a time as the episodes need them, in the order they first read them
+        if threads == 1:  # in store order, every block built before the chunk's first episode
+            fresh = (np.bincount(reads, minlength=len(store)) > 0) & (slots < 0)
+            new, now = np.flatnonzero(fresh), None  # now: the blocks built here (None: all)
+        else:  # in the order the tasks first read them, a block at a time as the pieces need them
             unique, first = np.unique(reads, return_index=True)
-            new = reads[np.sort(first[slots[unique] < 0])]
-            part = np.empty((len(new), r, store.dim_d))
-            reps = part if reps is None else np.concatenate([reps, part])
-            base = len(reps) - len(new)
-            blocks = representation_blocks(store, m, cfg.distance, new, reps[base:])
-        slots[new] = np.arange(len(reps) - len(new), len(reps))
+            new, now = reads[np.sort(first[slots[unique] < 0])], 0
+        part = np.empty((len(new), r, store.dim_d))
+        reps = part if reps is None else np.concatenate([reps, part])
+        base = len(reps) - len(new)
+        slots[new] = np.arange(base, len(reps))
+        every = np.array_equal(new, np.arange(len(store)))  # by record slices, which gather nothing
+        blocks = representation_blocks(store, m, cfg.distance, None if every else new, reps[base:])
+        done = base + max((block.stop for block in itertools.islice(blocks, now)), default=0)
         started = []  # (episode, buffer, its pieces' start_scores) started and not yet yielded
+        run = scored(plan, slots[queries], slots[supports], started, base, done, blocks)
         try:
-            yield len(tasks), scored(plan, slots[queries], slots[supports], started, base, blocks)
+            yield len(tasks), run
         finally:  # waits, so no block is scored once this generator is closed
             for future in (f for _, _, jobs in started for _, futures in jobs for f in futures):
                 future.exception()

@@ -224,17 +224,15 @@ def head_forward(head: MlpHead, scores, hidden=None) -> tuple[np.ndarray, np.nda
 
 
 def episode_loss_and_grads(
-    head: MlpHead, scores: np.ndarray, targets: np.ndarray, buffers: StepBuffers | None = None
+    head: MlpHead, scores: np.ndarray, targets: np.ndarray, buffers: StepBuffers
 ) -> tuple[np.ndarray, Gradients, np.ndarray]:
     """Cross-entropy of each query of an episode's score tensor (Q, N, r, r)
     against its target class, with analytic parameter gradients of the mean
-    loss over the queries, written into ``buffers`` (or new arrays). Returns
-    (losses (Q,), grads, probabilities (Q, N)).
+    loss over the queries, written into ``buffers`` (StepBuffers.allocate of
+    Q * N). Returns (losses (Q,), grads, probabilities (Q, N)).
 
     The rectifier subgradient at exactly 0 is taken as 0.
     """
-    if buffers is None:
-        buffers = StepBuffers.allocate(len(targets) * len(scores[0]), head)
     xs, hidden = head_forward(head, scores, buffers.hidden)
     probs = softmax((hidden @ head.w2 + head.b2).reshape(len(targets), -1))
     dscores = probs.copy()

@@ -33,7 +33,8 @@ tensor per episode; ``head_pass``, ``episode_loss_and_grads`` and
 and ``per_episode_evaluate`` run the package's loops on it.
 ``score_tensor`` is the package's tensor, ``start_scores`` on the
 tensor's own ``tensor_threads`` then ``finish_scores``, into a new array; ``serial_score_tensor`` is the block
-loop it ran before it shared its blocks out among threads.
+loop it ran before it shared its blocks out among threads. ``loss_and_grads``
+is the package's ``episode_loss_and_grads``, into StepBuffers of its own.
 
 The RNG here is the counter stream on Python ints: ``split_state`` derives
 a stream's state as ``split_states`` does, and ``outputs`` gives its words.
@@ -64,7 +65,15 @@ from cpes.numerics import (
     softmax,
     unit_rows,
 )
-from cpes.scoring import Gradients, MlpHead, finish_scores, start_scores, tensor_threads
+from cpes import scoring
+from cpes.scoring import (
+    Gradients,
+    MlpHead,
+    StepBuffers,
+    finish_scores,
+    start_scores,
+    tensor_threads,
+)
 from cpes.selection import FUSION_CLASS_WEIGHT, DistanceKind, representation_table
 from cpes.store import CONFUSER_WEIGHT, EmbeddingStore, SyntheticConfig, write_store
 
@@ -573,6 +582,12 @@ def episode_loss_and_grads(head: MlpHead, scores: np.ndarray, targets: np.ndarra
     np.matmul(dscores, hidden, out=grads.w2)
     grads.b2 = np.sum(dscores)
     return cross_entropy(probs, targets), grads, probs
+
+
+def loss_and_grads(head: MlpHead, scores: np.ndarray, targets: np.ndarray):
+    """The package's ``episode_loss_and_grads``, into StepBuffers of its own."""
+    buffers = StepBuffers.allocate(scores.shape[0] * scores.shape[1], head)
+    return scoring.episode_loss_and_grads(head, scores, targets, buffers)
 
 
 def optimizer_step(head: MlpHead, grads: Gradients, cfg) -> MlpHead:

@@ -20,7 +20,7 @@ from conftest import SWEEP_EVAL_CFG, SWEEP_TRAIN_CFG, raises_exactly
 from cpes.cli import main as cli_main
 from cpes.errors import StoreFormatError
 from cpes.harness import RunConfig, evaluate, init_head, mean_and_ci95, sweep
-from cpes.scoring import MlpHead, episode_loss_and_grads, load_head, save_head
+from cpes.scoring import MlpHead, load_head, save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
 from cpes.store import (
     EmbeddingStore,
@@ -28,7 +28,14 @@ from cpes.store import (
     read_store,
     write_store,
 )
-from oracles import EmbeddingRecord, ScalarRng, records, split_state, store_from_records
+from oracles import (
+    EmbeddingRecord,
+    ScalarRng,
+    loss_and_grads,
+    records,
+    split_state,
+    store_from_records,
+)
 from test_scoring import (
     assert_grads_close,
     episode_fixture,
@@ -108,7 +115,7 @@ def test_gradient_correctness(small_store):
                 small_store, m, seed=100 + trial, task=trial
             )
             head = random_head(max(m, 1) ** 2, 6, seed=trial)
-            _, analytic, _ = episode_loss_and_grads(head, scores, targets)
+            _, analytic, _ = loss_and_grads(head, scores, targets)
             numeric = finite_difference_grads(head, scores, targets)
             assert_grads_close(analytic, numeric)
         elapsed = time.perf_counter() - start

@@ -52,3 +52,16 @@ def test_paper_scale_workload_runs_clean_traced():
     result = bench_run("paper_scale", 1)
     assert result["failed"] == 0
     assert result["correct"] is True
+
+
+def test_inprocess_ab_of_one_tree_against_itself():
+    """``tools/inprocess_ab.py`` imports two copies of this checkout's cpes
+    side by side: one pair on the train workload runs, and both copies give
+    the same checkpoint and per-task accuracies."""
+    argv = [sys.executable, "tools/inprocess_ab.py", "src", "src", "--workload", "train",
+            "--pairs", "1"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["outputs_equal"] is True
+    assert all(summary[phase]["median_ratio"] > 0 for phase in ("train", "eval"))

@@ -19,11 +19,18 @@ import cpes.harness
 from cpes import scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig
-from cpes.harness import RunConfig, _episodes, evaluate, head_input_dim, init_head, train
+from cpes.harness import (
+    _TRAIN_STREAM,
+    RunConfig,
+    _episodes,
+    evaluate,
+    head_input_dim,
+    init_head,
+    train,
+)
 from cpes.scoring import (
     MlpHead,
     OptimizerConfig,
-    episode_loss_and_grads,
     save_head,
     start_scores,
 )
@@ -33,6 +40,7 @@ from oracles import (
     episode_representations,
     episode_scores,
     evaluate_per_query,
+    loss_and_grads,
     mean_query_grads,
     per_episode_evaluate,
     per_episode_train,
@@ -72,7 +80,7 @@ class TestEngineMatchesPerQueryPath:
         for task in range(3):
             episode = sample_episode(plan_episodes(small_store, 5, k_shot, 3, [task], 23), 0)
             scores = episode_scores(small_store, reps, episode, m, kind)
-            _, grads, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+            _, grads, probs = loss_and_grads(head, scores, episode.query_labels)
 
             protos, queries = episode_representations(small_store, episode, m, kind)
             expected_scores = np.stack([[score_matrix(q, p) for p in protos] for q in queries])
@@ -346,99 +354,95 @@ class TestEpisodePipeline:
         assert submitted[:2] == [0, 3] and len(submitted) > 2
 
 
+def spy_on_builds(monkeypatch) -> list:
+    """The store rows of each representation_blocks call of the harness, in
+    the order it builds them, or None where it reads record slices."""
+    built = []
+
+    def blocks(store, m, kind, rows, out):
+        built.append(None if rows is None else rows.tolist())
+        return representation_blocks(store, m, kind, rows, out)
+
+    monkeypatch.setattr(cpes.harness, "representation_blocks", blocks)
+    return built
+
+
+def read_order(reads: np.ndarray) -> list[int]:
+    """The distinct store rows of ``reads`` in the order first read."""
+    return list(dict.fromkeys(reads.ravel().tolist()))
+
+
 class TestGatheredTable:
     """The representation table holds only the rows a run's chunks gather,
     each built once; every row an episode reads from it is the full
     table's row of its store row."""
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k_shot", [1, 3])
-    def test_rows_equal_the_full_table(self, monkeypatch, k_shot):
-        """130 tasks over chunks of 63, 63 and 4 on 1000 records: a chunk
-        gathers some of them, and a later one appends the rows it adds.
-        K > 1 prototypes are tables of their own, of (N, K) rows, one an episode."""
+    def test_rows_equal_the_full_table(self, monkeypatch, score_threads, threads, k_shot):
+        """130 tasks over chunks of 60, 60 and 10 (59, 59 and 12 at K = 3) on
+        1000 records: each chunk builds, in one representation_blocks call,
+        only the rows it adds, each once; in store order on one thread, in the
+        order its tasks first read them on two. Each piece's queries (an
+        episode on one thread, a class on two) and its prototypes are the
+        full table's rows, or the K-record means of its supports, when it is
+        started."""
         chunks = count_chunks(monkeypatch)
-        store = store_of_sizes([200] * 5)
-        built, means, started = [], [], []
-
-        def table(*args):
-            (built if args[3].ndim == 1 else means).append(args[3])
-            return representation_table(*args)
-
-        def start(table, rows, protos, out, threads):
-            started.append((table, rows, protos))
-            return start_scores(table, rows, protos, out, threads)
-
-        monkeypatch.setattr(cpes.harness, "representation_table", table)
-        monkeypatch.setattr(cpes.harness, "start_scores", start)
-        cfg = RunConfig(n_way=5, k_shot=k_shot, queries_per_class=3, m=2, base_seed=4)
-        episodes = [episode for _, run in _episodes(store, cfg, 2, 4, 130) for episode, _ in run]
-        assert chunks == [63, 63, 4]
-        full = representation_table(store, 2, cfg.distance)
-        gathered = set()
-        for episode, (table, rows, protos) in zip(episodes, started, strict=True):
-            assert np.array_equal(table[rows], full[episode.query_rows])
-            gathered.update(episode.query_rows.tolist())
-            if k_shot == 1:
-                assert np.array_equal(protos, full[episode.support_rows[:, 0]])
-                gathered.update(episode.support_rows[:, 0].tolist())
-        assert [rows.tolist() for rows in means] == (
-            [] if k_shot == 1 else [episode.support_rows.tolist() for episode in episodes])
-        rows = np.concatenate(built)
-        assert len(built) > 1 and len(rows) == len(set(rows.tolist()))  # each row built once
-        assert set(rows.tolist()) == gathered and len(gathered) < len(store)
-
-    @pytest.mark.parametrize("k_shot", [1, 3])
-    def test_streamed_rows_equal_the_full_table(self, monkeypatch, score_threads, k_shot):
-        """Where the pool shares the tensors, each chunk's new rows are
-        selected a block at a time as its episodes need them, over chunks
-        of 60, 60 and 10 tasks (59, 59 and 12 at K = 3): each row is built
-        once, the second chunk builds the rows it adds, and each class's
-        queries, and at K = 1 its prototypes, are the full table's rows when
-        they are started."""
-        chunks = count_chunks(monkeypatch)
-        score_threads(2)
+        score_threads(threads)
         store, cfg = pipeline_store(), pipeline_cfg(k_shot)
         full = representation_table(store, 16, cfg.distance)
         _, supports, queries = plan_episodes(store, 5, k_shot, 15, range(130), 4)
-        built, ready = [], []
-
-        def blocks(store, m, kind, rows, out):
-            built.append([])
-            for block in representation_blocks(store, m, kind, rows, out):
-                built[-1] += rows[block].tolist()
-                yield block
+        piece = 75 if threads == 1 else 15
+        built, ready = spy_on_builds(monkeypatch), []
 
         def start(table, rows, protos, out, threads):
-            task, at = divmod(len(ready), 5)
-            ready.append(np.array_equal(table[rows], full[queries[task, 15 * at : 15 * at + 15]])
-                         and (k_shot > 1 or np.array_equal(protos, full[supports[task, :, 0]])))
+            task, at = divmod(len(ready), 75 // piece)
+            means = full[supports[task, :, 0]] if k_shot == 1 else representation_table(
+                store, 16, cfg.distance, supports[task])
+            ready.append(np.array_equal(table[rows], full[queries[task, piece * at:][:piece]])
+                         and np.array_equal(protos, means))
             return start_scores(table, rows, protos, out, threads)
 
-        monkeypatch.setattr(cpes.harness, "representation_blocks", blocks)
         monkeypatch.setattr(cpes.harness, "start_scores", start)
         for _, run in _episodes(store, cfg, 16, 4, 130):
             for _ in run:
                 pass
         assert chunks == ([60, 60, 10] if k_shot == 1 else [59, 59, 12])
-        assert len(ready) == 5 * 130 and all(ready)
-        rows = sum(built, [])
-        read = queries if k_shot > 1 else np.hstack([supports[..., 0], queries])
-        assert len(rows) == len(set(rows)) and set(rows) == set(read.ravel().tolist())
-        assert len(built) == 2 and built[1]  # the third chunk reads no new row
+        assert len(ready) == 75 // piece * 130 and all(ready)
+        reads = queries if k_shot > 1 else np.hstack([supports[..., 0], queries])
+        seen = set()
+        for rows, tasks in zip(built, np.split(reads, np.cumsum(chunks)[:-1]), strict=True):
+            adds = [row for row in read_order(tasks) if row not in seen]
+            assert rows == (sorted(adds) if threads == 1 else adds)
+            seen.update(rows)
+        assert built[1] and not built[2]  # the third chunk reads no new row
 
     def test_a_chunk_that_gathers_every_row_builds_the_whole_table(self, monkeypatch, small_store):
-        """The full table, by record slices, as representation_table builds
-        it for every row, and no build for the later chunk."""
-        chunks = count_chunks(monkeypatch)
-        built = []
-
-        def table(*args):
-            built.append(args[3:])
-            return representation_table(*args)
-
-        monkeypatch.setattr(cpes.harness, "representation_table", table)
+        """One thread: the first chunk builds the whole table, by record
+        slices, in one representation_blocks call, and the later chunk's
+        call builds no row."""
+        chunks, calls = count_chunks(monkeypatch), spy_on_builds(monkeypatch)
         cfg = RunConfig(n_way=5, k_shot=1, queries_per_class=3, m=4, eval_tasks=1000, hidden_dim=8)
         head = init_head(cfg, 4)
         report = evaluate(head, small_store, cfg)
-        assert chunks == [819, 181] and built == [()]
+        assert chunks == [819, 181] and calls == [None, []]
         assert report.per_task_accuracy == per_episode_evaluate(head, small_store, cfg)
+
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_a_shared_tensor_chunk_that_gathers_every_row(self, monkeypatch, score_threads,
+                                                          k_shot):
+        """On two threads, a chunk that reads every one of 100 records builds
+        them in the order its tasks first read them, not by record slices,
+        and the bytes equal the per-episode path's."""
+        chunks = count_chunks(monkeypatch)
+        score_threads(2)
+        store = store_of_sizes([20] * 5, dim=64, patches=16)
+        cfg = pipeline_cfg(k_shot, episodes=12)
+        built = spy_on_builds(monkeypatch)
+        assert_loops_equal_per_episode_path(store, cfg)
+        assert chunks == [12, 12]  # train's, then evaluate's
+        seeds = (split_state(cfg.base_seed, _TRAIN_STREAM), cfg.base_seed)
+        for tasks, phase in zip(built, seeds, strict=True):
+            _, supports, queries = plan_episodes(store, 5, k_shot, 15, range(12), phase)
+            reads = queries if k_shot > 1 else np.hstack([supports[..., 0], queries])
+            assert tasks == read_order(reads) and len(tasks) == len(store)

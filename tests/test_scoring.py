@@ -18,7 +18,6 @@ from cpes.scoring import (
     MlpHead,
     OptimizerConfig,
     ScheduleKind,
-    episode_loss_and_grads,
     group_size,
     head_forward,
     load_head,
@@ -35,6 +34,7 @@ from oracles import (
     episode_scores,
     grads_of,
     head_of,
+    loss_and_grads,
     moment,
     outputs,
     per_tensor_head,
@@ -152,7 +152,7 @@ def finite_difference_grads(head, scores, targets, step=1e-6):
     loss over an episode's queries."""
 
     def loss_at():
-        losses, _, _ = episode_loss_and_grads(head, scores, targets)
+        losses, _, _ = loss_and_grads(head, scores, targets)
         return float(np.mean(losses))
 
     out = zero_grads(head)
@@ -207,7 +207,7 @@ class TestEpisodeLossAndGrads:
     def test_uniform_scores_give_ln_n(self):
         head = head_of(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.0)
         protos = np.stack([np.eye(2) * (i + 1) for i in range(5)])
-        losses, grads, probs = episode_loss_and_grads(
+        losses, grads, probs = loss_and_grads(
             head, score_tensor(np.eye(2)[np.newaxis], [0], unit_rows(protos)), np.array([2])
         )
         assert losses[0] == pytest.approx(math.log(5))
@@ -219,7 +219,7 @@ class TestEpisodeLossAndGrads:
         protos = np.stack([[[1.0, 0.0], [0.0, 1.0]] for _ in range(3)])
         query = np.array([[[1.0, 1.0], [1.0, -1.0]]])
         scores = score_tensor(unit_rows(query), [0], unit_rows(protos))
-        _, grads, _ = episode_loss_and_grads(head, scores, np.array([0]))
+        _, grads, _ = loss_and_grads(head, scores, np.array([0]))
         np.testing.assert_array_equal(grads.w1, np.zeros_like(grads.w1))
         np.testing.assert_array_equal(grads.b1, np.zeros_like(grads.b1))
 
@@ -228,7 +228,7 @@ class TestEpisodeLossAndGrads:
             m = (2, 4)[trial % 2]
             scores, targets = episode_fixture(small_store, m, seed=trial, task=trial)
             head = random_head(m * m, 8, seed=trial)
-            _, analytic, _ = episode_loss_and_grads(head, scores, targets)
+            _, analytic, _ = loss_and_grads(head, scores, targets)
             numeric = finite_difference_grads(head, scores, targets)
             assert_grads_close(analytic, numeric)
 
@@ -244,7 +244,7 @@ class TestClassProbabilities:
         for task in range(4):
             episode = sample_episode(plan_episodes(small_store, 5, k_shot, 2, [task], 17), 0)
             scores = episode_scores(small_store, reps, episode, m, DistanceKind.COS)
-            _, _, probs = episode_loss_and_grads(head, scores, episode.query_labels)
+            _, _, probs = loss_and_grads(head, scores, episode.query_labels)
             assert np.array_equal(class_probabilities(head, scores), probs)
 
 
@@ -510,7 +510,7 @@ class TestOptimizer:
             total = zero_grads(head)
             loss_sum = 0.0
             for scores, targets in batch:
-                loss, grads, _ = episode_loss_and_grads(head, scores, targets)
+                loss, grads, _ = loss_and_grads(head, scores, targets)
                 loss_sum += loss[0]
                 add_grads(total, grads)
             losses.append(loss_sum / len(batch))
