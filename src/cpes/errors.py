@@ -1,6 +1,7 @@
 """Exception hierarchy for the cpes package, and the config field table."""
 
 import dataclasses
+import enum
 import math
 
 
@@ -26,11 +27,15 @@ def setting(default, flag: str, least=None, help: str | None = None):
 
 def check_settings(config) -> None:
     """Raise InfeasibleConfig for the first field of a config, nested configs
-    included, below its declared least value; a float must also be finite."""
+    included, below its declared least value, or not a member of the enum of
+    its default; a float must also be finite."""
     for f in dataclasses.fields(config):
         value, least = getattr(config, f.name), f.metadata.get("least")
         if dataclasses.is_dataclass(value):
             check_settings(value)
+        elif isinstance(f.default, enum.Enum) and not isinstance(value, type(f.default)):
+            allowed = ", ".join(kind.value for kind in type(f.default))
+            raise InfeasibleConfig(f"{f.name} must be one of {allowed}, got {value!r}")
         elif least is not None and not least <= value < math.inf:
             finite = "finite and " if isinstance(value, float) else ""
             raise InfeasibleConfig(f"{f.name} must be {finite}>= {least}, got {value}")

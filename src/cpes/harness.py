@@ -207,7 +207,8 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
             unique, first = np.unique(reads, return_index=True)
             new, now = reads[np.sort(first[slots[unique] < 0])], 0
         part = np.empty((len(new), r, store.dim_d))
-        reps = part if reps is None else np.concatenate([reps, part])
+        # a chunk that adds no row leaves the table uncopied
+        reps = part if reps is None else np.concatenate([reps, part]) if len(new) else reps
         base = len(reps) - len(new)
         slots[new] = np.arange(base, len(reps))
         every = np.array_equal(new, np.arange(len(store)))  # by record slices, which gather nothing

@@ -1,9 +1,12 @@
 """Smoke test of the benchmark: one short run of the eval and of the train
 workload, each untraced and traced, and one traced run of the paper_scale
 workload, as a subprocess;
-``bench/run.py`` imports the package from this checkout's ``src``."""
+``bench/run.py`` imports the package from this checkout's ``src``. Then
+``tools/inprocess_ab.py``, which pairs the benchmark's set-ups and rounds
+of two trees."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,14 +57,36 @@ def test_paper_scale_workload_runs_clean_traced():
     assert result["correct"] is True
 
 
+def inprocess_ab(parent_src, change_src) -> subprocess.CompletedProcess:
+    """One pair of ``tools/inprocess_ab.py`` on the train workload."""
+    argv = [sys.executable, "tools/inprocess_ab.py", str(parent_src), str(change_src),
+            "--workload", "train", "--pairs", "1"]
+    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
 def test_inprocess_ab_of_one_tree_against_itself():
     """``tools/inprocess_ab.py`` imports two copies of this checkout's cpes
-    side by side: one pair on the train workload runs, and both copies give
-    the same checkpoint and per-task accuracies."""
-    argv = [sys.executable, "tools/inprocess_ab.py", "src", "src", "--workload", "train",
-            "--pairs", "1"]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    side by side: one pair of the benchmark's set-ups and rounds on the
+    train workload runs, every round passes the benchmark's checks, and
+    both copies give the same checkpoint and per-task accuracies."""
+    done = inprocess_ab("src", "src")
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
     assert summary["outputs_equal"] is True
-    assert all(summary[phase]["median_ratio"] > 0 for phase in ("train", "eval"))
+    assert all(summary[phase]["median_ratio"] > 0 for phase in ("setup", "train", "eval"))
+
+
+def test_inprocess_ab_stops_at_the_benchmarks_check(tmp_path):
+    """A tree whose fused patches weigh the class embedding 2.5 times, not
+    twice, moves the per-task accuracies: its first round fails the
+    benchmark's reference check, and the tool exits non-zero with the
+    check's message."""
+    shutil.copytree(ROOT / "src" / "cpes", tmp_path / "cpes",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    selection = tmp_path / "cpes" / "selection.py"
+    text = selection.read_text()
+    assert "FUSION_CLASS_WEIGHT = 2.0" in text
+    selection.write_text(text.replace("FUSION_CLASS_WEIGHT = 2.0", "FUSION_CLASS_WEIGHT = 2.5"))
+    done = inprocess_ab("src", tmp_path)
+    assert done.returncode != 0
+    assert "per-task accuracies differ from the recorded reference" in done.stderr

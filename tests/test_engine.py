@@ -428,6 +428,21 @@ class TestGatheredTable:
         assert chunks == [819, 181] and calls == [None, []]
         assert report.per_task_accuracy == per_episode_evaluate(head, small_store, cfg)
 
+    def test_a_chunk_that_adds_no_row_does_not_copy_the_table(self, monkeypatch, small_store):
+        """The chunk after one that built the whole table appends no row to
+        it, so the harness concatenates nothing."""
+        chunks, joined, concatenate = count_chunks(monkeypatch), [], np.concatenate
+
+        def spy(arrays, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "cpes.harness":
+                joined.append([len(a) for a in arrays])
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", spy)
+        cfg = RunConfig(n_way=5, k_shot=1, queries_per_class=3, m=4, eval_tasks=1000, hidden_dim=8)
+        evaluate(init_head(cfg, 4), small_store, cfg)
+        assert chunks == [819, 181] and joined == []
+
     @pytest.mark.parametrize("k_shot", [1, 3])
     def test_a_shared_tensor_chunk_that_gathers_every_row(self, monkeypatch, score_threads,
                                                           k_shot):

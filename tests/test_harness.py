@@ -17,7 +17,7 @@ from cpes.harness import (
     sweep,
     train,
 )
-from cpes.scoring import save_head
+from cpes.scoring import OptimizerConfig, save_head
 from cpes.selection import DistanceKind, select_top, similarity_sequence
 from conftest import raises_exactly
 from oracles import (
@@ -219,6 +219,26 @@ class TestResolveM:
         for m in (17, -1):
             with pytest.raises(ValueError):
                 resolve_m(small_store, quick_cfg(m=m))
+
+
+class TestEnumSettings:
+    """A distance or schedule that is not a member of its enum, such as its
+    value string, is refused by train and evaluate alike, before any work."""
+
+    @pytest.mark.parametrize("call", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(distance="abs"), "distance must be one of cos, dot, abs, sqr, got 'abs'"),
+            (dict(optimizer=OptimizerConfig(schedule="constant")),
+             "schedule must be one of constant, cosine, got 'constant'"),
+        ],
+        ids=["distance", "schedule"],
+    )
+    def test_a_non_member_is_rejected(self, small_store, call, setting, message):
+        cfg, head = quick_cfg(**setting), init_head(quick_cfg(), 4)
+        with raises_exactly(InfeasibleConfig, message):
+            train(small_store, cfg) if call == "train" else evaluate(head, small_store, cfg)
 
 
 class TestExportMasks:

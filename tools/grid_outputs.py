@@ -5,22 +5,26 @@ Generates the two frozen sweep stores of ``tests/conftest.py`` with
 default run lengths for m in {0, 4, 16} x cos/dot/abs/sqr x K in {1, 3},
 keeping every store, checkpoint, training log and report under OUT_DIR.
 It also writes a store of every gen-synthetic default, an odd-shape
-store (odd D, whose last normal pair is cut short, and a pool of 5,
-whose picks can reject a word), a K = 5 ``train`` + ``eval`` pair on it
-(5-shot means with odd D, every class of an episode in one selection
-block), that shape again with a ``train`` + ``eval`` pair at each of two
-seeds outside [0, 2**64), which streams take modulo 2**64 (-1 and 2**64
-+ 5), the selection masks of records 0-5 of the train store (m=4, cos),
-a checkpoint and log trained from a ``--config`` JSON file, the JSON
-reports of a short ``sweep-m`` and ``sweep-distance`` over the two sweep
-stores, and one ``train`` + ``eval`` pair (K = 1, cos) with no ``--m``,
-whose m comes from the stores' planted ground truth. Everything goes
-through ``cpes.cli.main``, so the cpes imported is the one on
-PYTHONPATH. Last, it runs a fixed list of rejected commands (damaged
-copies of the train store and of a checkpoint, and requests the train
-store cannot meet) and writes each one's exit code and stderr under
-OUT_DIR/rejected, so that no error message or exit code moves either.
-To check that a change moves no result:
+store (odd D, whose last normal pair is cut short, and a pool of 5), a
+K = 5 ``train`` + ``eval`` pair on it (5-shot means with odd D, every
+class of an episode in one selection block), the ``inspect-store`` output
+of the train, eval and odd-shape stores, that shape again with a
+``train`` + ``eval`` pair at each of two seeds outside [0, 2**64), which
+streams take modulo 2**64 (-1 and 2**64 + 5), the selection masks of
+records 0-5 of the train store (m=4, cos), a checkpoint and log trained
+from a ``--config`` JSON file, the JSON reports of a short ``sweep-m`` and
+``sweep-distance`` over the two sweep stores and of a ``sweep-m`` whose
+values are a ``--config`` JSON array, and one ``train`` + ``eval`` pair
+(K = 1, cos) with no ``--m``, whose m comes from the stores' planted
+ground truth. Everything goes through ``cpes.cli.main``, so the cpes
+imported is the one on PYTHONPATH. Last, it runs a fixed list of rejected
+commands (damaged copies of the train store and of a checkpoint, and
+requests the train store cannot meet) and writes each one's exit code and
+stderr under OUT_DIR/rejected, so that no error message or exit code
+moves either. A draw below a bound b rejects a word with odds of about
+b / 2**64, so the grid's small bounds never reach the rejection path; the
+rejection tests of ``tests/test_numerics.py`` (``TestRng``,
+``TestRowKernels``) cover it. To check that a change moves no result:
 
     PYTHONPATH=/path/to/parent/src python3 tools/grid_outputs.py out-parent
     PYTHONPATH=src python3 tools/grid_outputs.py out-change
@@ -56,13 +60,15 @@ CONFIG_RUN = {
     "m": 4, "distance": "sqr", "k_shot": 3, "epochs": 2, "episodes_per_epoch": 20,
     "seed": 3, "hidden": 32, "lr": 0.002, "weight_decay": 0.0, "schedule": "constant",
 }
-# a store shape the sweep stores miss: odd D and a pool size that does not divide 2**64
+# a store shape the sweep stores miss: odd D and a pool of 5
 ODD_SHAPE = ["--classes", "6", "--dim", "11", "--patches", "9", "--signal-patches", "3",
              "--distractors", "5"]
 # seeds outside [0, 2**64): -1 and 2**64 + 5
 WRAPPED_SEEDS = ("-1", str((1 << 64) + 5))
 # run length of each sweep point: short, as a sweep trains once per value
 SWEEP_RUN = ["--epochs", "1", "--episodes-per-epoch", "20", "--tasks", "50"]
+# JSON config of the sweep-m run whose values come from an array
+SWEEP_CONFIG = {"values": [2, 8], "epochs": 1, "episodes_per_epoch": 20, "tasks": 50}
 
 
 # the sweep train store's CPEM layout: header bytes, bytes a record, and its
@@ -158,6 +164,14 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"failed: cpes {' '.join(argv)}")
 
 
+def inspect(store: Path) -> None:
+    """Write ``cpes inspect-store``'s stdout on ``store`` beside it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(["inspect-store", "--store", str(store)])
+    store.with_suffix(".inspect.txt").write_text(out.getvalue())
+
+
 def gen_synthetic(cfg, out: Path) -> None:
     """``cpes gen-synthetic`` with every field of the SyntheticConfig ``cfg``
     passed as its flag."""
@@ -177,6 +191,8 @@ def main_grid(out_dir: Path) -> None:
     run(["gen-synthetic", "--out", str(out_dir / "defaults.cpem")])
     odd_store, name = out_dir / "odd_shape.cpem", out_dir / "odd_shape_k5"
     run(["gen-synthetic", *ODD_SHAPE, "--out", str(odd_store)])
+    for store in (train_store, eval_store, odd_store):
+        inspect(store)
     run(["train", "--store", str(odd_store), "--out", f"{name}.cpeh", "--log", f"{name}.log.json",
          "--k-shot", "5"])
     run(["eval", "--store", str(odd_store), "--checkpoint", f"{name}.cpeh",
@@ -198,6 +214,10 @@ def main_grid(out_dir: Path) -> None:
          "--out", str(out_dir / "sweep_m.json")])
     run(["sweep-distance", *stores, "--m", "4", *SWEEP_RUN,
          "--out", str(out_dir / "sweep_distance.json")])
+    config = out_dir / "sweep_m_config.json"
+    config.write_text(json.dumps(SWEEP_CONFIG))
+    run(["sweep-m", *stores, "--config", str(config),
+         "--out", str(out_dir / "sweep_m_config.report.json")])
     # no --m: the reader's planted mask sets it, by the count every record plants
     name = out_dir / "m_default_cos_k1"
     run(["train", "--store", str(train_store), "--out", f"{name}.cpeh", "--log", f"{name}.log.json",
