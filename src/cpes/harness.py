@@ -125,7 +125,7 @@ def resolve_m(store: EmbeddingStore, cfg: RunConfig) -> int:
     check_settings(cfg)
     if cfg.m is not None:
         if not 0 <= cfg.m <= store.patches_m:
-            raise ValueError(f"m must be in [0, {store.patches_m}], got {cfg.m}")
+            raise InfeasibleConfig(f"m must be in [0, {store.patches_m}], got {cfg.m}")
         return cfg.m
     counts = [] if store.planted is None else np.unique(store.planted.sum(1)).tolist()
     if len(counts) > 1:
@@ -276,7 +276,7 @@ def evaluate(head: MlpHead, store: EmbeddingStore, cfg: RunConfig) -> EvalReport
     before b2; b2, the softmax and the accuracies are taken once per chunk."""
     m = resolve_m(store, cfg)
     if head.input_dim != head_input_dim(m):
-        raise ValueError(
+        raise InfeasibleConfig(
             f"head input dim {head.input_dim} does not match m={m} "
             f"(expected {head_input_dim(m)})"
         )

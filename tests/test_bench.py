@@ -2,10 +2,12 @@
 workload, each untraced and traced, and one traced run of the paper_scale
 workload, as a subprocess;
 ``bench/run.py`` imports the package from this checkout's ``src``. Then
-``tools/inprocess_ab.py``, which pairs the benchmark's set-ups and rounds
-of two trees."""
+``tools/inprocess_ab.py``, which pairs the benchmark's cycles of two trees
+and counts each phase's page faults, and ``tools/grid_outputs.py``'s
+imports."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -66,14 +68,18 @@ def inprocess_ab(parent_src, change_src) -> subprocess.CompletedProcess:
 
 def test_inprocess_ab_of_one_tree_against_itself():
     """``tools/inprocess_ab.py`` imports two copies of this checkout's cpes
-    side by side: one pair of the benchmark's set-ups and rounds on the
-    train workload runs, every round passes the benchmark's checks, and
-    both copies give the same checkpoint and per-task accuracies."""
+    side by side: one pair of the benchmark's cycles on the train workload
+    runs, every round passes the benchmark's checks, both copies give the
+    same checkpoint and per-task accuracies, and each phase reports a time
+    ratio and both sides' median minor-fault counts."""
     done = inprocess_ab("src", "src")
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
     assert summary["outputs_equal"] is True
-    assert all(summary[phase]["median_ratio"] > 0 for phase in ("setup", "train", "eval"))
+    for phase in ("setup", "train", "eval"):
+        row = summary[phase]
+        assert row["median_ratio"] > 0
+        assert row["parent_median_minflt"] >= 0 and row["change_median_minflt"] >= 0
 
 
 def test_inprocess_ab_stops_at_the_benchmarks_check(tmp_path):
@@ -90,3 +96,13 @@ def test_inprocess_ab_stops_at_the_benchmarks_check(tmp_path):
     done = inprocess_ab("src", tmp_path)
     assert done.returncode != 0
     assert "per-task accuracies differ from the recorded reference" in done.stderr
+
+
+def test_grid_outputs_imports_and_parses_its_flags():
+    """``tools/grid_outputs.py`` imports the sweep store settings from
+    ``tests/conftest.py`` and cpes's CLI; ``--help`` runs those imports
+    without writing the grid."""
+    argv = [sys.executable, "tools/grid_outputs.py", "--help"]
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr

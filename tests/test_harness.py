@@ -146,7 +146,7 @@ class TestEvaluate:
 
     def test_head_shape_mismatch(self, easy_eval_store):
         cfg = quick_cfg(m=8)
-        with pytest.raises(ValueError, match=r"^head input dim 16 does not match m=8 \(expected 64\)$"):
+        with raises_exactly(InfeasibleConfig, "head input dim 16 does not match m=8 (expected 64)"):
             evaluate(init_head(quick_cfg(m=4), 4), easy_eval_store, cfg)
 
     def test_json_round_trip(self, easy_eval_store):
@@ -217,7 +217,7 @@ class TestResolveM:
 
     def test_m_too_large_rejected(self, small_store):
         for m in (17, -1):
-            with pytest.raises(ValueError):
+            with raises_exactly(InfeasibleConfig, f"m must be in [0, 16], got {m}"):
                 resolve_m(small_store, quick_cfg(m=m))
 
 
@@ -239,6 +239,42 @@ class TestEnumSettings:
         cfg, head = quick_cfg(**setting), init_head(quick_cfg(), 4)
         with raises_exactly(InfeasibleConfig, message):
             train(small_store, cfg) if call == "train" else evaluate(head, small_store, cfg)
+
+
+class TestSettingTypes:
+    """An int field (and m, which may also be None) that holds a float, a
+    string or a bool, or a float field that holds a string or a bool, is
+    refused by train and evaluate alike, before any work; numpy numbers
+    are numbers."""
+
+    @pytest.mark.parametrize("call", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(epochs=1.5), "epochs must be an integer, got 1.5"),
+            (dict(hidden_dim=8.0), "hidden_dim must be an integer, got 8.0"),
+            (dict(n_way="5"), "n_way must be an integer, got '5'"),
+            (dict(m=4.0), "m must be an integer, got 4.0"),
+            (dict(k_shot=True), "k_shot must be an integer, got True"),
+            (dict(optimizer=OptimizerConfig(learning_rate="0.1")),
+             "learning_rate must be a real number, got '0.1'"),
+            (dict(optimizer=OptimizerConfig(weight_decay=False)),
+             "weight_decay must be a real number, got False"),
+        ],
+        ids=["epochs", "hidden_dim", "n_way", "m", "k_shot", "learning_rate", "weight_decay"],
+    )
+    def test_a_wrong_type_is_rejected(self, small_store, call, setting, message):
+        cfg, head = quick_cfg(**setting), init_head(quick_cfg(), 4)
+        with raises_exactly(InfeasibleConfig, message):
+            train(small_store, cfg) if call == "train" else evaluate(head, small_store, cfg)
+
+    def test_numpy_numbers_are_numbers(self, small_store):
+        cfg = quick_cfg(n_way=np.int64(5), m=np.int32(4), eval_tasks=np.int64(3),
+                        optimizer=OptimizerConfig(learning_rate=np.float32(1e-3)))
+        head = init_head(quick_cfg(), 4)
+        assert evaluate(head, small_store, cfg).per_task_accuracy == evaluate(
+            head, small_store, quick_cfg(eval_tasks=3)
+        ).per_task_accuracy
 
 
 class TestExportMasks:

@@ -3,30 +3,31 @@
     python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC --workload train --pairs 300
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding a ``cpes``
-package. Each package is copied under its own name (``cpes_parent``,
-``cpes_change``) into a temporary directory and imported from there, so
-both run in this one process, on the same heap and the same cores. The
-workload's seed-0 input bytes are written once, by this checkout's cpes in
-a child process (``bench/inputs.generate``), and each side is a
-``bench/run.py`` ``Bench`` over them. Each pair runs one ``Bench.setup``
-and one ``Bench.run_round`` on each side, the side that runs first
-alternating from pair to pair, so every round is the benchmark's round,
-checked as the benchmark checks it: against the head trained at input
-generation, the side's first round and ``bench/reference.json``. A failed
-check stops the run with its message and exit status 1. The first pair
-warms up and is dropped. BLAS is pinned to one thread, as in the benchmark.
+package, imported side by side under their own names (``cpes_parent``,
+``cpes_change``) from a temporary copy, so both run in this one process.
+Each side is a ``bench/run.py`` ``Bench`` over the workload's seed-0 input
+bytes, written once by this checkout's cpes in a child process
+(``bench/inputs.generate``). Each pair runs the benchmark's cycle on each
+side, the first side alternating: the workload's ``setup_reps`` set-ups,
+each releasing the one before, then one ``Bench.run_round``, checked as the
+benchmark checks it (the input-generation head, the side's first round,
+``bench/reference.json``); a failed check exits 1 with its message. The
+first pair warms up and is dropped. BLAS is pinned to one thread, as in
+the benchmark.
 
-Prints, for the set-up, train and eval phases, each side's median time,
-the median of the per-pair change/parent time ratios and the number of
-pairs the change ran faster, and whether the two sides' checkpoints and
-per-task accuracies were equal (exit status 1 if not); the last line is
-the same as JSON. Passing the same tree twice gives the A/A floor that a
-ratio is read against.
+For each phase (a set-up, from the first ``read_store`` to ``load_head``;
+train, from ``train`` to ``save_head``; eval, ``evaluate``) it prints each
+side's median time and median count of minor page faults (``ru_minflt``),
+the median change/parent time ratio (set-up i of a pair against set-up i)
+and the pairs the change won; then whether the two sides' checkpoints and
+per-task accuracies were equal (exit 1 if not). The last line is the same
+as JSON. The same tree twice gives the A/A floor a ratio is read against.
 """
 
 import argparse
 import importlib
 import json
+import resource
 import shutil
 import statistics
 import sys
@@ -45,6 +46,38 @@ from workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
 PHASES = ("setup", "train", "eval")
+# the cpes call that ends each phase; a phase starts at the first counted
+# call after the previous one ended
+PHASE_ENDS = {"load_head": "setup", "save_head": "train", "evaluate": "eval"}
+COUNTED = ("read_store", "train", *PHASE_ENDS)
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class FaultCounted:
+    """A cpes package whose calls record the minor faults of each phase in
+    ``faults``."""
+
+    def __init__(self, cpes):
+        self._cpes, self._start = cpes, None  # faults when the open phase started
+        self.faults = {phase: [] for phase in PHASES}
+
+    def __getattr__(self, name):
+        fn = getattr(self._cpes, name)
+        if name not in COUNTED:
+            return fn
+
+        def counted(*args):
+            if self._start is None:
+                self._start = minor_faults()
+            out = fn(*args)
+            if name in PHASE_ENDS:
+                self.faults[PHASE_ENDS[name]].append(minor_faults() - self._start)
+                self._start = None
+            return out
+        return counted
 
 
 def import_copy(src: Path, name: str, into: Path):
@@ -55,11 +88,21 @@ def import_copy(src: Path, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def phase_times(bench: Bench) -> dict[str, list[float]]:
-    """Each phase's times, the warm-up pair's dropped."""
-    rounds = bench.rounds[1:]
-    return {"setup": bench.setup_times[1:], "train": [r.train_s for r in rounds],
-            "eval": [r.eval_s for r in rounds]}
+def cycle(bench: Bench) -> None:
+    """The benchmark's cycle: the workload's set-ups, then one round."""
+    for _ in range(bench.workload.setup_reps):
+        state = None  # release the previous set-up before the next
+        state = bench.setup()
+    bench.rounds.append(bench.run_round(state, False))
+
+
+def phases(bench: Bench) -> dict[str, tuple[list[float], list[int]]]:
+    """Each phase's times and fault counts, the warm-up pair's dropped."""
+    rounds, setup_s, _ = bench.timed()
+    faults = bench.cpes.faults
+    return {"setup": (setup_s, faults["setup"][bench.workload.setup_reps:]),
+            "train": ([r.train_s for r in rounds], faults["train"][1:]),
+            "eval": ([r.eval_s for r in rounds], faults["eval"][1:])}
 
 
 def main() -> int:
@@ -76,32 +119,35 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         trees = dict(zip(SIDES, (args.parent_src, args.change_src)))
-        benches = {side: Bench(import_copy(src.resolve(), f"cpes_{side}", Path(tmp)),
+        benches = {side: Bench(FaultCounted(import_copy(src.resolve(), f"cpes_{side}", Path(tmp))),
                                workload, 0, blobs, None)
                    for side, src in trees.items()}
-        for pair in range(args.pairs + 1):  # pair 0 warms up; phase_times drops it
+        for pair in range(args.pairs + 1):  # pair 0 warms up; Bench.timed drops it
             for side in SIDES if pair % 2 else SIDES[::-1]:
-                bench = benches[side]
                 try:
-                    bench.rounds.append(bench.run_round(bench.setup(), False))
+                    cycle(benches[side])
                 except CheckFailed as exc:
                     raise SystemExit(f"{side}, pair {pair}: {exc}") from None
     parent, change = (benches[side].rounds[0] for side in SIDES)
     equal = (parent.checkpoint, parent.per_task) == (change.checkpoint, change.per_task)
-    times = {side: phase_times(benches[side]) for side in SIDES}
+    measured = {side: phases(benches[side]) for side in SIDES}
     summary = {"workload": args.workload, "pairs": args.pairs, "outputs_equal": equal}
     for phase in PHASES:
-        before, after = times["parent"][phase], times["change"][phase]
+        (before, before_faults), (after, after_faults) = (measured[side][phase] for side in SIDES)
         ratios = [b / a for a, b in zip(before, after, strict=True)]
         summary[phase] = row = {
             "parent_median_s": statistics.median(before),
             "change_median_s": statistics.median(after),
             "median_ratio": statistics.median(ratios),
             "change_wins": sum(ratio < 1.0 for ratio in ratios),
+            "parent_median_minflt": statistics.median(before_faults),
+            "change_median_minflt": statistics.median(after_faults),
         }
         print(f"{phase}: parent {row['parent_median_s'] * 1e3:.3f} ms, change "
               f"{row['change_median_s'] * 1e3:.3f} ms, median change/parent "
-              f"{row['median_ratio']:.4f}, change faster in {row['change_wins']}/{args.pairs}")
+              f"{row['median_ratio']:.4f}, change faster in {row['change_wins']}/{len(ratios)}; "
+              f"minor faults parent {row['parent_median_minflt']:g}, "
+              f"change {row['change_median_minflt']:g}")
     print(f"outputs equal: {equal}")
     print(json.dumps(summary))
     return 0 if equal else 1
