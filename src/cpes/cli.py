@@ -40,7 +40,7 @@ def _add_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
     for f, kind in _fields(cls):
         if dataclasses.is_dataclass(kind):
             _add_flags(p, kind, names)
-        elif "flag" in f.metadata and (names is None or f.name in names):
+        elif f.metadata.get("flag") and (names is None or f.name in names):
             if issubclass(kind, enum.Enum):
                 parse = dict(choices=[k.value for k in kind], default=f.default.value)
             else:
@@ -55,7 +55,7 @@ def _config(cls, args: argparse.Namespace):
     for f, kind in _fields(cls):
         if dataclasses.is_dataclass(kind):
             values[f.name] = _config(kind, args)
-        elif "flag" in f.metadata:
+        elif f.metadata.get("flag"):
             value = getattr(args, f.metadata["flag"][2:].replace("-", "_"), f.default)
             values[f.name] = kind(value) if issubclass(kind, enum.Enum) else value
     return cls(**values)

@@ -15,13 +15,14 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import operator
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .episodes import Episode, plan_episodes, sample_episode
-from .errors import InfeasibleConfig, check_settings, setting
+from .errors import InfeasibleConfig, check_settings, is_integer, setting
 from .numerics import block_slices, softmax, split_states
 from .scoring import (
     MlpHead,
@@ -316,6 +317,8 @@ def sweep(
 ) -> SweepReport:
     """Full train+evaluate per value of the RunConfig field ``axis``, shared
     base seed. Enum values are labelled by their ``.value``."""
+    if axis not in {f.name for f in fields(RunConfig)}:
+        raise InfeasibleConfig(f"cannot sweep {axis!r}: not a RunConfig field")
     if not values:
         raise InfeasibleConfig(f"no {axis} values to sweep")
     points = []
@@ -334,10 +337,15 @@ def export_masks(
     for each distinct requested record, in the order first requested, once
     every id and cfg are checked, into out_dir, which it creates if its
     parent exists: all in one ``write_whole``, so a write that fails leaves
-    no mask file new or changed. Returns the written paths."""
+    no mask file new or changed. Returns the written paths. An id is an integer
+    that operator.index takes (numpy's included, written as the int it is), and
+    not a bool."""
     if not record_ids:
         raise InfeasibleConfig("no record ids to export")
-    record_ids = list(dict.fromkeys(record_ids))
+    for record_id in record_ids:
+        if not is_integer(record_id):
+            raise InfeasibleConfig(f"record_id must be an integer, got {record_id!r}")
+    record_ids = list(dict.fromkeys(map(operator.index, record_ids)))
     by_id = {record_id: row for row, record_id in enumerate(store.record_ids.tolist())}
     for record_id in record_ids:
         if record_id not in by_id:

@@ -1,5 +1,6 @@
 """Deterministic numeric kernels: unit rows, softmax, cross-entropy, block slices, the finiteness
-check, and a counter-based 64-bit RNG whose streams are identical on every platform.
+check, the threads they share out to, and a counter-based 64-bit RNG whose streams are identical
+on every platform.
 
 A stream is its uint64 state, a Weyl counter whose words pass through the
 splitmix64 finalizer; ``split_states`` derives independent ones from a seed.
@@ -12,12 +13,31 @@ so accumulation order never shows up in test tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 
 import numpy as np
 
 DEGENERATE_NORM = 1e-12
 BLOCK_VALUES = 2**16  # values one block of any block loop holds at once: 512 KiB of float64
+SPLIT_VALUES = 16 * BLOCK_VALUES  # all_finite shares out an array of at least this many values
+
+# the threads of the score tensor and all_finite: one per core of the CPU affinity mask (so
+# `taskset -c 0` runs both serially), the calling thread and a pool of the others
+try:
+    _THREADS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _THREADS = os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The pool of the other threads, made at first use: until then none is imported."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="cpes")
+
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -128,17 +148,45 @@ def block_slices(count: int, size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def all_finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
-    """Whether every value is finite, checked a block_slices block of the leading axis at a
-    time by min and max while it is in cache (a NaN propagates through both, an infinity is one
-    of them) up to the first non-finite block. Given ``out``, each block is copied there first."""
-    for block in block_slices(len(values), values[:1].size):
+def _finite(rows: np.ndarray, ones: np.ndarray | None, out: np.ndarray | None) -> bool:
+    """Whether every value of ``rows`` is finite, given ``out`` copied there a block_slices
+    block at a time and checked from the copy while it is in cache. One BLAS product sums each
+    row in its dtype (``rows @ ones``; 1-D rows, ``ones`` None, by their sum of squares): a
+    finite total proves the values finite, and a non-finite one, which finite values can also
+    give by overflow, is settled exactly by min and max."""
+    for block in [slice(None)] if out is None else block_slices(len(rows), rows[:1].size):
         if out is not None:
-            out[block] = values[block]
-        part = (values if out is None else out)[block]
-        if not (math.isfinite(part.min(initial=0)) and math.isfinite(part.max(initial=0))):
-            return False
+            out[block] = rows[block]
+        part = (rows if out is None else out)[block]
+        with np.errstate(all="ignore"):
+            if not math.isfinite(np.sum(part @ (part if ones is None else ones))) and not (
+                math.isfinite(part.min(initial=0)) and math.isfinite(part.max(initial=0))
+            ):
+                return False
     return True
+
+
+def all_finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
+    """Whether every value is finite (given ``out``, each is copied there first), by _finite on
+    parts of the leading axis, a record a row of a view. An array of at least SPLIT_VALUES values
+    is one part a thread, and the pool checks all but the caller's; a part the pool has not
+    started once the caller's is checked is cancelled and checked by the caller. A smaller
+    array is one part on the calling thread."""
+    rows = values if values.ndim < 2 else values.reshape(len(values), values[:1].size)
+    ones = np.ones(rows.shape[1], rows.dtype) if rows.ndim > 1 else None
+    out = None if out is None else out.reshape(rows.shape)
+    threads = _THREADS if rows.size >= SPLIT_VALUES else 1
+    cuts = [len(rows) * i // threads for i in range(threads + 1)]
+    parts = [(rows[a:b], ones, None if out is None else out[a:b]) for a, b in zip(cuts, cuts[1:])]
+    futures = [_pool().submit(_finite, *part) for part in parts[1:]]
+    try:
+        return _finite(*parts[0]) and all(
+            _finite(*part) if future.cancel() else future.result()
+            for part, future in zip(parts[1:], futures)
+        )
+    finally:  # no part is checked on once the call is over
+        for future in futures:
+            future.cancel() or future.exception()
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

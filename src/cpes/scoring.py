@@ -8,14 +8,13 @@ flows into representations.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import InfeasibleConfig, StoreFormatError, setting
 from .numerics import BLOCK_VALUES, all_finite, block_slices, cross_entropy, softmax, uniforms
 from .store import _read_header, _reject_trailing, _require, _write
@@ -23,24 +22,6 @@ from .store import _read_header, _reject_trailing, _require, _write
 CHECKPOINT_MAGIC = b"CPEH"
 CHECKPOINT_VERSION = 1
 _HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
-
-# the score tensor's threads: one per core this process may run on (the CPU
-# affinity mask, so `taskset -c 0` runs it serially), the calling thread
-# and a pool of the others
-try:
-    _THREADS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _THREADS = os.cpu_count() or 1
-
-
-@functools.cache
-def _pool():
-    """The pool of the score tensor's other threads, made when a tensor of more
-    than one block first needs it: until then no thread pool is imported."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="cpes-score")
-
 
 def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blocks) -> None:
     """Write the clamped squared cosines of the blocks of queries taken from
@@ -55,7 +36,7 @@ def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blo
 def tensor_threads(queries: int, query_values: int) -> int:
     """The score tensor's threads: one for a tensor of one block, on any cores. Where there
     are more, start_scores shares the tensor out and _episodes keeps a second buffer."""
-    return _THREADS if queries * query_values > BLOCK_VALUES else 1
+    return numerics._THREADS if queries * query_values > BLOCK_VALUES else 1
 
 
 def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray, threads: int):
@@ -80,7 +61,8 @@ def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray, t
     query_values = table.shape[1] * table.shape[2]
     blocks = block_slices(len(rows), query_values * threads)
     args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
-    return args, [_pool().submit(_matmuls, *args) for _ in range(min(threads - 1, len(blocks)))]
+    shares = min(threads - 1, len(blocks))
+    return args, [numerics._pool().submit(_matmuls, *args) for _ in range(shares)]
 
 
 def finish_scores(args, futures) -> np.ndarray:
@@ -104,9 +86,9 @@ class ScheduleKind(enum.Enum):
 @dataclass
 class OptimizerConfig:
     learning_rate: float = setting(1e-3, "--lr", least=0)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float = setting(0.9, None, least=0, below=1)
+    beta2: float = setting(0.999, None, least=0, below=1)
+    eps: float = setting(1e-8, None, above=0)
     weight_decay: float = setting(0.01, "--weight-decay", least=0)
     schedule: ScheduleKind = setting(ScheduleKind.COSINE, "--schedule")
     lr_floor: float = setting(1e-6, "--lr-floor", least=0)

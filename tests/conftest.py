@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from cpes import scoring
+from cpes import numerics, scoring
 from cpes.store import SyntheticConfig, generate_synthetic
 
 # Frozen synthetic-store settings shared by tests and the acceptance suite.
@@ -93,16 +93,16 @@ class RecordingPool(ThreadPoolExecutor):
 
 @pytest.fixture
 def score_threads(monkeypatch):
-    """Call with a count to score tensors on that many threads, whatever
-    the cores: the calling thread and a RecordingPool of its own, returned,
-    and shut down after the test."""
+    """Call with a count to score tensors and check finiteness on that many
+    threads, whatever the cores: the calling thread and a RecordingPool of
+    its own, returned, and shut down after the test."""
     pools = []
 
     def force(count: int) -> RecordingPool:
         pool = RecordingPool(max(count - 1, 1), f"test-score-{len(pools)}")
         pools.append(pool)
-        monkeypatch.setattr(scoring, "_THREADS", count)
-        monkeypatch.setattr(scoring, "_pool", lambda: pool)
+        monkeypatch.setattr(numerics, "_THREADS", count)
+        monkeypatch.setattr(numerics, "_pool", lambda: pool)
         return pool
 
     yield force

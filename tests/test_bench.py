@@ -4,7 +4,7 @@ workload, as a subprocess;
 ``bench/run.py`` imports the package from this checkout's ``src``. Then
 ``tools/inprocess_ab.py``, which pairs the benchmark's cycles of two trees
 and counts each phase's page faults, and ``tools/grid_outputs.py``'s
-imports."""
+imports and its store above the finiteness split."""
 
 import json
 import os
@@ -106,3 +106,21 @@ def test_grid_outputs_imports_and_parses_its_flags():
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def test_grid_outputs_split_store_is_shared_out(tmp_path, score_threads):
+    """The store of ``tools/grid_outputs.py``'s split case is above
+    SPLIT_VALUES patch values, so on two threads its check goes to the pool,
+    and the NaN in its last record is found and named."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import grid_outputs
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    pool = score_threads(2)
+    grid_outputs.split(tmp_path)
+    assert pool.futures
+    assert (tmp_path / "split" / "clean.txt").read_text().startswith("exit 0\n")
+    assert (tmp_path / "split" / "nan_last_record.txt").read_text() == (
+        "exit 3\nstdout:\nstderr:\nerror: record 39 contains NaN/Inf\n"
+    )

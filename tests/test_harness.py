@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -166,6 +167,10 @@ class TestSweeps:
         plain = evaluate(head, easy_eval_store, cfg)
         assert result.points[0][1].per_task_accuracy == plain.per_task_accuracy
 
+    def test_an_axis_that_is_not_a_field_is_rejected(self, small_store):
+        with raises_exactly(InfeasibleConfig, "cannot sweep 'bogus': not a RunConfig field"):
+            sweep(small_store, small_store, quick_cfg(), "bogus", [1])
+
     def test_sweep_m_zero_and_full(self, easy_train_store, easy_eval_store):
         cfg = quick_cfg(eval_tasks=5, episodes_per_epoch=3)
         result = sweep(easy_train_store, easy_eval_store, cfg, "m", [0, 16])
@@ -277,6 +282,35 @@ class TestSettingTypes:
         ).per_task_accuracy
 
 
+class TestOptimizerBounds:
+    """beta1 and beta2 in [0, 1) and eps finite and above 0, which only the
+    Python API sets, are refused by train before any work, naming the field:
+    each value here trained without complaint, trained to a head of NaN, or
+    failed as an overflow that named the learning rate."""
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("beta1", math.nan, "beta1 must be >= 0 and < 1, got nan"),
+            ("beta2", math.nan, "beta2 must be >= 0 and < 1, got nan"),
+            ("beta1", 1.0, "beta1 must be >= 0 and < 1, got 1.0"),
+            ("beta2", 1.0, "beta2 must be >= 0 and < 1, got 1.0"),
+            ("beta1", -3.0, "beta1 must be >= 0 and < 1, got -3.0"),
+            ("eps", 0.0, "eps must be finite and > 0, got 0.0"),
+            ("eps", -1.0, "eps must be finite and > 0, got -1.0"),
+            ("eps", math.inf, "eps must be finite and > 0, got inf"),
+        ],
+    )
+    def test_out_of_bounds_rejected(self, small_store, name, value, message):
+        cfg = quick_cfg(optimizer=OptimizerConfig(**{name: value}))
+        with raises_exactly(InfeasibleConfig, message):
+            train(small_store, cfg)
+
+    def test_the_least_betas_train(self, small_store):
+        head, log = train(small_store, quick_cfg(optimizer=OptimizerConfig(beta1=0, beta2=0.0)))
+        assert np.isfinite(head.state).all() and math.isfinite(log[0]["mean_loss"])
+
+
 class TestExportMasks:
     def test_full_and_empty_masks(self, small_store, tmp_path):
         paths = export_masks(small_store, quick_cfg(m=16), [0], tmp_path / "full")
@@ -308,6 +342,20 @@ class TestExportMasks:
     def test_unknown_record(self, small_store, tmp_path):
         with raises_exactly(InfeasibleConfig, "record_id 10000 not in store"):
             export_masks(small_store, quick_cfg(), [10_000], tmp_path)
+
+    def test_numpy_ids_write_the_bytes_of_ints(self, small_store, tmp_path):
+        cfg = quick_cfg()
+        numpy_ids = list(small_store.record_ids[:2]) + [np.int8(1), np.int64(2)]
+        paths = export_masks(small_store, cfg, numpy_ids, tmp_path / "numpy")
+        plain = export_masks(small_store, cfg, [0, 1, 2], tmp_path / "int")
+        assert [Path(p).name for p in paths] == [Path(p).name for p in plain]
+        assert [Path(p).read_bytes() for p in paths] == [Path(p).read_bytes() for p in plain]
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), 1.0, np.float64(1.0), "1", None])
+    def test_a_non_integer_id_is_rejected_writing_nothing(self, small_store, tmp_path, bad):
+        with raises_exactly(InfeasibleConfig, f"record_id must be an integer, got {bad!r}"):
+            export_masks(small_store, quick_cfg(), [0, bad], tmp_path / "masks")
+        assert not (tmp_path / "masks").exists()
 
 
 class TestEndToEndOrderInvariance:

@@ -1,13 +1,17 @@
 import itertools
 import math
+import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cpes import numerics
 from cpes.numerics import (
     BLOCK_VALUES,
     DEGENERATE_NORM,
+    SPLIT_VALUES,
     accepted_rows,
     all_finite,
     block_slices,
@@ -147,6 +151,23 @@ class TestAllFinite:
         assert all_finite(np.array([np.finfo(np.float32).max], dtype=np.float32))
         assert all_finite(np.zeros((0, 4))) and all_finite(np.zeros(0, dtype=np.float32))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "dtype,value", [(np.float32, 3e38), (np.float32, -3e38), (np.float64, -1.5e308)]
+    )
+    @pytest.mark.parametrize("shape", [(4, 3), (7,), (SPLIT_VALUES // 2, 2)])
+    def test_finite_values_whose_sums_overflow(self, score_threads, threads, dtype, value, shape):
+        """Finite values whose sums (or, 1-D, sums of squares) overflow are finite, with and
+        without ``out``, on each part of a split array too, and no numpy warning escapes."""
+        score_threads(threads)
+        values = np.full(shape, value, dtype)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(values.sum(dtype=dtype))
+        with np.errstate(all="raise"):
+            assert all_finite(values) and all_finite(values, np.empty(shape, dtype))
+            values.flat[-1] = np.nan
+            assert not all_finite(values) and not all_finite(values, np.empty(shape, dtype))
+
     # layout -> (its zero values for n leading-axis items, items a block holds); a wide
     # record (2 patches of BLOCK_VALUES / 2 + 3 values) is a block of its own
     LAYOUTS = {
@@ -155,29 +176,42 @@ class TestAllFinite:
         "cpem_narrow_records": (lambda n, t: _cpem_patches(n, 4, 8, t), BLOCK_VALUES // 32),
         "strided": (lambda n, t: np.zeros((2 * n, 6), t)[::2, 1::2], BLOCK_VALUES // 3),
     }
-    # size -> (leading-axis items in blocks, and one more item; blocks)
-    SIZES = {"one_block": (1, 0, 1), "k_blocks": (3, 0, 3), "k_blocks_and_1": (3, 1, 4),
-             "empty": (0, 0, 0)}
+    # size -> (leading-axis items in blocks, and one more item; blocks; threads); the
+    # split sizes hold more than SPLIT_VALUES values in every layout
+    SPLIT_BLOCKS = SPLIT_VALUES // BLOCK_VALUES + 1
+    SIZES = {"one_block": (1, 0, 1, 1), "k_blocks": (3, 0, 3, 1), "k_blocks_and_1": (3, 1, 4, 1),
+             "empty": (0, 0, 0, 1), "split_2_threads": (SPLIT_BLOCKS, 1, SPLIT_BLOCKS + 1, 2),
+             "split_3_threads": (SPLIT_BLOCKS, 1, SPLIT_BLOCKS + 1, 3)}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("size", SIZES)
-    def test_block_edges_equal_oracle(self, dtype, layout, size):
-        """NaN, +inf and -inf at the first and last value of every block, and at
+    def test_block_edges_equal_oracle(self, score_threads, dtype, layout, size):
+        """NaN, +inf and -inf at the first and last value of every block (an array above
+        SPLIT_VALUES is one part a forced thread, each cut into blocks where it is copied to
+        ``out``, and there the edges are those of each part's first and last block), and at
         the last value: all_finite, with and without ``out``, is the oracle
         np.isfinite(values).all(); a finite array is copied to ``out`` whole."""
         make, per_block = self.LAYOUTS[layout]
-        blocks, extra, count = self.SIZES[size]
+        blocks, extra, count, threads = self.SIZES[size]
+        pool = score_threads(threads)
         values = make(blocks * per_block + extra, dtype)
         values[...] = (np.arange(values.size) % 7 - 3.5).reshape(values.shape)
         item = values[:1].size
-        edges = block_slices(len(values), item)
-        assert len(edges) == count
+        # each thread's part, and its blocks where they are copied to ``out``
+        cuts = [len(values) * i // threads for i in range(threads + 1)]
+        parts = [[(a + edge.start, a + min(edge.stop, b - a)) for edge in block_slices(b - a, item)]
+                 for a, b in zip(cuts, cuts[1:])]
+        assert sum(map(len, parts)) == count and (values.size >= SPLIT_VALUES) == (threads > 1)
+        # a split array's parts: their first and last blocks, whose edges meet the cuts
+        edges = [edge for part in parts
+                 for edge in (part if threads == 1 else part[:1] + part[-1:])]
         out = np.empty(values.shape, dtype)
         assert all_finite(values) and all_finite(values, out) and np.isfinite(values).all()
         assert out.tobytes() == np.ascontiguousarray(values).tobytes()
-        firsts = [edge.start * item for edge in edges]
-        lasts = [min(edge.stop, len(values)) * item - 1 for edge in edges]
+        assert len(pool.futures) == 2 * (threads - 1)
+        firsts = [start * item for start, _ in edges]
+        lasts = [stop * item - 1 for _, stop in edges]
         for at in sorted(set(firsts + lasts + [values.size - 1])) if values.size else []:
             where = np.unravel_index(at, values.shape)
             for value in (np.nan, np.inf, -np.inf):
@@ -187,6 +221,43 @@ class TestAllFinite:
                 assert all_finite(values) == expected
                 assert all_finite(values, np.empty(values.shape, dtype)) == expected
             values[where] = 0.5
+
+    def test_more_threads_than_cores_switching_often(self, score_threads):
+        """Five threads, switched every microsecond, each copying its own part to
+        ``out``: every value is copied once, and a NaN in any part is found."""
+        pool = score_threads(5)
+        values = (np.arange(SPLIT_VALUES + 7) % 5 - 2.5).reshape(-1, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = np.empty_like(values)
+            assert all_finite(values, out) and out.tobytes() == values.tobytes()
+            for at in np.linspace(0, len(values) - 1, 9).astype(int):
+                values[at] = np.nan
+                assert not all_finite(values) and not all_finite(values, np.empty_like(values))
+                values[at] = 0.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.futures and all(future.done() for future in pool.futures)
+
+    @pytest.mark.parametrize("at", ["caller", "pool"])
+    def test_a_part_the_pool_never_starts_is_checked_by_the_caller(self, monkeypatch, at):
+        """A part whose future the pool never runs is cancelled once the caller's part is
+        checked, and the caller checks it: a NaN in it is found, in the caller's too."""
+        futures = []
+
+        class IdlePool:
+            def submit(self, *args):
+                futures.append(Future())
+                return futures[-1]
+
+        monkeypatch.setattr(numerics, "_THREADS", 2)
+        monkeypatch.setattr(numerics, "_pool", lambda: IdlePool())
+        values = np.ones((SPLIT_VALUES // 64, 64), np.float32)
+        assert all_finite(values) and all_finite(values, np.empty_like(values))
+        values[0 if at == "caller" else -1, -1] = np.nan
+        assert not all_finite(values) and not all_finite(values, np.empty_like(values))
+        assert len(futures) == 4 and all(future.cancelled() for future in futures)
 
 
 def _cpem_patches(records: int, patches_m: int, dim_d: int, dtype) -> np.ndarray:

@@ -82,6 +82,21 @@ class TestSerialization:
         assert n == sum(widths) == HEADER_BYTES == 28
         assert len(buf.getvalue()) == n
 
+    def test_sweep_stores_and_head_start_no_thread(
+        self, score_threads, sweep_train_store, sweep_eval_store
+    ):
+        """The sweep-shaped stores and head are each below SPLIT_VALUES values, so each is
+        read and checked on the calling thread, on a machine of any number of cores."""
+        pool = score_threads(3)
+        for stored in (sweep_train_store, sweep_eval_store):
+            buf = io.BytesIO()
+            write_store(stored, buf)
+            assert read_store(io.BytesIO(buf.getvalue())).patch_embeddings.size > BLOCK_VALUES
+        buf = io.BytesIO()
+        save_head(MlpHead.initialize(16, 64, 0), buf)
+        load_head(io.BytesIO(buf.getvalue()))
+        assert not pool.futures and not pool.started()
+
     def test_round_trip_equality(self, small_store):
         buf = io.BytesIO()
         write_store(small_store, buf)

@@ -21,7 +21,11 @@ imported is the one on PYTHONPATH. Last, it runs a fixed list of rejected
 commands (damaged copies of the train store and of a checkpoint, and
 requests the train store cannot meet) and writes each one's exit code and
 stderr under OUT_DIR/rejected, so that no error message or exit code
-moves either. A draw below a bound b rejects a word with odds of about
+moves either. The same goes for ``inspect-store`` on a store of more than
+``numerics.SPLIT_VALUES`` patch values, whose finiteness check is shared
+among the threads, once clean and once with a NaN in its last record: its
+exit code, stdout and stderr go under OUT_DIR/split, the store itself
+under a temporary directory. A draw below a bound b rejects a word with odds of about
 b / 2**64, so the grid's small bounds never reach the rejection path; the
 rejection tests of ``tests/test_numerics.py`` (``TestRng``,
 ``TestRowKernels``) cover it. To check that a change moves no result:
@@ -44,6 +48,7 @@ import io
 import json
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -70,6 +75,10 @@ SWEEP_RUN = ["--epochs", "1", "--episodes-per-epoch", "20", "--tasks", "50"]
 # JSON config of the sweep-m run whose values come from an array
 SWEEP_CONFIG = {"values": [2, 8], "epochs": 1, "episodes_per_epoch": 20, "tasks": 50}
 
+
+# a store of 40 records of 256 x 128 patch values, 1.31M in all, above the
+# 1M of numerics.SPLIT_VALUES (not imported, so that the parent's cpes runs this too)
+SPLIT_SHAPE = ["--classes", "4", "--records-per-class", "10", "--dim", "128", "--patches", "256"]
 
 # the sweep train store's CPEM layout: header bytes, bytes a record, and its
 # ground-truth section (record 0's count word, then its indices) after the records
@@ -159,6 +168,28 @@ def rejected(out_dir: Path, train_store: Path, checkpoint: Path) -> None:
         (folder / f"{name}.txt").write_text(f"exit {code}\n{err.getvalue()}")
 
 
+def split(out_dir: Path) -> None:
+    """Write the exit code, stdout and stderr of ``cpes inspect-store`` on a store
+    above SPLIT_VALUES patch values, clean and with a NaN as its last record's last
+    patch value, to OUT_DIR/split/NAME.txt."""
+    folder = out_dir / "split"
+    folder.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "split.cpem"
+        run(["gen-synthetic", *SPLIT_SHAPE, "--out", str(store)])
+        data = store.read_bytes()
+        dim_d, patches_m, _, records = struct.unpack_from("<IIIQ", data, 8)
+        end = CPEM_HEADER + records * (12 + 4 * dim_d * (1 + patches_m))  # the last record's end
+        nan = put(data, end - 4, struct.pack("<f", float("nan")))
+        for name, case in {"clean": data, "nan_last_record": nan}.items():
+            store.write_bytes(case)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["inspect-store", "--store", str(store)])
+            text = f"exit {code}\nstdout:\n{out.getvalue()}stderr:\n{err.getvalue()}"
+            (folder / f"{name}.txt").write_text(text)
+
+
 def run(argv: list[str]) -> None:
     if main(argv) != 0:
         raise SystemExit(f"failed: cpes {' '.join(argv)}")
@@ -238,6 +269,7 @@ def main_grid(out_dir: Path) -> None:
                      "--out", f"{name}.report.json"] + flags
                 )
     rejected(out_dir, train_store, out_dir / "m4_cos_k1.cpeh")
+    split(out_dir)
 
 
 if __name__ == "__main__":
