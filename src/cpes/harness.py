@@ -160,8 +160,8 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
     order the chunk's tasks first read them, and each class's queries are a
     piece, started as soon as their rows exist: the pool scores while the
     caller selects, and a second buffer takes the next episode's tensor
-    while the caller uses this one. Closing this generator waits for every
-    piece started."""
+    while the caller uses this one. Closing this generator closes every
+    piece started: its blocks left are dropped, and it waits for those running."""
     slots, reps, buffers = np.full(len(store), -1), None, None  # slots: store row -> table row
     r, width = max(m, 1), cfg.n_way * cfg.queries_per_class
     threads = tensor_threads(width, r * store.dim_d)  # the episode's, and so each piece's
@@ -219,9 +219,10 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
         run = scored(plan, slots[queries], slots[supports], started, base, done, blocks)
         try:
             yield len(tasks), run
-        finally:  # waits, so no block is scored once this generator is closed
-            for future in (f for _, _, jobs in started for _, futures in jobs for f in futures):
-                future.exception()
+        finally:  # no block is scored once this generator is closed
+            for _, _, jobs in started:
+                for _, shares in jobs:
+                    shares.close()
 
 
 def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:

@@ -2,6 +2,11 @@
 check, the threads they share out to, and a counter-based 64-bit RNG whose streams are identical
 on every platform.
 
+``_Shares`` is the one runner that shares a list of items among the calling thread and the pool:
+the caller runs what is left, a share the pool has not started is cancelled, a loop of one
+thread starts none, and the first error is raised only once every started share has ended. A
+forked child builds a pool of its own, and concurrent calls share out only their own items.
+
 A stream is its uint64 state, a Weyl counter whose words pass through the
 splitmix64 finalizer; ``split_states`` derives independent ones from a seed.
 No object holds a state: ``accepted_rows`` and ``partial_shuffle`` return
@@ -21,10 +26,10 @@ import numpy as np
 
 DEGENERATE_NORM = 1e-12
 BLOCK_VALUES = 2**16  # values one block of any block loop holds at once: 512 KiB of float64
-SPLIT_VALUES = 16 * BLOCK_VALUES  # all_finite shares out an array of at least this many values
+SPLIT_VALUES = 16 * BLOCK_VALUES  # the finiteness check shares out an array of this many values
 
-# the threads of the score tensor and all_finite: one per core of the CPU affinity mask (so
-# `taskset -c 0` runs both serially), the calling thread and a pool of the others
+# the threads of the score tensor and the finiteness check: one per core of the CPU affinity
+# mask (so `taskset -c 0` runs both serially), the calling thread and a pool of the others
 try:
     _THREADS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
@@ -37,6 +42,36 @@ def _pool():
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="cpes")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's pool threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+class _Shares:
+    """``work(items)`` on up to threads - 1 pool shares, started now, and on the calling thread at
+    finish, all given one iterator of ``items``: next() on a list iterator is atomic under the
+    GIL, so each item goes to one thread, and a thread that starts late takes fewer."""
+
+    def __init__(self, work, items: list, threads: int):
+        self.work, self.items = work, iter(items)
+        self.futures = [_pool().submit(work, self.items) for _ in items[: threads - 1]]
+
+    def finish(self) -> None:
+        """Run the items left, then close; raise the caller's error, or else the first share's."""
+        try:
+            self.work(self.items)
+        finally:
+            self.close()
+        for future in self.futures:
+            future.cancelled() or future.result()
+
+    def close(self) -> None:
+        """Drop the items left, cancel each share not started and wait for the others."""
+        for _ in self.items:
+            pass
+        for future in self.futures:
+            future.cancel() or future.exception()
 
 
 _MASK64 = (1 << 64) - 1
@@ -148,13 +183,13 @@ def block_slices(count: int, size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _finite(rows: np.ndarray, ones: np.ndarray | None, out: np.ndarray | None) -> bool:
-    """Whether every value of ``rows`` is finite, given ``out`` copied there a block_slices
-    block at a time and checked from the copy while it is in cache. One BLAS product sums each
-    row in its dtype (``rows @ ones``; 1-D rows, ``ones`` None, by their sum of squares): a
-    finite total proves the values finite, and a non-finite one, which finite values can also
-    give by overflow, is settled exactly by min and max."""
-    for block in [slice(None)] if out is None else block_slices(len(rows), rows[:1].size):
+def _finite(rows: np.ndarray, ones: np.ndarray | None, out: np.ndarray | None) -> int | None:
+    """The first row of ``rows`` holding a value that is not finite, or None, given ``out``
+    copied there a block_slices block at a time and checked from the copy while it is in cache.
+    One BLAS product sums each row in its dtype (``rows @ ones``; 1-D rows, ``ones`` None, by
+    their sum of squares): a finite total proves the values finite, and a non-finite one, which
+    finite values can also give by overflow, is settled exactly by min and max."""
+    for block in [slice(0, len(rows))] if out is None else block_slices(len(rows), rows[:1].size):
         if out is not None:
             out[block] = rows[block]
         part = (rows if out is None else out)[block]
@@ -162,31 +197,37 @@ def _finite(rows: np.ndarray, ones: np.ndarray | None, out: np.ndarray | None) -
             if not math.isfinite(np.sum(part @ (part if ones is None else ones))) and not (
                 math.isfinite(part.min(initial=0)) and math.isfinite(part.max(initial=0))
             ):
-                return False
-    return True
+                return block.start + int(np.argmin(np.isfinite(part))) // part[:1].size
+    return None
 
 
-def all_finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
-    """Whether every value is finite (given ``out``, each is copied there first), by _finite on
-    parts of the leading axis, a record a row of a view. An array of at least SPLIT_VALUES values
-    is one part a thread, and the pool checks all but the caller's; a part the pool has not
-    started once the caller's is checked is cancelled and checked by the caller. A smaller
-    array is one part on the calling thread."""
+def first_non_finite(values: np.ndarray, out: np.ndarray | None = None) -> int | None:
+    """The first index on the leading axis (a record a row of a view) holding a value that is not
+    finite, or None (given ``out``, each value is copied there first), by _finite on parts of that
+    axis. An array of at least SPLIT_VALUES values is one part a thread, taken in order by the
+    calling thread and the pool (_Shares), and a part that starts after one before it has found a
+    row is skipped. A smaller array is one part on the calling thread."""
     rows = values if values.ndim < 2 else values.reshape(len(values), values[:1].size)
     ones = np.ones(rows.shape[1], rows.dtype) if rows.ndim > 1 else None
     out = None if out is None else out.reshape(rows.shape)
     threads = _THREADS if rows.size >= SPLIT_VALUES else 1
     cuts = [len(rows) * i // threads for i in range(threads + 1)]
-    parts = [(rows[a:b], ones, None if out is None else out[a:b]) for a, b in zip(cuts, cuts[1:])]
-    futures = [_pool().submit(_finite, *part) for part in parts[1:]]
-    try:
-        return _finite(*parts[0]) and all(
-            _finite(*part) if future.cancel() else future.result()
-            for part, future in zip(parts[1:], futures)
-        )
-    finally:  # no part is checked on once the call is over
-        for future in futures:
-            future.cancel() or future.exception()
+    found = []  # the first row not finite of each part checked that holds one
+
+    def check(parts) -> None:
+        for a, b in parts:
+            if not found or min(found) > a:
+                row = _finite(rows[a:b], ones, None if out is None else out[a:b])
+                if row is not None:
+                    found.append(a + row)
+
+    _Shares(check, list(zip(cuts, cuts[1:])), threads).finish()
+    return min(found, default=None)
+
+
+def all_finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
+    """Whether first_non_finite(values, out) finds no row."""
+    return first_non_finite(values, out) is None
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ flows into representations.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -25,8 +26,7 @@ _HEADER = "II"  # after the magic and u16 version: input_dim, hidden_dim
 
 def _matmuls(table: np.ndarray, rows, protos_t: np.ndarray, out: np.ndarray, blocks) -> None:
     """Write the clamped squared cosines of the blocks of queries taken from
-    ``blocks``, an iterator the threads share, into out: next() on a list
-    iterator is atomic under the GIL, so each block goes to one thread."""
+    ``blocks``, an iterator the threads share (numerics._Shares), into out."""
     for block in blocks:
         scores = np.matmul(table[rows[block], np.newaxis], protos_t, out=out[block])
         # rounding can push a squared cosine a few ulp past 1
@@ -43,39 +43,23 @@ def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray, t
     """The first half of the (Q, N, r, r') score tensor: the squared cosine
     between every unit row of every query table[rows] (Q, r, D) and of every
     prototype (N, r', D), written into ``out`` a block of queries at a time,
-    so no (Q, r, D) copy is made. Returns the block loop's arguments and the
-    futures of the pool's shares, if any, which take blocks until
-    finish_scores, so the caller may do other work between the two.
-
-    ``threads`` is the tensor's tensor_threads, or that of the episode the
-    caller starts it as a piece of. One thread scores every block on the
-    calling thread, on any number of cores. With more, the pool gets a share
-    for each block, up to one per other thread, and each thread takes the
-    next block not yet taken until none is left, so a thread that starts
-    late or is paused does fewer blocks and none waits on another's fixed
-    share. Each block holds BLOCK_VALUES // threads values of the table at
-    most (or one query), so the gathers in flight together stay within one
-    block unless one query is larger than a thread's part. Each query's
-    product is the same BLAS call on any thread, so the tensor does not
-    depend on the thread count."""
-    query_values = table.shape[1] * table.shape[2]
-    blocks = block_slices(len(rows), query_values * threads)
-    args = (table, rows, protos.transpose(0, 2, 1), out, iter(blocks))
-    shares = min(threads - 1, len(blocks))
-    return args, [numerics._pool().submit(_matmuls, *args) for _ in range(shares)]
+    so no (Q, r, D) copy is made. Returns ``out`` and the blocks' _Shares on
+    ``threads``, the tensor's tensor_threads or that of the episode the caller
+    starts it as a piece of: the pool takes blocks until finish_scores, so the
+    caller may do other work between the two. Each block holds
+    BLOCK_VALUES // threads values of the table at most (or one query), so the
+    gathers in flight together stay within one block unless one query is
+    larger than a thread's part. Each query's product is the same BLAS call
+    on any thread, so the tensor does not depend on the thread count."""
+    blocks = block_slices(len(rows), table.shape[1] * table.shape[2] * threads)
+    work = functools.partial(_matmuls, table, rows, protos.transpose(0, 2, 1), out)
+    return out, numerics._Shares(work, blocks, threads)
 
 
-def finish_scores(args, futures) -> np.ndarray:
-    """The second half: the tensor, once the calling thread has taken the
-    blocks left and every share has finished."""
-    try:
-        _matmuls(*args)
-    finally:
-        for future in futures:  # waits, so no share writes to out once this call is over
-            future.exception()
-    for future in futures:
-        future.result()
-    return args[3]
+def finish_scores(out: np.ndarray, shares) -> np.ndarray:
+    """The second half: ``out``, once _Shares.finish has run the blocks left."""
+    shares.finish()
+    return out
 
 
 class ScheduleKind(enum.Enum):

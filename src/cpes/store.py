@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InfeasibleConfig, StoreFormatError, check_settings, setting
-from .numerics import accepted_rows, all_finite, box_muller, partial_shuffle, split_states
+from .numerics import accepted_rows, box_muller, first_non_finite, partial_shuffle, split_states
 
 MAGIC = b"CPEM"
 VERSION = 1
@@ -248,12 +249,10 @@ def read_store(source) -> EmbeddingStore:
         if bad.any():
             raise StoreFormatError(f"record {int(store.record_ids[np.argmax(bad)])} {what}")
 
-    if not (all_finite(store.class_embeddings) and all_finite(store.patch_embeddings)):
-        # a float64 sum of float32 values cannot overflow, so it is finite
-        # exactly when every term is: the first record whose sum is not is named
-        sums = store.class_embeddings.sum(1, np.float64)
-        sums += store.patch_embeddings.sum((1, 2), np.float64)
-        reject(~np.isfinite(sums), "contains NaN/Inf")
+    # each record's class embedding and patches, adjacent in _record_dtype, as one row of a view
+    floats = as_strided(store.class_embeddings, (len(store), dim_d * (1 + patches_m)))
+    if (row := first_non_finite(floats)) is not None:
+        raise StoreFormatError(f"record {int(store.record_ids[row])} contains NaN/Inf")
     reject(store.labels >= class_count, f"has a label >= {class_count} classes")
     if not np.diff(np.sort(store.record_ids)).all():
         raise StoreFormatError("record ids are not unique")

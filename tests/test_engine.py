@@ -8,6 +8,8 @@ checkpoint bytes, training logs and per-task accuracies."""
 import functools
 import io
 import json
+import os
+import signal
 import sys
 import threading
 import time
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import cpes.harness
-from cpes import scoring
+from cpes import numerics, scoring
 from cpes.episodes import plan_episodes, sample_episode
 from cpes.errors import InfeasibleConfig
 from cpes.harness import (
@@ -33,6 +35,7 @@ from cpes.scoring import (
     OptimizerConfig,
     save_head,
     start_scores,
+    tensor_threads,
 )
 from cpes.selection import DistanceKind, representation_blocks, representation_table
 from cpes.store import read_store, write_store
@@ -352,6 +355,67 @@ class TestEpisodePipeline:
             for _ in run:
                 pass
         assert submitted[:2] == [0, 3] and len(submitted) > 2
+
+
+class TestEmbedded:
+    """cpes inside a larger program: a forked child, and calls from two threads at once."""
+
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_a_forked_child_scores_on_a_pool_of_its_own(self, monkeypatch):
+        """Once evaluate has used the real pool in this process, evaluate in a forked child
+        returns the parent's per-task accuracies, on a pool thread the child started. A child
+        still running at the deadline is killed, and the test fails rather than hang."""
+        monkeypatch.setattr(numerics, "_THREADS", 2)
+        store, cfg = store_of_sizes([20] * 5, dim=384, patches=16), RunConfig(m=4, eval_tasks=4)
+        head = init_head(cfg, 4)
+        assert tensor_threads(75, 4 * 384) == 2
+        expected = evaluate(head, store, cfg).per_task_accuracy
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports, then exits whatever happened
+            try:
+                accuracies = evaluate(head, store, cfg).per_task_accuracy
+                started = any(t.name.startswith("cpes") for t in threading.enumerate())
+                os.write(write, json.dumps([accuracies, started]).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("evaluate in the forked child did not return within 30 s")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as pipe:
+            assert json.loads(pipe.read() or "null") == [expected, True]
+
+    def test_train_and_evaluate_from_two_threads_at_once(self, score_threads):
+        """train and evaluate called at once from two threads, with the pool scoring both
+        calls' blocks, give the serial checkpoint bytes, log and per-task accuracies."""
+        store, cfg = pipeline_store(), pipeline_cfg(episodes=20)
+        score_threads(1)
+        head, log = train(store, cfg)
+        expected = {"train": (head_bytes(head), log),
+                    "evaluate": evaluate(head, store, cfg).per_task_accuracy}
+        pool = score_threads(2)
+        barrier, got = threading.Barrier(2), {}
+
+        def run(name):
+            barrier.wait(timeout=10)
+            if name == "train":
+                trained, trained_log = train(store, cfg)
+                got[name] = (head_bytes(trained), trained_log)
+            else:
+                got[name] = evaluate(head, store, cfg).per_task_accuracy
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in expected]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert got == expected
+        assert len(pool.futures) == 2 * 20 * 5  # a share for each class of each call's episodes
 
 
 def spy_on_builds(monkeypatch) -> list:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -16,6 +17,7 @@ from cpes.numerics import (
     all_finite,
     block_slices,
     cross_entropy,
+    first_non_finite,
     partial_shuffle,
     softmax,
     split_states,
@@ -258,6 +260,83 @@ class TestAllFinite:
         values[0 if at == "caller" else -1, -1] = np.nan
         assert not all_finite(values) and not all_finite(values, np.empty_like(values))
         assert len(futures) == 4 and all(future.cancelled() for future in futures)
+
+
+class TestFirstNonFinite:
+    # rows of a (SPLIT_VALUES // 8, 8) array holding a NaN: in one part, and in several
+    ROWS = SPLIT_VALUES // 8
+    BAD = [[0], [ROWS - 1], [ROWS // 3, ROWS - 1], [ROWS // 2 + 1, ROWS // 3 * 2, 5], [7, 8]]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_the_first_row_wins(self, score_threads, threads, bad):
+        """The first row holding a value that is not finite, with and without ``out``, whichever
+        parts hold others; None where every value is finite."""
+        score_threads(threads)
+        values = np.zeros((self.ROWS, 8), np.float32)
+        assert first_non_finite(values) is None and first_non_finite(values[:, 0]) is None
+        values[bad, 3] = np.nan
+        assert first_non_finite(values) == min(bad)
+        assert first_non_finite(values, np.empty_like(values)) == min(bad)
+        values[bad, 3] = 0.0
+        values[bad[-1], 5] = -np.inf  # 1-D: each value is a row
+        assert first_non_finite(values.reshape(-1)) == bad[-1] * 8 + 5
+
+    def test_more_threads_than_cores_switching_often(self, score_threads):
+        """Five threads, switched every microsecond, with NaNs in several parts: the first row
+        is still the one returned, and every share has ended once the call is over."""
+        pool = score_threads(5)
+        values = np.zeros((SPLIT_VALUES + 7, 1))
+        rows = len(values)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for bad in [[rows - 1], [rows // 2, 3], [rows // 5 * 4, rows // 5 + 1, rows // 5 * 3]]:
+                values[bad] = np.nan
+                assert first_non_finite(values) == min(bad)
+                assert first_non_finite(values, np.empty_like(values)) == min(bad)
+                values[bad] = 0.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.futures and all(future.done() for future in pool.futures)
+
+    def test_an_earlier_part_checked_last_still_wins(self, score_threads, monkeypatch):
+        """The part before waits until the part after it has found its row: it is checked all
+        the same, and its row is the answer."""
+        score_threads(2)
+        values = np.zeros((self.ROWS, 8), np.float32)
+        values[[10, self.ROWS - 10], 0] = np.nan
+        finite, after_done = numerics._finite, threading.Event()
+
+        def ordered(rows, ones, out):
+            if np.shares_memory(rows, values[0]):
+                assert after_done.wait(timeout=10)
+                return finite(rows, ones, out)
+            try:
+                return finite(rows, ones, out)
+            finally:
+                after_done.set()
+
+        monkeypatch.setattr(numerics, "_finite", ordered)
+        assert first_non_finite(values) == 10
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_a_part_after_a_row_found_is_skipped(self, monkeypatch, at):
+        """With a pool that never starts its share, the caller takes both parts in order: a row
+        found in the first skips the second, and a row in the second is found."""
+        checked = []
+        finite = numerics._finite
+
+        class IdlePool:
+            def submit(self, *args):
+                return Future()
+
+        monkeypatch.setattr(numerics, "_THREADS", 2)
+        monkeypatch.setattr(numerics, "_pool", lambda: IdlePool())
+        monkeypatch.setattr(numerics, "_finite", lambda *args: checked.append(0) or finite(*args))
+        values = np.ones((self.ROWS, 8), np.float32)
+        values[at] = np.inf
+        assert first_non_finite(values) == at % self.ROWS and len(checked) == 1 - at
 
 
 def _cpem_patches(records: int, patches_m: int, dim_d: int, dtype) -> np.ndarray:

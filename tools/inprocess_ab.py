@@ -12,8 +12,9 @@ side, the first side alternating: the workload's ``setup_reps`` set-ups,
 each releasing the one before, then one ``Bench.run_round``, checked as the
 benchmark checks it (the input-generation head, the side's first round,
 ``bench/reference.json``); a failed check exits 1 with its message. The
-first pair warms up and is dropped. BLAS is pinned to one thread, as in
-the benchmark.
+first two pairs, one in each order, warm up and are dropped, so each side
+has run first once before the first counted pair. BLAS is pinned to one
+thread, as in the benchmark.
 
 For each phase (a set-up, from the first ``read_store`` to ``load_head``;
 train, from ``train`` to ``save_head``; eval, ``evaluate``) it prints each
@@ -46,6 +47,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
 PHASES = ("setup", "train", "eval")
+WARM_UP = 2  # pairs run and dropped before the first counted pair: one in each order
 # the cpes call that ends each phase; a phase starts at the first counted
 # call after the previous one ended
 PHASE_ENDS = {"load_head": "setup", "save_head": "train", "evaluate": "eval"}
@@ -97,12 +99,12 @@ def cycle(bench: Bench) -> None:
 
 
 def phases(bench: Bench) -> dict[str, tuple[list[float], list[int]]]:
-    """Each phase's times and fault counts, the warm-up pair's dropped."""
-    rounds, setup_s, _ = bench.timed()
+    """Each phase's times and fault counts, the warm-up pairs' dropped."""
+    rounds, setups = bench.rounds[WARM_UP:], WARM_UP * bench.workload.setup_reps
     faults = bench.cpes.faults
-    return {"setup": (setup_s, faults["setup"][bench.workload.setup_reps:]),
-            "train": ([r.train_s for r in rounds], faults["train"][1:]),
-            "eval": ([r.eval_s for r in rounds], faults["eval"][1:])}
+    return {"setup": (bench.setup_times[setups:], faults["setup"][setups:]),
+            "train": ([r.train_s for r in rounds], faults["train"][WARM_UP:]),
+            "eval": ([r.eval_s for r in rounds], faults["eval"][WARM_UP:])}
 
 
 def main() -> int:
@@ -122,7 +124,7 @@ def main() -> int:
         benches = {side: Bench(FaultCounted(import_copy(src.resolve(), f"cpes_{side}", Path(tmp))),
                                workload, 0, blobs, None)
                    for side, src in trees.items()}
-        for pair in range(args.pairs + 1):  # pair 0 warms up; Bench.timed drops it
+        for pair in range(WARM_UP + args.pairs):  # phases drops the warm-up pairs
             for side in SIDES if pair % 2 else SIDES[::-1]:
                 try:
                     cycle(benches[side])
