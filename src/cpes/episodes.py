@@ -13,14 +13,9 @@ from .store import EmbeddingStore
 
 @dataclass
 class Episode:
-    """One sampled task as store row indices.
+    """One sampled task as store row indices: episode-local class i's K
+    supports are ``support_rows[i]``; queries carry local labels in [0, n_way)."""
 
-    ``class_map[i]`` is the store label behind episode-local class i, whose
-    K supports are ``support_rows[i]``; queries carry local labels in
-    [0, n_way).
-    """
-
-    class_map: list[int]
     support_rows: np.ndarray  # (N, K)
     query_rows: np.ndarray  # (Q,)
     query_labels: np.ndarray  # (Q,)
@@ -33,9 +28,9 @@ def plan_episodes(
     queries_per_class: int,
     task_indices,
     base_seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The class maps (T, N), support rows (T, N, K) and query rows (T, Q) of
-    the T listed tasks, each deterministic in its task index and base_seed.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The support rows (T, N, K) and query rows (T, Q) of the T listed
+    tasks, each deterministic in its task index and base_seed.
 
     Task t draws from stream t of base_seed: one block picks N classes
     uniformly without replacement, the next K+Q records per class without
@@ -61,13 +56,13 @@ def plan_episodes(
     slots = (np.cumsum(class_sizes) - class_sizes)[picks, np.newaxis] + np.arange(max(class_sizes))
     chosen, _ = partial_shuffle(states, rows[np.minimum(slots, len(rows) - 1)], sizes, need)
     queries = chosen[..., k_shot:].reshape(len(states), n_way * queries_per_class)
-    return labels[picks], chosen[..., :k_shot], queries
+    return chosen[..., :k_shot], queries
 
 
-def sample_episode(plan: tuple[np.ndarray, np.ndarray, np.ndarray], index: int) -> Episode:
+def sample_episode(plan: tuple[np.ndarray, np.ndarray], index: int) -> Episode:
     """Task ``index`` of a plan_episodes plan as an Episode: a slice of the
     plan, which draws nothing."""
-    class_maps, support_rows, query_rows = plan
-    n_way = class_maps.shape[1]
+    support_rows, query_rows = plan
+    n_way = support_rows.shape[1]
     query_labels = np.repeat(np.arange(n_way), query_rows.shape[1] // n_way)
-    return Episode(class_maps[index].tolist(), support_rows[index], query_rows[index], query_labels)
+    return Episode(support_rows[index], query_rows[index], query_labels)

@@ -29,7 +29,6 @@ from .scoring import (
     OptimizerConfig,
     StepBuffers,
     episode_loss_and_grads,
-    finish_scores,
     head_forward,
     optimizer_step,
     start_scores,
@@ -188,7 +187,7 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
             while len(started) == len(buffers) or started and index == len(queries) - 1:
                 episode, out, jobs = started[0]
                 for job in jobs:
-                    finish_scores(*job)
+                    job.finish()
                 del started[0]  # once every piece is done: a raise leaves it to be waited for
                 yield episode, out
 
@@ -197,7 +196,7 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
     for chunk in block_slices(count, size + len(pools)):
         tasks = range(count)[chunk]
         plan = plan_episodes(store, cfg.n_way, cfg.k_shot, cfg.queries_per_class, tasks, seed)
-        queries, supports = plan[2], plan[1][..., 0]  # K > 1 prototypes bypass the table
+        queries, supports = plan[1], plan[0][..., 0]  # K > 1 prototypes bypass the table
         if buffers is None:  # once the first plan has checked the store
             buffers = np.empty((min(threads, 2), width, cfg.n_way, r, r))
         reads = (np.hstack([supports, queries]) if cfg.k_shot == 1 else queries).ravel()
@@ -215,14 +214,14 @@ def _episodes(store: EmbeddingStore, cfg: RunConfig, m: int, seed: int, count: i
         every = np.array_equal(new, np.arange(len(store)))  # by record slices, which gather nothing
         blocks = representation_blocks(store, m, cfg.distance, None if every else new, reps[base:])
         done = base + max((block.stop for block in itertools.islice(blocks, now)), default=0)
-        started = []  # (episode, buffer, its pieces' start_scores) started and not yet yielded
+        started = []  # (episode, buffer, its pieces' runners) started and not yet yielded
         run = scored(plan, slots[queries], slots[supports], started, base, done, blocks)
         try:
             yield len(tasks), run
         finally:  # no block is scored once this generator is closed
             for _, _, jobs in started:
-                for _, shares in jobs:
-                    shares.close()
+                for job in jobs:
+                    job.close()
 
 
 def train(store: EmbeddingStore, cfg: RunConfig) -> tuple[MlpHead, list[dict]]:

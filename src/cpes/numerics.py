@@ -225,11 +225,6 @@ def first_non_finite(values: np.ndarray, out: np.ndarray | None = None) -> int |
     return min(found, default=None)
 
 
-def all_finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
-    """Whether first_non_finite(values, out) finds no row."""
-    return first_non_finite(values, out) is None
-
-
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; entries positive and
     summing to 1."""

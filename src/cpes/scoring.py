@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InfeasibleConfig, StoreFormatError, setting
-from .numerics import BLOCK_VALUES, all_finite, block_slices, cross_entropy, softmax, uniforms
+from .numerics import BLOCK_VALUES, block_slices, cross_entropy, first_non_finite, softmax, uniforms
 from .store import _read_header, _reject_trailing, _require, _write
 
 CHECKPOINT_MAGIC = b"CPEH"
@@ -40,26 +40,20 @@ def tensor_threads(queries: int, query_values: int) -> int:
 
 
 def start_scores(table: np.ndarray, rows, protos: np.ndarray, out: np.ndarray, threads: int):
-    """The first half of the (Q, N, r, r') score tensor: the squared cosine
-    between every unit row of every query table[rows] (Q, r, D) and of every
-    prototype (N, r', D), written into ``out`` a block of queries at a time,
-    so no (Q, r, D) copy is made. Returns ``out`` and the blocks' _Shares on
-    ``threads``, the tensor's tensor_threads or that of the episode the caller
-    starts it as a piece of: the pool takes blocks until finish_scores, so the
-    caller may do other work between the two. Each block holds
+    """Start the (Q, N, r, r') score tensor: the squared cosine between every
+    unit row of every query table[rows] (Q, r, D) and of every prototype
+    (N, r', D), written into ``out`` a block of queries at a time, so no
+    (Q, r, D) copy is made. Returns the blocks' _Shares on ``threads``, the
+    tensor's tensor_threads or that of the episode the caller starts it as a
+    piece of: the pool takes blocks until its finish() runs the blocks left,
+    so the caller may do other work between the two. Each block holds
     BLOCK_VALUES // threads values of the table at most (or one query), so the
     gathers in flight together stay within one block unless one query is
     larger than a thread's part. Each query's product is the same BLAS call
     on any thread, so the tensor does not depend on the thread count."""
     blocks = block_slices(len(rows), table.shape[1] * table.shape[2] * threads)
     work = functools.partial(_matmuls, table, rows, protos.transpose(0, 2, 1), out)
-    return out, numerics._Shares(work, blocks, threads)
-
-
-def finish_scores(out: np.ndarray, shares) -> np.ndarray:
-    """The second half: ``out``, once _Shares.finish has run the blocks left."""
-    shares.finish()
-    return out
+    return numerics._Shares(work, blocks, threads)
 
 
 class ScheduleKind(enum.Enum):
@@ -265,7 +259,7 @@ def load_head(source) -> MlpHead:
     _require(data, end, "parameters")
     _reject_trailing(data, end)
     state = np.empty((3, size))  # aligned and writable, filled and checked a block at a time
-    if not all_finite(np.frombuffer(data, "<f8", 3 * size, start), state.reshape(-1)):
+    if first_non_finite(np.frombuffer(data, "<f8", 3 * size, start), state.reshape(-1)) is not None:
         raise StoreFormatError("checkpoint contains NaN/Inf parameters or moments")
     (step,) = struct.unpack_from("<Q", data, end - 8)
     return MlpHead(input_dim, hidden, state, step)

@@ -113,7 +113,7 @@ def score_threads(monkeypatch):
 def fail_score_blocks(monkeypatch, on: str) -> None:
     """Make the score tensor's block products raise MemoryError on the pool's
     workers or on the calling thread (``on``). A worker's share sleeps
-    first, so a share still running when finish_scores raises would show."""
+    first, so a share still running when the runner's finish() raises would show."""
     matmuls = scoring._matmuls
 
     def failing(*args):

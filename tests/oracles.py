@@ -32,9 +32,10 @@ tensor per episode; ``head_pass``, ``episode_loss_and_grads`` and
 ``accuracy``, one softmax and one accuracy per task. ``per_episode_train``
 and ``per_episode_evaluate`` run the package's loops on it.
 ``score_tensor`` is the package's tensor, ``start_scores`` on the
-tensor's own ``tensor_threads`` then ``finish_scores``, into a new array; ``serial_score_tensor`` is the block
-loop it ran before it shared its blocks out among threads. ``loss_and_grads``
-is the package's ``episode_loss_and_grads``, into StepBuffers of its own.
+tensor's own ``tensor_threads`` then its runner's ``finish()``, into a new
+array; ``serial_score_tensor`` is the block loop it ran before it shared its
+blocks out among threads. ``loss_and_grads`` is the package's
+``episode_loss_and_grads``, into StepBuffers of its own.
 
 The RNG here is the counter stream on Python ints: ``split_state`` derives
 a stream's state as ``split_states`` does, and ``outputs`` gives its words.
@@ -70,7 +71,6 @@ from cpes.scoring import (
     Gradients,
     MlpHead,
     StepBuffers,
-    finish_scores,
     start_scores,
     tensor_threads,
 )
@@ -349,7 +349,7 @@ def per_task_episode(
     picked = np.array(samples_without_replacement(state, pools, need)[0], np.intp)
     picked = picked.reshape(n_way, need)
     query_labels = np.repeat(np.arange(n_way), queries_per_class)
-    return Episode(class_map, picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)
+    return Episode(picked[:, :k_shot], picked[:, k_shot:].reshape(-1), query_labels)
 
 
 def sample_episode_records(
@@ -538,7 +538,8 @@ def episode_scores(store: EmbeddingStore, reps, episode, m: int, kind) -> np.nda
 def score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:
     out = np.empty((len(rows), len(protos), table.shape[1], protos.shape[1]))
     threads = tensor_threads(len(rows), table.shape[1] * table.shape[2])
-    return finish_scores(*start_scores(table, rows, protos, out, threads))
+    start_scores(table, rows, protos, out, threads).finish()
+    return out
 
 
 def serial_score_tensor(table: np.ndarray, rows, protos: np.ndarray) -> np.ndarray:

@@ -455,7 +455,7 @@ class TestGatheredTable:
         score_threads(threads)
         store, cfg = pipeline_store(), pipeline_cfg(k_shot)
         full = representation_table(store, 16, cfg.distance)
-        _, supports, queries = plan_episodes(store, 5, k_shot, 15, range(130), 4)
+        supports, queries = plan_episodes(store, 5, k_shot, 15, range(130), 4)
         piece = 75 if threads == 1 else 15
         built, ready = spy_on_builds(monkeypatch), []
 
@@ -522,6 +522,6 @@ class TestGatheredTable:
         assert chunks == [12, 12]  # train's, then evaluate's
         seeds = (split_state(cfg.base_seed, _TRAIN_STREAM), cfg.base_seed)
         for tasks, phase in zip(built, seeds, strict=True):
-            _, supports, queries = plan_episodes(store, 5, k_shot, 15, range(12), phase)
+            supports, queries = plan_episodes(store, 5, k_shot, 15, range(12), phase)
             reads = queries if k_shot > 1 else np.hstack([supports[..., 0], queries])
             assert tasks == read_order(reads) and len(tasks) == len(store)

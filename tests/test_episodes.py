@@ -68,12 +68,17 @@ def one_task(store, n_way, k_shot, q, task_index, base_seed):
     return sample_episode(plan_episodes(store, n_way, k_shot, q, [task_index], base_seed), 0)
 
 
+def classes(store, ep) -> list[int]:
+    """The store labels of the episode's classes, in episode-local order."""
+    return store.labels[ep.support_rows[:, 0]].tolist()
+
+
 def assert_same_as_record_sampler(store, n_way, k_shot, q, task, seed):
     """The index episode holds the classes and records, in the order, that
     the record-at-a-time sampler draws; returns the episode."""
     ep = one_task(store, n_way, k_shot, q, task, seed)
     protos, queries, labels = sample_episode_records(store, n_way, k_shot, q, task, seed)
-    assert [p.label for p in protos] == ep.class_map
+    assert [p.label for p in protos] == classes(store, ep)
     assert [r.record_id for r in queries] == store.record_ids[ep.query_rows].tolist()
     assert labels == ep.query_labels.tolist()
     for proto, rows in zip(protos, ep.support_rows):
@@ -97,7 +102,7 @@ class TestSampleEpisode:
         store = tiny_store(6, 8)
         a = one_task(store, 4, 2, 3, task_index=11, base_seed=5)
         b = one_task(store, 4, 2, 3, task_index=11, base_seed=5)
-        assert a.class_map == b.class_map
+        assert classes(store, a) == classes(store, b)
         np.testing.assert_array_equal(a.query_rows, b.query_rows)
         np.testing.assert_array_equal(a.support_rows, b.support_rows)
 
@@ -118,16 +123,17 @@ class TestSampleEpisode:
             for local in range(4):
                 assert list(ep.query_labels).count(local) == 2
             # episode-local labels map bijectively onto sampled store labels
-            assert len(set(ep.class_map)) == 4
+            labels = classes(store, ep)
+            assert len(set(labels)) == 4
             for row, local in zip(ep.query_rows, ep.query_labels):
-                assert store.labels[row] == ep.class_map[local]
+                assert store.labels[row] == labels[local]
 
     def test_distinct_task_indices_differ(self):
         store = tiny_store(10, 20)
         seen = set()
         for task in range(100):
             ep = one_task(store, 5, 1, 2, task, base_seed=3)
-            seen.add((tuple(ep.class_map), tuple(ep.query_rows.tolist())))
+            seen.add((tuple(classes(store, ep)), tuple(ep.query_rows.tolist())))
         # at least most of 100 episodes must differ; identical pairs would
         # indicate broken stream splitting
         assert len(seen) == 100
@@ -156,7 +162,7 @@ class TestSampleEpisode:
         )
         store = store_of_sizes([5, 6, 7, 9, 10, 11, 12])
         ep = assert_same_as_record_sampler(store, 4, 2, 3, task=0, seed=0)
-        first_pool = len(store.by_label[ep.class_map[0]])
+        first_pool = len(store.by_label[classes(store, ep)[0]])
         bound = [7, 6, 5, 4, first_pool, first_pool - 1, first_pool - 2][word]
         assert MASK64 >= (1 << 64) - (1 << 64) % bound  # the word is one randint rejects
 
@@ -165,14 +171,13 @@ def assert_plan_equals_per_task(store, n_way, k_shot, q, tasks, seed):
     """plan_episodes over ``tasks`` gives each task the Episode the per-task
     oracle samples, and sample_episode slices it out."""
     plan = plan_episodes(store, n_way, k_shot, q, tasks, seed)
-    assert [len(part) for part in plan] == [len(tasks)] * 3
+    assert [len(part) for part in plan] == [len(tasks)] * 2
     for index, task in enumerate(tasks):
         expected = per_task_episode(store, n_way, k_shot, q, task, seed)
         assert_same_episode(sample_episode(plan, index), expected)
 
 
 def assert_same_episode(ep, expected):
-    assert ep.class_map == expected.class_map
     np.testing.assert_array_equal(ep.support_rows, expected.support_rows)
     np.testing.assert_array_equal(ep.query_rows, expected.query_rows)
     np.testing.assert_array_equal(ep.query_labels, expected.query_labels)
@@ -216,8 +221,7 @@ class TestPlanEpisodes:
 
     def test_no_tasks_samples_nothing(self):
         store = tiny_store(6, 8)
-        class_maps, support_rows, query_rows = plan_episodes(store, 4, 2, 3, [], 5)
-        assert class_maps.shape == (0, 4)
+        support_rows, query_rows = plan_episodes(store, 4, 2, 3, [], 5)
         assert support_rows.shape == (0, 4, 2)
         assert query_rows.shape == (0, 12)
         cfg = RunConfig(n_way=5, k_shot=3, queries_per_class=3, m=1, epochs=0)

@@ -14,7 +14,6 @@ from cpes.numerics import (
     DEGENERATE_NORM,
     SPLIT_VALUES,
     accepted_rows,
-    all_finite,
     block_slices,
     cross_entropy,
     first_non_finite,
@@ -137,6 +136,11 @@ def test_unit_rows_equals_masked_divide(shape):
     assert got.dtype == np.float64 and got.tobytes() == masked_unit_rows(rows).tobytes()
 
 
+def finite(values: np.ndarray, out: np.ndarray | None = None) -> bool:
+    """Whether first_non_finite(values, out) finds no row."""
+    return first_non_finite(values, out) is None
+
+
 class TestAllFinite:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -144,14 +148,14 @@ class TestAllFinite:
         for at in range(6):
             values = np.arange(6, dtype=dtype).reshape(2, 3)
             values.flat[at] = value
-            assert not all_finite(values)
-            assert all_finite(values[:, ::2]) == (at % 3 == 1)  # a strided view
+            assert not finite(values)
+            assert finite(values[:, ::2]) == (at % 3 == 1)  # a strided view
 
     def test_finite_extremes_and_empty(self):
         big = np.finfo(np.float64).max
-        assert all_finite(np.array([big, -big, 0.0, -0.0, 5e-324]))
-        assert all_finite(np.array([np.finfo(np.float32).max], dtype=np.float32))
-        assert all_finite(np.zeros((0, 4))) and all_finite(np.zeros(0, dtype=np.float32))
+        assert finite(np.array([big, -big, 0.0, -0.0, 5e-324]))
+        assert finite(np.array([np.finfo(np.float32).max], dtype=np.float32))
+        assert finite(np.zeros((0, 4))) and finite(np.zeros(0, dtype=np.float32))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -166,9 +170,9 @@ class TestAllFinite:
         with np.errstate(over="ignore"):
             assert not np.isfinite(values.sum(dtype=dtype))
         with np.errstate(all="raise"):
-            assert all_finite(values) and all_finite(values, np.empty(shape, dtype))
+            assert finite(values) and finite(values, np.empty(shape, dtype))
             values.flat[-1] = np.nan
-            assert not all_finite(values) and not all_finite(values, np.empty(shape, dtype))
+            assert not finite(values) and not finite(values, np.empty(shape, dtype))
 
     # layout -> (its zero values for n leading-axis items, items a block holds); a wide
     # record (2 patches of BLOCK_VALUES / 2 + 3 values) is a block of its own
@@ -192,7 +196,7 @@ class TestAllFinite:
         """NaN, +inf and -inf at the first and last value of every block (an array above
         SPLIT_VALUES is one part a forced thread, each cut into blocks where it is copied to
         ``out``, and there the edges are those of each part's first and last block), and at
-        the last value: all_finite, with and without ``out``, is the oracle
+        the last value: first_non_finite finding no row, with and without ``out``, is the oracle
         np.isfinite(values).all(); a finite array is copied to ``out`` whole."""
         make, per_block = self.LAYOUTS[layout]
         blocks, extra, count, threads = self.SIZES[size]
@@ -209,7 +213,7 @@ class TestAllFinite:
         edges = [edge for part in parts
                  for edge in (part if threads == 1 else part[:1] + part[-1:])]
         out = np.empty(values.shape, dtype)
-        assert all_finite(values) and all_finite(values, out) and np.isfinite(values).all()
+        assert finite(values) and finite(values, out) and np.isfinite(values).all()
         assert out.tobytes() == np.ascontiguousarray(values).tobytes()
         assert len(pool.futures) == 2 * (threads - 1)
         firsts = [start * item for start, _ in edges]
@@ -220,8 +224,8 @@ class TestAllFinite:
                 values[where] = value
                 expected = bool(np.isfinite(values).all())
                 assert not expected
-                assert all_finite(values) == expected
-                assert all_finite(values, np.empty(values.shape, dtype)) == expected
+                assert finite(values) == expected
+                assert finite(values, np.empty(values.shape, dtype)) == expected
             values[where] = 0.5
 
     def test_more_threads_than_cores_switching_often(self, score_threads):
@@ -233,10 +237,10 @@ class TestAllFinite:
         sys.setswitchinterval(1e-6)
         try:
             out = np.empty_like(values)
-            assert all_finite(values, out) and out.tobytes() == values.tobytes()
+            assert finite(values, out) and out.tobytes() == values.tobytes()
             for at in np.linspace(0, len(values) - 1, 9).astype(int):
                 values[at] = np.nan
-                assert not all_finite(values) and not all_finite(values, np.empty_like(values))
+                assert not finite(values) and not finite(values, np.empty_like(values))
                 values[at] = 0.0
         finally:
             sys.setswitchinterval(interval)
@@ -256,9 +260,9 @@ class TestAllFinite:
         monkeypatch.setattr(numerics, "_THREADS", 2)
         monkeypatch.setattr(numerics, "_pool", lambda: IdlePool())
         values = np.ones((SPLIT_VALUES // 64, 64), np.float32)
-        assert all_finite(values) and all_finite(values, np.empty_like(values))
+        assert finite(values) and finite(values, np.empty_like(values))
         values[0 if at == "caller" else -1, -1] = np.nan
-        assert not all_finite(values) and not all_finite(values, np.empty_like(values))
+        assert not finite(values) and not finite(values, np.empty_like(values))
         assert len(futures) == 4 and all(future.cancelled() for future in futures)
 
 

@@ -270,10 +270,12 @@ class TestBlockedScoreTensor:
         assert np.array_equal(episode_scores(store, reps, episode, m, kind), expected)
 
     def test_allocates_the_output_and_one_block(self):
-        """A gather of all 300 queries would be 1.2 MB; one block is 512 KiB."""
+        """A gather of all 300 queries would be 1.2 MB; one block is 512 KiB.
+        The pool's threads are made by a first call, before the window opens."""
         store = random_store(*SHORT_LAST_BLOCK, seed=18)
         reps = representation_table(store, store.patches_m, DistanceKind.COS)
         rows, protos = np.arange(len(store)), reps[:5]
+        score_tensor(reps, rows, protos)
         tracemalloc.start()
         try:
             scores = score_tensor(reps, rows, protos)
@@ -367,7 +369,7 @@ class TestBlockedScoreTensor:
     @pytest.mark.parametrize("on", ["worker", "caller"])
     def test_a_failing_block_reaches_the_caller(self, score_threads, monkeypatch, on):
         """The exception of a block's product, on a worker or on the calling
-        thread, is finish_scores', raised once every share has finished."""
+        thread, is the runner's finish()'s, raised once every share has finished."""
         pool = score_threads(3)
         fail_score_blocks(monkeypatch, on)
         store = random_store(*SHORT_LAST_BLOCK, seed=18)
